@@ -12,6 +12,7 @@
 use crate::config::CacheConfig;
 use crate::policies::{Lcr, Lru, PolicyKind, ReplacementPolicy, WayView};
 use crate::stats::CacheStats;
+use cosmos_common::stats::Counters;
 use cosmos_common::LineAddr;
 use cosmos_telemetry::metrics::Counter;
 use cosmos_telemetry::Telemetry;
@@ -226,11 +227,6 @@ impl Cache {
     /// Accumulated statistics.
     pub fn stats(&self) -> &CacheStats {
         &self.stats
-    }
-
-    /// Resets statistics (contents are preserved).
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
     }
 
     /// Non-modifying presence check (no LRU update, no stats).

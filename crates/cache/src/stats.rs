@@ -2,23 +2,25 @@
 
 use cosmos_common::stats::HitMiss;
 
-/// Counters accumulated by a [`crate::Cache`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Demand accesses (hits/misses).
-    pub demand: HitMiss,
-    /// Lines evicted to make room.
-    pub evictions: u64,
-    /// Dirty evictions (writebacks generated).
-    pub writebacks: u64,
-    /// Prefetch fills actually inserted.
-    pub prefetch_issued: u64,
-    /// Prefetched lines that later took a demand hit.
-    pub prefetch_useful: u64,
-    /// Prefetched lines evicted without any demand use.
-    pub prefetch_unused: u64,
-    /// Prefetches dropped because the line was already resident.
-    pub prefetch_redundant: u64,
+cosmos_common::counters! {
+    /// Counters accumulated by a [`crate::Cache`].
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct CacheStats {
+        /// Demand accesses (hits/misses).
+        pub demand: HitMiss,
+        /// Lines evicted to make room.
+        pub evictions: u64,
+        /// Dirty evictions (writebacks generated).
+        pub writebacks: u64,
+        /// Prefetch fills actually inserted.
+        pub prefetch_issued: u64,
+        /// Prefetched lines that later took a demand hit.
+        pub prefetch_useful: u64,
+        /// Prefetched lines evicted without any demand use.
+        pub prefetch_unused: u64,
+        /// Prefetches dropped because the line was already resident.
+        pub prefetch_redundant: u64,
+    }
 }
 
 impl CacheStats {
@@ -31,66 +33,12 @@ impl CacheStats {
     pub fn miss_rate(&self) -> f64 {
         self.demand.miss_rate()
     }
-
-    /// Counts accumulated since `baseline`, for warmup-excluding
-    /// measurement windows. Each subtraction is checked in every build
-    /// profile (`cosmos_common::stats::window_sub`): a field that went
-    /// backwards means a counter reset, and the window would be garbage.
-    pub fn since(&self, baseline: &CacheStats) -> CacheStats {
-        use cosmos_common::stats::window_sub;
-        CacheStats {
-            demand: self.demand.since(&baseline.demand),
-            evictions: window_sub(self.evictions, baseline.evictions),
-            writebacks: window_sub(self.writebacks, baseline.writebacks),
-            prefetch_issued: window_sub(self.prefetch_issued, baseline.prefetch_issued),
-            prefetch_useful: window_sub(self.prefetch_useful, baseline.prefetch_useful),
-            prefetch_unused: window_sub(self.prefetch_unused, baseline.prefetch_unused),
-            prefetch_redundant: window_sub(self.prefetch_redundant, baseline.prefetch_redundant),
-        }
-    }
-
-    /// Encodes the counters for snapshots.
-    pub fn to_json(&self) -> cosmos_common::json::Value {
-        cosmos_common::json!({
-            "demand": (self.demand.to_json()),
-            "evictions": (self.evictions),
-            "writebacks": (self.writebacks),
-            "prefetch_issued": (self.prefetch_issued),
-            "prefetch_useful": (self.prefetch_useful),
-            "prefetch_unused": (self.prefetch_unused),
-            "prefetch_redundant": (self.prefetch_redundant),
-        })
-    }
-
-    /// Decodes counters produced by [`CacheStats::to_json`].
-    pub fn from_json(v: &cosmos_common::json::Value) -> Result<Self, String> {
-        use cosmos_common::json::codec;
-        Ok(Self {
-            demand: HitMiss::from_json(codec::field(v, "demand")?)?,
-            evictions: codec::u64_field(v, "evictions")?,
-            writebacks: codec::u64_field(v, "writebacks")?,
-            prefetch_issued: codec::u64_field(v, "prefetch_issued")?,
-            prefetch_useful: codec::u64_field(v, "prefetch_useful")?,
-            prefetch_unused: codec::u64_field(v, "prefetch_unused")?,
-            prefetch_redundant: codec::u64_field(v, "prefetch_redundant")?,
-        })
-    }
-
-    /// Merges another stats block into this one.
-    pub fn merge(&mut self, other: &CacheStats) {
-        self.demand.merge(&other.demand);
-        self.evictions += other.evictions;
-        self.writebacks += other.writebacks;
-        self.prefetch_issued += other.prefetch_issued;
-        self.prefetch_useful += other.prefetch_useful;
-        self.prefetch_unused += other.prefetch_unused;
-        self.prefetch_redundant += other.prefetch_redundant;
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cosmos_common::stats::Counters;
 
     #[test]
     fn accuracy_handles_zero_issued() {
@@ -113,19 +61,5 @@ mod tests {
         assert_eq!(window.demand.misses(), 1);
         assert_eq!(window.evictions, 3);
         assert_eq!(window.writebacks, 1);
-    }
-
-    #[test]
-    fn merge_adds_counts() {
-        let mut a = CacheStats::default();
-        a.demand.hit();
-        a.evictions = 2;
-        let mut b = CacheStats::default();
-        b.demand.miss();
-        b.writebacks = 1;
-        a.merge(&b);
-        assert_eq!(a.demand.total(), 2);
-        assert_eq!(a.evictions, 2);
-        assert_eq!(a.writebacks, 1);
     }
 }

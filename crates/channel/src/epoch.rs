@@ -28,6 +28,7 @@
 //! flight recorder and telemetry heatmaps use.
 
 use crate::leakage::EpochObservation;
+use cosmos_common::stats::Counters;
 use cosmos_common::{MemAccess, PhysAddr, Trace};
 use cosmos_core::{SimConfig, SimStats, Simulator};
 use cosmos_verify::{check_monotonic, check_stats, ShadowHook, ShadowState, Violation};

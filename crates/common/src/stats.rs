@@ -1,25 +1,297 @@
 //! Lightweight statistics primitives used by caches, predictors, and the
 //! simulator: hit/miss counters, running means, and fixed-bucket histograms.
+//!
+//! Every counter struct the simulator reports is declared once, through
+//! [`counters!`](crate::counters!). The declaration's field list
+//! generates the struct's [`Counters`] implementation: the checked
+//! measurement window ([`Counters::since`]), the snapshot encoding
+//! ([`Counters::to_json`] / [`Counters::from_json`]) and a leaf walk in
+//! declaration order ([`Counters::visit`] / [`Counters::from_leaves`])
+//! that the sampled-run estimator and the monotonicity oracle consume. A
+//! field added to the declaration reaches every consumer; none can be
+//! forgotten.
 
+use crate::json::{codec, Value};
 use core::fmt;
+use core::fmt::Write as _;
 
-/// A hit/miss (or success/failure) counter pair.
+/// A value made of monotone `u64` event counters: a bare counter, a
+/// fixed-size array of counter structs, or a struct declared through
+/// [`counters!`](crate::counters!).
+///
+/// The leaves are the `u64` counters themselves, walked depth-first in
+/// declaration order. Only `u64`-based types implement the trait, so a
+/// float field in a counter struct does not compile.
+pub trait Counters: Sized {
+    /// Number of `u64` leaves [`Counters::visit`] walks.
+    const LEAVES: usize;
+
+    /// Counts accumulated since `baseline`, for warmup-excluding
+    /// measurement windows. Every leaf goes through [`window_sub`], so a
+    /// counter that went backwards panics in every build profile.
+    fn since(&self, baseline: &Self) -> Self;
+
+    /// Encodes the counters for snapshots.
+    fn to_json(&self) -> Value;
+
+    /// Decodes counters produced by [`Counters::to_json`].
+    fn from_json(v: &Value) -> Result<Self, String>;
+
+    /// Decodes the field `key` of the JSON object `v`.
+    fn from_json_field(v: &Value, key: &str) -> Result<Self, String> {
+        Self::from_json(codec::field(v, key)?)
+    }
+
+    /// Calls `f(name, value)` for every leaf in declaration order. Names
+    /// are dotted field paths (`ctr_cache.demand.hits`); array elements
+    /// are named by index (`tenant_ctr.1.misses`).
+    fn visit(&self, mut f: impl FnMut(&str, u64)) {
+        self.visit_at(&mut String::new(), &mut f);
+    }
+
+    /// [`Counters::visit`] with every name prefixed by `path`.
+    fn visit_at(&self, path: &mut String, f: &mut dyn FnMut(&str, u64));
+
+    /// Rebuilds a value from leaf values in [`Counters::visit`] order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `leaves` yields fewer than [`Counters::LEAVES`] values.
+    fn from_leaves(leaves: &mut dyn Iterator<Item = u64>) -> Self;
+}
+
+impl Counters for u64 {
+    const LEAVES: usize = 1;
+
+    fn since(&self, baseline: &Self) -> Self {
+        window_sub(*self, *baseline)
+    }
+
+    fn to_json(&self) -> Value {
+        Value::UInt(*self)
+    }
+
+    fn from_json(v: &Value) -> Result<Self, String> {
+        v.as_u64().ok_or_else(|| "expected a u64".to_string())
+    }
+
+    fn from_json_field(v: &Value, key: &str) -> Result<Self, String> {
+        codec::u64_field(v, key)
+    }
+
+    fn visit_at(&self, path: &mut String, f: &mut dyn FnMut(&str, u64)) {
+        f(path, *self);
+    }
+
+    fn from_leaves(leaves: &mut dyn Iterator<Item = u64>) -> Self {
+        leaves
+            .next()
+            .expect("leaf list shorter than the counter walk it rebuilds")
+    }
+}
+
+impl<T: Counters, const N: usize> Counters for [T; N] {
+    const LEAVES: usize = N * T::LEAVES;
+
+    fn since(&self, baseline: &Self) -> Self {
+        core::array::from_fn(|i| self[i].since(&baseline[i]))
+    }
+
+    fn to_json(&self) -> Value {
+        Value::Array(self.iter().map(T::to_json).collect())
+    }
+
+    fn from_json(v: &Value) -> Result<Self, String> {
+        buckets_from_json(v, "counter array")
+    }
+
+    fn from_json_field(v: &Value, key: &str) -> Result<Self, String> {
+        buckets_from_json(codec::field(v, key)?, &format!("field `{key}`"))
+    }
+
+    fn visit_at(&self, path: &mut String, f: &mut dyn FnMut(&str, u64)) {
+        for (i, x) in self.iter().enumerate() {
+            visit_field(x, path, i, f);
+        }
+    }
+
+    fn from_leaves(leaves: &mut dyn Iterator<Item = u64>) -> Self {
+        core::array::from_fn(|_| T::from_leaves(leaves))
+    }
+}
+
+fn buckets_from_json<T: Counters, const N: usize>(v: &Value, what: &str) -> Result<[T; N], String> {
+    let buckets: Vec<T> = v
+        .as_array()
+        .ok_or_else(|| format!("{what}: expected an array"))?
+        .iter()
+        .map(T::from_json)
+        .collect::<Result<_, _>>()?;
+    buckets
+        .try_into()
+        .map_err(|_| format!("{what}: expected {N} buckets"))
+}
+
+/// Walks `x` with `name` appended to `path` as one more dotted segment.
+/// Used by [`counters!`](crate::counters!) expansions; not part of the
+/// stable API.
+#[doc(hidden)]
+pub fn visit_field<T: Counters>(
+    x: &T,
+    path: &mut String,
+    name: impl fmt::Display,
+    f: &mut dyn FnMut(&str, u64),
+) {
+    let len = path.len();
+    if len > 0 {
+        path.push('.');
+    }
+    // Writing into a `String` cannot fail.
+    let _ = write!(path, "{name}");
+    x.visit_at(path, f);
+    path.truncate(len);
+}
+
+/// Declares a counter struct and implements [`Counters`] for it, field by
+/// field in declaration order. Doc comments, derives and field visibility
+/// pass through; every field type must implement [`Counters`].
+///
+/// The JSON encoding is an object whose keys are the field names in
+/// declaration order.
+///
+/// One struct, `cosmos_core::SimStats`, also carries a record that is not
+/// a counter. For it, a trailing `field: Vec<T> => rebase` clause after
+/// the struct body appends a `Vec` field whose elements have inherent
+/// `to_json`/`from_json` methods. The field is serialized after the
+/// counters, left out of the leaf walk (rebuilt empty by `from_leaves`),
+/// and windowed by calling `rebase(&current, &baseline)`.
 ///
 /// # Examples
 ///
 /// ```
-/// use cosmos_common::stats::HitMiss;
-/// let mut hm = HitMiss::new();
-/// hm.hit();
-/// hm.miss();
-/// hm.miss();
-/// assert_eq!(hm.total(), 3);
-/// assert!((hm.miss_rate() - 2.0 / 3.0).abs() < 1e-12);
+/// use cosmos_common::counters;
+/// use cosmos_common::stats::Counters;
+///
+/// counters! {
+///     /// Demo counters.
+///     #[derive(Clone, Debug, Default, PartialEq)]
+///     pub struct DemoStats {
+///         /// Requests served.
+///         pub served: u64,
+///         /// Requests dropped, per priority class.
+///         pub dropped: [u64; 2],
+///     }
+/// }
+///
+/// let early = DemoStats { served: 3, dropped: [1, 0] };
+/// let late = DemoStats { served: 10, dropped: [4, 2] };
+/// assert_eq!(late.since(&early), DemoStats { served: 7, dropped: [3, 2] });
+/// assert_eq!(late.to_json().to_string(), r#"{"served":10,"dropped":[4,2]}"#);
+/// let mut names = Vec::new();
+/// late.visit(|name, _| names.push(name.to_string()));
+/// assert_eq!(names, ["served", "dropped.0", "dropped.1"]);
+/// assert_eq!(DemoStats::LEAVES, 3);
 /// ```
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct HitMiss {
-    hits: u64,
-    misses: u64,
+#[macro_export]
+macro_rules! counters {
+    (
+        $(#[$attr:meta])*
+        $vis:vis struct $name:ident {
+            $( $(#[$fattr:meta])* $fvis:vis $field:ident : $ty:ty ),* $(,)?
+        }
+        $(
+            $(#[$xattr:meta])*
+            $xvis:vis $xfield:ident : Vec<$xty:ty> => $rebase:path
+        )?
+    ) => {
+        $(#[$attr])*
+        $vis struct $name {
+            $( $(#[$fattr])* $fvis $field: $ty, )*
+            $( $(#[$xattr])* $xvis $xfield: ::std::vec::Vec<$xty>, )?
+        }
+
+        impl $crate::stats::Counters for $name {
+            const LEAVES: usize = 0 $( + <$ty as $crate::stats::Counters>::LEAVES )*;
+
+            fn since(&self, baseline: &Self) -> Self {
+                Self {
+                    $( $field: $crate::stats::Counters::since(&self.$field, &baseline.$field), )*
+                    $( $xfield: $rebase(self, baseline), )?
+                }
+            }
+
+            fn to_json(&self) -> $crate::json::Value {
+                let mut map = $crate::json::Map::new();
+                $( map.insert(
+                    stringify!($field),
+                    $crate::stats::Counters::to_json(&self.$field),
+                ); )*
+                $( map.insert(
+                    stringify!($xfield),
+                    $crate::json::Value::Array(
+                        self.$xfield.iter().map(<$xty>::to_json).collect(),
+                    ),
+                ); )?
+                $crate::json::Value::Object(map)
+            }
+
+            fn from_json(
+                v: &$crate::json::Value,
+            ) -> ::std::result::Result<Self, ::std::string::String> {
+                ::std::result::Result::Ok(Self {
+                    $( $field: <$ty as $crate::stats::Counters>::from_json_field(
+                        v,
+                        stringify!($field),
+                    )?, )*
+                    $( $xfield: $crate::json::codec::field(v, stringify!($xfield))?
+                        .as_array()
+                        .ok_or_else(|| ::std::format!(
+                            "field `{}`: expected an array",
+                            stringify!($xfield),
+                        ))?
+                        .iter()
+                        .map(<$xty>::from_json)
+                        .collect::<::std::result::Result<_, _>>()?, )?
+                })
+            }
+
+            fn visit_at(
+                &self,
+                path: &mut ::std::string::String,
+                f: &mut dyn FnMut(&str, u64),
+            ) {
+                $( $crate::stats::visit_field(&self.$field, path, stringify!($field), f); )*
+            }
+
+            fn from_leaves(leaves: &mut dyn ::std::iter::Iterator<Item = u64>) -> Self {
+                Self {
+                    $( $field: <$ty as $crate::stats::Counters>::from_leaves(leaves), )*
+                    $( $xfield: ::std::vec::Vec::<$xty>::new(), )?
+                }
+            }
+        }
+    };
+}
+
+counters! {
+    /// A hit/miss (or success/failure) counter pair.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use cosmos_common::stats::HitMiss;
+    /// let mut hm = HitMiss::new();
+    /// hm.hit();
+    /// hm.miss();
+    /// hm.miss();
+    /// assert_eq!(hm.total(), 3);
+    /// assert!((hm.miss_rate() - 2.0 / 3.0).abs() < 1e-12);
+    /// ```
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct HitMiss {
+        hits: u64,
+        misses: u64,
+    }
 }
 
 impl HitMiss {
@@ -79,43 +351,6 @@ impl HitMiss {
     /// statistics from estimates).
     pub const fn from_counts(hits: u64, misses: u64) -> Self {
         Self { hits, misses }
-    }
-
-    /// Merges another counter into this one.
-    pub fn merge(&mut self, other: &HitMiss) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-    }
-
-    /// Counts accumulated since `baseline`. The subtraction is checked in
-    /// every build profile (see [`window_sub`]): a baseline ahead of the
-    /// counter means the counter was reset mid-window and any window built
-    /// from it would be garbage, so this panics instead of silently
-    /// wrapping (debug) or saturating (release).
-    pub fn since(&self, baseline: &HitMiss) -> HitMiss {
-        HitMiss {
-            hits: window_sub(self.hits, baseline.hits),
-            misses: window_sub(self.misses, baseline.misses),
-        }
-    }
-
-    /// Resets both counts to zero.
-    pub fn reset(&mut self) {
-        *self = Self::new();
-    }
-
-    /// Encodes the counter for snapshots.
-    pub fn to_json(&self) -> crate::json::Value {
-        crate::json!({"hits": (self.hits), "misses": (self.misses)})
-    }
-
-    /// Decodes a counter produced by [`HitMiss::to_json`].
-    pub fn from_json(v: &crate::json::Value) -> Result<Self, String> {
-        use crate::json::codec;
-        Ok(Self::from_counts(
-            codec::u64_field(v, "hits")?,
-            codec::u64_field(v, "misses")?,
-        ))
     }
 }
 
@@ -363,18 +598,6 @@ mod tests {
     #[should_panic(expected = "stat-window baseline exceeds the current counter")]
     fn window_sub_rejects_backwards_counter_in_all_profiles() {
         let _ = window_sub(3, 4);
-    }
-
-    #[test]
-    fn hitmiss_merge_and_reset() {
-        let mut a = HitMiss::new();
-        a.hit();
-        let mut b = HitMiss::new();
-        b.miss();
-        a.merge(&b);
-        assert_eq!(a.total(), 2);
-        a.reset();
-        assert_eq!(a.total(), 0);
     }
 
     #[test]

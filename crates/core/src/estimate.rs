@@ -20,11 +20,8 @@
 //! which is exactly the weighted-rate reconstruction SimPoint-style
 //! samplers use.
 
-use crate::stats::{SimStats, TenantCtrStats, TrafficBreakdown, MAX_TENANTS};
-use cosmos_cache::CacheStats;
-use cosmos_common::stats::HitMiss;
-use cosmos_dram::DramStats;
-use cosmos_rl::{CtrLocalityStats, DataLocationStats};
+use crate::stats::SimStats;
+use cosmos_common::stats::Counters;
 
 fn round(x: f64) -> u64 {
     if x <= 0.0 {
@@ -34,60 +31,10 @@ fn round(x: f64) -> u64 {
     }
 }
 
-#[derive(Clone, Copy, Debug, Default)]
-struct HmAcc {
-    hits: f64,
-    misses: f64,
-}
-
-impl HmAcc {
-    fn add(&mut self, s: &HitMiss, w: f64) {
-        self.hits += s.hits() as f64 * w;
-        self.misses += s.misses() as f64 * w;
-    }
-
-    fn reconstruct(&self) -> HitMiss {
-        HitMiss::from_counts(round(self.hits), round(self.misses))
-    }
-}
-
-#[derive(Clone, Copy, Debug, Default)]
-struct CacheAcc {
-    demand: HmAcc,
-    evictions: f64,
-    writebacks: f64,
-    prefetch_issued: f64,
-    prefetch_useful: f64,
-    prefetch_unused: f64,
-    prefetch_redundant: f64,
-}
-
-impl CacheAcc {
-    fn add(&mut self, s: &CacheStats, w: f64) {
-        self.demand.add(&s.demand, w);
-        self.evictions += s.evictions as f64 * w;
-        self.writebacks += s.writebacks as f64 * w;
-        self.prefetch_issued += s.prefetch_issued as f64 * w;
-        self.prefetch_useful += s.prefetch_useful as f64 * w;
-        self.prefetch_unused += s.prefetch_unused as f64 * w;
-        self.prefetch_redundant += s.prefetch_redundant as f64 * w;
-    }
-
-    fn reconstruct(&self) -> CacheStats {
-        CacheStats {
-            demand: self.demand.reconstruct(),
-            evictions: round(self.evictions),
-            writebacks: round(self.writebacks),
-            prefetch_issued: round(self.prefetch_issued),
-            prefetch_useful: round(self.prefetch_useful),
-            prefetch_unused: round(self.prefetch_unused),
-            prefetch_redundant: round(self.prefetch_redundant),
-        }
-    }
-}
-
 /// Accumulates weighted per-interval [`SimStats`] windows into a
-/// full-trace estimate.
+/// full-trace estimate: one `f64` slot per counter leaf, in the leaf walk
+/// order of [`Counters::visit`], so every counter the stats declare is
+/// estimated.
 ///
 /// # Examples
 ///
@@ -104,45 +51,25 @@ impl CacheAcc {
 /// assert_eq!(full.instructions, 300);
 /// assert!((full.ipc() - 2.0).abs() < 1e-12);
 /// ```
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct StatsEstimate {
     samples: usize,
-    instructions: f64,
-    cycles: f64,
-    accesses: f64,
-    reads: f64,
-    writes: f64,
-    l1: HmAcc,
-    l2: HmAcc,
-    llc: HmAcc,
-    ctr_cache: CacheAcc,
-    mt_cache: CacheAcc,
-    dram_reads: f64,
-    dram_writes: f64,
-    dram_row_hits: f64,
-    dram_row_closed: f64,
-    dram_row_conflicts: f64,
-    dram_queue_cycles: f64,
-    traffic: [f64; 10],
-    dp_correct_onchip: f64,
-    dp_correct_offchip: f64,
-    dp_wrong_offchip: f64,
-    dp_wrong_onchip: f64,
-    cp_predictions: f64,
-    cp_predicted_good: f64,
-    cp_cet_hits: f64,
-    cp_cet_evictions: f64,
-    cp_agreements: f64,
-    ctr_overflows: f64,
-    total_read_latency: f64,
-    early_offchip_reads: f64,
-    tenant_ctr: [[f64; 3]; MAX_TENANTS],
+    acc: Vec<f64>,
+}
+
+impl Default for StatsEstimate {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl StatsEstimate {
     /// An empty estimate.
     pub fn new() -> Self {
-        Self::default()
+        Self {
+            samples: 0,
+            acc: vec![0.0; SimStats::LEAVES],
+        }
     }
 
     /// Number of weighted windows accumulated so far.
@@ -158,122 +85,26 @@ impl StatsEstimate {
             "bad sample weight {weight}"
         );
         self.samples += 1;
-        self.instructions += s.instructions as f64 * weight;
-        self.cycles += s.cycles as f64 * weight;
-        self.accesses += s.accesses as f64 * weight;
-        self.reads += s.reads as f64 * weight;
-        self.writes += s.writes as f64 * weight;
-        self.l1.add(&s.l1, weight);
-        self.l2.add(&s.l2, weight);
-        self.llc.add(&s.llc, weight);
-        self.ctr_cache.add(&s.ctr_cache, weight);
-        self.mt_cache.add(&s.mt_cache, weight);
-        self.dram_reads += s.dram.reads as f64 * weight;
-        self.dram_writes += s.dram.writes as f64 * weight;
-        self.dram_row_hits += s.dram.row_hits as f64 * weight;
-        self.dram_row_closed += s.dram.row_closed as f64 * weight;
-        self.dram_row_conflicts += s.dram.row_conflicts as f64 * weight;
-        self.dram_queue_cycles += s.dram.queue_cycles as f64 * weight;
-        let t = &s.traffic;
-        for (acc, v) in self.traffic.iter_mut().zip([
-            t.data_reads,
-            t.data_writes,
-            t.ctr_reads,
-            t.ctr_writes,
-            t.mt_reads,
-            t.mt_writes,
-            t.mac_reads,
-            t.mac_writes,
-            t.reencrypt_writes,
-            t.killed_speculative,
-        ]) {
-            *acc += v as f64 * weight;
-        }
-        self.dp_correct_onchip += s.data_pred.correct_onchip as f64 * weight;
-        self.dp_correct_offchip += s.data_pred.correct_offchip as f64 * weight;
-        self.dp_wrong_offchip += s.data_pred.wrong_offchip as f64 * weight;
-        self.dp_wrong_onchip += s.data_pred.wrong_onchip as f64 * weight;
-        self.cp_predictions += s.ctr_pred.predictions as f64 * weight;
-        self.cp_predicted_good += s.ctr_pred.predicted_good as f64 * weight;
-        self.cp_cet_hits += s.ctr_pred.cet_hits as f64 * weight;
-        self.cp_cet_evictions += s.ctr_pred.cet_evictions as f64 * weight;
-        self.cp_agreements += s.ctr_pred.agreements as f64 * weight;
-        self.ctr_overflows += s.ctr_overflows as f64 * weight;
-        self.total_read_latency += s.total_read_latency as f64 * weight;
-        self.early_offchip_reads += s.early_offchip_reads as f64 * weight;
-        for (acc, t) in self.tenant_ctr.iter_mut().zip(&s.tenant_ctr) {
-            acc[0] += t.hits as f64 * weight;
-            acc[1] += t.misses as f64 * weight;
-            acc[2] += t.miss_latency as f64 * weight;
-        }
+        let mut slot = 0;
+        s.visit(|_, leaf| {
+            self.acc[slot] += leaf as f64 * weight;
+            slot += 1;
+        });
     }
 
     /// Rounds the accumulated estimate into a [`SimStats`]. The timeline is
     /// empty — point-in-time samples cannot be reconstructed from weighted
     /// windows.
     pub fn reconstruct(&self) -> SimStats {
-        SimStats {
-            instructions: round(self.instructions),
-            cycles: round(self.cycles),
-            accesses: round(self.accesses),
-            reads: round(self.reads),
-            writes: round(self.writes),
-            l1: self.l1.reconstruct(),
-            l2: self.l2.reconstruct(),
-            llc: self.llc.reconstruct(),
-            ctr_cache: self.ctr_cache.reconstruct(),
-            mt_cache: self.mt_cache.reconstruct(),
-            dram: DramStats {
-                reads: round(self.dram_reads),
-                writes: round(self.dram_writes),
-                row_hits: round(self.dram_row_hits),
-                row_closed: round(self.dram_row_closed),
-                row_conflicts: round(self.dram_row_conflicts),
-                queue_cycles: round(self.dram_queue_cycles),
-            },
-            traffic: TrafficBreakdown {
-                data_reads: round(self.traffic[0]),
-                data_writes: round(self.traffic[1]),
-                ctr_reads: round(self.traffic[2]),
-                ctr_writes: round(self.traffic[3]),
-                mt_reads: round(self.traffic[4]),
-                mt_writes: round(self.traffic[5]),
-                mac_reads: round(self.traffic[6]),
-                mac_writes: round(self.traffic[7]),
-                reencrypt_writes: round(self.traffic[8]),
-                killed_speculative: round(self.traffic[9]),
-            },
-            data_pred: DataLocationStats {
-                correct_onchip: round(self.dp_correct_onchip),
-                correct_offchip: round(self.dp_correct_offchip),
-                wrong_offchip: round(self.dp_wrong_offchip),
-                wrong_onchip: round(self.dp_wrong_onchip),
-            },
-            ctr_pred: CtrLocalityStats {
-                predictions: round(self.cp_predictions),
-                predicted_good: round(self.cp_predicted_good),
-                cet_hits: round(self.cp_cet_hits),
-                cet_evictions: round(self.cp_cet_evictions),
-                agreements: round(self.cp_agreements),
-            },
-            ctr_overflows: round(self.ctr_overflows),
-            total_read_latency: round(self.total_read_latency),
-            early_offchip_reads: round(self.early_offchip_reads),
-            tenant_ctr: self
-                .tenant_ctr
-                .map(|[hits, misses, miss_latency]| TenantCtrStats {
-                    hits: round(hits),
-                    misses: round(misses),
-                    miss_latency: round(miss_latency),
-                }),
-            timeline: Vec::new(),
-        }
+        SimStats::from_leaves(&mut self.acc.iter().map(|&x| round(x)))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::TenantCtrStats;
+    use cosmos_common::stats::HitMiss;
 
     fn window(scale: u64) -> SimStats {
         SimStats {

@@ -6,7 +6,7 @@
 
 use crate::config::SimConfig;
 use cosmos_cache::{Cache, CacheConfig, PolicyKind};
-use cosmos_common::stats::HitMiss;
+use cosmos_common::stats::{Counters, HitMiss};
 use cosmos_common::LineAddr;
 
 /// Which level served a demand access.

@@ -19,6 +19,7 @@ use crate::check::SecureObserver;
 use crate::config::SimConfig;
 use crate::stats::{TenantCtrStats, TrafficBreakdown, MAX_TENANTS};
 use cosmos_cache::{Cache, CacheConfig, LocalityHint, Prefetcher};
+use cosmos_common::stats::Counters;
 use cosmos_common::{Cycle, LineAddr};
 use cosmos_dram::Dram;
 use cosmos_rl::{CtrLocalityPredictor, Locality};
@@ -207,9 +208,7 @@ impl SecurePath {
             "mac_read_counter": (self.mac_read_counter),
             "mac_write_counter": (self.mac_write_counter),
             "overflows": (self.overflows),
-            "tenant_ctr": (cosmos_common::json::Value::Array(
-                self.tenant_ctr.iter().map(TenantCtrStats::to_json).collect(),
-            )),
+            "tenant_ctr": (self.tenant_ctr.to_json()),
         }))
     }
 
@@ -241,15 +240,7 @@ impl SecurePath {
         self.mac_read_counter = codec::u64_field(v, "mac_read_counter")?;
         self.mac_write_counter = codec::u64_field(v, "mac_write_counter")?;
         self.overflows = codec::u64_field(v, "overflows")?;
-        let tenant_vec: Vec<TenantCtrStats> = codec::field(v, "tenant_ctr")?
-            .as_array()
-            .ok_or_else(|| "field `tenant_ctr`: expected an array".to_string())?
-            .iter()
-            .map(TenantCtrStats::from_json)
-            .collect::<Result<_, _>>()?;
-        self.tenant_ctr = tenant_vec
-            .try_into()
-            .map_err(|_| format!("field `tenant_ctr`: expected {MAX_TENANTS} buckets"))?;
+        self.tenant_ctr = Counters::from_json_field(v, "tenant_ctr")?;
         Ok(())
     }
 

@@ -6,6 +6,7 @@ use crate::hierarchy::{CacheHierarchy, DataHit};
 use crate::secure_path::SecurePath;
 use crate::stats::{SimStats, TimelinePoint};
 use crate::timing::CoreTimeline;
+use cosmos_common::stats::Counters;
 use cosmos_common::{Cycle, LineAddr, MemAccess, Trace};
 use cosmos_dram::Dram;
 use cosmos_rl::{DataLocation, DataLocationPredictor};

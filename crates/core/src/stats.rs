@@ -2,34 +2,37 @@
 //! convergence timelines.
 
 use cosmos_cache::CacheStats;
-use cosmos_common::stats::HitMiss;
+use cosmos_common::counters;
+use cosmos_common::stats::{window_sub, HitMiss};
 use cosmos_dram::DramStats;
 use cosmos_rl::{CtrLocalityStats, DataLocationStats};
 
-/// DRAM traffic in 64 B line transfers, split by purpose (paper Figure 2's
-/// categories).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TrafficBreakdown {
-    /// Demand data reads from DRAM.
-    pub data_reads: u64,
-    /// Data writebacks to DRAM.
-    pub data_writes: u64,
-    /// Counter-block reads from DRAM (CTR cache misses).
-    pub ctr_reads: u64,
-    /// Dirty counter-block writebacks.
-    pub ctr_writes: u64,
-    /// Merkle-tree node reads (integrity verification).
-    pub mt_reads: u64,
-    /// Merkle-tree node writebacks.
-    pub mt_writes: u64,
-    /// MAC line reads (1 per 8 data reads).
-    pub mac_reads: u64,
-    /// MAC line writes (1 per 8 data writes).
-    pub mac_writes: u64,
-    /// Background re-encryption writes from counter overflows.
-    pub reencrypt_writes: u64,
-    /// Speculative DRAM data fetches killed by a wrong off-chip prediction.
-    pub killed_speculative: u64,
+counters! {
+    /// DRAM traffic in 64 B line transfers, split by purpose (paper Figure 2's
+    /// categories).
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct TrafficBreakdown {
+        /// Demand data reads from DRAM.
+        pub data_reads: u64,
+        /// Data writebacks to DRAM.
+        pub data_writes: u64,
+        /// Counter-block reads from DRAM (CTR cache misses).
+        pub ctr_reads: u64,
+        /// Dirty counter-block writebacks.
+        pub ctr_writes: u64,
+        /// Merkle-tree node reads (integrity verification).
+        pub mt_reads: u64,
+        /// Merkle-tree node writebacks.
+        pub mt_writes: u64,
+        /// MAC line reads (1 per 8 data reads).
+        pub mac_reads: u64,
+        /// MAC line writes (1 per 8 data writes).
+        pub mac_writes: u64,
+        /// Background re-encryption writes from counter overflows.
+        pub reencrypt_writes: u64,
+        /// Speculative DRAM data fetches killed by a wrong off-chip prediction.
+        pub killed_speculative: u64,
+    }
 }
 
 impl TrafficBreakdown {
@@ -61,59 +64,6 @@ impl TrafficBreakdown {
     pub const fn wasted_total(&self) -> u64 {
         self.killed_speculative
     }
-
-    /// Serializes the breakdown for snapshots.
-    pub fn to_json(&self) -> cosmos_common::json::Value {
-        cosmos_common::json!({
-            "data_reads": (self.data_reads),
-            "data_writes": (self.data_writes),
-            "ctr_reads": (self.ctr_reads),
-            "ctr_writes": (self.ctr_writes),
-            "mt_reads": (self.mt_reads),
-            "mt_writes": (self.mt_writes),
-            "mac_reads": (self.mac_reads),
-            "mac_writes": (self.mac_writes),
-            "reencrypt_writes": (self.reencrypt_writes),
-            "killed_speculative": (self.killed_speculative),
-        })
-    }
-
-    /// Rebuilds a breakdown serialized by [`TrafficBreakdown::to_json`].
-    pub fn from_json(v: &cosmos_common::json::Value) -> Result<Self, String> {
-        use cosmos_common::json::codec;
-        Ok(Self {
-            data_reads: codec::u64_field(v, "data_reads")?,
-            data_writes: codec::u64_field(v, "data_writes")?,
-            ctr_reads: codec::u64_field(v, "ctr_reads")?,
-            ctr_writes: codec::u64_field(v, "ctr_writes")?,
-            mt_reads: codec::u64_field(v, "mt_reads")?,
-            mt_writes: codec::u64_field(v, "mt_writes")?,
-            mac_reads: codec::u64_field(v, "mac_reads")?,
-            mac_writes: codec::u64_field(v, "mac_writes")?,
-            reencrypt_writes: codec::u64_field(v, "reencrypt_writes")?,
-            killed_speculative: codec::u64_field(v, "killed_speculative")?,
-        })
-    }
-
-    /// Traffic accumulated since `baseline`, for warmup-excluding
-    /// measurement windows. Each subtraction is checked in every build
-    /// profile (`cosmos_common::stats::window_sub`): a field that went
-    /// backwards means a counter reset, and the window would be garbage.
-    pub fn since(&self, baseline: &TrafficBreakdown) -> TrafficBreakdown {
-        use cosmos_common::stats::window_sub;
-        TrafficBreakdown {
-            data_reads: window_sub(self.data_reads, baseline.data_reads),
-            data_writes: window_sub(self.data_writes, baseline.data_writes),
-            ctr_reads: window_sub(self.ctr_reads, baseline.ctr_reads),
-            ctr_writes: window_sub(self.ctr_writes, baseline.ctr_writes),
-            mt_reads: window_sub(self.mt_reads, baseline.mt_reads),
-            mt_writes: window_sub(self.mt_writes, baseline.mt_writes),
-            mac_reads: window_sub(self.mac_reads, baseline.mac_reads),
-            mac_writes: window_sub(self.mac_writes, baseline.mac_writes),
-            reencrypt_writes: window_sub(self.reencrypt_writes, baseline.reencrypt_writes),
-            killed_speculative: window_sub(self.killed_speculative, baseline.killed_speculative),
-        }
-    }
 }
 
 /// Number of tenant buckets tracked by [`TenantCtrStats`] attribution.
@@ -121,54 +71,26 @@ impl TrafficBreakdown {
 /// tenant and any small id keeps its own bucket.
 pub const MAX_TENANTS: usize = 4;
 
-/// Per-tenant CTR-cache attribution: the slice of CTR lookups issued on
-/// behalf of one tenant's accesses (DESIGN.md §16). `miss_latency` sums
-/// the critical-path cycles of read misses only — the observable an
-/// occupancy-probing attacker times; writes are off the critical path.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TenantCtrStats {
-    /// CTR-cache hits attributed to the tenant (reads and writes).
-    pub hits: u64,
-    /// CTR-cache misses attributed to the tenant (reads and writes).
-    pub misses: u64,
-    /// Summed critical-path cycles of the tenant's read misses.
-    pub miss_latency: u64,
+counters! {
+    /// Per-tenant CTR-cache attribution: the slice of CTR lookups issued on
+    /// behalf of one tenant's accesses (DESIGN.md §16). `miss_latency` sums
+    /// the critical-path cycles of read misses only — the observable an
+    /// occupancy-probing attacker times; writes are off the critical path.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct TenantCtrStats {
+        /// CTR-cache hits attributed to the tenant (reads and writes).
+        pub hits: u64,
+        /// CTR-cache misses attributed to the tenant (reads and writes).
+        pub misses: u64,
+        /// Summed critical-path cycles of the tenant's read misses.
+        pub miss_latency: u64,
+    }
 }
 
 impl TenantCtrStats {
     /// Total CTR lookups attributed to the tenant.
     pub const fn total(&self) -> u64 {
         self.hits + self.misses
-    }
-
-    /// Serializes the bucket for snapshots.
-    pub fn to_json(&self) -> cosmos_common::json::Value {
-        cosmos_common::json!({
-            "hits": (self.hits),
-            "misses": (self.misses),
-            "miss_latency": (self.miss_latency),
-        })
-    }
-
-    /// Rebuilds a bucket serialized by [`TenantCtrStats::to_json`].
-    pub fn from_json(v: &cosmos_common::json::Value) -> Result<Self, String> {
-        use cosmos_common::json::codec;
-        Ok(Self {
-            hits: codec::u64_field(v, "hits")?,
-            misses: codec::u64_field(v, "misses")?,
-            miss_latency: codec::u64_field(v, "miss_latency")?,
-        })
-    }
-
-    /// Counts accumulated since `baseline` (checked like every stat
-    /// window — see [`TrafficBreakdown::since`]).
-    pub fn since(&self, baseline: &TenantCtrStats) -> TenantCtrStats {
-        use cosmos_common::stats::window_sub;
-        TenantCtrStats {
-            hits: window_sub(self.hits, baseline.hits),
-            misses: window_sub(self.misses, baseline.misses),
-            miss_latency: window_sub(self.miss_latency, baseline.miss_latency),
-        }
     }
 }
 
@@ -179,7 +101,7 @@ pub struct TimelinePoint {
     pub accesses: u64,
     /// Data-location prediction accuracy over the accesses this
     /// [`SimStats`] covers — cumulative from access 0 in a full run, and
-    /// rebased onto the measurement window by [`SimStats::since`] (so a
+    /// rebased onto the measurement window by `SimStats::since` (so a
     /// warmup-excluded window is not contaminated by pre-baseline
     /// predictor history).
     pub dp_accuracy: f64,
@@ -220,48 +142,50 @@ impl TimelinePoint {
     }
 }
 
-/// Everything a simulation run measures.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct SimStats {
-    /// Total instructions retired (memory accesses + `inst_gap` filler).
-    pub instructions: u64,
-    /// Total cycles (the slowest core's completion time).
-    pub cycles: u64,
-    /// Memory accesses processed.
-    pub accesses: u64,
-    /// Reads processed.
-    pub reads: u64,
-    /// Writes processed.
-    pub writes: u64,
-    /// Per-level demand hit/miss (aggregated over cores for L1/L2).
-    pub l1: HitMiss,
-    /// L2 hit/miss.
-    pub l2: HitMiss,
-    /// LLC hit/miss.
-    pub llc: HitMiss,
-    /// CTR cache statistics (demand = CTR lookups).
-    pub ctr_cache: CacheStats,
-    /// MT metadata cache statistics.
-    pub mt_cache: CacheStats,
-    /// DRAM statistics.
-    pub dram: DramStats,
-    /// Traffic breakdown.
-    pub traffic: TrafficBreakdown,
-    /// Data-location predictor quality (designs with the DP).
-    pub data_pred: DataLocationStats,
-    /// CTR-locality predictor quality (designs with the CP).
-    pub ctr_pred: CtrLocalityStats,
-    /// Counter overflow (re-encryption) events.
-    pub ctr_overflows: u64,
-    /// Sum of read latencies (cycles), for average-latency reporting.
-    pub total_read_latency: u64,
-    /// Reads that bypassed L2/LLC via a correct off-chip prediction.
-    pub early_offchip_reads: u64,
-    /// Per-tenant CTR-cache attribution (tenant id mod [`MAX_TENANTS`]).
-    /// Single-tenant traces land entirely in bucket 0.
-    pub tenant_ctr: [TenantCtrStats; MAX_TENANTS],
+counters! {
+    /// Everything a simulation run measures.
+    #[derive(Clone, Debug, Default, PartialEq)]
+    pub struct SimStats {
+        /// Total instructions retired (memory accesses + `inst_gap` filler).
+        pub instructions: u64,
+        /// Total cycles (the slowest core's completion time).
+        pub cycles: u64,
+        /// Memory accesses processed.
+        pub accesses: u64,
+        /// Reads processed.
+        pub reads: u64,
+        /// Writes processed.
+        pub writes: u64,
+        /// Per-level demand hit/miss (aggregated over cores for L1/L2).
+        pub l1: HitMiss,
+        /// L2 hit/miss.
+        pub l2: HitMiss,
+        /// LLC hit/miss.
+        pub llc: HitMiss,
+        /// CTR cache statistics (demand = CTR lookups).
+        pub ctr_cache: CacheStats,
+        /// MT metadata cache statistics.
+        pub mt_cache: CacheStats,
+        /// DRAM statistics.
+        pub dram: DramStats,
+        /// Traffic breakdown.
+        pub traffic: TrafficBreakdown,
+        /// Data-location predictor quality (designs with the DP).
+        pub data_pred: DataLocationStats,
+        /// CTR-locality predictor quality (designs with the CP).
+        pub ctr_pred: CtrLocalityStats,
+        /// Counter overflow (re-encryption) events.
+        pub ctr_overflows: u64,
+        /// Sum of read latencies (cycles), for average-latency reporting.
+        pub total_read_latency: u64,
+        /// Reads that bypassed L2/LLC via a correct off-chip prediction.
+        pub early_offchip_reads: u64,
+        /// Per-tenant CTR-cache attribution (tenant id mod [`MAX_TENANTS`]).
+        /// Single-tenant traces land entirely in bucket 0.
+        pub tenant_ctr: [TenantCtrStats; MAX_TENANTS],
+    }
     /// Convergence timeline (when sampling is enabled).
-    pub timeline: Vec<TimelinePoint>,
+    pub timeline: Vec<TimelinePoint> => SimStats::rebase_timeline
 }
 
 impl SimStats {
@@ -293,137 +217,45 @@ impl SimStats {
         self.traffic.total() * 64
     }
 
-    /// Serializes every field for snapshots.
-    pub fn to_json(&self) -> cosmos_common::json::Value {
-        cosmos_common::json!({
-            "instructions": (self.instructions),
-            "cycles": (self.cycles),
-            "accesses": (self.accesses),
-            "reads": (self.reads),
-            "writes": (self.writes),
-            "l1": (self.l1.to_json()),
-            "l2": (self.l2.to_json()),
-            "llc": (self.llc.to_json()),
-            "ctr_cache": (self.ctr_cache.to_json()),
-            "mt_cache": (self.mt_cache.to_json()),
-            "dram": (self.dram.to_json()),
-            "traffic": (self.traffic.to_json()),
-            "data_pred": (self.data_pred.to_json()),
-            "ctr_pred": (self.ctr_pred.to_json()),
-            "ctr_overflows": (self.ctr_overflows),
-            "total_read_latency": (self.total_read_latency),
-            "early_offchip_reads": (self.early_offchip_reads),
-            "tenant_ctr": (cosmos_common::json::Value::Array(
-                self.tenant_ctr.iter().map(TenantCtrStats::to_json).collect(),
-            )),
-            "timeline": (cosmos_common::json::Value::Array(
-                self.timeline.iter().map(TimelinePoint::to_json).collect(),
-            )),
-        })
-    }
-
-    /// Rebuilds statistics serialized by [`SimStats::to_json`].
-    pub fn from_json(v: &cosmos_common::json::Value) -> Result<Self, String> {
-        use cosmos_common::json::codec;
-        let timeline = codec::field(v, "timeline")?
-            .as_array()
-            .ok_or_else(|| "field `timeline`: expected an array".to_string())?
-            .iter()
-            .map(TimelinePoint::from_json)
-            .collect::<Result<_, _>>()?;
-        let tenant_vec: Vec<TenantCtrStats> = codec::field(v, "tenant_ctr")?
-            .as_array()
-            .ok_or_else(|| "field `tenant_ctr`: expected an array".to_string())?
-            .iter()
-            .map(TenantCtrStats::from_json)
-            .collect::<Result<_, _>>()?;
-        let tenant_ctr: [TenantCtrStats; MAX_TENANTS] = tenant_vec
-            .try_into()
-            .map_err(|_| format!("field `tenant_ctr`: expected {MAX_TENANTS} buckets"))?;
-        Ok(Self {
-            instructions: codec::u64_field(v, "instructions")?,
-            cycles: codec::u64_field(v, "cycles")?,
-            accesses: codec::u64_field(v, "accesses")?,
-            reads: codec::u64_field(v, "reads")?,
-            writes: codec::u64_field(v, "writes")?,
-            l1: HitMiss::from_json(codec::field(v, "l1")?)?,
-            l2: HitMiss::from_json(codec::field(v, "l2")?)?,
-            llc: HitMiss::from_json(codec::field(v, "llc")?)?,
-            ctr_cache: CacheStats::from_json(codec::field(v, "ctr_cache")?)?,
-            mt_cache: CacheStats::from_json(codec::field(v, "mt_cache")?)?,
-            dram: DramStats::from_json(codec::field(v, "dram")?)?,
-            traffic: TrafficBreakdown::from_json(codec::field(v, "traffic")?)?,
-            data_pred: DataLocationStats::from_json(codec::field(v, "data_pred")?)?,
-            ctr_pred: CtrLocalityStats::from_json(codec::field(v, "ctr_pred")?)?,
-            ctr_overflows: codec::u64_field(v, "ctr_overflows")?,
-            total_read_latency: codec::u64_field(v, "total_read_latency")?,
-            early_offchip_reads: codec::u64_field(v, "early_offchip_reads")?,
-            tenant_ctr,
-            timeline,
-        })
-    }
-
-    /// Statistics accumulated since `baseline` — the measurement window of
-    /// a warmed-up run. The timeline keeps only points sampled after the
-    /// baseline, with each point's `dp_accuracy` rebased onto the window
-    /// (predictions resolved before the baseline no longer dilute it).
-    /// Every scalar subtraction is checked in every build profile
-    /// (`cosmos_common::stats::window_sub`): a counter that went backwards
-    /// means a mid-window reset, and the window would be garbage.
-    pub fn since(&self, baseline: &SimStats) -> SimStats {
-        use cosmos_common::stats::window_sub;
+    /// The timeline of the window since `baseline`: only points sampled
+    /// after the baseline, each rebased onto the window origin with its
+    /// `dp_accuracy` recomputed over the window (predictions resolved
+    /// before the baseline no longer dilute it). This is the one part of
+    /// [`Counters::since`](cosmos_common::stats::Counters::since) the field
+    /// declaration cannot generate, because it needs the baseline's
+    /// `data_pred`.
+    fn rebase_timeline(&self, baseline: &SimStats) -> Vec<TimelinePoint> {
         let base_correct = baseline.data_pred.correct_onchip + baseline.data_pred.correct_offchip;
-        let base_total =
-            base_correct + baseline.data_pred.wrong_onchip + baseline.data_pred.wrong_offchip;
-        SimStats {
-            instructions: window_sub(self.instructions, baseline.instructions),
-            cycles: window_sub(self.cycles, baseline.cycles),
-            accesses: window_sub(self.accesses, baseline.accesses),
-            reads: window_sub(self.reads, baseline.reads),
-            writes: window_sub(self.writes, baseline.writes),
-            l1: self.l1.since(&baseline.l1),
-            l2: self.l2.since(&baseline.l2),
-            llc: self.llc.since(&baseline.llc),
-            ctr_cache: self.ctr_cache.since(&baseline.ctr_cache),
-            mt_cache: self.mt_cache.since(&baseline.mt_cache),
-            dram: self.dram.since(&baseline.dram),
-            traffic: self.traffic.since(&baseline.traffic),
-            data_pred: self.data_pred.since(&baseline.data_pred),
-            ctr_pred: self.ctr_pred.since(&baseline.ctr_pred),
-            ctr_overflows: window_sub(self.ctr_overflows, baseline.ctr_overflows),
-            total_read_latency: window_sub(self.total_read_latency, baseline.total_read_latency),
-            early_offchip_reads: window_sub(self.early_offchip_reads, baseline.early_offchip_reads),
-            tenant_ctr: core::array::from_fn(|i| self.tenant_ctr[i].since(&baseline.tenant_ctr[i])),
-            timeline: self
-                .timeline
-                .iter()
-                .filter(|p| p.accesses > baseline.accesses)
-                .map(|p| {
-                    // Timeline points are cumulative snapshots from the same
-                    // monotone counters, and the filter keeps only points
-                    // past the baseline, so these windows are checked too.
-                    let correct = window_sub(p.dp_correct, base_correct);
-                    let total = window_sub(p.dp_total, base_total);
-                    TimelinePoint {
-                        accesses: window_sub(p.accesses, baseline.accesses),
-                        dp_accuracy: if total == 0 {
-                            0.0
-                        } else {
-                            correct as f64 / total as f64
-                        },
-                        dp_correct: correct,
-                        dp_total: total,
-                        ctr_miss_rate_window: p.ctr_miss_rate_window,
-                    }
-                })
-                .collect(),
-        }
+        let base_total = baseline.data_pred.total();
+        self.timeline
+            .iter()
+            .filter(|p| p.accesses > baseline.accesses)
+            .map(|p| {
+                // Timeline points are cumulative snapshots from the same
+                // monotone counters, and the filter keeps only points past
+                // the baseline, so these windows are checked too.
+                let correct = window_sub(p.dp_correct, base_correct);
+                let total = window_sub(p.dp_total, base_total);
+                TimelinePoint {
+                    accesses: window_sub(p.accesses, baseline.accesses),
+                    dp_accuracy: if total == 0 {
+                        0.0
+                    } else {
+                        correct as f64 / total as f64
+                    },
+                    dp_correct: correct,
+                    dp_total: total,
+                    ctr_miss_rate_window: p.ctr_miss_rate_window,
+                }
+            })
+            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cosmos_common::stats::Counters;
 
     #[test]
     fn traffic_totals() {

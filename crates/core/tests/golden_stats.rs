@@ -8,7 +8,7 @@
 //! artifacts stay byte-identical.
 
 use cosmos_cache::CacheStats;
-use cosmos_common::stats::HitMiss;
+use cosmos_common::stats::{Counters, HitMiss};
 use cosmos_core::estimate::StatsEstimate;
 use cosmos_core::stats::{TenantCtrStats, MAX_TENANTS};
 use cosmos_core::{SimStats, TimelinePoint, TrafficBreakdown};

@@ -1,6 +1,7 @@
 //! The bank/row-buffer DRAM model.
 
 use crate::config::DramConfig;
+use cosmos_common::stats::Counters;
 use cosmos_common::timing::ServiceQueue;
 use cosmos_common::{Cycle, LineAddr, LINE_SIZE};
 use cosmos_telemetry::Telemetry;
@@ -16,21 +17,23 @@ pub enum RowBufferOutcome {
     Conflict,
 }
 
-/// Statistics accumulated by [`Dram`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct DramStats {
-    /// Read requests served.
-    pub reads: u64,
-    /// Write requests served.
-    pub writes: u64,
-    /// Row-buffer hits.
-    pub row_hits: u64,
-    /// Closed-bank activations.
-    pub row_closed: u64,
-    /// Row conflicts.
-    pub row_conflicts: u64,
-    /// Total cycles requests spent queued behind busy banks.
-    pub queue_cycles: u64,
+cosmos_common::counters! {
+    /// Statistics accumulated by [`Dram`].
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct DramStats {
+        /// Read requests served.
+        pub reads: u64,
+        /// Write requests served.
+        pub writes: u64,
+        /// Row-buffer hits.
+        pub row_hits: u64,
+        /// Closed-bank activations.
+        pub row_closed: u64,
+        /// Row conflicts.
+        pub row_conflicts: u64,
+        /// Total cycles requests spent queued behind busy banks.
+        pub queue_cycles: u64,
+    }
 }
 
 impl DramStats {
@@ -47,47 +50,6 @@ impl DramStats {
     /// Total bytes moved.
     pub const fn bytes(&self) -> u64 {
         self.requests() * LINE_SIZE as u64
-    }
-
-    /// Encodes the counters for snapshots.
-    pub fn to_json(&self) -> cosmos_common::json::Value {
-        cosmos_common::json!({
-            "reads": (self.reads),
-            "writes": (self.writes),
-            "row_hits": (self.row_hits),
-            "row_closed": (self.row_closed),
-            "row_conflicts": (self.row_conflicts),
-            "queue_cycles": (self.queue_cycles),
-        })
-    }
-
-    /// Decodes counters produced by [`DramStats::to_json`].
-    pub fn from_json(v: &cosmos_common::json::Value) -> Result<Self, String> {
-        use cosmos_common::json::codec;
-        Ok(Self {
-            reads: codec::u64_field(v, "reads")?,
-            writes: codec::u64_field(v, "writes")?,
-            row_hits: codec::u64_field(v, "row_hits")?,
-            row_closed: codec::u64_field(v, "row_closed")?,
-            row_conflicts: codec::u64_field(v, "row_conflicts")?,
-            queue_cycles: codec::u64_field(v, "queue_cycles")?,
-        })
-    }
-
-    /// Counts accumulated since `baseline`, for warmup-excluding
-    /// measurement windows. Each subtraction is checked in every build
-    /// profile (`cosmos_common::stats::window_sub`): a field that went
-    /// backwards means a counter reset, and the window would be garbage.
-    pub fn since(&self, baseline: &DramStats) -> DramStats {
-        use cosmos_common::stats::window_sub;
-        DramStats {
-            reads: window_sub(self.reads, baseline.reads),
-            writes: window_sub(self.writes, baseline.writes),
-            row_hits: window_sub(self.row_hits, baseline.row_hits),
-            row_closed: window_sub(self.row_closed, baseline.row_closed),
-            row_conflicts: window_sub(self.row_conflicts, baseline.row_conflicts),
-            queue_cycles: window_sub(self.queue_cycles, baseline.queue_cycles),
-        }
     }
 }
 
@@ -206,11 +168,6 @@ impl Dram {
     /// Accumulated statistics.
     pub fn stats(&self) -> &DramStats {
         &self.stats
-    }
-
-    /// Resets statistics (bank state is preserved).
-    pub fn reset_stats(&mut self) {
-        self.stats = DramStats::default();
     }
 
     /// Serializes bank state (open rows, busy times) and statistics for

@@ -165,7 +165,7 @@ mod tests {
     }
 
     #[test]
-    fn closure_and_schema_ids_round_trip() {
+    fn closure_ids_round_trip() {
         // The pass-2 rules baseline like any other; the witness chain is
         // NOT part of the key (a chain re-route must not un-baseline).
         let mut h2 = finding(
@@ -174,15 +174,21 @@ mod tests {
             "let v = self.ways.to_vec();",
         );
         h2.chain = vec!["Cache::access".to_string(), "evict".to_string()];
-        let rest: Vec<Finding> = ["H3", "H4", "S1", "S2", "S3"]
+        let rest: Vec<Finding> = ["H3", "H4"]
             .iter()
-            .map(|r| finding(r, "crates/core/src/stats.rs", "pub ctr_overflows: u64,"))
+            .map(|r| {
+                finding(
+                    r,
+                    "crates/cache/src/cache.rs",
+                    "let v = self.ways.to_vec();",
+                )
+            })
             .collect();
         let mut all = vec![h2.clone()];
         all.extend(rest);
         let text = Baseline::render(&all);
         let mut b = Baseline::parse(&text).expect("rendered baseline parses");
-        assert_eq!(b.len(), 6);
+        assert_eq!(b.len(), 3);
         h2.chain = vec!["Cache::access".to_string(), "other_route".to_string()];
         assert!(b.matches(&h2), "chain drift must not break the match");
         for f in &all[1..] {

@@ -11,7 +11,7 @@ use std::process::ExitCode;
 
 const USAGE: &str = "\
 cosmos-lint — static analysis of the COSMOS workspace's determinism,
-hot-path-closure, stat-integrity, stat-schema, and panic invariants
+hot-path-closure, stat-integrity, and panic invariants
 (DESIGN.md §12 and §17).
 
 USAGE:
@@ -33,7 +33,7 @@ OPTIONS:
     -h, --help          This help
 
 FILES limits the scan to the given paths (default: all crate sources).
-NOTE: the call-graph and schema passes see only the scanned set, so a
+NOTE: the call-graph pass sees only the scanned set, so a
 FILES subset can mask closure findings — the gate always runs the full set.
 Exit code: 0 clean, 1 findings, 2 usage/IO error.";
 

@@ -3,8 +3,7 @@
 //! An in-tree static analyzer that machine-checks the invariants every
 //! COSMOS result rests on: bit-deterministic artifacts, an allocation-,
 //! lock-, and panic-free simulation hot path (including everything the
-//! hot functions transitively call), untruncated `u64` stat counters, a
-//! complete stat schema across windowing/snapshot/estimation, and
+//! hot functions transitively call), untruncated `u64` stat counters, and
 //! panic-free library crates. See [`rules::RULES`] for the catalogue and
 //! DESIGN.md §12/§17 for the rationale, pragma grammar, and the
 //! whole-workspace analysis architecture.
@@ -18,8 +17,8 @@
 //!
 //! Analysis is two-pass: pass 1 is per-file (token-local rules + symbol
 //! extraction) and embarrassingly parallel (`--jobs`); pass 2 builds the
-//! workspace call graph ([`graph`]) and checks the stat schema
-//! ([`schema`]). The report is deterministic — byte-identical across runs
+//! workspace call graph ([`graph`]) and checks the hot-path closure. The
+//! report is deterministic — byte-identical across runs
 //! and `--jobs` — because pass-1 results are reassembled in input order
 //! and wall-time is excluded from the JSON unless explicitly requested.
 
@@ -28,7 +27,6 @@ pub mod graph;
 pub mod pragma;
 pub mod rules;
 pub mod scan;
-pub mod schema;
 pub mod symbols;
 pub mod tokenizer;
 
@@ -58,7 +56,7 @@ pub struct WorkspaceAnalysis {
 pub struct TimingMs {
     /// Per-file tokenize/scan/symbol pass.
     pub pass1: u64,
-    /// Workspace call-graph + schema pass, suppression, and baseline.
+    /// Workspace call-graph pass, suppression, and baseline.
     pub pass2: u64,
     /// End-to-end, including file reads.
     pub total: u64,
@@ -247,13 +245,12 @@ pub fn analyze_workspace(files: &[(String, String)]) -> WorkspaceAnalysis {
     finish(fas)
 }
 
-/// Pass 2 over completed pass-1 results: call-graph closure rules, schema
-/// rules, then per-file pragma suppression and the L-rules.
+/// Pass 2 over completed pass-1 results: call-graph closure rules, then
+/// per-file pragma suppression and the L-rules.
 fn finish(mut fas: Vec<FileAnalysis>) -> WorkspaceAnalysis {
     let g = graph::build(&fas);
     let hot_closure = graph::closures(&g, &fas);
-    let mut pass2 = graph::check(&g, &fas);
-    pass2.extend(schema::check(&fas));
+    let pass2 = graph::check(&g, &fas);
 
     // Distribute pass-2 findings to the file whose pragmas govern them.
     let index: BTreeMap<&str, usize> = fas

@@ -1,6 +1,6 @@
 //! The rule catalogue and the per-file (pass-1) rule engine.
 //!
-//! Five invariant families, keyed to this codebase (see DESIGN.md §12 and
+//! Four invariant families, keyed to this codebase (see DESIGN.md §12 and
 //! §17):
 //!
 //! - **D-rules** (determinism): every artifact must be byte-identical
@@ -13,10 +13,6 @@
 //!   ([`crate::graph`]).
 //! - **C-rules** (stat integrity): `u64` counters must not be silently
 //!   truncated, and stats structs must accumulate in integers.
-//! - **S-rules** (stat schema): every `*Stats` field must be threaded
-//!   through its `since()` window rebase (S1), its snapshot
-//!   serialization (S2), and the sampled-run estimator (S3) — checked in
-//!   pass 2 ([`crate::schema`]).
 //! - **P-rules** (panics): library crates return `Result` or document
 //!   invariants; they don't `unwrap()`.
 //!
@@ -92,24 +88,6 @@ pub const RULES: &[Rule] = &[
         name: "stat-float-field",
         summary: "float field in a *Stats struct: accumulate in integers, derive floats at \
                   emit time",
-    },
-    Rule {
-        id: "S1",
-        name: "stat-window-drop",
-        summary: "*Stats field missing from its since() window rebase: warmup-excluded \
-                  measurement windows silently carry the warmup value",
-    },
-    Rule {
-        id: "S2",
-        name: "stat-snapshot-drop",
-        summary: "*Stats field missing from to_json/from_json snapshot serialization: \
-                  snapshot/restore would not round-trip it",
-    },
-    Rule {
-        id: "S3",
-        name: "stat-estimate-drop",
-        summary: "*Stats field not referenced by the sampled-run estimator module: \
-                  reconstruction from interval samples drops it",
     },
     Rule {
         id: "P1",
@@ -209,12 +187,6 @@ fn classify(path: &str) -> FileRole {
         d2_exempt: path.starts_with("crates/telemetry/"),
         d3_exempt: path == "crates/experiments/src/runner.rs",
     }
-}
-
-/// Whether `path` is an estimator module subject to the S3 field-coverage
-/// contract (see [`crate::schema`]).
-pub(crate) fn is_estimator_module(path: &str) -> bool {
-    path.rsplit('/').next().unwrap_or(path) == "estimate.rs"
 }
 
 /// The token at `i` starts a heap allocation (H1/H2's shared matcher):
@@ -603,7 +575,7 @@ pub fn finish_file(fa: &mut FileAnalysis, pass2: Vec<Finding>) -> Vec<Finding> {
 }
 
 /// Analyzes one file as a single-file workspace — the full pipeline
-/// including the call-graph and schema passes confined to this file.
+/// including the call-graph pass confined to this file.
 /// Multi-file fixtures go through [`crate::analyze_workspace`].
 pub fn analyze_source(path: &str, src: &str) -> Vec<Finding> {
     crate::analyze_workspace(&[(path.to_string(), src.to_string())]).findings

@@ -1,11 +1,10 @@
 //! Pass 1's per-file symbol table.
 //!
-//! The whole-workspace passes (the call graph in [`crate::graph`] and the
-//! stat-schema checks in [`crate::schema`]) need more than extents: every
-//! function definition with its body span, owning `impl` type, and call
-//! sites, plus the field lists of `*Stats` structs. This module extracts
-//! all of that from the token stream in one walk per file — still no AST,
-//! in the same lexical-fidelity philosophy as [`crate::scan`].
+//! The whole-workspace pass (the call graph in [`crate::graph`]) needs more
+//! than extents: every function definition with its body span, owning
+//! `impl` type, and call sites. This module extracts all of that from the
+//! token stream in one walk per file — still no AST, in the same
+//! lexical-fidelity philosophy as [`crate::scan`].
 //!
 //! Known approximations (documented in DESIGN.md §17):
 //!
@@ -19,7 +18,7 @@
 //!   excluded entirely — test code is exempt from the H-rules, so it must
 //!   not contribute nodes or edges to the hot closure.
 
-use crate::scan::{body_braces, is_ident, is_punct, match_brace, Extents};
+use crate::scan::{body_braces, is_ident, is_punct, Extents};
 use crate::tokenizer::{Lexed, Tok, TokKind};
 
 /// How a call site names its target.
@@ -73,26 +72,6 @@ impl FnDef {
     }
 }
 
-/// One field of a `*Stats` struct.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct FieldDef {
-    /// Field name.
-    pub name: String,
-    /// 1-based source line of the field declaration.
-    pub line: u32,
-}
-
-/// One `*Stats` struct with named fields.
-#[derive(Clone, Debug)]
-pub struct StructDef {
-    /// Struct name (ends in `Stats`).
-    pub name: String,
-    /// 1-based source line of the `struct` token.
-    pub line: u32,
-    /// Declared fields in order.
-    pub fields: Vec<FieldDef>,
-}
-
 /// One `trait` declaration: its name and declared method names (with or
 /// without default bodies). The call-graph builder treats a dot-call to a
 /// trait-declared name as potential dynamic dispatch.
@@ -109,8 +88,6 @@ pub struct TraitDef {
 pub struct FileSymbols {
     /// Function definitions outside test code.
     pub fns: Vec<FnDef>,
-    /// `*Stats` structs outside test code.
-    pub structs: Vec<StructDef>,
     /// Trait declarations outside test code.
     pub traits: Vec<TraitDef>,
 }
@@ -180,20 +157,6 @@ pub fn file_symbols(lexed: &Lexed, ext: &Extents) -> FileSymbols {
             }
         }
         i += 1;
-    }
-
-    // Struct field lists (*Stats structs reuse the extent scan's spans).
-    for &(open, close, ref name) in &ext.stats_struct_spans {
-        let start = toks
-            .get(open)
-            .map(|t| t.line)
-            .unwrap_or(0)
-            .saturating_sub(0);
-        out.structs.push(StructDef {
-            name: name.clone(),
-            line: start,
-            fields: struct_fields(toks, open, close),
-        });
     }
 
     // Call sites, attributed to the innermost enclosing fn body.
@@ -335,64 +298,6 @@ fn impl_type_name(toks: &[Tok], start: usize, body_open: usize) -> Option<String
     last.map(str::to_string)
 }
 
-/// Named fields of a struct body (`open`..`close` token span): an
-/// identifier followed by a single `:` and not preceded by `:` (which
-/// would make it a path segment inside a field's type).
-fn struct_fields(toks: &[Tok], open: usize, close: usize) -> Vec<FieldDef> {
-    let mut out = Vec::new();
-    let mut j = open + 1;
-    while j + 1 < close {
-        let t = &toks[j];
-        if t.kind == TokKind::Ident
-            && is_punct(toks, j + 1, ":")
-            && !is_punct(toks, j + 2, ":")
-            && !is_punct(toks, j.wrapping_sub(1), ":")
-        {
-            out.push(FieldDef {
-                name: t.text.clone(),
-                line: t.line,
-            });
-            // Skip the type up to the next field-separating `,` (angle-,
-            // paren-, bracket-, and brace-aware so type-argument commas
-            // don't end the skip early).
-            j = skip_field_type(toks, j + 2, close);
-            continue;
-        }
-        j += 1;
-    }
-    out
-}
-
-/// Advances from the start of a field's type to one past its terminating
-/// top-level `,` (or to `close`).
-fn skip_field_type(toks: &[Tok], from: usize, close: usize) -> usize {
-    let mut paren = 0i32;
-    let mut bracket = 0i32;
-    let mut angle = 0i32;
-    let mut j = from;
-    while j < close {
-        let t = &toks[j];
-        if t.kind == TokKind::Punct {
-            match t.text.as_str() {
-                "(" => paren += 1,
-                ")" => paren -= 1,
-                "[" => bracket += 1,
-                "]" => bracket -= 1,
-                "<" => angle += 1,
-                ">" if !is_punct(toks, j.wrapping_sub(1), "-") => angle = (angle - 1).max(0),
-                "{" => {
-                    j = match_brace(toks, j);
-                    continue;
-                }
-                "," if paren == 0 && bracket == 0 && angle == 0 => return j + 1,
-                _ => {}
-            }
-        }
-        j += 1;
-    }
-    close
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -505,26 +410,6 @@ mod tests {
         let s = symbols(src);
         assert_eq!(s.fns.len(), 1);
         assert_eq!(s.fns[0].name, "real");
-    }
-
-    #[test]
-    fn stats_struct_fields_extracted() {
-        let src = "\
-pub struct DemoStats {
-    pub hits: u64,
-    pub map: BTreeMap<u64, Vec<u8>>,
-    pub(crate) nested: [TenantCtr; 4],
-    pub timeline: Vec<(u64, f64)>,
-}
-";
-        let s = symbols(src);
-        assert_eq!(s.structs.len(), 1);
-        let fields: Vec<&str> = s.structs[0]
-            .fields
-            .iter()
-            .map(|f| f.name.as_str())
-            .collect();
-        assert_eq!(fields, vec!["hits", "map", "nested", "timeline"]);
     }
 
     #[test]

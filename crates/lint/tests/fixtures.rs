@@ -244,22 +244,6 @@ fn workspace_trait_dispatch_fans_out_and_self_calls_resolve() {
 }
 
 #[test]
-fn workspace_schema_rules_anchor_at_field_declarations() {
-    let wa = check_workspace(&[
-        ("ws_schema_stats.rs", "crates/demo/src/stats.rs"),
-        ("ws_schema_estimate.rs", "crates/demo/src/estimate.rs"),
-    ]);
-    let s2 = wa.findings.iter().find(|f| f.rule == "S2").expect("S2");
-    assert!(
-        s2.message.contains("to_json/from_json"),
-        "S2 names both missing handlers: {}",
-        s2.message
-    );
-    let s3 = wa.findings.iter().find(|f| f.rule == "S3").expect("S3");
-    assert!(s3.message.contains("estimate.rs"), "{}", s3.message);
-}
-
-#[test]
 fn baseline_suppresses_exactly_once() {
     // Grandfather every finding of the P fixture, then re-run: clean.
     let src = fixture("p_rules_panics.rs");

@@ -3,6 +3,7 @@
 use crate::params::{DataRewards, RlParams};
 use crate::qtable::QTable;
 use cosmos_common::hash::hash_address;
+use cosmos_common::stats::Counters;
 use cosmos_common::{PhysAddr, SplitMix64};
 use cosmos_telemetry::Telemetry;
 
@@ -42,17 +43,19 @@ impl DataLocation {
     }
 }
 
-/// Prediction-quality counters (feeds paper Figure 12).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct DataLocationStats {
-    /// Predicted on-chip, was on-chip (correct).
-    pub correct_onchip: u64,
-    /// Predicted off-chip, was off-chip (correct).
-    pub correct_offchip: u64,
-    /// Predicted off-chip, was on-chip (wrong — DRAM fetch killed).
-    pub wrong_offchip: u64,
-    /// Predicted on-chip, was off-chip (wrong — serialized fallback).
-    pub wrong_onchip: u64,
+cosmos_common::counters! {
+    /// Prediction-quality counters (feeds paper Figure 12).
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct DataLocationStats {
+        /// Predicted on-chip, was on-chip (correct).
+        pub correct_onchip: u64,
+        /// Predicted off-chip, was off-chip (correct).
+        pub correct_offchip: u64,
+        /// Predicted off-chip, was on-chip (wrong — DRAM fetch killed).
+        pub wrong_offchip: u64,
+        /// Predicted on-chip, was off-chip (wrong — serialized fallback).
+        pub wrong_onchip: u64,
+    }
 }
 
 impl DataLocationStats {
@@ -69,41 +72,6 @@ impl DataLocationStats {
     /// Fraction of predictions that said off-chip.
     pub fn offchip_fraction(&self) -> f64 {
         cosmos_common::stats::ratio(self.correct_offchip + self.wrong_offchip, self.total())
-    }
-
-    /// Encodes the counters for snapshots.
-    pub fn to_json(&self) -> cosmos_common::json::Value {
-        cosmos_common::json!({
-            "correct_onchip": (self.correct_onchip),
-            "correct_offchip": (self.correct_offchip),
-            "wrong_offchip": (self.wrong_offchip),
-            "wrong_onchip": (self.wrong_onchip),
-        })
-    }
-
-    /// Decodes counters produced by [`DataLocationStats::to_json`].
-    pub fn from_json(v: &cosmos_common::json::Value) -> Result<Self, String> {
-        use cosmos_common::json::codec;
-        Ok(Self {
-            correct_onchip: codec::u64_field(v, "correct_onchip")?,
-            correct_offchip: codec::u64_field(v, "correct_offchip")?,
-            wrong_offchip: codec::u64_field(v, "wrong_offchip")?,
-            wrong_onchip: codec::u64_field(v, "wrong_onchip")?,
-        })
-    }
-
-    /// Counts accumulated since `baseline`, for warmup-excluding
-    /// measurement windows. Each subtraction is checked in every build
-    /// profile (`cosmos_common::stats::window_sub`): a field that went
-    /// backwards means a counter reset, and the window would be garbage.
-    pub fn since(&self, baseline: &DataLocationStats) -> DataLocationStats {
-        use cosmos_common::stats::window_sub;
-        DataLocationStats {
-            correct_onchip: window_sub(self.correct_onchip, baseline.correct_onchip),
-            correct_offchip: window_sub(self.correct_offchip, baseline.correct_offchip),
-            wrong_offchip: window_sub(self.wrong_offchip, baseline.wrong_offchip),
-            wrong_onchip: window_sub(self.wrong_onchip, baseline.wrong_onchip),
-        }
     }
 }
 

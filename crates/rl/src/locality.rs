@@ -4,6 +4,7 @@ use crate::cet::Cet;
 use crate::params::{CtrRewards, RlParams};
 use crate::qtable::QTable;
 use cosmos_common::hash::hash_address;
+use cosmos_common::stats::Counters;
 use cosmos_common::{LineAddr, SplitMix64};
 use cosmos_telemetry::Telemetry;
 
@@ -86,19 +87,21 @@ pub struct LocalityDecision {
     pub reward: f32,
 }
 
-/// Counters for the locality predictor (feeds paper Figures 9 and 13).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CtrLocalityStats {
-    /// Total CTR accesses classified.
-    pub predictions: u64,
-    /// Classified good.
-    pub predicted_good: u64,
-    /// CET hits observed (ground-truth good locality).
-    pub cet_hits: u64,
-    /// CET evictions observed.
-    pub cet_evictions: u64,
-    /// Predictions that agreed with the CET outcome (hit↔good, miss↔bad).
-    pub agreements: u64,
+cosmos_common::counters! {
+    /// Counters for the locality predictor (feeds paper Figures 9 and 13).
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct CtrLocalityStats {
+        /// Total CTR accesses classified.
+        pub predictions: u64,
+        /// Classified good.
+        pub predicted_good: u64,
+        /// CET hits observed (ground-truth good locality).
+        pub cet_hits: u64,
+        /// CET evictions observed.
+        pub cet_evictions: u64,
+        /// Predictions that agreed with the CET outcome (hit↔good, miss↔bad).
+        pub agreements: u64,
+    }
 }
 
 impl CtrLocalityStats {
@@ -110,44 +113,6 @@ impl CtrLocalityStats {
     /// Agreement rate between predictions and CET ground truth.
     pub fn agreement_rate(&self) -> f64 {
         cosmos_common::stats::ratio(self.agreements, self.predictions)
-    }
-
-    /// Encodes the counters for snapshots.
-    pub fn to_json(&self) -> cosmos_common::json::Value {
-        cosmos_common::json!({
-            "predictions": (self.predictions),
-            "predicted_good": (self.predicted_good),
-            "cet_hits": (self.cet_hits),
-            "cet_evictions": (self.cet_evictions),
-            "agreements": (self.agreements),
-        })
-    }
-
-    /// Decodes counters produced by [`CtrLocalityStats::to_json`].
-    pub fn from_json(v: &cosmos_common::json::Value) -> Result<Self, String> {
-        use cosmos_common::json::codec;
-        Ok(Self {
-            predictions: codec::u64_field(v, "predictions")?,
-            predicted_good: codec::u64_field(v, "predicted_good")?,
-            cet_hits: codec::u64_field(v, "cet_hits")?,
-            cet_evictions: codec::u64_field(v, "cet_evictions")?,
-            agreements: codec::u64_field(v, "agreements")?,
-        })
-    }
-
-    /// Counts accumulated since `baseline`, for warmup-excluding
-    /// measurement windows. Each subtraction is checked in every build
-    /// profile (`cosmos_common::stats::window_sub`): a field that went
-    /// backwards means a counter reset, and the window would be garbage.
-    pub fn since(&self, baseline: &CtrLocalityStats) -> CtrLocalityStats {
-        use cosmos_common::stats::window_sub;
-        CtrLocalityStats {
-            predictions: window_sub(self.predictions, baseline.predictions),
-            predicted_good: window_sub(self.predicted_good, baseline.predicted_good),
-            cet_hits: window_sub(self.cet_hits, baseline.cet_hits),
-            cet_evictions: window_sub(self.cet_evictions, baseline.cet_evictions),
-            agreements: window_sub(self.agreements, baseline.agreements),
-        }
     }
 }
 

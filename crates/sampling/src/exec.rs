@@ -1,6 +1,7 @@
 //! Executing a [`SamplingPlan`]: warmup, measure, and weighted merge.
 
 use crate::plan::SamplingPlan;
+use cosmos_common::stats::Counters;
 use cosmos_common::Trace;
 use cosmos_core::{SimConfig, SimStats, Simulator, StatsEstimate};
 

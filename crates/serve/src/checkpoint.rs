@@ -192,6 +192,7 @@ pub fn build_trace(workload: Workload, accesses: usize, seed: u64) -> Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cosmos_common::stats::Counters;
 
     fn tmpdir(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("cosmos_ckpt_test_{name}"));

@@ -24,6 +24,7 @@ use crate::protocol::{error_reply, parse_request, JobSpec, Request};
 use crate::queue::ShardedQueue;
 use crate::snapshot::write_atomic;
 use cosmos_common::json::{codec, json, Value};
+use cosmos_common::stats::Counters;
 use cosmos_core::{SimConfig, SimStats};
 use cosmos_experiments::{emit_json, figures, Args};
 use cosmos_telemetry::Telemetry;

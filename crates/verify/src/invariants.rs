@@ -8,6 +8,7 @@
 //! end, plus a monotonicity sweep between consecutive snapshots.
 
 use cosmos_cache::PrefetcherKind;
+use cosmos_common::stats::Counters;
 use cosmos_core::{SimConfig, SimStats};
 
 /// One failed check.
@@ -242,54 +243,20 @@ pub fn check_stats(stats: &SimStats, config: &SimConfig) -> Vec<Violation> {
     out
 }
 
-/// The cumulative scalar counters of a snapshot, named — the monotonicity
-/// sweep walks this list between consecutive interval boundaries.
-pub fn scalar_counters(s: &SimStats) -> Vec<(&'static str, u64)> {
-    let t = &s.traffic;
-    vec![
-        ("instructions", s.instructions),
-        ("cycles", s.cycles),
-        ("accesses", s.accesses),
-        ("reads", s.reads),
-        ("writes", s.writes),
-        ("l1.hits", s.l1.hits()),
-        ("l1.misses", s.l1.misses()),
-        ("l2.hits", s.l2.hits()),
-        ("l2.misses", s.l2.misses()),
-        ("llc.hits", s.llc.hits()),
-        ("llc.misses", s.llc.misses()),
-        ("ctr.hits", s.ctr_cache.demand.hits()),
-        ("ctr.misses", s.ctr_cache.demand.misses()),
-        ("ctr.evictions", s.ctr_cache.evictions),
-        ("ctr.writebacks", s.ctr_cache.writebacks),
-        ("ctr.prefetch_issued", s.ctr_cache.prefetch_issued),
-        ("mt.hits", s.mt_cache.demand.hits()),
-        ("mt.misses", s.mt_cache.demand.misses()),
-        ("mt.evictions", s.mt_cache.evictions),
-        ("mt.writebacks", s.mt_cache.writebacks),
-        ("dram.reads", s.dram.reads),
-        ("dram.writes", s.dram.writes),
-        ("traffic.data_reads", t.data_reads),
-        ("traffic.data_writes", t.data_writes),
-        ("traffic.ctr_reads", t.ctr_reads),
-        ("traffic.ctr_writes", t.ctr_writes),
-        ("traffic.mt_reads", t.mt_reads),
-        ("traffic.mt_writes", t.mt_writes),
-        ("traffic.mac_reads", t.mac_reads),
-        ("traffic.mac_writes", t.mac_writes),
-        ("traffic.reencrypt_writes", t.reencrypt_writes),
-        ("traffic.killed_speculative", t.killed_speculative),
-        ("data_pred.total", s.data_pred.total()),
-        ("ctr_pred.predictions", s.ctr_pred.predictions),
-        ("ctr_overflows", s.ctr_overflows),
-        ("total_read_latency", s.total_read_latency),
-        ("early_offchip_reads", s.early_offchip_reads),
-    ]
+/// Every cumulative counter of a snapshot, named by its dotted field path
+/// (`traffic.mt_reads`, `tenant_ctr.1.misses`) — the stats' own leaf walk,
+/// so a counter added to a stats declaration is swept automatically.
+pub fn scalar_counters(s: &SimStats) -> Vec<(String, u64)> {
+    let mut out = Vec::with_capacity(SimStats::LEAVES);
+    s.visit(|name, value| out.push((name.to_string(), value)));
+    out
 }
 
 /// Checks that every cumulative counter moved forward (or held) between
-/// two snapshots — the runtime complement of the `debug_assert!`s inside
-/// the `since` methods, active in release builds too.
+/// two consecutive snapshots. `since` already panics, in every build
+/// profile, on a counter that went backwards inside a window it computes;
+/// this sweep also covers snapshots that are never windowed against each
+/// other, and reports the regression as a named violation, not a panic.
 pub fn check_monotonic(prev: &SimStats, cur: &SimStats) -> Vec<Violation> {
     let mut out = Vec::new();
     for ((name, before), (_, after)) in scalar_counters(prev).iter().zip(scalar_counters(cur)) {
@@ -409,5 +376,32 @@ mod tests {
         assert_eq!(v.len(), 1);
         assert!(v[0].detail.contains("traffic.mt_reads"), "{v:?}");
         assert!(check_monotonic(&stats, &stats).is_empty());
+    }
+
+    #[test]
+    fn monotonicity_sweeps_every_counter_leaf() {
+        let config = small_config(Design::Cosmos);
+        let t = random_trace(4_000, 50_000, 0.3, 9);
+        let stats = Simulator::new(config).run(&t);
+        assert_eq!(scalar_counters(&stats).len(), SimStats::LEAVES);
+        let mut later = stats.clone();
+        later.dram.queue_cycles = 0;
+        later.ctr_pred.cet_hits = 0;
+        later.tenant_ctr[0].misses = 0;
+        let names: Vec<String> = check_monotonic(&stats, &later)
+            .into_iter()
+            .map(|v| v.detail)
+            .collect();
+        for leaf in [
+            "dram.queue_cycles",
+            "ctr_pred.cet_hits",
+            "tenant_ctr.0.misses",
+        ] {
+            assert!(
+                names.iter().any(|d| d.starts_with(leaf)),
+                "{leaf}: {names:?}"
+            );
+        }
+        assert_eq!(names.len(), 3, "{names:?}");
     }
 }

@@ -10,6 +10,7 @@
 
 use crate::invariants::{check_monotonic, check_stats, Violation};
 use crate::observer::{ShadowHook, ShadowState};
+use cosmos_common::stats::Counters;
 use cosmos_common::Trace;
 use cosmos_core::{SimConfig, SimStats, Simulator};
 use cosmos_sampling::{SampledRun, SamplingPlan};

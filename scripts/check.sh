@@ -28,7 +28,7 @@ stage clippy
 cargo clippy -q --workspace --all-targets -- -D warnings
 
 # Static analysis (DESIGN.md §12/§17): determinism, hot-path-closure,
-# stat-integrity, stat-schema, and panic invariants. Deny-by-default — any
+# stat-integrity, and panic invariants. Deny-by-default — any
 # finding that is neither pragma-justified nor in lint.baseline fails the
 # gate. The JSON report is committed so reviews can diff it.
 stage lint
@@ -91,6 +91,26 @@ cmp "$f10_plain" "$f10_checked" || {
     exit 1
 }
 rm -f "$f10_plain" "$f10_checked"
+# Sampled fig10 must not depend on the worker count: every representative
+# window goes through the leaf-walk estimator, and the weighted merge has
+# to produce the same bytes (artifact and printed table) at any --jobs.
+f10s_a="$(mktemp)"
+f10s_b="$(mktemp)"
+f10s_out_a="$(mktemp)"
+f10s_out_b="$(mktemp)"
+cargo run --release -q -p cosmos-experiments --bin fig10_performance -- \
+    --sample --accesses 200000 --jobs 1 --json "$f10s_a" >"$f10s_out_a"
+cargo run --release -q -p cosmos-experiments --bin fig10_performance -- \
+    --sample --accesses 200000 --jobs 2 --json "$f10s_b" >"$f10s_out_b"
+cmp "$f10s_a" "$f10s_b" || {
+    echo "check.sh: sampled fig10_performance artifact depends on --jobs" >&2
+    exit 1
+}
+cmp "$f10s_out_a" "$f10s_out_b" || {
+    echo "check.sh: sampled fig10_performance report depends on --jobs" >&2
+    exit 1
+}
+rm -f "$f10s_a" "$f10s_b" "$f10s_out_a" "$f10s_out_b"
 
 # Telemetry identity smoke: --telemetry must also observe without
 # perturbing — same grid, same seed, byte-identical result artifact —
