@@ -1,7 +1,7 @@
 //! Tracked simulator-throughput benchmark: accesses/second per design on
 //! a fixed irregular (DFS) trace, timed with [`std::time::Instant`].
 //!
-//! Unlike the figure binaries this measures the *simulator itself*, not
+//! Unlike the registry figures this measures the *simulator itself*, not
 //! the modeled hardware — it is the number that bounds how large the
 //! experiment grids can scale. Results go to `BENCH_sim.json` at the repo
 //! root (current snapshot) and are appended to `BENCH_sim.history.jsonl`
@@ -20,7 +20,7 @@ use std::path::{Path, PathBuf};
 
 use cosmos_common::json::{json, Map, Value};
 use cosmos_experiments::throughput::{measure, measure_channel, measure_sampled, to_json, DESIGNS};
-use cosmos_experiments::{f3, print_table, Args};
+use cosmos_experiments::{f3, table_string, Args};
 use cosmos_sampling::SamplingConfig;
 use cosmos_workloads::graph::GraphKernel;
 use cosmos_workloads::{TraceSpec, Workload};
@@ -33,7 +33,11 @@ fn repo_root() -> PathBuf {
 }
 
 fn main() {
-    let args = Args::parse(200_000);
+    let args = Args::parse(
+        std::env::args().skip(1),
+        200_000,
+        "usage: sim_throughput [OPTIONS]",
+    );
     let mut spec = TraceSpec::small_test(args.seed);
     spec.accesses = args.accesses;
     spec.graph_vertices = 1 << 17;
@@ -64,7 +68,10 @@ fn main() {
             "release"
         },
     );
-    print_table(&["design", "Kacc/s", "run ms", "model cyc/acc"], &rows);
+    print!(
+        "{}",
+        table_string(&["design", "Kacc/s", "run ms", "model cyc/acc"], &rows)
+    );
     println!("\nmean: {:.0} Kacc/s", mean_rate / 1e3);
 
     // The cost of the RL machinery, stated explicitly: how many times
@@ -124,9 +131,12 @@ fn main() {
         sampled[0].simulated_accesses,
         sampled_trace.len(),
     );
-    print_table(
-        &["design", "eff Kacc/s", "run ms", "speedup"],
-        &sampled_rows,
+    print!(
+        "{}",
+        table_string(
+            &["design", "eff Kacc/s", "run ms", "speedup"],
+            &sampled_rows
+        )
     );
     println!("\nmean sampled speedup: {mean_speedup:.2}x");
 

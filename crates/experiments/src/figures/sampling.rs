@@ -1,28 +1,10 @@
-//! Sampled-vs-full validation: quantifies the estimation error of
-//! representative-interval sampling (`--sample`) on the eight graph
-//! kernels, for MorphCtr and full COSMOS.
-//!
-//! For every kernel the harness runs the full trace and the sampled plan
-//! under identical configurations and reports, per design:
-//!
-//! - absolute CTR-cache miss-rate error,
-//! - relative IPC error,
-//! - relative total-traffic error,
-//! - the realized reduction in simulated accesses.
-//!
-//! Targets (DESIGN.md "Sampling"): ≥5× reduction with ≤2% absolute CTR
-//! miss-rate error and ≤5% relative IPC error. Sampling amortizes its
-//! fixed costs (priming, warmup) over the trace, so the default budget
-//! here is paper-scale-large; at small `--accesses` the reduction target
-//! is unreachable and the summary will say so.
-//!
-//! Everything in the JSON document is deterministic in (`--accesses`,
-//! `--seed`) — byte-identical for any `--jobs` value.
+//! The sampled-vs-full validation figure (DESIGN.md §9).
 
+use super::FigureOutput;
+use crate::runner::{run_jobs, Job};
+use crate::{f3, pct, table_string, Args};
 use cosmos_common::json::{json, Map};
 use cosmos_core::Design;
-use cosmos_experiments::runner::{run_jobs, Job};
-use cosmos_experiments::{emit_json, f3, pct, print_table, Args};
 use cosmos_sampling::SamplingConfig;
 use cosmos_workloads::graph::GraphKernel;
 
@@ -41,8 +23,29 @@ fn rel_err(sampled: f64, full: f64) -> f64 {
     }
 }
 
-fn main() {
-    let args = Args::parse(24_000_000);
+/// Sampled-vs-full validation: quantifies the estimation error of
+/// representative-interval sampling (`--sample`) on the eight graph
+/// kernels, for MorphCtr and full COSMOS.
+///
+/// For every kernel the harness runs the full trace and the sampled plan
+/// under identical configurations and reports, per design:
+///
+/// - absolute CTR-cache miss-rate error,
+/// - relative IPC error,
+/// - relative total-traffic error,
+/// - the realized reduction in simulated accesses.
+///
+/// Targets (DESIGN.md "Sampling"): ≥5× reduction with ≤2% absolute CTR
+/// miss-rate error and ≤5% relative IPC error. Sampling amortizes its
+/// fixed costs (priming, warmup) over the trace, so the default budget
+/// here is paper-scale-large; at small `--accesses` the reduction target
+/// is unreachable and the summary will say so.
+///
+/// Everything in the JSON document is deterministic in (`--accesses`,
+/// `--seed`) — byte-identical for any `--jobs` value.
+///
+/// `--sample` does not apply: every kernel is run both ways.
+pub(super) fn validation(args: &Args) -> FigureOutput {
     let sampling = SamplingConfig::for_trace(args.accesses);
     let set = args.graph_set();
 
@@ -65,12 +68,10 @@ fn main() {
         // single multi-hundred-MB trace is alive at a time.
         let mut jobs = Vec::new();
         for design in DESIGNS {
-            jobs.push(Job::new(
-                format!("{}/full", design.name()),
-                design,
-                &trace,
-                args.seed,
-            ));
+            jobs.push(
+                Job::new(format!("{}/full", design.name()), design, &trace, args.seed)
+                    .with_check(args.check),
+            );
             jobs.push(
                 Job::new(
                     format!("{}/sampled", design.name()),
@@ -78,7 +79,8 @@ fn main() {
                     &trace,
                     args.seed,
                 )
-                .with_sample(Some(sampling)),
+                .with_sample(Some(sampling))
+                .with_check(args.check),
             );
         }
         let mut outcomes = run_jobs(jobs, args.jobs).into_iter();
@@ -141,44 +143,38 @@ fn main() {
         kernels_json.push(json!({"kernel": kernel.name(), "designs": per_design}));
     }
 
-    println!(
-        "## Sampled-vs-full validation ({} accesses/kernel, seed {})\n",
-        args.accesses, args.seed
-    );
-    print_table(
-        &[
-            "kernel",
-            "design",
-            "IPC full",
-            "IPC sampled",
-            "IPC err",
-            "CTR miss full",
-            "CTR miss sampled",
-            "CTR err (abs)",
-            "traffic err",
-            "reduction",
-        ],
-        &rows,
-    );
     let reduction_met = min_reduction >= REDUCTION_TARGET;
     let ipc_met = worst.iter().all(|w| w.ipc_rel <= IPC_REL_BOUND);
     let ctr_met = worst.iter().all(|w| w.ctr_abs <= CTR_MISS_ABS_BOUND);
     let bounds_met = reduction_met && ipc_met && ctr_met;
     let worst_ctr = worst.iter().fold(0.0f64, |m, w| m.max(w.ctr_abs));
     let worst_ipc = worst.iter().fold(0.0f64, |m, w| m.max(w.ipc_rel));
-    println!(
-        "\nmin reduction {:.1}x (target {REDUCTION_TARGET}x): {}",
-        min_reduction,
-        if reduction_met { "MET" } else { "NOT met" }
-    );
-    println!(
-        "IPC relative error <= {:.0}%: {} (worst {})",
+    let report = format!(
+        "## Sampled-vs-full validation ({} accesses/kernel, seed {})\n\n{}\n\
+         min reduction {min_reduction:.1}x (target {REDUCTION_TARGET}x): {}\n\
+         IPC relative error <= {:.0}%: {} (worst {})\n\
+         CTR miss absolute error <= {:.0}%: {} ({ctr_within}/{} rows within; worst {})\n",
+        args.accesses,
+        args.seed,
+        table_string(
+            &[
+                "kernel",
+                "design",
+                "IPC full",
+                "IPC sampled",
+                "IPC err",
+                "CTR miss full",
+                "CTR miss sampled",
+                "CTR err (abs)",
+                "traffic err",
+                "reduction",
+            ],
+            &rows,
+        ),
+        if reduction_met { "MET" } else { "NOT met" },
         100.0 * IPC_REL_BOUND,
         if ipc_met { "MET" } else { "NOT met" },
-        pct(worst_ipc)
-    );
-    println!(
-        "CTR miss absolute error <= {:.0}%: {} ({ctr_within}/{} rows within; worst {})",
+        pct(worst_ipc),
         100.0 * CTR_MISS_ABS_BOUND,
         if ctr_met {
             "MET"
@@ -189,10 +185,9 @@ fn main() {
         pct(worst_ctr)
     );
 
-    emit_json(
-        &args,
-        "sampling_validation",
-        &json!({
+    FigureOutput {
+        report,
+        json: json!({
             "accesses": args.accesses,
             "seed": args.seed,
             "sampling": {
@@ -224,5 +219,5 @@ fn main() {
                 .collect::<Map>(),
             "kernels": kernels_json,
         }),
-    );
+    }
 }

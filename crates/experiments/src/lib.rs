@@ -1,15 +1,15 @@
-//! Shared harness utilities for the per-figure experiment binaries.
+//! The paper's experiments, as one registry, plus the harness they share.
 //!
-//! Every paper figure/table has a binary in `src/bin/` (see DESIGN.md §3
-//! for the index). Binaries share:
+//! Every paper figure/table is a [`figures::FIGURES`] entry (see DESIGN.md
+//! §3 for the index), run through one binary: `cosmos_figure <name>`.
+//! Entries share:
 //!
 //! - [`Args`]: a tiny CLI (`--accesses N`, `--large`, `--seed N`,
-//!   `--json PATH`, `--jobs N`),
+//!   `--json PATH`, `--jobs N`, `--sample`, `--check`, `--telemetry DIR`),
 //! - [`GraphSet`]: generates the synthetic graph **once** and produces
 //!   per-kernel traces from it (graph generation dominates setup time),
-//! - [`run`] / [`run_with`]: run one design over a trace,
-//! - [`runner`]: the parallel job-grid executor the figure sweeps fan out
-//!   over,
+//! - [`run_grid`] / [`design_grid`]: run a job grid under those flags,
+//! - [`runner`]: the parallel job-grid executor the grids fan out over,
 //! - table formatting and JSON result emission (results land in
 //!   `results/` for EXPERIMENTS.md).
 
@@ -20,17 +20,15 @@ pub mod throughput;
 
 use cosmos_common::json::Value;
 use cosmos_common::{PhysAddr, Trace};
-use cosmos_core::{Design, SimConfig, SimStats, Simulator};
+use cosmos_core::{Design, SimStats};
 use cosmos_sampling::SamplingConfig;
 use cosmos_telemetry::Telemetry;
 use cosmos_workloads::graph::{Graph, GraphKernel, GraphLayout};
 use cosmos_workloads::{TraceSpec, Workload};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Flag reference printed by `--help` and on argument errors.
-pub const USAGE: &str = "usage: <experiment> [OPTIONS]
-
-options:
+pub const USAGE: &str = "options:
   --accesses N   access budget per trace (positive; figure-specific default)
   --seed N       trace/predictor seed (default 42)
   --large        paper-scale run: 4x the access budget
@@ -50,7 +48,7 @@ options:
                  observational: results are byte-identical either way
   --help         print this help and exit";
 
-/// Command-line arguments shared by all experiment binaries.
+/// Command-line arguments shared by every figure.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Args {
     /// Access budget per trace.
@@ -75,19 +73,24 @@ pub struct Args {
 }
 
 impl Args {
-    /// Parses `std::env::args`, with a figure-specific default budget.
+    /// Parses `argv` (program name already stripped), with a
+    /// figure-specific default budget.
     ///
-    /// Prints [`USAGE`] and exits on `--help` (status 0) or on an unknown
-    /// or malformed argument (status 2).
-    pub fn parse(default_accesses: usize) -> Args {
-        match Self::try_parse(std::env::args().skip(1), default_accesses) {
+    /// Prints `usage` and [`USAGE`] and exits on `--help` (status 0) or on
+    /// an unknown or malformed argument (status 2).
+    pub fn parse(
+        argv: impl IntoIterator<Item = String>,
+        default_accesses: usize,
+        usage: &str,
+    ) -> Args {
+        match Self::try_parse(argv, default_accesses) {
             Ok(Some(args)) => args,
             Ok(None) => {
-                println!("{USAGE}");
+                println!("{usage}\n\n{USAGE}");
                 std::process::exit(0);
             }
             Err(err) => {
-                eprintln!("error: {err}\n\n{USAGE}");
+                eprintln!("error: {err}\n\n{usage}\n\n{USAGE}");
                 std::process::exit(2);
             }
         }
@@ -174,9 +177,8 @@ impl Args {
 }
 
 /// Runs a job grid under `args`: applies `--sample` and `--check` to every
-/// job and fans out over `--jobs` workers. The figure binaries call this
-/// instead of [`runner::run_jobs`] directly so every grid honors both
-/// modes.
+/// job and fans out over `--jobs` workers. Figures call this instead of
+/// [`runner::run_jobs`] directly so every grid honors both modes.
 pub fn run_grid<'a>(jobs: Vec<runner::Job<'a>>, args: &Args) -> Vec<runner::JobResult> {
     let sampling = args.sampling();
     let jobs = jobs
@@ -189,6 +191,38 @@ pub fn run_grid<'a>(jobs: Vec<runner::Job<'a>>, args: &Args) -> Vec<runner::JobR
         })
         .collect();
     runner::run_jobs(jobs, args.jobs)
+}
+
+/// Runs every design over one trace per workload through [`run_grid`]
+/// (workload-major, jobs labelled `{workload}/{design}`) and returns each
+/// workload's stats in design order. Graph kernels share one generated
+/// graph, which is built only if a kernel is asked for.
+pub fn design_grid<const N: usize>(
+    args: &Args,
+    workloads: &[Workload],
+    designs: [Design; N],
+) -> Vec<(Workload, [SimStats; N])> {
+    let set = workloads
+        .iter()
+        .any(|w| matches!(w, Workload::Graph(_)))
+        .then(|| args.graph_set());
+    let traces: Vec<Trace> = workloads
+        .iter()
+        .map(|w| match (w, &set) {
+            (Workload::Graph(k), Some(set)) => set.trace(*k),
+            _ => w.generate(&args.spec()),
+        })
+        .collect();
+    let mut jobs = Vec::new();
+    for (w, trace) in workloads.iter().zip(&traces) {
+        for d in designs {
+            let label = format!("{}/{d}", w.name());
+            jobs.push(runner::Job::new(label, d, trace, args.seed));
+        }
+    }
+    let mut stats = run_grid(jobs, args).into_iter().map(|r| r.stats);
+    let mut row = || std::array::from_fn(|_| stats.next().expect("one outcome per job"));
+    workloads.iter().map(|&w| (w, row())).collect()
 }
 
 /// The default worker count: `COSMOS_JOBS` when set and positive, otherwise
@@ -251,17 +285,12 @@ impl GraphSet {
 
     /// Generates one kernel's trace at the spec's budget.
     pub fn trace(&self, kernel: GraphKernel) -> Trace {
-        self.trace_sized(kernel, self.spec.accesses)
-    }
-
-    /// Generates one kernel's trace with an explicit budget.
-    pub fn trace_sized(&self, kernel: GraphKernel, accesses: usize) -> Trace {
         let _p = self.telemetry.phase("trace_gen");
         kernel.generate(
             &self.graph,
             &self.layout,
             self.spec.cores,
-            accesses,
+            self.spec.accesses,
             self.spec.seed,
         )
     }
@@ -270,35 +299,6 @@ impl GraphSet {
     pub fn spec(&self) -> &TraceSpec {
         &self.spec
     }
-}
-
-/// Generates the trace of any workload (non-graph workloads are cheap; for
-/// graph sweeps prefer [`GraphSet`]).
-pub fn trace_of(workload: Workload, spec: &TraceSpec) -> Trace {
-    workload.generate(spec)
-}
-
-/// Runs `design` with the paper-default configuration over `trace`.
-pub fn run(design: Design, trace: &Trace, seed: u64) -> SimStats {
-    run_with(design, trace, seed, |_| {})
-}
-
-/// Runs `design` with a configuration tweak applied.
-pub fn run_with(
-    design: Design,
-    trace: &Trace,
-    seed: u64,
-    tweak: impl FnOnce(&mut SimConfig),
-) -> SimStats {
-    let mut config = SimConfig::paper_default(design);
-    config.seed = seed;
-    tweak(&mut config);
-    Simulator::new(config).run(trace)
-}
-
-/// Formats a markdown table row.
-pub fn row(cells: &[String]) -> String {
-    format!("| {} |", cells.join(" | "))
 }
 
 /// Formats a markdown table as a string (one trailing newline).
@@ -310,37 +310,37 @@ pub fn table_string(headers: &[&str], rows: &[Vec<String>]) -> String {
         headers.iter().map(|_| "---").collect::<Vec<_>>().join("|")
     ));
     for r in rows {
-        out.push_str(&row(r));
-        out.push('\n');
+        out.push_str(&format!("| {} |\n", r.join(" | ")));
     }
     out
-}
-
-/// Prints a markdown table.
-pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
-    print!("{}", table_string(headers, rows));
 }
 
 /// Writes the JSON result document to `--json` when passed, otherwise to
 /// `results/<name>.json` — an explicit path *redirects* the document, so
 /// off-budget runs (CI smoke tests, scratch sweeps) don't clobber the
-/// committed default-budget artifacts.
-pub fn emit_json(args: &Args, name: &str, value: &Value) {
+/// committed default-budget artifacts. Then exports `--telemetry` files.
+///
+/// # Errors
+///
+/// The document could not be written; the error names the path.
+pub fn emit_json(args: &Args, name: &str, value: &Value) -> std::io::Result<()> {
     let emit = args.telemetry.phase("emit");
-    let pretty = value.pretty();
-    if let Some(path) = &args.json {
-        std::fs::write(path, &pretty).expect("write json");
-    } else {
-        let results = std::path::Path::new("results");
-        if results.is_dir() || std::fs::create_dir_all(results).is_ok() {
-            let _ = std::fs::write(results.join(format!("{name}.json")), &pretty);
-        }
+    let path = match &args.json {
+        Some(path) => path.clone(),
+        None => Path::new("results").join(format!("{name}.json")),
+    };
+    let named =
+        |e: std::io::Error| std::io::Error::new(e.kind(), format!("{}: {e}", path.display()));
+    if args.json.is_none() {
+        std::fs::create_dir_all("results").map_err(named)?;
     }
+    std::fs::write(&path, value.pretty()).map_err(named)?;
     // Close the emit span before exporting, so it appears in the trace.
     drop(emit);
     if let Err(err) = args.telemetry.export(name) {
         eprintln!("warning: telemetry export for {name} failed: {err}");
     }
+    Ok(())
 }
 
 /// Convenience: `f64` with 3 decimals as a table cell.
@@ -366,18 +366,40 @@ mod tests {
     }
 
     #[test]
-    fn run_produces_stats() {
-        let spec = TraceSpec::small_test(7).with_accesses(3000);
-        let set = GraphSet::new(spec);
-        let t = set.trace(GraphKernel::Dfs);
-        let s = run(Design::MorphCtr, &t, 1);
-        assert_eq!(s.accesses, t.len() as u64);
-        assert!(s.ipc() > 0.0);
+    fn design_grid_rows_follow_workload_and_design_order() {
+        let args = parse(&["--accesses", "3000", "--jobs", "2"])
+            .unwrap()
+            .unwrap();
+        let workloads = [
+            Workload::Spec(cosmos_workloads::spec::SpecKind::Mcf),
+            Workload::Ml(cosmos_workloads::ml::MlModel::Mlp),
+        ];
+        let rows = design_grid(&args, &workloads, [Design::Np, Design::MorphCtr]);
+        assert_eq!(rows.len(), 2);
+        for ((w, [np, mc]), want) in rows.iter().zip(workloads) {
+            assert_eq!(*w, want);
+            assert_eq!(np.accesses, mc.accesses);
+            assert!(np.accesses > 0 && np.ipc() > 0.0);
+            // Only the secure design reads counters.
+            assert_eq!(np.ctr_cache.demand.total(), 0);
+            assert!(mc.ctr_cache.demand.total() > 0);
+        }
+    }
+
+    #[test]
+    fn emit_json_reports_an_unwritable_path() {
+        let mut args = parse(&[]).unwrap().unwrap();
+        args.json = Some(PathBuf::from("/dev/null/figure.json"));
+        let err = emit_json(&args, "figure", &Value::from(1u64)).unwrap_err();
+        assert!(err.to_string().contains("/dev/null/figure.json"), "{err}");
     }
 
     #[test]
     fn table_formatting() {
-        assert_eq!(row(&["a".into(), "b".into()]), "| a | b |");
+        assert_eq!(
+            table_string(&["h", "i"], &[vec!["a".into(), "b".into()]]),
+            "| h | i |\n|---|---|\n| a | b |\n"
+        );
         assert_eq!(f3(1.23456), "1.235");
         assert_eq!(pct(0.256), "25.6%");
     }

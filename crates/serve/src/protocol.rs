@@ -188,19 +188,26 @@ mod tests {
 
     #[test]
     fn parses_figure_submit_with_defaults() {
-        let r =
-            parse_request(r#"{"op":"submit","job":{"type":"figure","figure":"fig02"}}"#).unwrap();
-        let Request::Submit(JobSpec::Figure {
-            figure,
-            accesses,
-            seed,
-        }) = r
-        else {
-            panic!("wrong parse: {r:?}");
-        };
-        assert_eq!(figure, "fig02");
-        assert_eq!(accesses, 2_000_000);
-        assert_eq!(seed, 42);
+        // Every registered figure is submittable by name, with its
+        // registry default budget.
+        for fig in figures::FIGURES {
+            let r = parse_request(&format!(
+                r#"{{"op":"submit","job":{{"type":"figure","figure":"{}"}}}}"#,
+                fig.name
+            ))
+            .unwrap();
+            let Request::Submit(JobSpec::Figure {
+                figure,
+                accesses,
+                seed,
+            }) = r
+            else {
+                panic!("wrong parse: {r:?}");
+            };
+            assert_eq!(figure, fig.name);
+            assert_eq!(accesses, fig.default_accesses);
+            assert_eq!(seed, 42);
+        }
     }
 
     #[test]

@@ -466,7 +466,7 @@ impl Server {
             let _run = telemetry.phase("figure");
             (fig.run)(&args)
         };
-        emit_json(&args, fig.name, &out.json);
+        emit_json(&args, fig.name, &out.json).map_err(|e| format!("write artifact: {e}"))?;
         let report = self.state_dir.join(format!("job-{id}.report.md"));
         std::fs::write(&report, &out.report).map_err(|e| format!("write report: {e}"))?;
         Ok(Exec::Done {
@@ -754,12 +754,35 @@ mod tests {
             telemetry: Telemetry::disabled(),
         };
         let out = (fig.run)(&args);
-        emit_json(&args, "fig02", &out.json);
+        emit_json(&args, "fig02", &out.json).unwrap();
         assert_eq!(artifact, std::fs::read_to_string(&direct).unwrap());
 
         let log = events.text();
         assert!(log.contains(r#""event":"start""#), "{log}");
         assert!(log.contains(r#""event":"done""#), "{log}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn figure_job_with_an_unwritable_artifact_fails_with_the_error() {
+        let dir = tmpdir("figure_unwritable");
+        // A directory where the artifact file goes makes the write fail.
+        std::fs::create_dir_all(dir.join("job-1.json")).unwrap();
+        let (server, events) = test_server(&dir, 1, false);
+        let workers = server.start_workers();
+        let mut reply = Vec::new();
+        assert!(!server.handle_line(
+            r#"{"op":"submit","job":{"type":"figure","figure":"table1"}}"#,
+            &mut reply,
+        ));
+        server.wait_idle();
+        shutdown(&server, workers);
+        let log = events.text();
+        assert!(log.contains(r#""event":"failed""#), "{log}");
+        assert!(log.contains("write artifact"), "{log}");
+        assert!(log.contains("job-1.json"), "{log}");
+        let manifest = std::fs::read_to_string(dir.join("manifest.json")).unwrap();
+        assert!(manifest.contains(r#""state": "failed""#), "{manifest}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

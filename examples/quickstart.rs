@@ -54,6 +54,6 @@ fn main() {
          where CTR misses are cheap, its correct off-chip predictions skip the\n\
          serialized L2+LLC lookups NP still pays, so it can even edge past NP\n\
          (paper \u{00a7}6.1.3). At paper scale (TraceSpec::paper_default) the secure\n\
-         overhead dominates and NP leads; see fig10_performance."
+         overhead dominates and NP leads; see `cosmos_figure fig10`."
     );
 }

@@ -1,15 +1,16 @@
 #!/bin/bash
-# Runs every per-figure experiment harness, teeing output to results/.
+# Runs every registered experiment (`cosmos_figure --list`), teeing each
+# report to results/<name>.txt; each figure also writes results/<name>.json.
 #
-# Extra flags are forwarded to every binary — in particular `--jobs N`
+# Extra flags are forwarded to every figure — in particular `--jobs N`
 # (or the COSMOS_JOBS env var) sets the worker-thread count for the
 # grid-shaped experiments; by default they use all available cores.
 #
-# Not in the list: `sampling_validation` (sampled-vs-full error
-# accounting). Its default budget is paper-scale (24 M accesses/kernel,
-# ~15 min) and it is run separately:
-#   cargo run --release -p cosmos-experiments --bin sampling_validation \
-#     2>&1 | tee results/sampling_validation.txt
+# Not run here: `sampling_validation` (sampled-vs-full error accounting).
+# Its default budget is paper-scale (24 M accesses/kernel, ~15 min) and it
+# is run separately:
+#   cargo run --release -p cosmos-experiments --bin cosmos_figure -- \
+#     sampling_validation 2>&1 | tee results/sampling_validation.txt
 #
 # `--telemetry [DIR]` is handled here rather than forwarded verbatim:
 # every figure gets the same export directory (default
@@ -17,11 +18,11 @@
 # <figure>.heatmap.json / <figure>.metrics.txt there. See README
 # "Profiling a run".
 #
-# Interrupt/resume: on SIGINT the grid stops at the current binary's
-# boundary and writes results/resume.json — a manifest of the binaries
+# Interrupt/resume: on SIGINT the grid stops at the current figure's
+# boundary and writes results/resume.json — a manifest of the figures
 # that already completed. Re-running the script skips those and picks up
 # where it left off; the manifest is removed once the grid finishes.
-# (Mid-binary checkpointing for a single long simulation is `cosmos_serve
+# (Mid-figure checkpointing for a single long simulation is `cosmos_serve
 # ckpt`'s job; see README "Checkpointing and serving".)
 set -u
 cd "$(dirname "$0")"
@@ -52,7 +53,7 @@ if [ -n "$TELEMETRY" ]; then
 fi
 mkdir -p results
 
-# Binaries recorded as completed by an interrupted earlier invocation.
+# Figures recorded as completed by an interrupted earlier invocation.
 DONE=""
 if [ -f "$RESUME_MANIFEST" ]; then
   DONE="$(tr -d '",[]{}' < "$RESUME_MANIFEST" | sed -n 's/^ *done: *//p')"
@@ -62,7 +63,7 @@ if [ -f "$RESUME_MANIFEST" ]; then
 fi
 
 write_manifest() {
-  # A tiny JSON manifest: which binaries finished, so a re-run skips them.
+  # A tiny JSON manifest: which figures finished, so a re-run skips them.
   items=""
   for b in $1; do
     if [ -z "$items" ]; then items="\"$b\""; else items="$items, \"$b\""; fi
@@ -72,30 +73,32 @@ write_manifest() {
   mv "$RESUME_MANIFEST.tmp" "$RESUME_MANIFEST"
 }
 
-BINS="table1_params table2_overhead table3_config fig02_traffic fig03_ctr_size fig04_early_access fig05_classic_opts fig08_generalization fig09_cet_sweep fig10_performance fig11_ctr_miss fig12_prediction fig13_locality fig14_smat fig15_scaling fig16_emcc fig17_ml hyperparam_sweep ablation_design explain_ctr"
-for bin in $BINS; do
+figure() {
+  cargo run --release -q -p cosmos-experiments --bin cosmos_figure -- "$@"
+}
+NAMES="$(figure --list | grep -vx sampling_validation)" || exit 1
+for name in $NAMES; do
   case " $DONE " in
-    *" $bin "*)
-      echo "=== $bin (already done, skipped) ==="
+    *" $name "*)
+      echo "=== $name (already done, skipped) ==="
       continue
       ;;
   esac
   if [ "$INTERRUPTED" -ne 0 ]; then
     break
   fi
-  echo "=== $bin ==="
-  cargo run --release -q -p cosmos-experiments --bin "$bin" -- \
-    ${FWD[@]+"${FWD[@]}"} 2>&1 | tee "results/$bin.txt"
+  echo "=== $name ==="
+  figure "$name" ${FWD[@]+"${FWD[@]}"} 2>&1 | tee "results/$name.txt"
   status=${PIPESTATUS[0]}
   echo
   if [ "$INTERRUPTED" -ne 0 ] || [ "$status" -gt 128 ]; then
-    # Interrupted mid-binary: its artifact may be partial, so it is NOT
+    # Interrupted mid-figure: its artifact may be partial, so it is NOT
     # recorded as done — the resume re-runs it from scratch.
     INTERRUPTED=1
     break
   fi
   if [ "$status" -eq 0 ]; then
-    DONE="$DONE $bin"
+    DONE="$DONE $name"
     write_manifest "$DONE"
   fi
 done

@@ -15,6 +15,11 @@ stage() {
     echo "check.sh: stage $STAGE_COUNT: $1"
 }
 
+# Every experiment runs through the figure registry's one entry point.
+figure() {
+    cargo run --release -q -p cosmos-experiments --bin cosmos_figure -- "$@"
+}
+
 stage fmt
 cargo fmt --all -- --check
 
@@ -59,8 +64,7 @@ rm -f "$lint_a" "$lint_b"
 # results/sampling_validation.json is left alone.
 stage sampling-smoke
 smoke_json="$(mktemp)"
-cargo run --release -q -p cosmos-experiments --bin sampling_validation -- \
-    --accesses 120000 --jobs 2 --json "$smoke_json" >/dev/null
+figure sampling_validation --accesses 120000 --jobs 2 --json "$smoke_json" >/dev/null
 rm -f "$smoke_json"
 
 # Checked-mode smoke: the oracles must observe without perturbing — the
@@ -68,12 +72,10 @@ rm -f "$smoke_json"
 stage check-identity
 plain_json="$(mktemp)"
 checked_json="$(mktemp)"
-cargo run --release -q -p cosmos-experiments --bin fig02_traffic -- \
-    --accesses 20000 --jobs 2 --json "$plain_json" >/dev/null
-cargo run --release -q -p cosmos-experiments --bin fig02_traffic -- \
-    --accesses 20000 --jobs 2 --check --json "$checked_json" >/dev/null
+figure fig02 --accesses 20000 --jobs 2 --json "$plain_json" >/dev/null
+figure fig02 --accesses 20000 --jobs 2 --check --json "$checked_json" >/dev/null
 cmp "$plain_json" "$checked_json" || {
-    echo "check.sh: --check perturbed the fig02_traffic artifact" >&2
+    echo "check.sh: --check perturbed the fig02 artifact" >&2
     exit 1
 }
 rm -f "$checked_json"
@@ -82,12 +84,10 @@ rm -f "$checked_json"
 # models are watching every access.
 f10_plain="$(mktemp)"
 f10_checked="$(mktemp)"
-cargo run --release -q -p cosmos-experiments --bin fig10_performance -- \
-    --accesses 20000 --jobs 2 --json "$f10_plain" >/dev/null
-cargo run --release -q -p cosmos-experiments --bin fig10_performance -- \
-    --accesses 20000 --jobs 2 --check --json "$f10_checked" >/dev/null
+figure fig10 --accesses 20000 --jobs 2 --json "$f10_plain" >/dev/null
+figure fig10 --accesses 20000 --jobs 2 --check --json "$f10_checked" >/dev/null
 cmp "$f10_plain" "$f10_checked" || {
-    echo "check.sh: --check perturbed the fig10_performance artifact" >&2
+    echo "check.sh: --check perturbed the fig10 artifact" >&2
     exit 1
 }
 rm -f "$f10_plain" "$f10_checked"
@@ -98,19 +98,38 @@ f10s_a="$(mktemp)"
 f10s_b="$(mktemp)"
 f10s_out_a="$(mktemp)"
 f10s_out_b="$(mktemp)"
-cargo run --release -q -p cosmos-experiments --bin fig10_performance -- \
-    --sample --accesses 200000 --jobs 1 --json "$f10s_a" >"$f10s_out_a"
-cargo run --release -q -p cosmos-experiments --bin fig10_performance -- \
-    --sample --accesses 200000 --jobs 2 --json "$f10s_b" >"$f10s_out_b"
+figure fig10 --sample --accesses 200000 --jobs 1 --json "$f10s_a" >"$f10s_out_a"
+figure fig10 --sample --accesses 200000 --jobs 2 --json "$f10s_b" >"$f10s_out_b"
 cmp "$f10s_a" "$f10s_b" || {
-    echo "check.sh: sampled fig10_performance artifact depends on --jobs" >&2
+    echo "check.sh: sampled fig10 artifact depends on --jobs" >&2
     exit 1
 }
 cmp "$f10s_out_a" "$f10s_out_b" || {
-    echo "check.sh: sampled fig10_performance report depends on --jobs" >&2
+    echo "check.sh: sampled fig10 report depends on --jobs" >&2
     exit 1
 }
 rm -f "$f10s_a" "$f10s_b" "$f10s_out_a" "$f10s_out_b"
+
+# Every registered figure, serial vs. parallel under the oracles: the
+# --jobs 1 and --jobs 2 --check runs must print and emit the same bytes.
+stage figure-modes
+modes_dir="$(mktemp -d)"
+names="$(figure --list)"
+for name in $names; do
+    figure "$name" --accesses 20000 --jobs 1 \
+        --json "$modes_dir/serial.json" >"$modes_dir/serial.txt"
+    figure "$name" --accesses 20000 --jobs 2 --check \
+        --json "$modes_dir/checked.json" >"$modes_dir/checked.txt"
+    cmp "$modes_dir/serial.json" "$modes_dir/checked.json" || {
+        echo "check.sh: $name artifact differs between --jobs 1 and --jobs 2 --check" >&2
+        exit 1
+    }
+    cmp "$modes_dir/serial.txt" "$modes_dir/checked.txt" || {
+        echo "check.sh: $name report differs between --jobs 1 and --jobs 2 --check" >&2
+        exit 1
+    }
+done
+rm -rf "$modes_dir"
 
 # Telemetry identity smoke: --telemetry must also observe without
 # perturbing — same grid, same seed, byte-identical result artifact —
@@ -119,10 +138,9 @@ rm -f "$f10s_a" "$f10s_b" "$f10s_out_a" "$f10s_out_b"
 stage telemetry-identity
 tele_json="$(mktemp)"
 tele_dir="$(mktemp -d)"
-cargo run --release -q -p cosmos-experiments --bin fig02_traffic -- \
-    --accesses 20000 --jobs 2 --telemetry "$tele_dir" --json "$tele_json" >/dev/null
+figure fig02 --accesses 20000 --jobs 2 --telemetry "$tele_dir" --json "$tele_json" >/dev/null
 cmp "$plain_json" "$tele_json" || {
-    echo "check.sh: --telemetry perturbed the fig02_traffic artifact" >&2
+    echo "check.sh: --telemetry perturbed the fig02 artifact" >&2
     exit 1
 }
 for f in fig02.trace.json fig02.heatmap.json fig02.metrics.txt; do
@@ -209,9 +227,9 @@ done
 rm -rf "$ckpt_dir"
 
 # Serve-mode smoke: three figure jobs through the NDJSON protocol must
-# produce artifacts byte-identical to the corresponding grid binaries
-# run directly (the serve path and the binaries share the figure
-# registry, so any drift here means the registry wiring broke).
+# produce artifacts byte-identical to the same figures run through
+# cosmos_figure (both share the figure registry, so any drift here means
+# the registry wiring broke).
 stage serve
 serve_dir="$(mktemp -d)"
 printf '%s\n' \
@@ -220,19 +238,18 @@ printf '%s\n' \
     '{"op":"submit","job":{"type":"figure","figure":"fig11","accesses":20000}}' \
     | cargo run --release -q -p cosmos-serve --bin cosmos_serve -- serve \
         --state "$serve_dir" --jobs 2 >/dev/null
-while read -r id bin; do
+while read -r id name; do
     ref="$(mktemp)"
-    cargo run --release -q -p cosmos-experiments --bin "$bin" -- \
-        --accesses 20000 --jobs 1 --json "$ref" >/dev/null
+    figure "$name" --accesses 20000 --jobs 1 --json "$ref" >/dev/null
     cmp "$serve_dir/job-$id.json" "$ref" || {
-        echo "check.sh: serve artifact job-$id.json diverges from $bin" >&2
+        echo "check.sh: serve artifact job-$id.json diverges from cosmos_figure $name" >&2
         exit 1
     }
     rm -f "$ref"
 done <<'JOBS'
-1 fig02_traffic
-2 fig10_performance
-3 fig11_ctr_miss
+1 fig02
+2 fig10
+3 fig11
 JOBS
 rm -rf "$serve_dir"
 
@@ -284,12 +301,9 @@ exp_b="$(mktemp)"
 exp_c="$(mktemp)"
 exp_rep_a="$(mktemp)"
 exp_rep_b="$(mktemp)"
-cargo run --release -q -p cosmos-experiments --bin explain_ctr -- \
-    --accesses 20000 --jobs 1 --json "$exp_a" >"$exp_rep_a"
-cargo run --release -q -p cosmos-experiments --bin explain_ctr -- \
-    --accesses 20000 --jobs 1 --json "$exp_b" >/dev/null
-cargo run --release -q -p cosmos-experiments --bin explain_ctr -- \
-    --accesses 20000 --jobs 4 --json "$exp_c" >"$exp_rep_b"
+figure explain_ctr --accesses 20000 --jobs 1 --json "$exp_a" >"$exp_rep_a"
+figure explain_ctr --accesses 20000 --jobs 1 --json "$exp_b" >/dev/null
+figure explain_ctr --accesses 20000 --jobs 4 --json "$exp_c" >"$exp_rep_b"
 cmp "$exp_a" "$exp_b" || {
     echo "check.sh: explain_ctr artifact differs between identical runs" >&2
     exit 1
@@ -316,17 +330,14 @@ rm -f "$exp_a" "$exp_b" "$exp_c" "$exp_rep_a" "$exp_rep_b"
 # must be byte-identical across --jobs and under --check (which runs the
 # shadow oracles on every cell — the keyed-randomized and
 # skewed-associative index variants included), and a serve-mode job must
-# reproduce the binary's artifact exactly through the shared registry.
+# reproduce cosmos_figure's artifact exactly through the shared registry.
 stage occupancy-channel
 chan_a="$(mktemp)"
 chan_b="$(mktemp)"
 chan_c="$(mktemp)"
-cargo run --release -q -p cosmos-experiments --bin channel_occupancy -- \
-    --accesses 30000 --jobs 1 --json "$chan_a" >/dev/null
-cargo run --release -q -p cosmos-experiments --bin channel_occupancy -- \
-    --accesses 30000 --jobs 4 --json "$chan_b" >/dev/null
-cargo run --release -q -p cosmos-experiments --bin channel_occupancy -- \
-    --accesses 30000 --jobs 2 --check --json "$chan_c" >/dev/null
+figure channel_occupancy --accesses 30000 --jobs 1 --json "$chan_a" >/dev/null
+figure channel_occupancy --accesses 30000 --jobs 4 --json "$chan_b" >/dev/null
+figure channel_occupancy --accesses 30000 --jobs 2 --check --json "$chan_c" >/dev/null
 cmp "$chan_a" "$chan_b" || {
     echo "check.sh: channel_occupancy artifact depends on --jobs" >&2
     exit 1
@@ -341,11 +352,33 @@ printf '%s\n' \
     | cargo run --release -q -p cosmos-serve --bin cosmos_serve -- serve \
         --state "$chan_serve" --jobs 1 >/dev/null
 cmp "$chan_serve/job-1.json" "$chan_a" || {
-    echo "check.sh: serve channel_occupancy artifact diverges from the binary" >&2
+    echo "check.sh: serve channel_occupancy artifact diverges from cosmos_figure" >&2
     exit 1
 }
 rm -f "$chan_a" "$chan_b" "$chan_c"
 rm -rf "$chan_serve"
+
+# The committed artifacts must be what the tree produces: every figure
+# run_experiments.sh runs (all but sampling_validation, whose paper-scale
+# default takes ~15 min) at its default budget, report and JSON compared
+# byte for byte against results/<name>.{txt,json}. About 5 min on 2 vCPUs.
+stage results-fresh
+fresh_dir="$(mktemp -d)"
+fresh_start=$SECONDS
+names="$(figure --list | grep -vx sampling_validation)"
+for name in $names; do
+    figure "$name" --json "$fresh_dir/$name.json" >"$fresh_dir/$name.txt" 2>&1
+    cmp "$fresh_dir/$name.json" "results/$name.json" || {
+        echo "check.sh: results/$name.json is stale — rerun ./run_experiments.sh" >&2
+        exit 1
+    }
+    cmp "$fresh_dir/$name.txt" "results/$name.txt" || {
+        echo "check.sh: results/$name.txt is stale — rerun ./run_experiments.sh" >&2
+        exit 1
+    }
+done
+rm -rf "$fresh_dir"
+echo "check.sh: results-fresh took $((SECONDS - fresh_start)) s"
 
 # Throughput trend: flags >10% drops of the committed sim_throughput
 # snapshot against its history (both the plain-grid rate and the
