@@ -14,19 +14,6 @@ use crate::policies::{Lcr, Lru, PolicyKind, ReplacementPolicy, WayView};
 use crate::stats::CacheStats;
 use cosmos_common::stats::Counters;
 use cosmos_common::LineAddr;
-use cosmos_telemetry::metrics::Counter;
-use cosmos_telemetry::Telemetry;
-
-/// Telemetry handles for one cache instance, resolved once at attach time
-/// (`cache.<role>.*` in the registry) so the access path pays a single
-/// branch plus relaxed atomic adds. Observation only: never consulted for
-/// replacement or timing.
-struct TeleCounters {
-    hits: Counter,
-    misses: Counter,
-    evictions: Counter,
-    writebacks: Counter,
-}
 
 /// An RL-provided locality annotation attached to a cached line, used by the
 /// LCR replacement policy (paper §4.3: a 1-bit flag + 8-bit score per line).
@@ -147,7 +134,6 @@ pub struct Cache {
     /// runs on every miss, and rebuilding a fresh `Vec<WayView>` per
     /// eviction was the hottest allocation in the simulator.
     scratch: Vec<WayView>,
-    tele: Option<Box<TeleCounters>>,
 }
 
 impl core::fmt::Debug for Cache {
@@ -194,7 +180,6 @@ impl Cache {
             fill_at: vec![0; config.num_lines()],
             occupied: 0,
             scratch: Vec::with_capacity(config.ways()),
-            tele: None,
         }
     }
 
@@ -203,20 +188,6 @@ impl Cache {
     fn touch(&mut self, idx: usize) {
         self.clock += 1;
         self.last_touch[idx] = self.clock;
-    }
-
-    /// Registers this cache's hit/miss/eviction/writeback counters as
-    /// `cache.<role>.*` in `telemetry`'s metrics registry. No-op (and no
-    /// stored state) when telemetry is disabled.
-    pub fn attach_telemetry(&mut self, telemetry: &Telemetry, role: &str) {
-        if let Some(reg) = telemetry.registry() {
-            self.tele = Some(Box::new(TeleCounters {
-                hits: reg.counter(&format!("cache.{role}.hits")),
-                misses: reg.counter(&format!("cache.{role}.misses")),
-                evictions: reg.counter(&format!("cache.{role}.evictions")),
-                writebacks: reg.counter(&format!("cache.{role}.writebacks")),
-            }));
-        }
     }
 
     /// The cache geometry.
@@ -269,9 +240,6 @@ impl Cache {
             };
         }
         self.stats.demand.miss();
-        if let Some(t) = &self.tele {
-            t.misses.inc();
-        }
         let evicted = self.fill_internal(set, tag, line, write, hint, false);
         AccessResult {
             hit: false,
@@ -303,9 +271,6 @@ impl Cache {
         }
         self.flags[idx] = nf;
         self.stats.demand.hit();
-        if let Some(t) = &self.tele {
-            t.hits.inc();
-        }
         if first_use {
             self.stats.prefetch_useful += 1;
         }
@@ -632,12 +597,6 @@ impl Cache {
         if ev.dirty {
             self.stats.writebacks += 1;
         }
-        if let Some(t) = &self.tele {
-            t.evictions.inc();
-            if ev.dirty {
-                t.writebacks.inc();
-            }
-        }
         ev
     }
 
@@ -802,9 +761,6 @@ impl Cache {
             };
         }
         self.stats.demand.miss();
-        if let Some(t) = &self.tele {
-            t.misses.inc();
-        }
         let evicted = self.fill_skewed(line, tag, write, hint, false);
         AccessResult {
             hit: false,
@@ -1066,35 +1022,6 @@ mod tests {
         assert!(c.contains(LineAddr::new(0)));
         assert!(!c.contains(LineAddr::new(99)));
         assert_eq!(*c.stats(), before);
-    }
-
-    #[test]
-    fn telemetry_counters_mirror_stats() {
-        let tele = Telemetry::in_memory();
-        let mut c = small_lru();
-        c.attach_telemetry(&tele, "ctr");
-        c.access(LineAddr::new(0), true, None);
-        c.access(LineAddr::new(0), false, None);
-        c.access(LineAddr::new(4), false, None);
-        c.access(LineAddr::new(8), false, None); // evicts dirty line 0
-        let reg = tele.registry().unwrap();
-        assert_eq!(reg.counter("cache.ctr.hits").get(), c.stats().demand.hits());
-        assert_eq!(
-            reg.counter("cache.ctr.misses").get(),
-            c.stats().demand.misses()
-        );
-        assert_eq!(
-            reg.counter("cache.ctr.evictions").get(),
-            c.stats().evictions
-        );
-        assert_eq!(
-            reg.counter("cache.ctr.writebacks").get(),
-            c.stats().writebacks
-        );
-        // A disabled handle attaches nothing.
-        let mut c2 = small_lru();
-        c2.attach_telemetry(&Telemetry::disabled(), "ctr");
-        assert!(c2.tele.is_none());
     }
 
     #[test]

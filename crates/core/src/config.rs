@@ -36,6 +36,17 @@ pub enum Design {
 }
 
 impl Design {
+    /// Every design, NP first and full COSMOS last.
+    pub const ALL: [Design; 7] = [
+        Design::Np,
+        Design::MorphCtr,
+        Design::Emcc,
+        Design::Rmcc,
+        Design::CosmosDp,
+        Design::CosmosCp,
+        Design::Cosmos,
+    ];
+
     /// The four designs of Figures 10/11/14, in plot order.
     pub const fn figure10() -> [Design; 4] {
         [
@@ -83,6 +94,21 @@ impl Design {
 impl core::fmt::Display for Design {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.write_str(self.name())
+    }
+}
+
+impl core::str::FromStr for Design {
+    type Err = String;
+
+    /// Parses a [`Design::name`], case-insensitively.
+    fn from_str(name: &str) -> Result<Self, String> {
+        Design::ALL
+            .into_iter()
+            .find(|d| d.name().eq_ignore_ascii_case(name))
+            .ok_or_else(|| {
+                let known: Vec<_> = Design::ALL.iter().map(|d| d.name()).collect();
+                format!("unknown design {name:?} (known: {})", known.join(", "))
+            })
     }
 }
 
@@ -340,6 +366,21 @@ impl SimConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn every_design_name_parses_back_in_any_case() {
+        for d in Design::ALL {
+            for name in [
+                d.name().to_string(),
+                d.name().to_ascii_lowercase(),
+                d.name().to_ascii_uppercase(),
+            ] {
+                assert_eq!(name.parse::<Design>(), Ok(d), "{name}");
+            }
+        }
+        let err = "cosmosdp".parse::<Design>().unwrap_err();
+        assert!(err.contains("known:") && err.contains("COSMOS-DP"), "{err}");
+    }
 
     #[test]
     fn design_flags() {

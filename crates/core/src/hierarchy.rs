@@ -6,7 +6,7 @@
 
 use crate::config::SimConfig;
 use cosmos_cache::{Cache, CacheConfig, PolicyKind};
-use cosmos_common::stats::{Counters, HitMiss};
+use cosmos_common::stats::HitMiss;
 use cosmos_common::LineAddr;
 
 /// Which level served a demand access.
@@ -34,28 +34,19 @@ pub struct CacheHierarchy {
     l1: Vec<Cache>,
     l2: Vec<Cache>,
     llc: Cache,
-    l1_stats: HitMiss,
-    l2_stats: HitMiss,
-    llc_stats: HitMiss,
 }
 
 impl CacheHierarchy {
-    /// Builds the hierarchy described by `config`. When telemetry is
-    /// enabled, each level reports into `cache.{l1,l2,llc}.*` (aggregated
-    /// across cores).
+    /// Builds the hierarchy described by `config`: one L1 and one L2 per
+    /// core, and one shared LLC, all LRU.
     pub fn new(config: &SimConfig) -> Self {
-        let mk = |lvl: &crate::config::CacheLevelConfig, role: &str| {
-            let mut c = Cache::new(CacheConfig::new(lvl.size_bytes, lvl.ways), PolicyKind::Lru);
-            c.attach_telemetry(&config.telemetry, role);
-            c
+        let mk = |lvl: &crate::config::CacheLevelConfig| {
+            Cache::new(CacheConfig::new(lvl.size_bytes, lvl.ways), PolicyKind::Lru)
         };
         Self {
-            l1: (0..config.cores).map(|_| mk(&config.l1, "l1")).collect(),
-            l2: (0..config.cores).map(|_| mk(&config.l2, "l2")).collect(),
-            llc: mk(&config.llc, "llc"),
-            l1_stats: HitMiss::new(),
-            l2_stats: HitMiss::new(),
-            llc_stats: HitMiss::new(),
+            l1: (0..config.cores).map(|_| mk(&config.l1)).collect(),
+            l2: (0..config.cores).map(|_| mk(&config.l2)).collect(),
+            llc: mk(&config.llc),
         }
     }
 
@@ -80,7 +71,6 @@ impl CacheHierarchy {
 
         // L1.
         let r1 = self.l1[core].access(line, write, None);
-        self.l1_stats.record(r1.hit);
         if r1.hit {
             return DataHit::L1;
         }
@@ -92,7 +82,6 @@ impl CacheHierarchy {
 
         // L2 (demand fill; a write allocates and dirties only L1).
         let r2 = self.l2[core].access(line, false, None);
-        self.l2_stats.record(r2.hit);
         if let Some(ev) = r2.evicted {
             if ev.dirty {
                 self.spill_to_llc(ev.line, writebacks);
@@ -104,7 +93,6 @@ impl CacheHierarchy {
 
         // LLC.
         let r3 = self.llc.access(line, false, None);
-        self.llc_stats.record(r3.hit);
         if let Some(ev) = r3.evicted {
             if ev.dirty {
                 writebacks.push(ev.line);
@@ -135,21 +123,20 @@ impl CacheHierarchy {
 
     /// Aggregated L1 hit/miss over all cores.
     pub fn l1_stats(&self) -> HitMiss {
-        self.l1_stats
+        demand_sum(&self.l1)
     }
 
     /// Aggregated L2 hit/miss over all cores.
     pub fn l2_stats(&self) -> HitMiss {
-        self.l2_stats
+        demand_sum(&self.l2)
     }
 
     /// LLC hit/miss.
     pub fn llc_stats(&self) -> HitMiss {
-        self.llc_stats
+        self.llc.stats().demand
     }
 
-    /// Serializes every cache level plus the aggregated level counters for
-    /// snapshots.
+    /// Serializes every cache level for snapshots.
     pub fn save_state(&self) -> Result<cosmos_common::json::Value, String> {
         let levels = |caches: &[Cache]| -> Result<cosmos_common::json::Value, String> {
             Ok(cosmos_common::json::Value::Array(
@@ -163,9 +150,6 @@ impl CacheHierarchy {
             "l1": (levels(&self.l1)?),
             "l2": (levels(&self.l2)?),
             "llc": (self.llc.save_state()?),
-            "l1_stats": (self.l1_stats.to_json()),
-            "l2_stats": (self.l2_stats.to_json()),
-            "llc_stats": (self.llc_stats.to_json()),
         }))
     }
 
@@ -186,11 +170,20 @@ impl CacheHierarchy {
         level(&mut self.l1, "l1")?;
         level(&mut self.l2, "l2")?;
         self.llc.load_state(codec::field(v, "llc")?)?;
-        self.l1_stats = HitMiss::from_json(codec::field(v, "l1_stats")?)?;
-        self.l2_stats = HitMiss::from_json(codec::field(v, "l2_stats")?)?;
-        self.llc_stats = HitMiss::from_json(codec::field(v, "llc_stats")?)?;
         Ok(())
     }
+}
+
+/// Sums the demand hit/miss counts of one level's per-core caches. Only
+/// [`CacheHierarchy::access`] makes demand accesses (spills go through
+/// [`Cache::fill`], which leaves demand stats alone), so this is the
+/// level's demand traffic.
+fn demand_sum(caches: &[Cache]) -> HitMiss {
+    let (hits, misses) = caches.iter().fold((0, 0), |(h, m), c| {
+        let d = c.stats().demand;
+        (h + d.hits(), m + d.misses())
+    });
+    HitMiss::from_counts(hits, misses)
 }
 
 #[cfg(test)]

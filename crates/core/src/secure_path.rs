@@ -85,18 +85,16 @@ impl SecurePath {
                 cosmos_common::rng::streams::CTR_PREDICTOR.derive_seed(config.seed),
             )
         });
-        let mut ctr_cache = Cache::new(
+        let ctr_cache = Cache::new(
             CacheConfig::new(config.ctr_cache.size_bytes, config.ctr_cache.ways)
                 .with_index(config.ctr_index.to_cache(config.seed)),
             config.ctr_policy,
         );
-        let mut mt_cache = Cache::new(
+        let mt_cache = Cache::new(
             CacheConfig::new(config.mt_cache.size_bytes, config.mt_cache.ways),
             cosmos_cache::PolicyKind::Lru,
         );
         let mut telemetry = config.telemetry.clone();
-        ctr_cache.attach_telemetry(&telemetry, "ctr");
-        mt_cache.attach_telemetry(&telemetry, "mt");
         telemetry.ctr_heatmap_init(ctr_cache.config().num_sets());
         if config.tenants > 1 {
             telemetry.ctr_tenant_heatmaps_init(

@@ -786,16 +786,29 @@ mod tests {
         );
     }
 
-    fn counter(tele: &cosmos_telemetry::Telemetry, name: &str) -> u64 {
+    fn metric(
+        tele: &cosmos_telemetry::Telemetry,
+        name: &str,
+    ) -> cosmos_telemetry::metrics::MetricSnapshot {
         let snap = tele.registry().expect("telemetry enabled").snapshot();
-        match snap.iter().find(|(n, _)| n == name) {
-            Some((_, cosmos_telemetry::metrics::MetricSnapshot::Counter(v))) => *v,
-            other => panic!("no counter {name:?}: {other:?}"),
+        match snap.into_iter().find(|(n, _)| n == name) {
+            Some((_, m)) => m,
+            None => panic!("no metric {name:?}"),
+        }
+    }
+
+    fn histogram_count_sum(tele: &cosmos_telemetry::Telemetry, name: &str) -> (u64, u64) {
+        match metric(tele, name) {
+            cosmos_telemetry::metrics::MetricSnapshot::Histogram { count, sum, .. } => (count, sum),
+            other => panic!("{name:?} is not a histogram: {other:?}"),
         }
     }
 
     #[test]
     fn telemetry_hooks_observe_without_changing_results() {
+        use cosmos_telemetry::metrics::MetricSnapshot;
+        use cosmos_telemetry::recorder::Event;
+
         let t = random_trace(8_000, 500_000, 0.25, 9);
         let baseline = Simulator::new(tiny_config(Design::Cosmos)).run(&t);
 
@@ -806,29 +819,41 @@ mod tests {
 
         assert_eq!(baseline, observed, "telemetry must not perturb results");
 
-        // Hooks populated: caches, DRAM, RL, Merkle, speculation.
-        let ctr = counter(&tele, "cache.ctr.hits") + counter(&tele, "cache.ctr.misses");
+        // Histograms: the DRAM queue delay sees every request, and every
+        // Merkle walk records both its depth and its fetch count.
         assert_eq!(
-            ctr,
-            observed.ctr_cache.demand.total(),
-            "CTR telemetry mirrors stats"
+            histogram_count_sum(&tele, "dram.queue_delay_cycles"),
+            (observed.dram.requests(), observed.dram.queue_cycles),
+            "queue-delay histogram mirrors the DRAM stats"
         );
-        assert!(counter(&tele, "cache.l1.hits") > 0);
-        assert!(counter(&tele, "dram.accesses") > 0);
-        assert!(counter(&tele, "secure.merkle.walks") > 0);
-        assert!(
-            counter(&tele, "rl.ctr.actions.good") + counter(&tele, "rl.ctr.actions.bad") > 0,
-            "CTR RL actions recorded"
-        );
+        let (walks, _) = histogram_count_sum(&tele, "secure.merkle.depth");
+        assert!(walks > 0, "Merkle walks recorded");
+        assert_eq!(histogram_count_sum(&tele, "secure.merkle.fetched").0, walks);
         assert_eq!(
-            counter(&tele, "sim.spec.issued"),
+            metric(&tele, "sim.dram.queue_clamped"),
+            MetricSnapshot::Counter(0)
+        );
+
+        // Flight recorder: rare-stratum events are all kept, so the
+        // speculation events mirror the stats; dense ones are sampled.
+        let streams = tele.recorder_streams();
+        let (_, events, rec) = &streams[0];
+        assert_eq!(rec.overwritten, 0, "recorder ring large enough");
+        let count =
+            |pred: fn(&Event) -> bool| events.iter().filter(|e| pred(&e.event)).count() as u64;
+        assert_eq!(
+            count(|e| matches!(e, Event::SpecIssue)),
             observed.early_offchip_reads,
             "speculative issues mirror early off-chip reads"
         );
         assert_eq!(
-            counter(&tele, "sim.spec.killed"),
+            count(|e| matches!(e, Event::SpecKill)),
             observed.traffic.killed_speculative,
             "speculative kills mirror killed_speculative"
+        );
+        assert!(
+            count(|e| matches!(e, Event::RlCtrAction { .. })) > 0,
+            "CTR RL actions recorded"
         );
     }
 

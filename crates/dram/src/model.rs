@@ -154,8 +154,8 @@ impl Dram {
     }
 
     /// Attaches a telemetry handle; every access then feeds the
-    /// `dram.*` metrics and (sampled) `dram_access` events. Observation
-    /// only — timing and stats are unaffected.
+    /// `dram.queue_delay_cycles` histogram and (sampled) `dram_access`
+    /// events. Observation only — timing and stats are unaffected.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry;
     }

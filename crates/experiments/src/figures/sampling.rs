@@ -68,20 +68,15 @@ pub(super) fn validation(args: &Args) -> FigureOutput {
         // single multi-hundred-MB trace is alive at a time.
         let mut jobs = Vec::new();
         for design in DESIGNS {
-            jobs.push(
-                Job::new(format!("{}/full", design.name()), design, &trace, args.seed)
-                    .with_check(args.check),
-            );
-            jobs.push(
-                Job::new(
-                    format!("{}/sampled", design.name()),
-                    design,
-                    &trace,
-                    args.seed,
-                )
-                .with_sample(Some(sampling))
-                .with_check(args.check),
-            );
+            for (mode, sample) in [("full", None), ("sampled", Some(sampling))] {
+                let label = format!("{}/{}/{mode}", kernel.name(), design.name());
+                jobs.push(
+                    Job::new(&label, design, &trace, args.seed)
+                        .with_sample(sample)
+                        .with_check(args.check)
+                        .with_telemetry(args.telemetry.scope(&label)),
+                );
+            }
         }
         let mut outcomes = run_jobs(jobs, args.jobs).into_iter();
 

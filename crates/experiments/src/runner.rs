@@ -36,6 +36,7 @@
 //! assert_eq!(results[1].label, "morph");
 //! ```
 
+use cosmos_common::stats::Counters;
 use cosmos_common::Trace;
 use cosmos_core::{Design, SimConfig, SimStats, Simulator};
 use cosmos_sampling::{run_sampled, SamplingConfig, SamplingPlan};
@@ -153,6 +154,11 @@ impl<'a> Job<'a> {
                 (stats, simulated)
             }
         };
+        // Event counts reach telemetry once, from the statistics the
+        // artifact reports (in sampled mode, the reconstructed estimate).
+        if let Some(reg) = self.telemetry.registry() {
+            stats.visit(|leaf, v| reg.counter(&format!("{}/{leaf}", self.label)).add(v));
+        }
         JobResult {
             label: self.label.clone(),
             design: self.design,
@@ -441,6 +447,26 @@ mod tests {
         assert_eq!(plain, checked, "--check perturbed the sampled results");
     }
 
+    /// The `counter <label>/<leaf> <value>` lines of a metrics dump, as
+    /// `(leaf, value)` pairs in dump order.
+    fn job_counters(text: &str, label: &str) -> Vec<(String, u64)> {
+        let prefix = format!("counter {label}/");
+        text.lines()
+            .filter_map(|l| l.strip_prefix(&prefix))
+            .map(|rest| {
+                let (leaf, v) = rest.rsplit_once(' ').expect("counter line has a value");
+                (leaf.to_string(), v.parse().expect("counter value"))
+            })
+            .collect()
+    }
+
+    fn stats_leaves(stats: &SimStats) -> Vec<(String, u64)> {
+        let mut out = Vec::new();
+        stats.visit(|leaf, v| out.push((leaf.to_string(), v)));
+        out.sort();
+        out
+    }
+
     #[test]
     fn telemetry_jobs_produce_byte_identical_results() {
         let traces = test_traces();
@@ -454,7 +480,34 @@ mod tests {
         assert_eq!(plain, observed, "telemetry perturbed the results");
         let text = tele.metrics_text();
         assert!(text.contains("phase sim"), "sim phase missing:\n{text}");
-        assert!(text.contains("counter cache.ctr."), "CTR counters missing");
+        // One counter per stats leaf, carrying the reported value.
+        let counters = job_counters(&text, "x");
+        assert_eq!(counters.len(), SimStats::LEAVES);
+        assert_eq!(counters, stats_leaves(&observed[0].stats));
+    }
+
+    #[test]
+    fn sampled_job_counters_carry_the_reconstructed_stats() {
+        let set = GraphSet::new(TraceSpec::small_test(7).with_accesses(20_000));
+        let trace = set.trace(GraphKernel::Bfs);
+        let sampling = Some(SamplingConfig {
+            interval_len: 2_048,
+            clusters: 3,
+            warmup_len: 512,
+            prime_len: 0,
+            kmeans_iters: 16,
+            seed: 9,
+        });
+        let tele = Telemetry::in_memory();
+        let results = run_jobs(
+            vec![Job::new("s", Design::MorphCtr, &trace, 42)
+                .with_sample(sampling)
+                .with_telemetry(tele.scope("s"))],
+            1,
+        );
+        assert!(results[0].simulated_accesses < results[0].stats.accesses);
+        let counters = job_counters(&tele.metrics_text(), "s");
+        assert_eq!(counters, stats_leaves(&results[0].stats));
     }
 
     #[test]

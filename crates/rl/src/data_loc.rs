@@ -129,7 +129,7 @@ impl DataLocationPredictor {
     }
 
     /// Attaches a telemetry handle; each resolved prediction then feeds
-    /// the `rl.data.*` metrics and sampled `rl_data_action` events.
+    /// sampled `rl_data_action` flight-recorder events.
     /// Observation only — predictions and training are unaffected.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry;

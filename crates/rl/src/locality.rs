@@ -175,8 +175,8 @@ impl CtrLocalityPredictor {
     }
 
     /// Attaches a telemetry handle; each `classify` then reports its
-    /// action and reward (`rl.ctr.*` metrics + sampled `rl_ctr_action`
-    /// events). Observation only — decisions and training are unaffected.
+    /// action and reward as sampled `rl_ctr_action` flight-recorder
+    /// events. Observation only — decisions and training are unaffected.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry;
     }

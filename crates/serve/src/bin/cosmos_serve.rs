@@ -22,9 +22,7 @@
 //! checkpointing in-flight sim jobs. `--resume DIR` picks up a killed
 //! server's state directory without re-running completed jobs.
 
-use cosmos_serve::checkpoint::{
-    build_trace, design_by_name, run_checkpointed, workload_by_name, CheckpointRun, CkptOutcome,
-};
+use cosmos_serve::checkpoint::{build_trace, run_checkpointed, CheckpointRun, CkptOutcome};
 use cosmos_serve::server::{sim_result_doc, Server, ServerOpts};
 use cosmos_serve::{interrupt, snapshot};
 use std::path::PathBuf;
@@ -85,8 +83,8 @@ fn run_ckpt(args: &[String]) -> Result<(), String> {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--design" => design = Some(design_by_name(&value(&mut it, "--design")?)?),
-            "--workload" => workload = Some(workload_by_name(&value(&mut it, "--workload")?)?),
+            "--design" => design = Some(value(&mut it, "--design")?.parse()?),
+            "--workload" => workload = Some(value(&mut it, "--workload")?.parse()?),
             "--accesses" => accesses = Some(number(&mut it, "--accesses")? as usize),
             "--seed" => seed = number(&mut it, "--seed")?,
             "--snapshot" => snapshot_path = Some(PathBuf::from(value(&mut it, "--snapshot")?)),

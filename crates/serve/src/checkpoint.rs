@@ -10,7 +10,7 @@
 
 use crate::snapshot::SimSnapshot;
 use cosmos_common::Trace;
-use cosmos_core::{Design, SimConfig, SimStats, Simulator};
+use cosmos_core::{SimConfig, SimStats, Simulator};
 use cosmos_verify::CheckReport;
 use cosmos_workloads::{TraceSpec, Workload};
 use std::path::Path;
@@ -18,44 +18,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 /// How often the run loop polls the cancel flag, in accesses.
 const CANCEL_POLL: usize = 1024;
-
-/// Every design the command line can name.
-pub const ALL_DESIGNS: [Design; 7] = [
-    Design::Np,
-    Design::MorphCtr,
-    Design::Emcc,
-    Design::Rmcc,
-    Design::CosmosDp,
-    Design::CosmosCp,
-    Design::Cosmos,
-];
-
-/// Resolves a design by its display name, case-insensitively.
-pub fn design_by_name(name: &str) -> Result<Design, String> {
-    ALL_DESIGNS
-        .into_iter()
-        .find(|d| d.name().eq_ignore_ascii_case(name))
-        .ok_or_else(|| {
-            let known: Vec<_> = ALL_DESIGNS.iter().map(|d| d.name()).collect();
-            format!("unknown design {name:?} (known: {})", known.join(", "))
-        })
-}
-
-/// Resolves a workload by name, case-insensitively, across the irregular
-/// and ML suites.
-pub fn workload_by_name(name: &str) -> Result<Workload, String> {
-    let all: Vec<Workload> = Workload::irregular_suite()
-        .into_iter()
-        .chain(Workload::ml_suite())
-        .collect();
-    all.iter()
-        .copied()
-        .find(|w| w.name().eq_ignore_ascii_case(name))
-        .ok_or_else(|| {
-            let known: Vec<_> = all.iter().map(|w| w.name()).collect();
-            format!("unknown workload {name:?} (known: {})", known.join(", "))
-        })
-}
 
 /// One checkpointed simulation request.
 pub struct CheckpointRun<'a> {
@@ -193,6 +155,7 @@ pub fn build_trace(workload: Workload, accesses: usize, seed: u64) -> Trace {
 mod tests {
     use super::*;
     use cosmos_common::stats::Counters;
+    use cosmos_core::Design;
 
     fn tmpdir(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("cosmos_ckpt_test_{name}"));
@@ -206,20 +169,11 @@ mod tests {
     }
 
     #[test]
-    fn names_resolve() {
-        assert_eq!(design_by_name("COSMOS").unwrap(), Design::Cosmos);
-        assert_eq!(design_by_name("morphctr").unwrap(), Design::MorphCtr);
-        assert!(design_by_name("nope").unwrap_err().contains("known:"));
-        assert_eq!(workload_by_name("bfs").unwrap().name(), "BFS");
-        assert!(workload_by_name("nope").unwrap_err().contains("known:"));
-    }
-
-    #[test]
     fn stop_and_resume_matches_uninterrupted() {
         let dir = tmpdir("stop_resume");
         let snap = dir.join("run.snap.json");
         let config = SimConfig::paper_default(Design::Cosmos);
-        let trace = build_trace(workload_by_name("bfs").unwrap(), 8_000, 11);
+        let trace = build_trace("bfs".parse().unwrap(), 8_000, 11);
         let cancel = AtomicBool::new(false);
 
         // Uninterrupted reference (no snapshot file → fresh run).
@@ -270,7 +224,7 @@ mod tests {
         let dir = tmpdir("checked_resume");
         let snap = dir.join("run.snap.json");
         let config = SimConfig::paper_default(Design::MorphCtr);
-        let trace = build_trace(workload_by_name("pr").unwrap(), 6_000, 3);
+        let trace = build_trace("pr".parse().unwrap(), 6_000, 3);
         let cancel = AtomicBool::new(false);
 
         let reference = {
@@ -321,7 +275,7 @@ mod tests {
         let dir = tmpdir("cancel");
         let snap = dir.join("run.snap.json");
         let config = SimConfig::paper_default(Design::MorphCtr);
-        let trace = build_trace(workload_by_name("dfs").unwrap(), 9_000, 5);
+        let trace = build_trace("dfs".parse().unwrap(), 9_000, 5);
 
         let reference = {
             let cancel = AtomicBool::new(false);
@@ -369,7 +323,7 @@ mod tests {
         let dir = tmpdir("periodic");
         let snap = dir.join("run.snap.json");
         let config = SimConfig::paper_default(Design::MorphCtr);
-        let trace = build_trace(workload_by_name("bfs").unwrap(), 5_000, 9);
+        let trace = build_trace("bfs".parse().unwrap(), 5_000, 9);
         let cancel = AtomicBool::new(false);
         let run = CheckpointRun {
             config: &config,

@@ -15,7 +15,6 @@
 //! {"op":"shutdown"}
 //! ```
 
-use crate::checkpoint::{design_by_name, workload_by_name};
 use cosmos_common::json::{codec, json, Value};
 use cosmos_core::Design;
 use cosmos_experiments::figures;
@@ -82,8 +81,8 @@ impl JobSpec {
                 })
             }
             "sim" => Ok(JobSpec::Sim {
-                design: design_by_name(codec::str_field(v, "design")?)?,
-                workload: workload_by_name(codec::str_field(v, "workload")?)?,
+                design: codec::str_field(v, "design")?.parse()?,
+                workload: codec::str_field(v, "workload")?.parse()?,
                 accesses: codec::usize_field(v, "accesses")?,
                 seed: opt_u64(v, "seed", DEFAULT_SEED)?,
                 snapshot_every: opt_u64(v, "snapshot_every", 0)? as usize,
@@ -220,6 +219,13 @@ mod tests {
         assert_eq!(spec.label(), "BFS/COSMOS");
         // Round-trips through the manifest encoding.
         assert_eq!(JobSpec::from_json(&spec.to_json()).unwrap(), spec);
+        // The Figure-8 MLP is outside every suite but still a workload.
+        let r = parse_request(
+            r#"{"op":"submit","job":{"type":"sim","design":"np","workload":"mlp","accesses":10}}"#,
+        )
+        .unwrap();
+        let Request::Submit(spec) = r else { panic!() };
+        assert_eq!(spec.label(), "MLP/NP");
     }
 
     #[test]

@@ -670,7 +670,6 @@ pub fn sim_result_doc(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checkpoint::workload_by_name;
     use cosmos_core::Design;
 
     /// A `Write` sink tests can read back.
@@ -794,7 +793,7 @@ mod tests {
         let id = server
             .submit(JobSpec::Sim {
                 design: Design::MorphCtr,
-                workload: workload_by_name("bfs").unwrap(),
+                workload: "bfs".parse().unwrap(),
                 accesses: 4000,
                 seed: 7,
                 snapshot_every: 0,
@@ -820,7 +819,7 @@ mod tests {
         server
             .submit(JobSpec::Sim {
                 design: Design::MorphCtr,
-                workload: workload_by_name("bfs").unwrap(),
+                workload: "bfs".parse().unwrap(),
                 accesses: 3000,
                 seed: 7,
                 snapshot_every: 0,
@@ -832,7 +831,7 @@ mod tests {
         server
             .submit(JobSpec::Sim {
                 design: Design::MorphCtr,
-                workload: workload_by_name("dfs").unwrap(),
+                workload: "dfs".parse().unwrap(),
                 accesses: 3000,
                 seed: 7,
                 snapshot_every: 0,
@@ -884,7 +883,7 @@ mod tests {
         let id = server
             .submit(JobSpec::Sim {
                 design: Design::MorphCtr,
-                workload: workload_by_name("bfs").unwrap(),
+                workload: "bfs".parse().unwrap(),
                 accesses: 20_000,
                 seed: 7,
                 snapshot_every: 0,
@@ -918,7 +917,7 @@ mod tests {
         let fid = fresh
             .submit(JobSpec::Sim {
                 design: Design::MorphCtr,
-                workload: workload_by_name("bfs").unwrap(),
+                workload: "bfs".parse().unwrap(),
                 accesses: 20_000,
                 seed: 7,
                 snapshot_every: 0,

@@ -4,8 +4,10 @@
 //! threaded through `SimConfig` into every instrumented component:
 //!
 //! - a by-name **metrics registry** ([`metrics`]) of atomic counters,
-//!   gauges, and log2-bucket histograms — registration locks once, the
-//!   hot path is a relaxed atomic add;
+//!   gauges, and log2-bucket histograms. The hooks feed only what the
+//!   simulation's own statistics cannot show (histograms and the DRAM
+//!   queue-clamp counter); event counts are published once per job from
+//!   its final statistics, as `<job label>/<stat leaf>` counters;
 //! - a bounded ring-buffer **flight recorder** ([`recorder`]) of typed
 //!   simulation events, sampled at a configurable rate;
 //! - per-set CTR-cache **heatmaps** ([`heatmap`]) with bounded memory;
@@ -81,52 +83,21 @@ struct StreamEntry {
     recorder: Arc<Mutex<StreamRecorder>>,
 }
 
-/// Metric handles used by the built-in hooks, resolved once at
-/// construction. Pre-registering them also guarantees the metrics dump
-/// always lists the well-known names (as zeros) even for runs that never
-/// touch a given subsystem — e.g. RL action counts under a non-RL design.
+/// The metrics the built-in hooks feed: distributions and the one event
+/// the simulation statistics cannot see. Resolved once at construction,
+/// so the dump lists them (as zeros) even for runs that never reach them.
 struct HotMetrics {
-    rl_ctr_good: Counter,
-    rl_ctr_bad: Counter,
-    rl_data_offchip: Counter,
-    rl_data_onchip: Counter,
-    rl_data_correct: Counter,
-    rl_data_wrong: Counter,
-    spec_issued: Counter,
-    spec_killed: Counter,
-    merkle_walks: Counter,
     merkle_depth: Histogram,
     merkle_fetched: Histogram,
-    dram_accesses: Counter,
-    dram_row_hits: Counter,
     dram_queue_delay: Histogram,
     dram_queue_clamped: Counter,
 }
 
 impl HotMetrics {
     fn resolve(reg: &Registry) -> Self {
-        // Cache hit/miss counters are owned by the cache layer
-        // (`cache.<role>.*`); registering the CTR/MT ones here keeps them
-        // in every dump regardless of design.
-        for role in ["ctr", "mt"] {
-            for what in ["hits", "misses", "evictions", "writebacks"] {
-                reg.counter(&format!("cache.{role}.{what}"));
-            }
-        }
         Self {
-            rl_ctr_good: reg.counter("rl.ctr.actions.good"),
-            rl_ctr_bad: reg.counter("rl.ctr.actions.bad"),
-            rl_data_offchip: reg.counter("rl.data.pred.offchip"),
-            rl_data_onchip: reg.counter("rl.data.pred.onchip"),
-            rl_data_correct: reg.counter("rl.data.correct"),
-            rl_data_wrong: reg.counter("rl.data.wrong"),
-            spec_issued: reg.counter("sim.spec.issued"),
-            spec_killed: reg.counter("sim.spec.killed"),
-            merkle_walks: reg.counter("secure.merkle.walks"),
             merkle_depth: reg.histogram("secure.merkle.depth"),
             merkle_fetched: reg.histogram("secure.merkle.fetched"),
-            dram_accesses: reg.counter("dram.accesses"),
-            dram_row_hits: reg.counter("dram.row_hits"),
             dram_queue_delay: reg.histogram("dram.queue_delay_cycles"),
             dram_queue_clamped: reg.counter("sim.dram.queue_clamped"),
         }
@@ -271,12 +242,21 @@ impl Telemetry {
     /// heatmaps recorded through it are tagged with a fresh stream id
     /// labelled `label`. Metrics still aggregate globally. On a disabled
     /// handle this is free and returns another disabled handle.
+    ///
+    /// # Panics
+    ///
+    /// If `label` was already issued on this pipeline: per-job counters
+    /// are keyed by label, so a repeat would silently sum two jobs.
     pub fn scope(&self, label: &str) -> Telemetry {
         let Some(sh) = &self.shared else {
             return Telemetry::disabled();
         };
         let mut streams = sh.streams.lock().expect("telemetry mutex poisoned");
         assert!(streams.len() <= usize::from(u16::MAX), "too many streams");
+        assert!(
+            streams.iter().all(|s| s.label != label),
+            "telemetry stream label {label:?} issued twice"
+        );
         let id = streams.len() as u16;
         let recorder = Arc::new(Mutex::new(StreamRecorder::new(sh.config.recorder_capacity)));
         streams.push(StreamEntry {
@@ -415,9 +395,9 @@ impl Telemetry {
         self.record_event(false, || Event::CtrAccess(info));
     }
 
-    /// One CTR-cache eviction (counters live in `cache.ctr.*`; the full
-    /// victim provenance — tag, fill/touch stamps, policy deviation, RL
-    /// decision — rides in the rare-stratum event for the explain pass).
+    /// One CTR-cache eviction: the full victim provenance — tag,
+    /// fill/touch stamps, policy deviation, RL decision — rides in the
+    /// rare-stratum event for the explain pass.
     #[inline]
     pub fn ctr_evict(&self, info: EvictInfo) {
         if self.shared.is_none() {
@@ -430,12 +410,6 @@ impl Telemetry {
     /// the Q-pair the choice was made from.
     #[inline]
     pub fn rl_ctr_action(&self, id: u64, good: bool, reward: f32, q_good: f32, q_bad: f32) {
-        let Some(sh) = &self.shared else { return };
-        if good {
-            sh.hot.rl_ctr_good.inc();
-        } else {
-            sh.hot.rl_ctr_bad.inc();
-        }
         self.record_event(false, || Event::RlCtrAction {
             id,
             good,
@@ -448,33 +422,18 @@ impl Telemetry {
     /// One resolved data-location RL prediction.
     #[inline]
     pub fn rl_data_action(&self, offchip: bool, correct: bool) {
-        let Some(sh) = &self.shared else { return };
-        if offchip {
-            sh.hot.rl_data_offchip.inc();
-        } else {
-            sh.hot.rl_data_onchip.inc();
-        }
-        if correct {
-            sh.hot.rl_data_correct.inc();
-        } else {
-            sh.hot.rl_data_wrong.inc();
-        }
         self.record_event(false, || Event::RlDataAction { offchip, correct });
     }
 
     /// A speculative early DRAM read was issued.
     #[inline]
     pub fn spec_issue(&self) {
-        let Some(sh) = &self.shared else { return };
-        sh.hot.spec_issued.inc();
         self.record_event(true, || Event::SpecIssue);
     }
 
     /// A speculative read was killed (data turned out on-chip).
     #[inline]
     pub fn spec_kill(&self) {
-        let Some(sh) = &self.shared else { return };
-        sh.hot.spec_killed.inc();
         self.record_event(true, || Event::SpecKill);
     }
 
@@ -483,7 +442,6 @@ impl Telemetry {
     #[inline]
     pub fn merkle_walk(&self, depth: u32, fetched: u32) {
         let Some(sh) = &self.shared else { return };
-        sh.hot.merkle_walks.inc();
         sh.hot.merkle_depth.record(u64::from(depth));
         sh.hot.merkle_fetched.record(u64::from(fetched));
         self.record_event(false, || Event::MerkleWalk {
@@ -500,10 +458,6 @@ impl Telemetry {
     #[inline]
     pub fn dram_access(&self, queued_cycles: u64, row_hit: bool, write: bool) {
         let Some(sh) = &self.shared else { return };
-        sh.hot.dram_accesses.inc();
-        if row_hit {
-            sh.hot.dram_row_hits.inc();
-        }
         sh.hot.dram_queue_delay.record(queued_cycles);
         if queued_cycles > u64::from(u32::MAX) {
             sh.hot.dram_queue_clamped.inc();
@@ -721,13 +675,29 @@ mod tests {
         }
 
         let reg = root.registry().unwrap();
-        assert_eq!(reg.counter("rl.ctr.actions.good").get(), 1);
-        assert_eq!(reg.counter("rl.ctr.actions.bad").get(), 1);
-        assert_eq!(reg.counter("sim.spec.issued").get(), 1);
-        assert_eq!(reg.counter("sim.spec.killed").get(), 1);
-        assert_eq!(reg.counter("secure.merkle.walks").get(), 1);
-        assert_eq!(reg.counter("dram.accesses").get(), 1);
+        assert_eq!(reg.histogram("secure.merkle.depth").sum(), 5);
+        assert_eq!(reg.histogram("secure.merkle.fetched").sum(), 2);
+        assert_eq!(reg.histogram("dram.queue_delay_cycles").count(), 1);
         assert_eq!(reg.histogram("dram.queue_delay_cycles").sum(), 100);
+
+        // Every hook call was sampled in (`sample_every: 1`).
+        let streams = root.recorder_streams();
+        let names: Vec<&str> = streams[1].1.iter().map(|e| e.event.name()).collect();
+        assert_eq!(
+            names,
+            [
+                "ctr_access",
+                "ctr_access",
+                "ctr_evict",
+                "rl_ctr_action",
+                "rl_ctr_action",
+                "rl_data_action",
+                "spec_issue",
+                "spec_kill",
+                "merkle_walk",
+                "dram_access",
+            ]
+        );
 
         let trace = root.chrome_trace_value();
         assert!(is_valid_chrome_trace(&trace));
@@ -742,8 +712,8 @@ mod tests {
         assert_eq!(streams[0].get("sets").and_then(Value::as_u64), Some(4));
 
         let dump = root.metrics_text();
-        assert!(dump.contains("counter cache.ctr.hits 0"));
-        assert!(dump.contains("counter rl.ctr.actions.good 1"));
+        assert!(dump.contains("counter sim.dram.queue_clamped 0"));
+        assert!(dump.contains("histogram secure.merkle.depth count 1"));
         assert!(dump.contains("phase sim calls 1"));
     }
 
@@ -757,7 +727,13 @@ mod tests {
         for _ in 0..100 {
             t.dram_access(5, true, false);
         }
-        assert_eq!(t.registry().unwrap().counter("dram.accesses").get(), 100);
+        assert_eq!(
+            t.registry()
+                .unwrap()
+                .histogram("dram.queue_delay_cycles")
+                .count(),
+            100
+        );
         let text = t.metrics_text();
         assert!(
             text.contains("recorder candidates 100 sampled 10 overwritten 0 sample_every 10"),
@@ -915,12 +891,24 @@ mod tests {
         let a = root.scope("a");
         let b = root.scope("b");
         assert_ne!(a, b);
-        a.spec_issue();
-        b.spec_issue();
-        assert_eq!(root.registry().unwrap().counter("sim.spec.issued").get(), 2);
+        a.dram_access(3, true, false);
+        b.dram_access(4, true, false);
+        let delay = root
+            .registry()
+            .unwrap()
+            .histogram("dram.queue_delay_cycles");
+        assert_eq!((delay.count(), delay.sum()), (2, 7));
         let text = root.chrome_trace_value().to_string();
         assert!(text.contains("\"name\":\"a\""));
         assert!(text.contains("\"name\":\"b\""));
+    }
+
+    #[test]
+    #[should_panic(expected = "issued twice")]
+    fn scope_rejects_a_repeated_label() {
+        let root = Telemetry::in_memory();
+        let _a = root.scope("BFS/COSMOS");
+        let _b = root.scope("BFS/COSMOS");
     }
 
     #[test]

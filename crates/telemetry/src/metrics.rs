@@ -6,6 +6,7 @@
 //! atomics, so recording on the hot path is a single relaxed RMW with no
 //! locks and no allocation.
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -192,7 +193,7 @@ pub enum MetricSnapshot {
 /// do not.
 #[derive(Debug, Default)]
 pub struct Registry {
-    metrics: Mutex<Vec<(String, Metric)>>,
+    metrics: Mutex<BTreeMap<String, Metric>>,
 }
 
 impl Registry {
@@ -203,12 +204,10 @@ impl Registry {
 
     fn get_or_insert(&self, name: &str, make: impl FnOnce() -> Metric) -> Metric {
         let mut metrics = self.metrics.lock().expect("telemetry mutex poisoned");
-        if let Some((_, m)) = metrics.iter().find(|(n, _)| n == name) {
+        if let Some(m) = metrics.get(name) {
             return m.clone();
         }
-        let m = make();
-        metrics.push((name.to_string(), m.clone()));
-        m
+        metrics.entry(name.to_string()).or_insert_with(make).clone()
     }
 
     /// The counter registered under `name`, creating it on first use.
@@ -251,7 +250,7 @@ impl Registry {
     /// A name-sorted copy of every registered metric's current value.
     pub fn snapshot(&self) -> Vec<(String, MetricSnapshot)> {
         let metrics = self.metrics.lock().expect("telemetry mutex poisoned");
-        let mut out: Vec<(String, MetricSnapshot)> = metrics
+        metrics
             .iter()
             .map(|(name, m)| {
                 let snap = match m {
@@ -265,9 +264,7 @@ impl Registry {
                 };
                 (name.clone(), snap)
             })
-            .collect();
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
+            .collect()
     }
 }
 

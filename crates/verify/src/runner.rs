@@ -265,20 +265,10 @@ mod tests {
             .collect()
     }
 
-    const ALL_DESIGNS: [Design; 7] = [
-        Design::Np,
-        Design::MorphCtr,
-        Design::Emcc,
-        Design::Rmcc,
-        Design::CosmosDp,
-        Design::CosmosCp,
-        Design::Cosmos,
-    ];
-
     #[test]
     fn checked_run_is_clean_and_byte_identical_for_every_design() {
         let t = random_trace(12_000, 40_000, 0.3, 11);
-        for d in ALL_DESIGNS {
+        for d in Design::ALL {
             let config = small_config(d);
             let plain = Simulator::new(config.clone()).run(&t);
             let (checked, report) = run_checked(&config, &t);

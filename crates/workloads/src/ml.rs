@@ -46,6 +46,19 @@ pub enum MlModel {
 }
 
 impl MlModel {
+    /// Every model: the Figure-8 MLP, then the Figure-17 set.
+    pub const fn all() -> [MlModel; 7] {
+        [
+            MlModel::Mlp,
+            MlModel::AlexNet,
+            MlModel::ResNet,
+            MlModel::Vgg,
+            MlModel::Bert,
+            MlModel::Transformer,
+            MlModel::Dlrm,
+        ]
+    }
+
     /// The Figure-17 model set (excludes the MLP used only in Figure 8).
     pub const fn figure17() -> [MlModel; 6] {
         [

@@ -82,6 +82,34 @@ impl core::fmt::Display for Workload {
     }
 }
 
+impl core::str::FromStr for Workload {
+    type Err = String;
+
+    /// Parses a [`Workload::name`] of any graph kernel, SPEC-like
+    /// benchmark or ML model, case-insensitively.
+    fn from_str(name: &str) -> Result<Self, String> {
+        let all = every_workload();
+        all.iter()
+            .copied()
+            .find(|w| w.name().eq_ignore_ascii_case(name))
+            .ok_or_else(|| {
+                let known: Vec<_> = all.iter().map(|w| w.name()).collect();
+                format!("unknown workload {name:?} (known: {})", known.join(", "))
+            })
+    }
+}
+
+/// Every variant: the graph kernels, the SPEC-like benchmarks, then every
+/// ML model (the Figure-17 set plus the MLP).
+fn every_workload() -> Vec<Workload> {
+    GraphKernel::all()
+        .into_iter()
+        .map(Workload::Graph)
+        .chain(SpecKind::all().into_iter().map(Workload::Spec))
+        .chain(MlModel::all().into_iter().map(Workload::Ml))
+        .collect()
+}
+
 /// Scale parameters for trace generation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TraceSpec {
@@ -185,14 +213,26 @@ mod tests {
 
     #[test]
     fn names_are_unique() {
-        let mut names: Vec<&str> = Workload::irregular_suite()
-            .into_iter()
-            .chain(Workload::ml_suite())
-            .map(|w| w.name())
-            .collect();
+        let mut names: Vec<&str> = every_workload().iter().map(|w| w.name()).collect();
         let before = names.len();
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), before);
+    }
+
+    #[test]
+    fn every_name_parses_back_in_any_case() {
+        for w in every_workload() {
+            for name in [
+                w.name().to_string(),
+                w.name().to_ascii_lowercase(),
+                w.name().to_ascii_uppercase(),
+            ] {
+                assert_eq!(name.parse::<Workload>(), Ok(w), "{name}");
+            }
+        }
+        assert_eq!("mlp".parse::<Workload>(), Ok(Workload::Ml(MlModel::Mlp)));
+        let err = "nope".parse::<Workload>().unwrap_err();
+        assert!(err.contains("known:") && err.contains("MLP"), "{err}");
     }
 }

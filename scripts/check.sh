@@ -110,22 +110,24 @@ cmp "$f10s_out_a" "$f10s_out_b" || {
 }
 rm -f "$f10s_a" "$f10s_b" "$f10s_out_a" "$f10s_out_b"
 
-# Every registered figure, serial vs. parallel under the oracles: the
-# --jobs 1 and --jobs 2 --check runs must print and emit the same bytes.
+# Every registered figure, serial vs. parallel under the oracles and
+# telemetry: the --jobs 1 and --jobs 2 --check --telemetry runs must print
+# and emit the same bytes (telemetry also panics on a repeated job label,
+# since per-job counters are keyed by label).
 stage figure-modes
 modes_dir="$(mktemp -d)"
 names="$(figure --list)"
 for name in $names; do
     figure "$name" --accesses 20000 --jobs 1 \
         --json "$modes_dir/serial.json" >"$modes_dir/serial.txt"
-    figure "$name" --accesses 20000 --jobs 2 --check \
+    figure "$name" --accesses 20000 --jobs 2 --check --telemetry "$modes_dir/tele" \
         --json "$modes_dir/checked.json" >"$modes_dir/checked.txt"
     cmp "$modes_dir/serial.json" "$modes_dir/checked.json" || {
-        echo "check.sh: $name artifact differs between --jobs 1 and --jobs 2 --check" >&2
+        echo "check.sh: $name artifact differs between --jobs 1 and --jobs 2 --check --telemetry" >&2
         exit 1
     }
     cmp "$modes_dir/serial.txt" "$modes_dir/checked.txt" || {
-        echo "check.sh: $name report differs between --jobs 1 and --jobs 2 --check" >&2
+        echo "check.sh: $name report differs between --jobs 1 and --jobs 2 --check --telemetry" >&2
         exit 1
     }
 done
@@ -134,10 +136,13 @@ rm -rf "$modes_dir"
 # Telemetry identity smoke: --telemetry must also observe without
 # perturbing — same grid, same seed, byte-identical result artifact —
 # and the exported trace/heatmap/metrics files must exist and carry the
-# expected structure.
+# expected structure: one `<job label>/<stat leaf>` counter per job, with
+# the same counter lines whatever the worker count.
 stage telemetry-identity
 tele_json="$(mktemp)"
 tele_dir="$(mktemp -d)"
+tele_serial="$(mktemp -d)"
+figure fig02 --accesses 20000 --jobs 1 --telemetry "$tele_serial" --json "$tele_json" >/dev/null
 figure fig02 --accesses 20000 --jobs 2 --telemetry "$tele_dir" --json "$tele_json" >/dev/null
 cmp "$plain_json" "$tele_json" || {
     echo "check.sh: --telemetry perturbed the fig02 artifact" >&2
@@ -153,15 +158,29 @@ grep -q '"ph":"M"' "$tele_dir/fig02.trace.json" || {
     echo "check.sh: fig02.trace.json has no Chrome trace metadata events" >&2
     exit 1
 }
-grep -q '^counter cache\.ctr\.hits ' "$tele_dir/fig02.metrics.txt" || {
-    echo "check.sh: fig02.metrics.txt has no CTR hit counter" >&2
+# Job labels are the trace's thread names (tid 0 is the unscoped handle).
+labels="$(grep -o '"tid":[1-9][0-9]*,"args":{"name":"[^"]*"' "$tele_dir/fig02.trace.json" \
+    | sed 's/.*"name":"//; s/"$//')"
+[ -n "$labels" ] || {
+    echo "check.sh: fig02.trace.json names no job streams" >&2
+    exit 1
+}
+for label in $labels; do
+    grep -qF "counter $label/ctr_cache.demand.hits " "$tele_dir/fig02.metrics.txt" || {
+        echo "check.sh: fig02.metrics.txt has no CTR hit counter for job $label" >&2
+        exit 1
+    }
+done
+cmp <(grep '^counter ' "$tele_dir/fig02.metrics.txt") \
+    <(grep '^counter ' "$tele_serial/fig02.metrics.txt") || {
+    echo "check.sh: fig02 telemetry counters depend on --jobs" >&2
     exit 1
 }
 grep -q '"windows"' "$tele_dir/fig02.heatmap.json" || {
     echo "check.sh: fig02.heatmap.json has no occupancy windows" >&2
     exit 1
 }
-rm -rf "$plain_json" "$tele_json" "$tele_dir"
+rm -rf "$plain_json" "$tele_json" "$tele_dir" "$tele_serial"
 
 # Differential fuzzing at a fixed seed: a bounded pass over random
 # configurations x synthetic traces through the shadow models and the

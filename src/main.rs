@@ -7,7 +7,7 @@
 //! ```
 
 use cosmos::core::{smat::smat, Design, SimConfig, Simulator};
-use cosmos::workloads::{graph::GraphKernel, ml::MlModel, spec::SpecKind, TraceSpec, Workload};
+use cosmos::workloads::{graph::GraphKernel, TraceSpec, Workload};
 use std::process::exit;
 
 const USAGE: &str = "\
@@ -28,57 +28,9 @@ OPTIONS:
     --list              list workloads and designs, then exit
 ";
 
-fn workload_by_name(name: &str) -> Option<Workload> {
-    let graph = |k| Some(Workload::Graph(k));
-    let spec = |s| Some(Workload::Spec(s));
-    let ml = |m| Some(Workload::Ml(m));
-    match name.to_ascii_lowercase().as_str() {
-        "dfs" => graph(GraphKernel::Dfs),
-        "bfs" => graph(GraphKernel::Bfs),
-        "gc" => graph(GraphKernel::Gc),
-        "pr" => graph(GraphKernel::Pr),
-        "tc" => graph(GraphKernel::Tc),
-        "cc" => graph(GraphKernel::Cc),
-        "sp" => graph(GraphKernel::Sp),
-        "dc" => graph(GraphKernel::Dc),
-        "mcf" => spec(SpecKind::Mcf),
-        "canneal" => spec(SpecKind::Canneal),
-        "omnetpp" => spec(SpecKind::Omnetpp),
-        "mlp" => ml(MlModel::Mlp),
-        "alexnet" => ml(MlModel::AlexNet),
-        "resnet" => ml(MlModel::ResNet),
-        "vgg" => ml(MlModel::Vgg),
-        "bert" => ml(MlModel::Bert),
-        "transformer" => ml(MlModel::Transformer),
-        "dlrm" => ml(MlModel::Dlrm),
-        _ => None,
-    }
-}
-
-fn design_by_name(name: &str) -> Option<Design> {
-    match name.to_ascii_lowercase().as_str() {
-        "np" => Some(Design::Np),
-        "morphctr" => Some(Design::MorphCtr),
-        "emcc" => Some(Design::Emcc),
-        "rmcc" => Some(Design::Rmcc),
-        "cosmos-dp" | "cosmosdp" => Some(Design::CosmosDp),
-        "cosmos-cp" | "cosmoscp" => Some(Design::CosmosCp),
-        "cosmos" => Some(Design::Cosmos),
-        _ => None,
-    }
-}
-
 fn main() {
     let mut workload = Workload::Graph(GraphKernel::Dfs);
-    let mut designs = vec![
-        Design::Np,
-        Design::MorphCtr,
-        Design::Emcc,
-        Design::Rmcc,
-        Design::CosmosDp,
-        Design::CosmosCp,
-        Design::Cosmos,
-    ];
+    let mut designs = Design::ALL.to_vec();
     let mut accesses = 1_000_000usize;
     let mut seed = 42u64;
     let mut cores = 4usize;
@@ -95,16 +47,16 @@ fn main() {
         match arg.as_str() {
             "--workload" => {
                 let name = value("--workload");
-                workload = workload_by_name(&name).unwrap_or_else(|| {
-                    eprintln!("unknown workload `{name}`\n\n{USAGE}");
+                workload = name.parse().unwrap_or_else(|e| {
+                    eprintln!("{e}\n\n{USAGE}");
                     exit(2);
                 });
             }
             "--design" => {
                 let name = value("--design");
                 if name != "all" {
-                    designs = vec![design_by_name(&name).unwrap_or_else(|| {
-                        eprintln!("unknown design `{name}`\n\n{USAGE}");
+                    designs = vec![name.parse().unwrap_or_else(|e| {
+                        eprintln!("{e}\n\n{USAGE}");
                         exit(2);
                     })];
                 }
