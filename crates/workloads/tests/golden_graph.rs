@@ -5,8 +5,11 @@
 //! (and so every downstream trace, `SimStats` and committed artifact)
 //! fails here.
 
-use cosmos_common::{AccessKind, PhysAddr};
+mod digest;
+
+use cosmos_common::PhysAddr;
 use cosmos_workloads::graph::{Graph, GraphKernel, GraphKind, GraphLayout, LayoutMode};
+use digest::{trace_digest, Fnv1a};
 
 const VERTICES: usize = 1 << 16;
 const DEGREE: usize = 12;
@@ -18,22 +21,6 @@ const GOLDEN: [(u64, u64, u64); 2] = [
     (1, 0x9af9_23ab_6776_75b1, 0x8dca_97dc_4a2d_43b3),
     (20_261_016, 0xaeb2_96c6_d3d9_b46f, 0x6ea3_58cd_f3c5_427c),
 ];
-
-/// 64-bit FNV-1a, fed incrementally.
-struct Fnv1a(u64);
-
-impl Fnv1a {
-    fn new() -> Self {
-        Self(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-}
 
 /// Digest of `row_ptr` then `col_idx`, each as little-endian `u32`s.
 fn csr_digest(g: &Graph) -> u64 {
@@ -59,17 +46,7 @@ fn dfs_digest(g: &Graph, seed: u64) -> u64 {
         trace.len() > DFS_ACCESSES / 2,
         "DFS trace unexpectedly short"
     );
-    let mut h = Fnv1a::new();
-    for a in trace.iter() {
-        let kind = match a.kind {
-            AccessKind::Read => 0u8,
-            AccessKind::Write => 1u8,
-        };
-        h.write(&[a.core, a.tenant, kind]);
-        h.write(&a.addr.value().to_le_bytes());
-        h.write(&a.inst_gap.to_le_bytes());
-    }
-    h.0
+    trace_digest(&trace)
 }
 
 #[test]
