@@ -6,7 +6,7 @@
 //!
 //! | Scheme      | Coverage | Layout |
 //! |-------------|----------|--------|
-//! | Monolithic  | 1 : 8    | eight independent 64-bit counters |
+//! | Monolithic  | 1 : 8    | eight per-line counters, modeled as minors capped at 2^20−1 under one shared major that an overflowing minor bumps |
 //! | Split       | 1 : 64   | one 64-bit major + 64 × 7-bit minors |
 //! | MorphCtr    | 1 : 128  | 57-bit major + 7-bit format + 448 payload bits, morphing between uniform 3-bit minors and zero-counter-compressed (ZCC) formats |
 //!
@@ -22,7 +22,8 @@ use std::collections::BTreeMap;
 /// Which counter organization the memory controller uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum CounterScheme {
-    /// Eight 64-bit counters per block (1:8).
+    /// Eight per-line counters per block (1:8): minors capped at 2^20−1
+    /// under a shared major.
     Monolithic,
     /// Split counters: 64-bit major + 64 × 7-bit minors (1:64).
     Split,
@@ -160,33 +161,128 @@ impl MorphFormat {
     }
 }
 
-/// One counter block's state.
+/// One counter block's state, stored zero-counter-compressed.
+///
+/// As in MorphCtr's ZCC formats, a block keeps a bitmap of which of its
+/// `coverage` minors are non-zero and only those minors, in slot order: the
+/// minor of slot `s` sits at index `popcount(bitmap below s)`. Touched
+/// blocks mostly hold one or two non-zero minors, so a block costs 4 B of
+/// heap per non-zero minor rather than 4 B per covered line. The worst case
+/// is no larger than a dense array: the minor list grows by doubling from 4
+/// and every coverage is a power of two, so a block whose minors are all
+/// non-zero holds at most `coverage` of them. [`CounterBlock::minor`] reads
+/// one slot; [`CounterBlock::minors`] expands the dense array for the cold
+/// consumers (snapshots, Merkle leaf hashes, shadow priming).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CounterBlock {
     /// The shared major counter (bumped on overflow / re-encryption).
     pub major: u64,
-    /// Per-line minor counters.
-    pub minors: Vec<u32>,
     /// Current MorphCtr format (always `Uniform` for non-Morph schemes'
     /// reporting; unused by them).
     pub format: MorphFormat,
-    /// Count of non-zero minors, maintained incrementally so the write path
-    /// never rescans `minors` (minors only grow between overflow resets).
-    nonzero: u32,
-    /// Largest minor in the block, maintained incrementally likewise.
+    /// Bit `s % 64` of word `s / 64` is set iff slot `s`'s minor is non-zero.
+    nonzero_map: [u64; 2],
+    /// The non-zero minors in ascending slot order.
+    nonzero: Vec<u32>,
+    /// Largest minor in the block, maintained incrementally (minors only
+    /// grow between overflow resets).
     max_minor: u32,
+    /// Data lines covered (at most 128, so two bitmap words suffice).
+    coverage: u8,
 }
 
 impl CounterBlock {
     fn new(coverage: u64) -> Self {
+        debug_assert!(coverage <= 128 && coverage.is_power_of_two());
         Self {
             major: 0,
-            // cosmos-lint: allow(H2): one allocation per newly-touched counter block, amortized over every later access to it
-            minors: vec![0; coverage as usize],
             format: MorphFormat::Uniform,
-            nonzero: 0,
+            nonzero_map: [0; 2],
+            // cosmos-lint: allow(H2): the minor list starts empty and grows by doubling only as slots first turn non-zero — at most log2(coverage) - 1 allocations over the block's life (overflow keeps the capacity), amortized over every later access to it
+            nonzero: Vec::new(),
             max_minor: 0,
+            coverage: coverage as u8,
         }
+    }
+
+    /// Rebuilds a block from its dense minors (snapshot restore).
+    fn from_dense(major: u64, minors: &[u32], format: MorphFormat) -> Self {
+        let mut block = Self::new(minors.len() as u64);
+        block.major = major;
+        block.format = format;
+        for (slot, &m) in minors.iter().enumerate().filter(|&(_, &m)| m != 0) {
+            block.nonzero_map[slot / 64] |= 1 << (slot % 64);
+            block.nonzero.push(m);
+        }
+        block.max_minor = minors.iter().copied().max().unwrap_or(0);
+        block
+    }
+
+    /// Whether `slot`'s minor is non-zero, and its index in `nonzero` (or,
+    /// if it is zero, the index it would be inserted at).
+    #[inline]
+    fn locate(&self, slot: usize) -> (bool, usize) {
+        let (word, bit) = (slot / 64, slot % 64);
+        let map = self.nonzero_map[word];
+        let below = (map & ((1 << bit) - 1)).count_ones()
+            + if word == 1 {
+                self.nonzero_map[0].count_ones()
+            } else {
+                0
+            };
+        ((map >> bit) & 1 == 1, below as usize)
+    }
+
+    /// The minor counter of `slot`.
+    #[inline]
+    pub fn minor(&self, slot: usize) -> u32 {
+        match self.locate(slot) {
+            (true, rank) => self.nonzero[rank],
+            (false, _) => 0,
+        }
+    }
+
+    /// All `coverage` minor counters, zeros included, in slot order.
+    pub fn minors(&self) -> Vec<u32> {
+        (0..usize::from(self.coverage))
+            .map(|slot| self.minor(slot))
+            .collect()
+    }
+
+    /// Count of non-zero minors.
+    #[inline]
+    fn nonzero_count(&self) -> u32 {
+        self.nonzero.len() as u32
+    }
+
+    /// Increments `slot`'s minor unless it already is `cap`; returns
+    /// whether it did. A minor leaving zero joins the non-zero list.
+    #[inline]
+    fn bump_minor(&mut self, slot: usize, cap: u64) -> bool {
+        let next = match self.locate(slot) {
+            (true, rank) => {
+                let next = self.nonzero[rank] + 1;
+                if u64::from(next) > cap {
+                    return false;
+                }
+                self.nonzero[rank] = next;
+                next
+            }
+            (false, rank) => {
+                self.nonzero_map[slot / 64] |= 1 << (slot % 64);
+                self.nonzero.insert(rank, 1);
+                1
+            }
+        };
+        self.max_minor = self.max_minor.max(next);
+        true
+    }
+
+    /// Resets every minor to zero (overflow).
+    fn clear_minors(&mut self) {
+        self.nonzero_map = [0; 2];
+        self.nonzero.clear();
+        self.max_minor = 0;
     }
 }
 
@@ -263,7 +359,7 @@ impl CounterStore {
         let block_idx = self.scheme.block_of(line);
         let slot = self.scheme.slot_of(line);
         match self.blocks.get(&block_idx) {
-            Some(b) => (b.major << 20) | b.minors[slot] as u64,
+            Some(b) => (b.major << 20) | b.minor(slot) as u64,
             None => 0,
         }
     }
@@ -308,14 +404,9 @@ impl CounterStore {
             .max_minor(),
         };
 
-        let old = block.minors[slot];
-        let next = old as u64 + 1;
-        if next <= minor_cap {
-            block.minors[slot] = next as u32;
-            block.nonzero += u32::from(old == 0);
-            block.max_minor = block.max_minor.max(next as u32);
+        if block.bump_minor(slot, minor_cap) {
             if scheme == CounterScheme::MorphCtr {
-                match MorphFormat::choose_summary(block.nonzero, block.max_minor) {
+                match MorphFormat::choose_summary(block.nonzero_count(), block.max_minor) {
                     Some(f) if f == block.format => IncrementOutcome::Ok,
                     Some(f) => {
                         block.format = f;
@@ -335,7 +426,8 @@ impl CounterStore {
     /// Serializes every materialized counter block plus the event counters
     /// for snapshots. Blocks are emitted in ascending index order (the
     /// `BTreeMap` iteration order), so equal stores produce equal bytes.
-    /// The per-block `format`/`nonzero`/`max_minor` caches are *not* stored:
+    /// Minors are written densely, zeros included, whatever the in-memory
+    /// form. The per-block `format`/`max_minor` caches are *not* stored:
     /// they are pure functions of the minors and are recomputed on restore.
     pub fn save_state(&self) -> cosmos_common::json::Value {
         use cosmos_common::json::codec;
@@ -346,7 +438,7 @@ impl CounterStore {
                 cosmos_common::json!({
                     "idx": (idx),
                     "major": (b.major),
-                    "minors": (codec::from_u64s(b.minors.iter().map(|&m| u64::from(m)))),
+                    "minors": (codec::from_u64s(b.minors().into_iter().map(u64::from))),
                 })
             })
             .collect();
@@ -382,30 +474,17 @@ impl CounterStore {
             let major = codec::u64_field(entry, "major")?;
             let minors = codec::u32_array(entry, "minors")?;
             codec::check_len("minors", minors.len(), coverage)?;
-            let nonzero = minors.iter().filter(|&&m| m != 0).count() as u32;
-            let max_minor = minors.iter().copied().max().unwrap_or(0);
             // Only MorphCtr maintains `format`; other schemes leave it at
             // `Uniform` no matter the minors, and restore must match.
             let format = if self.scheme == CounterScheme::MorphCtr {
-                MorphFormat::choose_summary(nonzero, max_minor).ok_or_else(|| {
+                MorphFormat::choose(&minors).ok_or_else(|| {
                     format!("block {idx}: minors fit no MorphCtr format (corrupt snapshot)")
                 })?
             } else {
                 MorphFormat::Uniform
             };
-            if blocks
-                .insert(
-                    idx,
-                    CounterBlock {
-                        major,
-                        minors,
-                        format,
-                        nonzero,
-                        max_minor,
-                    },
-                )
-                .is_some()
-            {
+            let block = CounterBlock::from_dense(major, &minors, format);
+            if blocks.insert(idx, block).is_some() {
                 return Err(format!("block {idx}: duplicated in snapshot"));
             }
         }
@@ -421,10 +500,8 @@ impl CounterStore {
         let coverage = self.scheme.coverage();
         let block = self.blocks.get_mut(&block_idx).expect("block exists");
         block.major += 1;
-        block.minors.iter_mut().for_each(|m| *m = 0);
+        block.clear_minors();
         block.format = MorphFormat::Uniform;
-        block.nonzero = 0;
-        block.max_minor = 0;
         let first = block_idx * coverage;
         IncrementOutcome::Overflow {
             // cosmos-lint: allow(H2): minor-counter overflow is the rare re-encryption path (counted in ctr_overflows), not the per-access path
@@ -436,6 +513,213 @@ impl CounterStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The dense store this module used to be: every touched block keeps
+    /// all `coverage` minors in a `Vec<u32>`. The oracle the compressed
+    /// [`CounterStore`] must match increment for increment.
+    mod reference {
+        use super::super::{CounterScheme, IncrementOutcome, MorphFormat};
+        use cosmos_common::LineAddr;
+        use std::collections::BTreeMap;
+
+        struct DenseBlock {
+            major: u64,
+            minors: Vec<u32>,
+            format: MorphFormat,
+            nonzero: u32,
+            max_minor: u32,
+        }
+
+        pub struct DenseStore {
+            scheme: CounterScheme,
+            blocks: BTreeMap<u64, DenseBlock>,
+            pub overflows: u64,
+            pub morphs: u64,
+            increments: u64,
+        }
+
+        impl DenseStore {
+            pub fn new(scheme: CounterScheme) -> Self {
+                Self {
+                    scheme,
+                    blocks: BTreeMap::new(),
+                    overflows: 0,
+                    morphs: 0,
+                    increments: 0,
+                }
+            }
+
+            pub fn value(&self, line: LineAddr) -> u64 {
+                let slot = self.scheme.slot_of(line);
+                match self.blocks.get(&self.scheme.block_of(line)) {
+                    Some(b) => (b.major << 20) | b.minors[slot] as u64,
+                    None => 0,
+                }
+            }
+
+            pub fn increment(&mut self, line: LineAddr) -> IncrementOutcome {
+                self.increments += 1;
+                let scheme = self.scheme;
+                let coverage = scheme.coverage();
+                let block_idx = scheme.block_of(line);
+                let slot = scheme.slot_of(line);
+                let block = self.blocks.entry(block_idx).or_insert_with(|| DenseBlock {
+                    major: 0,
+                    minors: vec![0; coverage as usize],
+                    format: MorphFormat::Uniform,
+                    nonzero: 0,
+                    max_minor: 0,
+                });
+                let minor_cap: u64 = match scheme {
+                    CounterScheme::Monolithic => (1 << 20) - 1,
+                    CounterScheme::Split => (1 << 7) - 1,
+                    CounterScheme::MorphCtr => MorphFormat::Zcc {
+                        max_nonzero: 8,
+                        width: 20,
+                    }
+                    .max_minor(),
+                };
+                let old = block.minors[slot];
+                let next = old as u64 + 1;
+                if next <= minor_cap {
+                    block.minors[slot] = next as u32;
+                    block.nonzero += u32::from(old == 0);
+                    block.max_minor = block.max_minor.max(next as u32);
+                    if scheme == CounterScheme::MorphCtr {
+                        match MorphFormat::choose_summary(block.nonzero, block.max_minor) {
+                            Some(f) if f == block.format => IncrementOutcome::Ok,
+                            Some(f) => {
+                                block.format = f;
+                                self.morphs += 1;
+                                IncrementOutcome::Morphed { to: f }
+                            }
+                            None => self.overflow(block_idx),
+                        }
+                    } else {
+                        IncrementOutcome::Ok
+                    }
+                } else {
+                    self.overflow(block_idx)
+                }
+            }
+
+            fn overflow(&mut self, block_idx: u64) -> IncrementOutcome {
+                self.overflows += 1;
+                let coverage = self.scheme.coverage();
+                let block = self.blocks.get_mut(&block_idx).expect("block exists");
+                block.major += 1;
+                block.minors.iter_mut().for_each(|m| *m = 0);
+                block.format = MorphFormat::Uniform;
+                block.nonzero = 0;
+                block.max_minor = 0;
+                let first = block_idx * coverage;
+                IncrementOutcome::Overflow {
+                    reencrypt: (first..first + coverage).map(LineAddr::new).collect(),
+                }
+            }
+
+            pub fn save_state(&self) -> cosmos_common::json::Value {
+                use cosmos_common::json::codec;
+                let blocks: Vec<_> = self
+                    .blocks
+                    .iter()
+                    .map(|(&idx, b)| {
+                        cosmos_common::json!({
+                            "idx": (idx),
+                            "major": (b.major),
+                            "minors": (codec::from_u64s(b.minors.iter().map(|&m| u64::from(m)))),
+                        })
+                    })
+                    .collect();
+                cosmos_common::json!({
+                    "scheme": (self.scheme.name()),
+                    "overflows": (self.overflows),
+                    "morphs": (self.morphs),
+                    "increments": (self.increments),
+                    "blocks": (cosmos_common::json::Value::Array(blocks)),
+                })
+            }
+        }
+    }
+
+    const SCHEMES: [CounterScheme; 3] = [
+        CounterScheme::Monolithic,
+        CounterScheme::Split,
+        CounterScheme::MorphCtr,
+    ];
+
+    /// Runs `writes` (line, repeats) on both stores, comparing every
+    /// outcome and value, then the event counts and snapshots.
+    fn check_against_reference(
+        scheme: CounterScheme,
+        writes: &[(u64, usize)],
+    ) -> Result<(), String> {
+        let mut store = CounterStore::new(scheme);
+        let mut dense = reference::DenseStore::new(scheme);
+        for (i, &(line, repeats)) in writes.iter().enumerate() {
+            let line = LineAddr::new(line);
+            for _ in 0..repeats {
+                let (got, want) = (store.increment(line), dense.increment(line));
+                if got != want {
+                    return Err(format!(
+                        "{scheme} write {i}: outcome {got:?}, reference {want:?}"
+                    ));
+                }
+                if store.value(line) != dense.value(line) {
+                    return Err(format!("{scheme} write {i}: value differs from reference"));
+                }
+            }
+        }
+        if (store.morphs(), store.overflows()) != (dense.morphs, dense.overflows) {
+            return Err(format!(
+                "{scheme}: morph/overflow counts differ from reference"
+            ));
+        }
+        if store.save_state().to_string() != dense.save_state().to_string() {
+            return Err(format!("{scheme}: snapshot differs from reference"));
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        fn compressed_store_matches_dense_reference(
+            writes in prop::collection::vec((0u64..400, 1usize..140), 1..160),
+        ) {
+            for scheme in SCHEMES {
+                let outcome = check_against_reference(scheme, &writes);
+                prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
+            }
+        }
+    }
+
+    #[test]
+    fn monolithic_overflow_matches_dense_reference() {
+        // 2^20 writes to one line overflow its capped minor into the major.
+        check_against_reference(CounterScheme::Monolithic, &[(3, 1 << 20), (5, 2), (3, 4)])
+            .unwrap();
+    }
+
+    #[test]
+    fn fully_nonzero_block_holds_no_more_than_dense_minors() {
+        for scheme in SCHEMES {
+            let coverage = scheme.coverage();
+            let mut s = CounterStore::new(scheme);
+            for line in 0..coverage {
+                s.increment(LineAddr::new(line));
+            }
+            // The stored block itself: `block()` returns a right-sized clone.
+            let b = &s.blocks[&0];
+            assert_eq!(b.nonzero_count() as u64, coverage, "{scheme}");
+            assert!(
+                b.nonzero.capacity() as u64 <= coverage,
+                "{scheme}: {} minor slots for coverage {coverage}",
+                b.nonzero.capacity()
+            );
+        }
+    }
 
     #[test]
     fn coverage_and_mapping() {
@@ -485,7 +769,7 @@ mod tests {
         }
         let b = s.block(line);
         assert_eq!(b.major, 1);
-        assert!(b.minors.iter().all(|&m| m == 0));
+        assert!(b.minors().iter().all(|&m| m == 0));
         // Value still monotonically above the pre-overflow value.
         assert!(s.value(line) >= (1 << 20));
     }
@@ -579,10 +863,11 @@ mod tests {
             let line = LineAddr::new(rng.next_index(256) as u64);
             s.increment(line);
             let b = s.block(line);
-            let nz = b.minors.iter().filter(|&&m| m != 0).count() as u32;
-            let max = b.minors.iter().copied().max().unwrap_or(0);
-            assert_eq!((b.nonzero, b.max_minor), (nz, max));
-            assert_eq!(Some(b.format), MorphFormat::choose(&b.minors));
+            let minors = b.minors();
+            let nz = minors.iter().filter(|&&m| m != 0).count() as u32;
+            let max = minors.iter().copied().max().unwrap_or(0);
+            assert_eq!((b.nonzero_count(), b.max_minor), (nz, max));
+            assert_eq!(Some(b.format), MorphFormat::choose(&minors));
         }
     }
 

@@ -150,7 +150,7 @@ impl SecureMemory {
                 }
                 if let Some(ct) = self.ciphertext.get(&l.index()).copied() {
                     let slot = scheme.slot_of(l);
-                    let old_value = (block_before.major << 20) | block_before.minors[slot] as u64;
+                    let old_value = (block_before.major << 20) | block_before.minor(slot) as u64;
                     let pad_old = otp::generate(&self.aes, l.base(), old_value);
                     let pt = otp::xor(&ct, &pad_old);
                     let new_value = self.counters.value(l);
@@ -247,9 +247,10 @@ impl SecureMemory {
     }
 
     fn hash_block(block: &crate::counters::CounterBlock) -> Hash {
-        let mut bytes = Vec::with_capacity(8 + block.minors.len() * 4);
+        let minors = block.minors();
+        let mut bytes = Vec::with_capacity(8 + minors.len() * 4);
         bytes.extend_from_slice(&block.major.to_le_bytes());
-        for m in &block.minors {
+        for m in &minors {
             bytes.extend_from_slice(&m.to_le_bytes());
         }
         cosmos_crypto::Sha256::digest(&bytes)

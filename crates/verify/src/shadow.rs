@@ -370,7 +370,7 @@ impl DenseCounterStore {
                 self.majors.insert(idx, block.major);
             }
             let first = idx * coverage;
-            for (slot, &minor) in block.minors.iter().enumerate() {
+            for (slot, minor) in block.minors().into_iter().enumerate() {
                 let line_idx = first + slot as u64;
                 self.touched.push(LineAddr::new(line_idx));
                 if minor != 0 {

@@ -66,7 +66,21 @@ impl GraphKernel {
         }
     }
 
-    /// Generates a multi-core trace of up to `budget` accesses.
+    /// The most accesses a core's stream can run past its share of the
+    /// budget.
+    ///
+    /// Every kernel checks the budget before each vertex or edge step, and
+    /// a check passes at `budget - 1` at most. The longest run one passing
+    /// check lets through is four accesses: a BFS/DFS edge step to an
+    /// unvisited neighbour (edge and `visited[u]` reads, `visited[u]` and
+    /// `parent[u]` writes), a PageRank vertex without edges, or an SSSP
+    /// vertex without edges followed by the restart write. So a stream
+    /// never exceeds `budget + 3`.
+    pub const MAX_OVERSHOOT: usize = 3;
+
+    /// Generates a multi-core trace of about `budget` accesses: each core
+    /// emits at least `budget / cores` and at most
+    /// `budget / cores +` [`GraphKernel::MAX_OVERSHOOT`] of them.
     pub fn generate(
         self,
         graph: &Graph,
@@ -77,7 +91,7 @@ impl GraphKernel {
     ) -> Trace {
         assert!(cores > 0 && cores <= 256, "unreasonable core count");
         let per_core = budget / cores;
-        let streams: Vec<Trace> = (0..cores)
+        let streams: Vec<_> = (0..cores)
             .map(|c| {
                 let seed =
                     cosmos_common::rng::streams::WORKLOAD_GRAPH.derive_lane_seed(seed, c as u64);
@@ -92,7 +106,7 @@ impl GraphKernel {
                     GraphKernel::Sp => run_shortest_path(graph, &mut em),
                     GraphKernel::Dc => run_degree_centrality(graph, &mut em, c, cores),
                 }
-                em.into_trace()
+                em.into_trace().into_iter()
             })
             .collect();
         interleave(streams, seed)
@@ -118,7 +132,7 @@ impl<'a> Emitter<'a> {
     fn new(layout: &'a GraphLayout, core: u8, budget: usize, seed: u64) -> Self {
         Self {
             layout,
-            trace: Trace::with_capacity(budget),
+            trace: Trace::with_capacity(budget + GraphKernel::MAX_OVERSHOOT),
             rng: SplitMix64::new(seed),
             core,
             budget,
@@ -451,6 +465,38 @@ mod tests {
                 t.len()
             );
         }
+    }
+
+    #[test]
+    fn every_core_stays_within_the_overshoot_bound() {
+        let (g, object) = setup();
+        // The CSR layout reads two `row_ptr` entries per vertex.
+        let csr = GraphLayout::csr(
+            PhysAddr::new(0x1000),
+            g.num_vertices() as u64,
+            g.num_edges() as u64,
+            2,
+        );
+        let mut worst = 0;
+        for l in [&object, &csr] {
+            for k in GraphKernel::all() {
+                for (cores, budget) in [(1, 3_001), (2, 777), (3, 5_003), (4, 10_000)] {
+                    for seed in 0..8 {
+                        let per_core = (budget + seed) / cores;
+                        let t = k.generate(&g, l, cores, budget + seed, seed as u64);
+                        for c in 0..cores as u8 {
+                            let n = t.iter().filter(|a| a.core == c).count();
+                            assert!(
+                                (per_core..=per_core + GraphKernel::MAX_OVERSHOOT).contains(&n),
+                                "{k}: core {c} emitted {n} for a share of {per_core}"
+                            );
+                            worst = worst.max(n - per_core);
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(worst, GraphKernel::MAX_OVERSHOOT, "the bound is tight");
     }
 
     #[test]

@@ -1,29 +1,49 @@
 //! Interleaving of per-core access streams into one global trace.
 
-use cosmos_common::Trace;
+use cosmos_common::{MemAccess, Trace};
 
-/// Merges per-core traces into one global order by round-robin chunks of
-/// 1–8 accesses — approximating the fine-grained interleaving of threads
-/// that run concurrently on different cores.
-pub fn interleave(streams: Vec<Trace>, seed: u64) -> Trace {
-    let total: usize = streams.iter().map(Trace::len).sum();
+/// One core's access stream, pulled by [`interleave`] a chunk at a time.
+///
+/// The SPEC-like generators implement it lazily, so each of their
+/// accesses is written once, straight into the merged trace. Buffered
+/// generators (graph kernels, ML models) pass `Trace::into_iter()`.
+pub(crate) trait CoreStream {
+    /// Accesses left in the stream.
+    fn left(&self) -> usize;
+
+    /// Appends the stream's next `n` accesses to `out`; `n <= self.left()`.
+    fn pull(&mut self, n: usize, out: &mut Trace);
+}
+
+impl CoreStream for std::vec::IntoIter<MemAccess> {
+    fn left(&self) -> usize {
+        self.len()
+    }
+
+    fn pull(&mut self, n: usize, out: &mut Trace) {
+        out.extend(self.by_ref().take(n));
+    }
+}
+
+/// Merges per-core access streams into one global order by round-robin
+/// chunks of 1–8 accesses — approximating the fine-grained interleaving of
+/// threads that run concurrently on different cores. A stream leaves the
+/// rotation the first time it has fewer accesses left than its chunk.
+pub(crate) fn interleave<S: CoreStream>(mut streams: Vec<S>, seed: u64) -> Trace {
+    let total: usize = streams.iter().map(CoreStream::left).sum();
     let mut out = Trace::with_capacity(total);
     let mut rng = cosmos_common::rng::streams::WORKLOAD_INTERLEAVE.derive(seed);
-    let mut iters: Vec<_> = streams.into_iter().map(Trace::into_iter).collect();
-    let mut live: Vec<usize> = (0..iters.len()).collect();
+    let mut live: Vec<usize> = (0..streams.len()).collect();
     let mut idx = 0;
     while !live.is_empty() {
         if idx >= live.len() {
             idx = 0;
         }
-        let stream = live[idx];
+        let stream = &mut streams[live[idx]];
         let chunk = 1 + rng.next_index(8);
-        let mut emitted = 0;
-        for a in iters[stream].by_ref().take(chunk) {
-            out.push(a);
-            emitted += 1;
-        }
-        if emitted < chunk {
+        let n = chunk.min(stream.left());
+        stream.pull(n, &mut out);
+        if n < chunk {
             live.remove(idx);
         } else {
             idx += 1;
@@ -35,12 +55,13 @@ pub fn interleave(streams: Vec<Trace>, seed: u64) -> Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cosmos_common::{MemAccess, PhysAddr};
+    use cosmos_common::PhysAddr;
 
-    fn stream(core: u8, n: usize) -> Trace {
+    fn stream(core: u8, n: usize) -> std::vec::IntoIter<MemAccess> {
         (0..n)
             .map(|i| MemAccess::read(core, PhysAddr::new(i as u64 * 64), 1))
-            .collect()
+            .collect::<Vec<_>>()
+            .into_iter()
     }
 
     #[test]
@@ -77,7 +98,7 @@ mod tests {
 
     #[test]
     fn empty_input() {
-        assert!(interleave(vec![], 1).is_empty());
-        assert!(interleave(vec![Trace::new()], 1).is_empty());
+        assert!(interleave(Vec::<std::vec::IntoIter<MemAccess>>::new(), 1).is_empty());
+        assert!(interleave(vec![Trace::new().into_iter()], 1).is_empty());
     }
 }

@@ -21,8 +21,19 @@
 //!   regression check.
 //!
 //! All generators are deterministic under a seed, multi-core (accesses are
-//! tagged with the issuing core), and budgeted (they emit up to a requested
-//! number of accesses).
+//! tagged with the issuing core), and budgeted: each core gets
+//! `budget / cores` accesses. SPEC-like and ML cores emit exactly that
+//! share; a graph kernel checks its share per vertex or edge step, so a
+//! core may run up to [`graph::GraphKernel::MAX_OVERSHOOT`] accesses past
+//! it.
+//!
+//! Per-core streams merge into one trace through an interleaver that pulls
+//! chunks of 1–8 accesses from each core in turn. It pulls from per-core
+//! streams, not buffers: a SPEC-like core is a lazy generator that keeps
+//! its cursor, its RNG and the accesses of its last few steps, and
+//! generates more only when pulled, so a SPEC trace is written once, into
+//! its final `Trace`. Graph kernels and ML models still buffer each core's
+//! stream and hand over `Trace::into_iter()`.
 //!
 //! # Examples
 //!

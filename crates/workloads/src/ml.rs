@@ -193,10 +193,10 @@ impl MlModel {
         assert!(cores > 0, "need at least one core");
         let layers = self.layers();
         let per_core = budget / cores;
-        let streams: Vec<Trace> = (0..cores)
+        let streams: Vec<_> = (0..cores)
             .map(|c| {
                 let mut rng = cosmos_common::rng::streams::WORKLOAD_ML.derive_lane(seed, c as u64);
-                model_stream(&layers, c as u8, cores, per_core, &mut rng)
+                model_stream(&layers, c as u8, cores, per_core, &mut rng).into_iter()
             })
             .collect();
         interleave(streams, seed)
@@ -219,7 +219,10 @@ fn model_stream(
     budget: usize,
     rng: &mut SplitMix64,
 ) -> Trace {
-    let mut t = Trace::with_capacity(budget);
+    // A step pushes up to three accesses (weight, activation, output)
+    // after the budget check, so the stream can run two past `budget`
+    // before the truncate.
+    let mut t = Trace::with_capacity(budget + 2);
     // Precompute weight region offsets per layer.
     let mut offsets = Vec::with_capacity(layers.len());
     let mut acc = WEIGHT_BASE;

@@ -29,6 +29,13 @@ cargo build --release
 stage test
 cargo test -q --workspace
 
+# The benchmark harness is its own package outside the workspace, so the
+# stages above never build it. Its self-tests drive the public APIs it
+# depends on (`CounterStore`, `Workload::generate`, `SecurePath`), so a
+# break there fails here rather than only when the benchmark runs.
+stage perfbench-selftest
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 stage clippy
 cargo clippy -q --workspace --all-targets -- -D warnings
 
