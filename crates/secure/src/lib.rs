@@ -4,12 +4,13 @@
 //! This crate implements everything the paper's secure-memory system keeps
 //! *behind* the memory controller:
 //!
-//! - **Counter schemes** ([`counters`]): monolithic 64-bit counters,
-//!   split counters (Yan et al., 1 block : 64 lines), and **MorphCtr**
+//! - **Counter schemes** ([`counters`]): monolithic counters (1 block :
+//!   8 lines, minors capped at 2^20−1 under a shared major), split
+//!   counters (Yan et al., 1 block : 64 lines), and **MorphCtr**
 //!   (Saileshwar et al., 1 block : 128 lines with format morphing between a
 //!   uniform 3-bit-minor layout and zero-counter-compressed layouts).
 //!   Counter increments, minor overflow, and page re-encryption are modeled
-//!   functionally.
+//!   functionally; the store keeps every block zero-counter-compressed.
 //! - **Metadata layout** ([`layout`]): where counter blocks, MAC lines, and
 //!   Merkle-tree nodes live in physical address space, so the simulator can
 //!   route metadata traffic through caches and DRAM like any other line.

@@ -184,7 +184,8 @@ impl MlModel {
         }
     }
 
-    /// Generates a multi-core inference trace of up to `budget` accesses.
+    /// Generates a multi-core inference trace of `budget / cores` accesses
+    /// per core.
     ///
     /// Output channels are partitioned across cores: each core streams its
     /// slice of every layer's weights while re-reading the shared input
