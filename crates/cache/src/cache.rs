@@ -549,22 +549,19 @@ impl Cache {
             None => {
                 let victim = self.choose_victim(set, base, ways);
                 debug_assert!(victim < ways, "victim way {victim} >= {ways}");
-                // First-minimum over the cache-owned stamps: the way strict
-                // LRU would evict. A victim elsewhere is a policy deviation.
-                let touches = &self.last_touch[base..base + ways];
-                let mut lru_way = 0;
-                for (w, &t) in touches.iter().enumerate().skip(1) {
-                    if t < touches[lru_way] {
-                        lru_way = w;
-                    }
-                }
+                // A victim other than the way strict LRU would evict is a
+                // policy deviation. The LRU arm chose exactly that way.
+                let lru_deviated = match self.policy {
+                    PolicyImpl::Lru => false,
+                    _ => victim != self.lru_way(base, ways),
+                };
                 let idx = base + victim;
                 let reused = self.flags[idx] & F_DEMAND_USED != 0;
                 let victim_line = LineAddr::new(self.tags[idx]);
                 if let PolicyImpl::Boxed(p) = &mut self.policy {
                     p.on_evict(set, victim, victim_line, reused);
                 }
-                let ev = self.evict_bookkeeping(idx, victim != lru_way);
+                let ev = self.evict_bookkeeping(idx, lru_deviated);
                 (victim, Some(ev))
             }
         };
@@ -633,6 +630,21 @@ impl Cache {
         self.fill_at[idx] = self.clock;
     }
 
+    /// The least-recently-touched way of the set at `base`: the first
+    /// minimum of the cache-owned stamps, matching `Iterator::min_by_key`.
+    // cosmos-lint: hot
+    #[inline]
+    fn lru_way(&self, base: usize, ways: usize) -> usize {
+        let touches = &self.last_touch[base..base + ways];
+        let mut best = 0;
+        for (w, &t) in touches.iter().enumerate().skip(1) {
+            if t < touches[best] {
+                best = w;
+            }
+        }
+        best
+    }
+
     /// Victim selection for a full set. The inline LRU/LCR arms reproduce
     /// [`Lru::choose_victim`] / [`Lcr::choose_victim`] decision-for-decision
     /// (first-minimum tie-breaks and all) straight off the SoA arrays;
@@ -640,17 +652,7 @@ impl Cache {
     // cosmos-lint: hot
     fn choose_victim(&mut self, set: usize, base: usize, ways: usize) -> usize {
         match &mut self.policy {
-            PolicyImpl::Lru => {
-                // First minimum wins, matching Iterator::min_by_key.
-                let touches = &self.last_touch[base..base + ways];
-                let mut best = 0;
-                for (w, &t) in touches.iter().enumerate().skip(1) {
-                    if t < touches[best] {
-                        best = w;
-                    }
-                }
-                best
-            }
+            PolicyImpl::Lru => self.lru_way(base, ways),
             PolicyImpl::Lcr => {
                 // Paper Algorithm 2 with LRU tie-breaks: highest-score bad
                 // line first; if all good, lowest-score good line.

@@ -3,10 +3,20 @@
 //! Write-back, write-allocate at every level. Dirty evictions cascade
 //! downward (L1 → L2 → LLC); dirty LLC evictions surface as writebacks for
 //! the memory controller (and, in secure designs, the secure write path).
+//!
+//! Every level is a plain LRU cache that is never invalidated, prefetched
+//! or hinted, so it keeps only what LRU needs. A set is `ways` words
+//! `line << 1 | dirty`, ordered most- to least-recently used, with the
+//! `EMPTY` word in its unused ways at the tail. A touch moves a word to
+//! the front; a fill shifts the set right by one and the word pushed off
+//! the tail is the victim. That is exactly the way the generic
+//! [`cosmos_cache::Cache`] LRU evicts — the one with the oldest touch
+//! stamp, empty ways first — at 8 bytes per line (DESIGN.md §13).
 
-use crate::config::SimConfig;
-use cosmos_cache::{Cache, CacheConfig, PolicyKind};
-use cosmos_common::stats::HitMiss;
+use crate::config::{CacheLevelConfig, SimConfig};
+use cosmos_cache::CacheConfig;
+use cosmos_common::json::{codec, json, Value};
+use cosmos_common::stats::{Counters, HitMiss};
 use cosmos_common::LineAddr;
 
 /// Which level served a demand access.
@@ -29,24 +39,128 @@ impl DataHit {
     }
 }
 
+/// The word of an empty way. Data line indices stay far below 2^63, so no
+/// `line << 1 | dirty` word can equal it.
+const EMPTY: u64 = u64::MAX;
+
+/// One exact-LRU cache level: a per-core L1 or L2, or the shared LLC.
+struct LruLevel {
+    /// `sets × ways` words, each set MRU-first with [`EMPTY`] at the tail.
+    words: Vec<u64>,
+    ways: usize,
+    set_mask: u64,
+    /// Demand hits and misses (spill fills are not demand traffic).
+    demand: HitMiss,
+}
+
+impl LruLevel {
+    fn new(level: &CacheLevelConfig) -> Self {
+        // `CacheConfig` validates the geometry exactly as it always has.
+        let geometry = CacheConfig::new(level.size_bytes, level.ways);
+        Self {
+            words: vec![EMPTY; geometry.num_lines()],
+            ways: geometry.ways(),
+            set_mask: geometry.num_sets() as u64 - 1,
+            demand: HitMiss::new(),
+        }
+    }
+
+    /// A demand access: counts a hit or a miss, then touches `line`.
+    /// Returns whether it hit and the dirty line it evicted, if any.
+    // cosmos-lint: hot
+    #[inline]
+    fn access(&mut self, line: LineAddr, write: bool) -> (bool, Option<LineAddr>) {
+        let (hit, victim) = self.touch(line, write);
+        self.demand.record(hit);
+        (hit, victim)
+    }
+
+    /// Moves `line` to the front of its set, ORing `dirty` into its word,
+    /// or inserts it there if it is not resident. Returns whether it was
+    /// resident and the dirty line pushed off the tail, if any.
+    // cosmos-lint: hot
+    #[inline]
+    fn touch(&mut self, line: LineAddr, dirty: bool) -> (bool, Option<LineAddr>) {
+        let line = line.index();
+        debug_assert!(line < 1 << 63, "line {line:#x} does not fit a tag word");
+        let base = (line & self.set_mask) as usize * self.ways;
+        let set = &mut self.words[base..base + self.ways];
+        let dirty = u64::from(dirty);
+        if let Some(pos) = set.iter().position(|&w| w >> 1 == line) {
+            let word = set[pos] | dirty;
+            set.copy_within(..pos, 1);
+            set[0] = word;
+            return (true, None);
+        }
+        let last = set.len() - 1;
+        let victim = set[last];
+        set.copy_within(..last, 1);
+        set[0] = line << 1 | dirty;
+        let dirty_victim = victim != EMPTY && victim & 1 != 0;
+        (false, dirty_victim.then(|| LineAddr::new(victim >> 1)))
+    }
+
+    fn save_state(&self) -> Value {
+        json!({
+            "words": (codec::from_u64s(self.words.iter().copied())),
+            "demand": (self.demand.to_json()),
+        })
+    }
+
+    /// Restores [`LruLevel::save_state`] output, rejecting any word array
+    /// that no sequence of accesses could have produced.
+    fn load_state(&mut self, v: &Value, name: &str) -> Result<(), String> {
+        let words = codec::u64_array(v, "words")?;
+        codec::check_len(&format!("{name}.words"), words.len(), self.words.len())?;
+        for (set, ways) in words.chunks_exact(self.ways).enumerate() {
+            self.check_set(set, ways)
+                .map_err(|e| format!("{name} set {set}: {e}"))?;
+        }
+        self.demand = HitMiss::from_json_field(v, "demand")?;
+        self.words = words;
+        Ok(())
+    }
+
+    /// A saved set is valid when its resident words form a prefix, each
+    /// maps to `set`, and no line appears twice.
+    fn check_set(&self, set: usize, ways: &[u64]) -> Result<(), String> {
+        let valid = ways.iter().take_while(|&&w| w != EMPTY).count();
+        if ways[valid..].iter().any(|&w| w != EMPTY) {
+            return Err(format!("a resident line follows the empty way {valid}"));
+        }
+        for (i, &w) in ways[..valid].iter().enumerate() {
+            let line = w >> 1;
+            let home = (line & self.set_mask) as usize;
+            if home != set {
+                return Err(format!("line {line} belongs to set {home}"));
+            }
+            if ways[..i].iter().any(|&p| p >> 1 == line) {
+                return Err(format!("line {line} is stored twice"));
+            }
+        }
+        Ok(())
+    }
+}
+
 /// Per-core L1/L2 caches plus the shared LLC.
 pub struct CacheHierarchy {
-    l1: Vec<Cache>,
-    l2: Vec<Cache>,
-    llc: Cache,
+    l1: Vec<LruLevel>,
+    l2: Vec<LruLevel>,
+    llc: LruLevel,
 }
 
 impl CacheHierarchy {
     /// Builds the hierarchy described by `config`: one L1 and one L2 per
     /// core, and one shared LLC, all LRU.
     pub fn new(config: &SimConfig) -> Self {
-        let mk = |lvl: &crate::config::CacheLevelConfig| {
-            Cache::new(CacheConfig::new(lvl.size_bytes, lvl.ways), PolicyKind::Lru)
-        };
         Self {
-            l1: (0..config.cores).map(|_| mk(&config.l1)).collect(),
-            l2: (0..config.cores).map(|_| mk(&config.l2)).collect(),
-            llc: mk(&config.llc),
+            l1: (0..config.cores)
+                .map(|_| LruLevel::new(&config.l1))
+                .collect(),
+            l2: (0..config.cores)
+                .map(|_| LruLevel::new(&config.l2))
+                .collect(),
+            llc: LruLevel::new(&config.llc),
         }
     }
 
@@ -70,55 +184,39 @@ impl CacheHierarchy {
         writebacks.clear();
 
         // L1.
-        let r1 = self.l1[core].access(line, write, None);
-        if r1.hit {
+        let (hit, victim) = self.l1[core].access(line, write);
+        if hit {
             return DataHit::L1;
         }
-        if let Some(ev) = r1.evicted {
-            if ev.dirty {
-                self.spill_to_l2(core, ev.line, writebacks);
+        if let Some(spilled) = victim {
+            if let (_, Some(spilled)) = self.l2[core].touch(spilled, true) {
+                self.spill_to_llc(spilled, writebacks);
             }
         }
 
         // L2 (demand fill; a write allocates and dirties only L1).
-        let r2 = self.l2[core].access(line, false, None);
-        if let Some(ev) = r2.evicted {
-            if ev.dirty {
-                self.spill_to_llc(ev.line, writebacks);
-            }
+        let (hit, victim) = self.l2[core].access(line, false);
+        if let Some(spilled) = victim {
+            self.spill_to_llc(spilled, writebacks);
         }
-        if r2.hit {
+        if hit {
             return DataHit::L2;
         }
 
         // LLC.
-        let r3 = self.llc.access(line, false, None);
-        if let Some(ev) = r3.evicted {
-            if ev.dirty {
-                writebacks.push(ev.line);
-            }
-        }
-        if r3.hit {
+        let (hit, victim) = self.llc.access(line, false);
+        writebacks.extend(victim);
+        if hit {
             DataHit::Llc
         } else {
             DataHit::Dram
         }
     }
 
-    fn spill_to_l2(&mut self, core: usize, line: LineAddr, writebacks: &mut Vec<LineAddr>) {
-        if let Some(ev) = self.l2[core].fill(line, true) {
-            if ev.dirty {
-                self.spill_to_llc(ev.line, writebacks);
-            }
-        }
-    }
-
+    // cosmos-lint: hot
     fn spill_to_llc(&mut self, line: LineAddr, writebacks: &mut Vec<LineAddr>) {
-        if let Some(ev) = self.llc.fill(line, true) {
-            if ev.dirty {
-                writebacks.push(ev.line);
-            }
-        }
+        let (_, victim) = self.llc.touch(line, true);
+        writebacks.extend(victim);
     }
 
     /// Aggregated L1 hit/miss over all cores.
@@ -133,55 +231,44 @@ impl CacheHierarchy {
 
     /// LLC hit/miss.
     pub fn llc_stats(&self) -> HitMiss {
-        self.llc.stats().demand
+        self.llc.demand
     }
 
-    /// Serializes every cache level for snapshots.
-    pub fn save_state(&self) -> Result<cosmos_common::json::Value, String> {
-        let levels = |caches: &[Cache]| -> Result<cosmos_common::json::Value, String> {
-            Ok(cosmos_common::json::Value::Array(
-                caches
-                    .iter()
-                    .map(Cache::save_state)
-                    .collect::<Result<_, _>>()?,
-            ))
-        };
-        Ok(cosmos_common::json!({
-            "l1": (levels(&self.l1)?),
-            "l2": (levels(&self.l2)?),
-            "llc": (self.llc.save_state()?),
-        }))
+    /// Serializes every cache level for snapshots: each level's MRU-ordered
+    /// words and its demand hit/miss counts.
+    pub fn save_state(&self) -> Value {
+        let levels =
+            |levels: &[LruLevel]| Value::Array(levels.iter().map(LruLevel::save_state).collect());
+        json!({
+            "l1": (levels(&self.l1)),
+            "l2": (levels(&self.l2)),
+            "llc": (self.llc.save_state()),
+        })
     }
 
     /// Restores state produced by [`CacheHierarchy::save_state`] into a
     /// hierarchy built from the same config.
-    pub fn load_state(&mut self, v: &cosmos_common::json::Value) -> Result<(), String> {
-        use cosmos_common::json::codec;
-        let level = |caches: &mut [Cache], key: &str| -> Result<(), String> {
+    pub fn load_state(&mut self, v: &Value) -> Result<(), String> {
+        let per_core = |levels: &mut [LruLevel], key: &str| -> Result<(), String> {
             let arr = codec::field(v, key)?
                 .as_array()
                 .ok_or_else(|| format!("field `{key}`: expected an array"))?;
-            codec::check_len(key, arr.len(), caches.len())?;
-            for (cache, saved) in caches.iter_mut().zip(arr) {
-                cache.load_state(saved)?;
+            codec::check_len(key, arr.len(), levels.len())?;
+            for (core, (level, saved)) in levels.iter_mut().zip(arr).enumerate() {
+                level.load_state(saved, &format!("{key}[{core}]"))?;
             }
             Ok(())
         };
-        level(&mut self.l1, "l1")?;
-        level(&mut self.l2, "l2")?;
-        self.llc.load_state(codec::field(v, "llc")?)?;
-        Ok(())
+        per_core(&mut self.l1, "l1")?;
+        per_core(&mut self.l2, "l2")?;
+        self.llc.load_state(codec::field(v, "llc")?, "llc")
     }
 }
 
-/// Sums the demand hit/miss counts of one level's per-core caches. Only
-/// [`CacheHierarchy::access`] makes demand accesses (spills go through
-/// [`Cache::fill`], which leaves demand stats alone), so this is the
-/// level's demand traffic.
-fn demand_sum(caches: &[Cache]) -> HitMiss {
-    let (hits, misses) = caches.iter().fold((0, 0), |(h, m), c| {
-        let d = c.stats().demand;
-        (h + d.hits(), m + d.misses())
+/// Sums the demand hit/miss counts of one level's per-core caches.
+fn demand_sum(levels: &[LruLevel]) -> HitMiss {
+    let (hits, misses) = levels.iter().fold((0, 0), |(h, m), l| {
+        (h + l.demand.hits(), m + l.demand.misses())
     });
     HitMiss::from_counts(hits, misses)
 }
@@ -190,6 +277,251 @@ fn demand_sum(caches: &[Cache]) -> HitMiss {
 mod tests {
     use super::*;
     use crate::config::{Design, SimConfig};
+    use proptest::prelude::*;
+
+    /// The hierarchy this module used to be: three levels of the generic
+    /// LRU [`cosmos_cache::Cache`]. The oracle the exact-LRU levels must
+    /// match access for access.
+    mod reference {
+        use crate::config::SimConfig;
+        use crate::hierarchy::DataHit;
+        use cosmos_cache::{Cache, CacheConfig, PolicyKind};
+        use cosmos_common::stats::HitMiss;
+        use cosmos_common::LineAddr;
+
+        pub struct CacheOracle {
+            l1: Vec<Cache>,
+            l2: Vec<Cache>,
+            llc: Cache,
+        }
+
+        impl CacheOracle {
+            pub fn new(config: &SimConfig) -> Self {
+                let mk = |lvl: &crate::config::CacheLevelConfig| {
+                    Cache::new(CacheConfig::new(lvl.size_bytes, lvl.ways), PolicyKind::Lru)
+                };
+                Self {
+                    l1: (0..config.cores).map(|_| mk(&config.l1)).collect(),
+                    l2: (0..config.cores).map(|_| mk(&config.l2)).collect(),
+                    llc: mk(&config.llc),
+                }
+            }
+
+            pub fn access(
+                &mut self,
+                core: usize,
+                line: LineAddr,
+                write: bool,
+                writebacks: &mut Vec<LineAddr>,
+            ) -> DataHit {
+                writebacks.clear();
+                let r1 = self.l1[core].access(line, write, None);
+                if r1.hit {
+                    return DataHit::L1;
+                }
+                if let Some(ev) = r1.evicted.filter(|ev| ev.dirty) {
+                    if let Some(ev2) = self.l2[core].fill(ev.line, true).filter(|e| e.dirty) {
+                        self.spill_to_llc(ev2.line, writebacks);
+                    }
+                }
+                let r2 = self.l2[core].access(line, false, None);
+                if let Some(ev) = r2.evicted.filter(|ev| ev.dirty) {
+                    self.spill_to_llc(ev.line, writebacks);
+                }
+                if r2.hit {
+                    return DataHit::L2;
+                }
+                let r3 = self.llc.access(line, false, None);
+                writebacks.extend(r3.evicted.filter(|ev| ev.dirty).map(|ev| ev.line));
+                if r3.hit {
+                    DataHit::Llc
+                } else {
+                    DataHit::Dram
+                }
+            }
+
+            fn spill_to_llc(&mut self, line: LineAddr, writebacks: &mut Vec<LineAddr>) {
+                let ev = self.llc.fill(line, true).filter(|ev| ev.dirty);
+                writebacks.extend(ev.map(|ev| ev.line));
+            }
+
+            pub fn stats(&self) -> [HitMiss; 3] {
+                let sum = |caches: &[Cache]| {
+                    let (h, m) = caches.iter().fold((0, 0), |(h, m), c| {
+                        (h + c.stats().demand.hits(), m + c.stats().demand.misses())
+                    });
+                    HitMiss::from_counts(h, m)
+                };
+                [sum(&self.l1), sum(&self.l2), self.llc.stats().demand]
+            }
+        }
+    }
+
+    const WAYS: [usize; 4] = [1, 2, 8, 16];
+
+    /// A hierarchy config with `cores` cores and levels of
+    /// `(ways index, log2 sets)`.
+    fn geometry_config(cores: usize, levels: [(usize, u32); 3]) -> SimConfig {
+        let mut cfg = SimConfig::paper_default(Design::Np);
+        cfg.cores = cores;
+        for (lvl, (w, sets_log2)) in [&mut cfg.l1, &mut cfg.l2, &mut cfg.llc]
+            .into_iter()
+            .zip(levels)
+        {
+            lvl.ways = WAYS[w];
+            lvl.size_bytes = WAYS[w] << sets_log2 << 6;
+        }
+        cfg
+    }
+
+    /// Runs `ops` through the hierarchy and the `Cache`-based oracle,
+    /// comparing every outcome, writeback list and level stat.
+    fn check_against_oracle(cfg: &SimConfig, ops: &[(usize, u64, bool)]) -> Result<(), String> {
+        let mut h = CacheHierarchy::new(cfg);
+        let mut oracle = reference::CacheOracle::new(cfg);
+        let (mut wb, mut wb_oracle) = (Vec::new(), Vec::new());
+        for (i, &(core, line, write)) in ops.iter().enumerate() {
+            let core = core % cfg.cores;
+            let line = LineAddr::new(line);
+            let got = h.access(core, line, write, &mut wb);
+            let want = oracle.access(core, line, write, &mut wb_oracle);
+            let stats = [h.l1_stats(), h.l2_stats(), h.llc_stats()];
+            if got != want || wb != wb_oracle || stats != oracle.stats() {
+                return Err(format!(
+                    "access {i} (core {core}, {line:?}, write {write}): \
+                     {got:?} {wb:?} {stats:?} vs oracle {want:?} {wb_oracle:?} {:?}",
+                    oracle.stats()
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        fn matches_cache_oracle(
+            cores in 1usize..5,
+            levels in (
+                (0usize..4, 0u32..3),
+                (0usize..4, 0u32..3),
+                (0usize..4, 0u32..4),
+            ),
+            ops in prop::collection::vec((0usize..4, 0u64..96, any::<bool>()), 1..400),
+        ) {
+            let cfg = geometry_config(cores, [levels.0, levels.1, levels.2]);
+            let outcome = check_against_oracle(&cfg, &ops);
+            prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
+        }
+    }
+
+    #[test]
+    fn every_way_count_matches_oracle_under_write_pressure() {
+        // Deterministic sweep: every associativity at every level, with a
+        // dirty-heavy stream that forces cascades out of the LLC.
+        let ops: Vec<(usize, u64, bool)> = (0..3000u64)
+            .map(|i| ((i % 3) as usize, (i * 37 + i / 7) % 211, i % 3 != 1))
+            .collect();
+        for w1 in 0..4 {
+            for w2 in 0..4 {
+                for w3 in 0..4 {
+                    let cfg = geometry_config(3, [(w1, 1), (w2, 1), (w3, 2)]);
+                    check_against_oracle(&cfg, &ops).unwrap();
+                }
+            }
+        }
+    }
+
+    /// A small hierarchy with some history, and its saved state.
+    fn saved_tiny() -> (CacheHierarchy, Value) {
+        let mut h = tiny_hierarchy();
+        for i in 0..40u64 {
+            probe(&mut h, (i % 2) as usize, i * 3, i % 4 == 0);
+        }
+        let saved = h.save_state();
+        (h, saved)
+    }
+
+    /// `saved` with the word array of its `llc` level edited by `f`.
+    fn tamper_llc(saved: &Value, f: impl FnOnce(&mut Vec<u64>)) -> Value {
+        let mut v = saved.clone();
+        let Value::Object(top) = &mut v else {
+            panic!("hierarchy state is an object")
+        };
+        let llc = top.get_mut("llc").unwrap();
+        let mut words = codec::u64_array(llc, "words").unwrap();
+        f(&mut words);
+        let Value::Object(level) = llc else {
+            panic!("level state is an object")
+        };
+        level.insert("words", codec::from_u64s(words));
+        v
+    }
+
+    fn load_err(v: &Value) -> String {
+        let mut h = tiny_hierarchy();
+        h.load_state(v)
+            .expect_err("tampered state must be rejected")
+    }
+
+    #[test]
+    fn save_load_round_trip_continues_identically() {
+        let (mut h, saved) = saved_tiny();
+        let mut restored = tiny_hierarchy();
+        restored.load_state(&saved).unwrap();
+        assert_eq!(restored.save_state(), saved);
+        let (mut wb_a, mut wb_b) = (Vec::new(), Vec::new());
+        for i in 0..300u64 {
+            let (core, line) = ((i % 2) as usize, LineAddr::new(i * 5 % 131));
+            let a = h.access(core, line, i % 3 == 0, &mut wb_a);
+            let b = restored.access(core, line, i % 3 == 0, &mut wb_b);
+            assert_eq!((a, &wb_a), (b, &wb_b), "access {i}");
+        }
+        assert_eq!(h.l1_stats(), restored.l1_stats());
+        assert_eq!(h.l2_stats(), restored.l2_stats());
+        assert_eq!(h.llc_stats(), restored.llc_stats());
+    }
+
+    #[test]
+    fn load_rejects_wrong_word_count() {
+        let (_, saved) = saved_tiny();
+        let err = load_err(&tamper_llc(&saved, |w| {
+            w.pop();
+        }));
+        assert!(err.contains("llc.words") && err.contains("length"), "{err}");
+    }
+
+    #[test]
+    fn load_rejects_line_in_wrong_set() {
+        let (_, saved) = saved_tiny();
+        // LLC: 4096 B / 16 ways = 4 sets. Line 1 belongs to set 1, not 0.
+        let err = load_err(&tamper_llc(&saved, |w| w[0] = 1 << 1));
+        assert!(
+            err.contains("set 0") && err.contains("belongs to set 1"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn load_rejects_duplicate_line() {
+        let (_, saved) = saved_tiny();
+        let err = load_err(&tamper_llc(&saved, |w| {
+            assert!(w[1] != EMPTY, "set 0 holds at least two lines");
+            w[1] = w[0] ^ 1;
+        }));
+        assert!(err.contains("stored twice"), "{err}");
+    }
+
+    #[test]
+    fn load_rejects_resident_line_after_empty_way() {
+        let (_, saved) = saved_tiny();
+        let err = load_err(&tamper_llc(&saved, |w| {
+            let last = 16 * 4 - 1;
+            assert_eq!(w[last], EMPTY, "set 3 is not full");
+            w[last] = 3 << 3;
+        }));
+        assert!(err.contains("follows the empty way"), "{err}");
+    }
 
     fn tiny_hierarchy() -> CacheHierarchy {
         let mut cfg = SimConfig::paper_default(Design::Np);

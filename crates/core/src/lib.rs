@@ -3,11 +3,12 @@
 //! This crate wires the substrates together into a trace-driven,
 //! latency-composed timing model of the paper's system:
 //!
-//! - a multi-core cache hierarchy (per-core L1/L2, shared LLC) over the
-//!   [`cosmos_cache`] substrate,
+//! - a multi-core cache hierarchy (per-core L1/L2, shared LLC) with its
+//!   own exact-LRU tag store ([`hierarchy`]),
 //! - the memory-controller secure path: CTR cache (LRU or LCR), Merkle-tree
 //!   metadata cache, MAC traffic, counter increments with MorphCtr
-//!   re-encryption, over [`cosmos_secure`] and [`cosmos_dram`],
+//!   re-encryption, over [`cosmos_cache`], [`cosmos_secure`] and
+//!   [`cosmos_dram`],
 //! - the two RL predictors from [`cosmos_rl`],
 //! - six **designs** ([`Design`]): non-protected (NP), the MorphCtr
 //!   baseline, an EMCC-like early-CTR variant, COSMOS-DP, COSMOS-CP, and

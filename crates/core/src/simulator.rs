@@ -225,7 +225,7 @@ impl Simulator {
             None => Value::Null,
         };
         Ok(cosmos_common::json!({
-            "hierarchy": (self.hierarchy.save_state()?),
+            "hierarchy": (self.hierarchy.save_state()),
             "secure": (secure),
             "data_pred": (data_pred),
             "dram": (self.dram.save_state()),

@@ -2,9 +2,10 @@
 //! estimator's arithmetic.
 //!
 //! Both strings were recorded before the stats structs were generated from
-//! a single field declaration. The snapshot bytes must not change (the
-//! snapshot format version is pinned at 1), and the estimator must keep
-//! the same per-counter `f64` accumulation and rounding, so sampled
+//! a single field declaration. The `SimStats` snapshot bytes must not
+//! change: they are the same in snapshot format versions 1 and 2 (version 2
+//! changed only the data-cache hierarchy's saved state). The estimator must
+//! keep the same per-counter `f64` accumulation and rounding, so sampled
 //! artifacts stay byte-identical.
 
 use cosmos_cache::CacheStats;

@@ -18,7 +18,10 @@ use std::path::Path;
 /// Current snapshot format version. Bump on any change to the saved-state
 /// layout; old snapshots are rejected with a clear error, never
 /// reinterpreted.
-pub const SNAPSHOT_VERSION: u64 = 1;
+///
+/// Version 2 saves each data-cache level as MRU-ordered line words plus
+/// its demand hit/miss counts.
+pub const SNAPSHOT_VERSION: u64 = 2;
 
 /// 64-bit FNV-1a over `bytes`.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -232,10 +235,16 @@ mod tests {
     fn version_mismatch_is_rejected_with_clear_error() {
         let (_, sim, _) = small_sim(Design::MorphCtr, 1000);
         let mut snap = SimSnapshot::capture(&sim, 1000).unwrap();
-        snap.version = SNAPSHOT_VERSION + 1;
-        let err = SimSnapshot::from_json(&snap.to_json()).unwrap_err();
-        assert!(err.contains("version"), "{err}");
-        assert!(err.contains("not supported"), "{err}");
+        // Version 1 is the layout before the exact-LRU hierarchy.
+        for version in [1, SNAPSHOT_VERSION + 1] {
+            snap.version = version;
+            let err = SimSnapshot::from_json(&snap.to_json()).unwrap_err();
+            assert!(
+                err.contains(&format!("version {version} is not supported")),
+                "{err}"
+            );
+            assert!(err.contains("re-create the checkpoint"), "{err}");
+        }
     }
 
     #[test]
