@@ -278,40 +278,6 @@ impl Cache {
         first_use
     }
 
-    /// Inserts a line without touching demand statistics — used for fills
-    /// that are not demand misses, e.g. a dirty line evicted from an upper
-    /// cache level being installed here. If the line is already resident it
-    /// is marked dirty as requested and no fill happens.
-    ///
-    /// Returns the eviction caused, if any.
-    pub fn fill(&mut self, line: LineAddr, dirty: bool) -> Option<Eviction> {
-        let tag = self.config.tag_of(line.index());
-        if !self.config.index().is_uniform() {
-            if let Some(idx) = self.find_slot_skewed(line.index(), tag) {
-                if dirty {
-                    self.flags[idx] |= F_DIRTY;
-                }
-                self.touch(idx);
-                return None;
-            }
-            return self.fill_skewed(line, tag, dirty, None, false);
-        }
-        let set = self.config.set_of(line.index());
-        let base = set * self.config.ways();
-        if let Some(way) = self.find_way_in_set(base, tag) {
-            let idx = base + way;
-            if dirty {
-                self.flags[idx] |= F_DIRTY;
-            }
-            self.touch(idx);
-            if let PolicyImpl::Boxed(p) = &mut self.policy {
-                p.on_hit(set, way, line);
-            }
-            return None;
-        }
-        self.fill_internal(set, tag, line, dirty, None, false)
-    }
-
     /// Inserts a line brought in by a prefetch (no demand hit/miss counted).
     ///
     /// Returns the eviction caused, if any. A line already present is left

@@ -281,9 +281,10 @@ mod tests {
 
     /// The hierarchy this module used to be: three levels of the generic
     /// LRU [`cosmos_cache::Cache`]. The oracle the exact-LRU levels must
-    /// match access for access.
+    /// match access for access. A dirty spill is a write access to the
+    /// lower cache, which only demand accesses count in `demand`.
     mod reference {
-        use crate::config::SimConfig;
+        use crate::config::{CacheLevelConfig, SimConfig};
         use crate::hierarchy::DataHit;
         use cosmos_cache::{Cache, CacheConfig, PolicyKind};
         use cosmos_common::stats::HitMiss;
@@ -293,17 +294,20 @@ mod tests {
             l1: Vec<Cache>,
             l2: Vec<Cache>,
             llc: Cache,
+            /// L1, L2 and LLC demand hits and misses.
+            pub demand: [HitMiss; 3],
         }
 
         impl CacheOracle {
             pub fn new(config: &SimConfig) -> Self {
-                let mk = |lvl: &crate::config::CacheLevelConfig| {
+                let mk = |lvl: &CacheLevelConfig| {
                     Cache::new(CacheConfig::new(lvl.size_bytes, lvl.ways), PolicyKind::Lru)
                 };
                 Self {
                     l1: (0..config.cores).map(|_| mk(&config.l1)).collect(),
                     l2: (0..config.cores).map(|_| mk(&config.l2)).collect(),
                     llc: mk(&config.llc),
+                    demand: [HitMiss::new(); 3],
                 }
             }
 
@@ -316,15 +320,18 @@ mod tests {
             ) -> DataHit {
                 writebacks.clear();
                 let r1 = self.l1[core].access(line, write, None);
+                self.demand[0].record(r1.hit);
                 if r1.hit {
                     return DataHit::L1;
                 }
                 if let Some(ev) = r1.evicted.filter(|ev| ev.dirty) {
-                    if let Some(ev2) = self.l2[core].fill(ev.line, true).filter(|e| e.dirty) {
+                    let r = self.l2[core].access(ev.line, true, None);
+                    if let Some(ev2) = r.evicted.filter(|e| e.dirty) {
                         self.spill_to_llc(ev2.line, writebacks);
                     }
                 }
                 let r2 = self.l2[core].access(line, false, None);
+                self.demand[1].record(r2.hit);
                 if let Some(ev) = r2.evicted.filter(|ev| ev.dirty) {
                     self.spill_to_llc(ev.line, writebacks);
                 }
@@ -332,6 +339,7 @@ mod tests {
                     return DataHit::L2;
                 }
                 let r3 = self.llc.access(line, false, None);
+                self.demand[2].record(r3.hit);
                 writebacks.extend(r3.evicted.filter(|ev| ev.dirty).map(|ev| ev.line));
                 if r3.hit {
                     DataHit::Llc
@@ -341,18 +349,8 @@ mod tests {
             }
 
             fn spill_to_llc(&mut self, line: LineAddr, writebacks: &mut Vec<LineAddr>) {
-                let ev = self.llc.fill(line, true).filter(|ev| ev.dirty);
-                writebacks.extend(ev.map(|ev| ev.line));
-            }
-
-            pub fn stats(&self) -> [HitMiss; 3] {
-                let sum = |caches: &[Cache]| {
-                    let (h, m) = caches.iter().fold((0, 0), |(h, m), c| {
-                        (h + c.stats().demand.hits(), m + c.stats().demand.misses())
-                    });
-                    HitMiss::from_counts(h, m)
-                };
-                [sum(&self.l1), sum(&self.l2), self.llc.stats().demand]
+                let r = self.llc.access(line, true, None);
+                writebacks.extend(r.evicted.filter(|ev| ev.dirty).map(|ev| ev.line));
             }
         }
     }
@@ -386,11 +384,11 @@ mod tests {
             let got = h.access(core, line, write, &mut wb);
             let want = oracle.access(core, line, write, &mut wb_oracle);
             let stats = [h.l1_stats(), h.l2_stats(), h.llc_stats()];
-            if got != want || wb != wb_oracle || stats != oracle.stats() {
+            if got != want || wb != wb_oracle || stats != oracle.demand {
                 return Err(format!(
                     "access {i} (core {core}, {line:?}, write {write}): \
                      {got:?} {wb:?} {stats:?} vs oracle {want:?} {wb_oracle:?} {:?}",
-                    oracle.stats()
+                    oracle.demand
                 ));
             }
         }
