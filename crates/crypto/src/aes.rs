@@ -4,8 +4,7 @@
 //! ShiftRows, MixColumns over GF(2^8), and the 10-round key schedule. This
 //! is the functional model of the memory controller's AES pipeline; its
 //! *performance* in the simulator is the paper's 40-cycle constant, not this
-//! software speed (although `cosmos-bench` measures the software throughput
-//! too).
+//! software speed.
 
 /// AES S-box.
 const SBOX: [u8; 256] = [

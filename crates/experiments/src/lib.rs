@@ -16,7 +16,6 @@
 pub mod explain;
 pub mod figures;
 pub mod runner;
-pub mod throughput;
 
 use cosmos_common::json::Value;
 use cosmos_common::{PhysAddr, Trace};
@@ -151,7 +150,10 @@ impl Args {
             }
         }
         if args.large {
-            args.accesses *= 4;
+            args.accesses = args
+                .accesses
+                .checked_mul(4)
+                .ok_or("--large: 4x the access budget overflows")?;
         }
         Ok(Some(args))
     }
@@ -451,6 +453,7 @@ mod tests {
         assert_eq!(parse(&["-h"]).unwrap(), None);
         for bad in [
             &["--accesses", "0"][..],
+            &["--accesses", "4611686018427387905", "--large"],
             &["--accesses"],
             &["--accesses", "lots"],
             &["--jobs", "0"],

@@ -58,6 +58,16 @@ fn opt_u64(v: &Value, key: &str, default: u64) -> Result<u64, String> {
     }
 }
 
+/// A submitted access budget, which must be positive (as `cosmos_figure
+/// --accesses` requires): a zero budget would run empty traces and report
+/// NaN rates.
+fn positive(accesses: usize) -> Result<usize, String> {
+    match accesses {
+        0 => Err("accesses must be positive".into()),
+        n => Ok(n),
+    }
+}
+
 impl JobSpec {
     /// Parses and validates a job object at submission time — unknown
     /// figures, designs, and workloads are rejected here, before the job
@@ -73,7 +83,12 @@ impl JobSpec {
                         figures::known_names()
                     )
                 })?;
-                let accesses = opt_u64(v, "accesses", fig.default_accesses as u64)? as usize;
+                // The tables take no budget (their default is 0), so a 0
+                // there is no error, and their manifest rows round-trip.
+                let accesses = match opt_u64(v, "accesses", fig.default_accesses as u64)? {
+                    0 if fig.default_accesses == 0 => 0,
+                    n => positive(n as usize)?,
+                };
                 Ok(JobSpec::Figure {
                     figure: fig.name,
                     accesses,
@@ -83,7 +98,7 @@ impl JobSpec {
             "sim" => Ok(JobSpec::Sim {
                 design: codec::str_field(v, "design")?.parse()?,
                 workload: codec::str_field(v, "workload")?.parse()?,
-                accesses: codec::usize_field(v, "accesses")?,
+                accesses: positive(codec::usize_field(v, "accesses")?)?,
                 seed: opt_u64(v, "seed", DEFAULT_SEED)?,
                 snapshot_every: opt_u64(v, "snapshot_every", 0)? as usize,
             }),
@@ -236,6 +251,13 @@ mod tests {
             seed: 9,
         };
         assert_eq!(JobSpec::from_json(&spec.to_json()).unwrap(), spec);
+        // A table takes no budget; its default 0 survives a resume.
+        let spec = JobSpec::Figure {
+            figure: "table1",
+            accesses: 0,
+            seed: 9,
+        };
+        assert_eq!(JobSpec::from_json(&spec.to_json()).unwrap(), spec);
     }
 
     #[test]
@@ -252,6 +274,14 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.contains("unknown design"), "{err}");
+        // A zero budget, as `cosmos_figure --accesses 0` is.
+        for job in [
+            r#"{"type":"figure","figure":"fig02","accesses":0}"#,
+            r#"{"type":"sim","design":"COSMOS","workload":"bfs","accesses":0}"#,
+        ] {
+            let err = parse_request(&format!(r#"{{"op":"submit","job":{job}}}"#)).unwrap_err();
+            assert!(err.contains("accesses must be positive"), "{err}");
+        }
         assert!(parse_request("not json")
             .unwrap_err()
             .contains("bad request JSON"));

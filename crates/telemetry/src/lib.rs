@@ -23,7 +23,7 @@
 
 // cosmos-lint: allow-file(H3): every hook returns before touching a mutex unless a
 // recorder/heatmap is attached; instrumented runs are diagnostics, and the
-// throughput guard measures the un-instrumented configuration.
+// benchmark measures the un-instrumented configuration.
 
 pub mod export;
 pub mod heatmap;

@@ -5,7 +5,7 @@
 #
 # Every block announces itself through `stage <name>`, so a failure log
 # always shows which named stage died, and the final summary line counts
-# the stages and carries the throughput guard's verdict.
+# the stages and echoes perfbench's host rates (information, not a gate).
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -29,12 +29,42 @@ cargo build --release
 stage test
 cargo test -q --workspace
 
-# The benchmark harness is its own package outside the workspace, so the
-# stages above never build it. Its self-tests drive the public APIs it
-# depends on (`CounterStore`, `Workload::generate`, `SecurePath`), so a
-# break there fails here rather than only when the benchmark runs.
-stage perfbench-selftest
+# The benchmark of record (perfbench/README.md), a package outside the
+# workspace that the stages above never build. Its self-tests drive the
+# public APIs it depends on (`CounterStore`, `Workload::generate`,
+# `SecurePath`). Then, per workload, two untraced 1 s runs in separate
+# processes must report byte-identical simulated metrics, and a traced run
+# must pass every layer replay's check against `SimStats`. Host rates are
+# echoed in the summary line for information only: they swing by ±20% on
+# shared hosts, so this stage does not gate on them.
+stage perfbench
 cargo test -q --offline --manifest-path perfbench/Cargo.toml
+bench_dir="$(mktemp -d)"
+bench() { # <workload> <trace 0|1> <output>: must exit 0 with no failed check
+    python3 perfbench/run.py --workload "$1" --seed 1 --seconds 1 --trace "$2" >"$3" &&
+        tail -n 1 "$3" | grep -q '"failed": 0,' || {
+        echo "check.sh: perfbench $1 --trace $2 failed" >&2
+        cat "$3" >&2
+        exit 1
+    }
+}
+# The simulated metrics of a run's JSON result line, one per line.
+simulated() { tail -n 1 "$1" | grep -oE '"cosmos_(speedup|ctr_miss_rate)": \{"value": [^,]*'; }
+bench_rates=""
+for w in graph_sweep secure_mcf; do
+    bench "$w" 0 "$bench_dir/a"
+    bench "$w" 0 "$bench_dir/b"
+    [ "$(simulated "$bench_dir/a" | wc -l)" -eq 2 ] &&
+        diff <(simulated "$bench_dir/a") <(simulated "$bench_dir/b") >&2 || {
+        echo "check.sh: perfbench $w simulated metrics differ between runs" >&2
+        exit 1
+    }
+    bench "$w" 1 "$bench_dir/t"
+    rate="$(tail -n 1 "$bench_dir/a" | grep -oE '"accesses_per_sec": \{"value": [^,]*' |
+        awk '{ printf "%.2f", $NF / 1e6 }')"
+    bench_rates="$bench_rates${bench_rates:+, }$w $rate M/s"
+done
+rm -rf "$bench_dir"
 
 stage clippy
 cargo clippy -q --workspace --all-targets -- -D warnings
@@ -195,35 +225,6 @@ rm -rf "$plain_json" "$tele_json" "$tele_dir" "$tele_serial"
 stage fuzz
 cargo run --release -q -p cosmos-verify --bin verify_fuzz -- \
     --seed 1 --cases 16 --accesses 5000 >/dev/null
-
-# Throughput determinism smoke: two quick sim_throughput runs (snapshot
-# redirected via --json so the committed BENCH artifacts stay untouched)
-# must agree on every model-pure field — the simulated-cycle counts and
-# the field order itself. Wall-clock rates differ between runs, so the
-# comparison projects the snapshots onto their deterministic skeleton:
-# everything except the timing-derived *_per_sec / *_secs / speedup
-# numbers. grep -n keeps line numbers, so field ORDER mismatches fail
-# the cmp too (BENCH_sim.json is serialized via the insertion-ordered
-# cosmos_common::json map — this pins that order).
-stage throughput-determinism
-thr_a="$(mktemp)"
-thr_b="$(mktemp)"
-cargo run --release -q -p cosmos-experiments --bin sim_throughput -- \
-    --accesses 20000 --json "$thr_a" >/dev/null
-cargo run --release -q -p cosmos-experiments --bin sim_throughput -- \
-    --accesses 20000 --json "$thr_b" >/dev/null
-project_deterministic() {
-    grep -vEn '_per_sec|_secs|speedup|gap_ratio' "$1"
-}
-cmp <(project_deterministic "$thr_a") <(project_deterministic "$thr_b") || {
-    echo "check.sh: sim_throughput model fields are not deterministic" >&2
-    exit 1
-}
-grep -q '"sim_cycles_per_access"' "$thr_a" || {
-    echo "check.sh: sim_throughput snapshot lost sim_cycles_per_access" >&2
-    exit 1
-}
-rm -f "$thr_a" "$thr_b"
 
 # Snapshot/restore identity smoke (DESIGN.md §14): an uninterrupted
 # 200k-access run and a stop-at-100k-then-resume run of the same
@@ -406,22 +407,4 @@ done
 rm -rf "$fresh_dir"
 echo "check.sh: results-fresh took $((SECONDS - fresh_start)) s"
 
-# Throughput trend: flags >10% drops of the committed sim_throughput
-# snapshot against its history (both the plain-grid rate and the
-# channel-harness cell rate). Warn-only by default (wall-clock rates
-# are machine-dependent); export THROUGHPUT_GUARD=deny to make a
-# flagged drop fail this gate. Its verdict is echoed here and folded
-# into the final summary line.
-stage throughput-guard
-guard_status=0
-guard_out="$(scripts/throughput_guard.sh 2>&1)" || guard_status=$?
-printf '%s\n' "$guard_out"
-if [ "$guard_status" -ne 0 ]; then
-    echo "check.sh: throughput_guard failed (exit $guard_status)" >&2
-    exit "$guard_status"
-fi
-guard_summary="$(printf '%s\n' "$guard_out" \
-    | sed -n -E 's/^throughput_guard: (ok: |(WARNING: ))/\2/p' | paste -sd ';' -)"
-[ -n "$guard_summary" ] || guard_summary="no comparable history"
-
-echo "check.sh: all green ($STAGE_COUNT stages; throughput_guard: $guard_summary)"
+echo "check.sh: all green ($STAGE_COUNT stages; perfbench accesses_per_sec, not gated: $bench_rates)"
