@@ -31,10 +31,8 @@ use crate::leakage::EpochObservation;
 use cosmos_common::stats::Counters;
 use cosmos_common::{MemAccess, PhysAddr, Trace};
 use cosmos_core::{SimConfig, SimStats, Simulator};
-use cosmos_verify::{check_monotonic, check_stats, ShadowHook, ShadowState, Violation};
-use std::cell::RefCell;
+use cosmos_verify::Checker;
 use std::ops::Range;
-use std::rc::Rc;
 
 /// Geometry and schedule of one channel cell.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -177,11 +175,11 @@ pub struct CellResult {
 
 /// Runs one cell: steps `et.trace` through a fresh simulator under
 /// `config`, reading the attacker's per-tenant CTR stat bucket before and
-/// after every measured probe window. With `check`, the `cosmos-verify`
-/// shadow models observe the run in lockstep and the conservation-law
-/// catalogue runs at every probe boundary; violations are counted in the
-/// result and summarized on stderr. Observations are byte-identical either
-/// way — the oracles observe, never perturb.
+/// after every measured probe window. With `check`, a `cosmos-verify`
+/// [`Checker`] observes the run in lockstep, with a boundary at every
+/// probe-window end; violations are counted in the result and written to
+/// stderr as `verify[channel/<design>/<index>]:` lines. Observations are
+/// byte-identical either way — the oracles observe, never perturb.
 ///
 /// # Panics
 ///
@@ -194,15 +192,10 @@ pub fn run_cell(config: &SimConfig, et: &EpochTrace, check: bool) -> CellResult 
         config.design
     );
     let mut sim = Simulator::new(config.clone());
-    let shadow = if check {
-        let state = ShadowState::new(config).map(|s| Rc::new(RefCell::new(s)));
-        if let Some(state) = &state {
-            sim.set_secure_observer(Box::new(ShadowHook::new(Rc::clone(state))));
-        }
-        state
-    } else {
-        None
-    };
+    let mut checker = check.then(|| {
+        Checker::attach(config, &mut sim)
+            .expect("a fresh simulator gets fresh shadows, which always build")
+    });
     // The attacker's stat bucket: first non-zero tenant tag in the trace,
     // folded the same way SecurePath folds it.
     let att = usize::from(
@@ -217,8 +210,6 @@ pub fn run_cell(config: &SimConfig, et: &EpochTrace, check: bool) -> CellResult 
     let mut windows = et.probe_windows.iter();
     let mut current = windows.next();
     let mut before = cosmos_core::stats::TenantCtrStats::default();
-    let mut boundary_violations: Vec<Violation> = Vec::new();
-    let mut prev_snap: Option<SimStats> = None;
     for (i, access) in et.trace.iter().enumerate() {
         if let Some(w) = current {
             if i == w.start {
@@ -235,36 +226,23 @@ pub fn run_cell(config: &SimConfig, et: &EpochTrace, check: bool) -> CellResult 
                     probe_misses: delta.misses,
                     probe_miss_latency: delta.miss_latency,
                 });
-                if check {
-                    let snap = sim.snapshot();
-                    boundary_violations.extend(check_stats(&snap, config));
-                    if let Some(prev) = &prev_snap {
-                        boundary_violations.extend(check_monotonic(prev, &snap));
-                    }
-                    prev_snap = Some(snap);
+                if let Some(checker) = &mut checker {
+                    checker.boundary(&sim);
                 }
                 current = windows.next();
             }
         }
     }
 
-    let mut check_violations = boundary_violations.len() as u64;
-    if let Some(state) = shadow {
-        {
-            let mut s = state.borrow_mut();
-            if let Some(sp) = sim.secure() {
-                s.final_checks(sp);
-            }
-        }
-        let s = state.borrow();
-        check_violations += s.total_violations();
-        for v in s.violations().iter().take(8) {
-            eprintln!("channel-check: {v}");
-        }
-    }
-    for v in boundary_violations.iter().take(8) {
-        eprintln!("channel-check: {v}");
-    }
+    let check_violations = checker.map_or(0, |checker| {
+        let report = checker.finish(&sim);
+        report.eprint_findings(&format!(
+            "channel/{}/{}",
+            config.design,
+            config.ctr_index.name()
+        ));
+        report.total_violations
+    });
     CellResult {
         observations,
         stats: sim.finalize(),

@@ -79,21 +79,15 @@ pub(super) fn occupancy(args: &Args) -> FigureOutput {
                         Victim::Occupancy { lines: level },
                         config.scheme.coverage(),
                     );
-                    let r = run_cell(config, &et, args.check);
-                    (r.observations, r.check_violations)
+                    run_cell(config, &et, args.check).observations
                 }) as Task<'_, _>
             })
         })
         .collect();
-    let outcomes: Vec<(Vec<cosmos_channel::EpochObservation>, u64)> = {
+    let outcomes: Vec<Vec<cosmos_channel::EpochObservation>> = {
         let _p = args.telemetry.phase("sim");
         run_tasks(tasks, args.jobs)
     };
-
-    let violations: u64 = outcomes.iter().map(|(_, v)| v).sum();
-    if violations > 0 {
-        eprintln!("verify[channel_occupancy]: {violations} violation(s), see above");
-    }
 
     let mut headers = vec!["design/index", "disting.", "capacity b/ep"];
     let level_headers: Vec<String> = levels.iter().map(|l| format!("@{l}")).collect();
@@ -103,7 +97,7 @@ pub(super) fn occupancy(args: &Args) -> FigureOutput {
         let per_level: Vec<(usize, Vec<_>)> = levels
             .iter()
             .enumerate()
-            .map(|(li, &level)| (level, outcomes[ci * levels.len() + li].0.clone()))
+            .map(|(li, &level)| (level, outcomes[ci * levels.len() + li].clone()))
             .collect();
         let report = reduce(&per_level, DEFAULT_BINS);
         let mut cells = vec![

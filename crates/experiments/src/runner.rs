@@ -39,9 +39,9 @@
 use cosmos_common::stats::Counters;
 use cosmos_common::Trace;
 use cosmos_core::{Design, SimConfig, SimStats, Simulator};
-use cosmos_sampling::{run_sampled, SamplingConfig, SamplingPlan};
+use cosmos_sampling::{run_plan, SamplingConfig, SamplingPlan};
 use cosmos_telemetry::Telemetry;
-use cosmos_verify::CheckReport;
+use cosmos_verify::{run_checked, Checker};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A configuration tweak applied on top of [`SimConfig::paper_default`].
@@ -66,7 +66,8 @@ pub struct Job<'a> {
     /// configuration instead of the full trace.
     pub sample: Option<SamplingConfig>,
     /// Checked mode (`--check`): run the `cosmos-verify` oracles in
-    /// lockstep. Statistics stay byte-identical; violations go to stderr.
+    /// lockstep. Statistics stay byte-identical; violations go to stderr
+    /// as `verify[<label>]:` lines.
     pub check: bool,
     /// Telemetry handle threaded into the simulation (`--telemetry`);
     /// disabled by default. Observational only.
@@ -130,30 +131,36 @@ impl<'a> Job<'a> {
         }
         config.telemetry = self.telemetry.clone();
         let _sim_phase = self.telemetry.phase("sim");
-        let (stats, simulated_accesses) = match (&self.sample, self.check) {
-            (Some(sampling), false) => {
+        let (stats, simulated_accesses, report) = match &self.sample {
+            Some(sampling) => {
                 let plan = SamplingPlan::build(self.trace, sampling);
-                let run = run_sampled(&config, self.trace, &plan);
-                (run.stats, run.simulated_accesses)
+                let mut sim = Simulator::new(config.clone());
+                let mut checker = self.check.then(|| {
+                    Checker::attach(&config, &mut sim)
+                        .expect("a fresh simulator gets fresh shadows, which always build")
+                });
+                let run = run_plan(&mut sim, self.trace, &plan, |sim| {
+                    if let Some(checker) = &mut checker {
+                        checker.boundary(sim);
+                    }
+                });
+                let report = checker.map(|c| c.finish(&sim));
+                (run.stats, run.simulated_accesses, report)
             }
-            (Some(sampling), true) => {
-                let plan = SamplingPlan::build(self.trace, sampling);
-                let (run, report) = cosmos_verify::run_checked_sampled(&config, self.trace, &plan);
-                self.report_check(&report);
-                (run.stats, run.simulated_accesses)
-            }
-            (None, false) => {
-                let stats = Simulator::new(config).run(self.trace);
+            None => {
+                let (stats, report) = if self.check {
+                    let (stats, report) = run_checked(&config, self.trace);
+                    (stats, Some(report))
+                } else {
+                    (Simulator::new(config).run(self.trace), None)
+                };
                 let simulated = stats.accesses;
-                (stats, simulated)
-            }
-            (None, true) => {
-                let (stats, report) = cosmos_verify::run_checked(&config, self.trace);
-                self.report_check(&report);
-                let simulated = stats.accesses;
-                (stats, simulated)
+                (stats, simulated, report)
             }
         };
+        if let Some(report) = report {
+            report.eprint_findings(&self.label);
+        }
         // Event counts reach telemetry once, from the statistics the
         // artifact reports (in sampled mode, the reconstructed estimate).
         if let Some(reg) = self.telemetry.registry() {
@@ -164,18 +171,6 @@ impl<'a> Job<'a> {
             design: self.design,
             stats,
             simulated_accesses,
-        }
-    }
-
-    /// Surfaces oracle findings on stderr, away from the result tables
-    /// and JSON on stdout/disk (which must not change under `--check`).
-    fn report_check(&self, report: &CheckReport) {
-        if report.is_clean() {
-            return;
-        }
-        eprintln!("verify[{}]: {}", self.label, report.summary());
-        for v in report.violations.iter().take(16) {
-            eprintln!("verify[{}]:   {v}", self.label);
         }
     }
 }
@@ -196,48 +191,18 @@ pub struct JobResult {
 }
 
 /// Runs `jobs` on up to `workers` threads, returning results **in job
-/// order**.
-///
-/// `workers` is clamped to `1..=jobs.len()`; with one worker (or one job)
-/// the pool is skipped entirely and the grid runs inline on the calling
-/// thread. Workers pull the next unstarted job from a shared atomic
-/// cursor, so long jobs don't serialize behind short ones.
+/// order** — [`run_tasks`] with one task per job.
 ///
 /// # Panics
 ///
 /// Propagates a panic from any job (the remaining jobs may or may not have
 /// run).
 pub fn run_jobs(jobs: Vec<Job<'_>>, workers: usize) -> Vec<JobResult> {
-    let workers = workers.clamp(1, jobs.len().max(1));
-    if workers == 1 {
-        return jobs.iter().map(Job::execute).collect();
-    }
-
-    let cursor = AtomicUsize::new(0);
-    let jobs = &jobs;
-    let mut tagged: Vec<(usize, JobResult)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut out = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(job) = jobs.get(i) else { break };
-                        out.push((i, job.execute()));
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("worker thread panicked"))
-            .collect()
-    });
-
-    tagged.sort_unstable_by_key(|(i, _)| *i);
-    debug_assert!(tagged.iter().enumerate().all(|(k, (i, _))| k == *i));
-    tagged.into_iter().map(|(_, r)| r).collect()
+    let tasks = jobs
+        .iter()
+        .map(|job| Box::new(move || job.execute()) as Task<'_, JobResult>)
+        .collect();
+    run_tasks(tasks, workers)
 }
 
 /// An arbitrary independent unit of work for [`run_tasks`]. `Fn` (not
@@ -246,12 +211,16 @@ pub fn run_jobs(jobs: Vec<Job<'_>>, workers: usize) -> Vec<JobResult> {
 pub type Task<'a, T> = Box<dyn Fn() -> T + Send + Sync + 'a>;
 
 /// Runs independent closures on up to `workers` threads, returning results
-/// **in task order** — the closure-shaped sibling of [`run_jobs`] for
-/// grids that aren't plain design×trace simulations (e.g. the
-/// occupancy-channel sweep, whose cells build their own epoch traces).
-/// Same pool shape: an atomic cursor hands out the next unstarted task, a
-/// final index-tagged sort restores submission order, and with one worker
-/// (or one task) everything runs inline on the calling thread.
+/// **in task order** — the one worker pool: [`run_jobs`] maps its grid
+/// onto it, and grids that aren't plain design×trace simulations (e.g.
+/// the occupancy-channel sweep, whose cells build their own epoch traces)
+/// call it directly.
+///
+/// `workers` is clamped to `1..=tasks.len()`; with one worker (or one
+/// task) the pool is skipped entirely and everything runs inline on the
+/// calling thread. Workers pull the next unstarted task from a shared
+/// atomic cursor, so long tasks don't serialize behind short ones, and a
+/// final index-tagged sort restores submission order.
 ///
 /// # Panics
 ///

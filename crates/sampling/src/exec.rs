@@ -26,11 +26,19 @@ impl SampledRun {
     }
 }
 
-/// Runs `plan` over `trace`: one persistent simulator visits the
-/// representative intervals in trace order, runs each representative's
-/// warmup prefix with statistics frozen, then measures the interval as a
-/// stats window; the windows merge, weighted by cluster size, into a
-/// full-trace estimate.
+/// Runs `plan` over `trace` on a fresh simulator under `config`:
+/// [`run_plan`] with nothing watching the windows.
+pub fn run_sampled(config: &SimConfig, trace: &Trace, plan: &SamplingPlan) -> SampledRun {
+    run_plan(&mut Simulator::new(config.clone()), trace, plan, |_| {})
+}
+
+/// Runs `plan` over `trace` on `sim`: the one persistent simulator visits
+/// the representative intervals in trace order, runs each
+/// representative's warmup prefix with statistics frozen, then measures
+/// the interval as a stats window; the windows merge, weighted by cluster
+/// size, into a full-trace estimate. `on_window` sees the simulator after
+/// every merged window — where `--check` runs its oracle boundary, on the
+/// cumulative snapshot.
 ///
 /// Cache, predictor, and DRAM state carry across windows (stale-state
 /// warmup): the gaps between representatives are skipped, so large
@@ -42,12 +50,18 @@ impl SampledRun {
 /// removes. A representative at interval 0 starts genuinely cold, which
 /// is exactly the state the real run has there.
 ///
-/// Deterministic in (`config`, `trace`, `plan`): representatives run in
-/// plan order on the calling thread, so results are byte-identical
-/// regardless of how many worker threads the surrounding grid uses.
-pub fn run_sampled(config: &SimConfig, trace: &Trace, plan: &SamplingPlan) -> SampledRun {
+/// Deterministic in (`sim`'s configuration, `trace`, `plan`) for a fresh
+/// `sim`: representatives run in plan order on the calling thread, so
+/// results are byte-identical regardless of how many worker threads the
+/// surrounding grid uses.
+pub fn run_plan(
+    sim: &mut Simulator,
+    trace: &Trace,
+    plan: &SamplingPlan,
+    mut on_window: impl FnMut(&Simulator),
+) -> SampledRun {
     let accesses = trace.as_slice();
-    let mut sim = Simulator::new(config.clone());
+    let telemetry = sim.config().telemetry.clone();
     let mut estimate = StatsEstimate::new();
     let mut simulated = 0u64;
     // End of the last simulated access; warmups never replay accesses an
@@ -56,20 +70,23 @@ pub fn run_sampled(config: &SimConfig, trace: &Trace, plan: &SamplingPlan) -> Sa
     for rep in &plan.representatives {
         let warm_from = rep.warmup_start.max(cursor);
         {
-            let _p = config.telemetry.phase("warmup");
+            let _p = telemetry.phase("warmup");
             sim.warmup(accesses[warm_from..rep.interval.start].iter());
         }
         {
-            let _p = config.telemetry.phase("sim");
+            let _p = telemetry.phase("sim");
             for a in &accesses[rep.interval.range()] {
                 sim.step(a);
             }
         }
-        let _p = config.telemetry.phase("merge");
-        let window = sim.snapshot().since(&sim.frozen_baseline());
-        estimate.add_weighted(&window, rep.scale());
+        {
+            let _p = telemetry.phase("merge");
+            let window = sim.snapshot().since(&sim.frozen_baseline());
+            estimate.add_weighted(&window, rep.scale());
+        }
         simulated += (rep.interval.start - warm_from + rep.interval.len) as u64;
         cursor = rep.interval.start + rep.interval.len;
+        on_window(sim);
     }
     SampledRun {
         stats: estimate.reconstruct(),

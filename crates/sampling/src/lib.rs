@@ -51,7 +51,7 @@ pub mod kmeans;
 pub mod plan;
 pub mod signature;
 
-pub use exec::{run_sampled, SampledRun};
+pub use exec::{run_plan, run_sampled, SampledRun};
 pub use kmeans::KMeans;
 pub use plan::{Interval, Representative, SamplingPlan};
 pub use signature::Signature;

@@ -13,8 +13,10 @@
 //! file exists the run resumes from it; `--stop-after` stops with a
 //! snapshot at that point (the "interrupted" leg of the identity smoke);
 //! `--check` runs the simulated portion under the `cosmos-verify`
-//! oracles, primed from the restored state. SIGINT checkpoints and exits
-//! instead of dying mid-run.
+//! oracles, primed from the restored state, and fails on any violation.
+//! SIGINT checkpoints and exits instead of dying mid-run; checked runs
+//! checkpoint (`--snapshot-every`, SIGINT, `--stop-after`) exactly like
+//! unchecked ones.
 //!
 //! `serve` speaks newline-delimited JSON on stdin/stdout (and optionally
 //! a Unix socket); see `cosmos_serve::protocol`. stdin EOF drains the
@@ -85,7 +87,10 @@ fn run_ckpt(args: &[String]) -> Result<(), String> {
         match a.as_str() {
             "--design" => design = Some(value(&mut it, "--design")?.parse()?),
             "--workload" => workload = Some(value(&mut it, "--workload")?.parse()?),
-            "--accesses" => accesses = Some(number(&mut it, "--accesses")? as usize),
+            "--accesses" => match number(&mut it, "--accesses")? {
+                0 => return Err("--accesses must be positive".into()),
+                n => accesses = Some(n as usize),
+            },
             "--seed" => seed = number(&mut it, "--seed")?,
             "--snapshot" => snapshot_path = Some(PathBuf::from(value(&mut it, "--snapshot")?)),
             "--json" => json_out = Some(PathBuf::from(value(&mut it, "--json")?)),

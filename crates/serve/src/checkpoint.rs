@@ -1,17 +1,19 @@
 //! Checkpointed execution of one simulation: run a trace with periodic
 //! snapshots, resume from an existing snapshot, preempt on a cancel
-//! flag, and optionally run the resumed tail under the `cosmos-verify`
-//! oracles.
+//! flag, and optionally run under the `cosmos-verify` oracles.
 //!
 //! The loop is exactly [`Simulator::run`]'s step loop with snapshot
-//! points spliced between accesses, so a completed checkpointed run's
-//! statistics are byte-identical to an uninterrupted one — the
-//! snapshot-identity smoke in `scripts/check.sh` `cmp`s the artifacts.
+//! points (and, under `check`, oracle boundaries) spliced between
+//! accesses, so a completed checkpointed run's statistics are
+//! byte-identical to an uninterrupted one — the snapshot-identity smoke
+//! in `scripts/check.sh` `cmp`s the artifacts. Checked and unchecked runs
+//! share that one loop: both snapshot periodically, poll the cancel flag
+//! and honour `stop_after`.
 
 use crate::snapshot::SimSnapshot;
 use cosmos_common::Trace;
 use cosmos_core::{SimConfig, SimStats, Simulator};
-use cosmos_verify::CheckReport;
+use cosmos_verify::{CheckReport, Checker, CHECK_INTERVAL};
 use cosmos_workloads::{TraceSpec, Workload};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -34,7 +36,8 @@ pub struct CheckpointRun<'a> {
     /// simulated — the "interrupted" leg of the identity smoke.
     pub stop_after: Option<u64>,
     /// Run the simulated portion under the `cosmos-verify` oracles, with
-    /// shadow models primed from the restored state on resume.
+    /// shadow models primed from the restored state on resume. Oracle
+    /// violations fail the run, whether it completes or is preempted.
     pub check: bool,
 }
 
@@ -75,74 +78,55 @@ pub fn run_checkpointed(
              wrong trace for this snapshot?"
         ));
     }
-    let tail = &run.trace.as_slice()[done as usize..];
-    let target = run.stop_after.map_or(total, |n| n.min(total));
-
-    if run.check {
-        // Checked tails run under the oracles in one uninterruptible
-        // stretch (the oracles own the step loop); `stop_after` still
-        // works by truncating the tail and snapshotting at the cut.
-        let budget = (target - done) as usize;
-        let (head, _) = tail.split_at(budget.min(tail.len()));
-        if target < total {
-            // No oracle pass for a partial checked leg — the final leg
-            // covers the whole resumed half.
-            for a in head {
-                sim.step(a);
-            }
-            let snap = SimSnapshot::capture(&sim, target)?;
-            snap.write_atomic(run.snapshot_path)
-                .map_err(|e| format!("write snapshot: {e}"))?;
-            return Ok(CkptOutcome::Preempted {
-                accesses_done: target,
-            });
-        }
-        let (stats, report) = cosmos_verify::run_checked_resumed(run.config, sim, head)?;
-        if !report.is_clean() {
-            return Err(format!("oracle violations:\n{}", report.summary()));
-        }
-        return Ok(CkptOutcome::Completed {
-            stats: Box::new(stats),
-            report: Some(report),
-        });
-    }
+    let target = run.stop_after.map_or(total, |n| n.clamp(done, total));
+    let mut checker = run
+        .check
+        .then(|| Checker::attach(run.config, &mut sim))
+        .transpose()?;
 
     let mut since_snapshot = 0usize;
-    for (i, access) in tail.iter().enumerate() {
+    for (i, access) in run.trace.as_slice()[done as usize..target as usize]
+        .iter()
+        .enumerate()
+    {
         sim.step(access);
         done += 1;
         since_snapshot += 1;
-        if done >= target {
-            break;
+        if let Some(checker) = &mut checker {
+            if (i + 1) % CHECK_INTERVAL == 0 {
+                checker.boundary(&sim);
+            }
         }
-        if run.snapshot_every > 0 && since_snapshot >= run.snapshot_every {
-            SimSnapshot::capture(&sim, done)?
-                .write_atomic(run.snapshot_path)
-                .map_err(|e| format!("write snapshot: {e}"))?;
+        if done < target && run.snapshot_every > 0 && since_snapshot >= run.snapshot_every {
+            write_snapshot(&sim, done, run.snapshot_path)?;
             since_snapshot = 0;
         }
         if (i + 1) % CANCEL_POLL == 0 && cancel.load(Ordering::Relaxed) {
-            SimSnapshot::capture(&sim, done)?
-                .write_atomic(run.snapshot_path)
-                .map_err(|e| format!("write snapshot: {e}"))?;
-            return Ok(CkptOutcome::Preempted {
-                accesses_done: done,
-            });
+            break;
         }
     }
+    let report = checker.map(|c| c.finish(&sim));
+    if let Some(report) = report.as_ref().filter(|r| !r.is_clean()) {
+        return Err(format!("oracle violations:\n{}", report.summary()));
+    }
     if done < total {
-        // stop_after cut the run short: leave a snapshot at the cut.
-        SimSnapshot::capture(&sim, done)?
-            .write_atomic(run.snapshot_path)
-            .map_err(|e| format!("write snapshot: {e}"))?;
+        // Cancelled, or stop_after cut the run short: leave a snapshot at
+        // the stop point.
+        write_snapshot(&sim, done, run.snapshot_path)?;
         return Ok(CkptOutcome::Preempted {
             accesses_done: done,
         });
     }
     Ok(CkptOutcome::Completed {
         stats: Box::new(sim.finalize()),
-        report: None,
+        report,
     })
+}
+
+fn write_snapshot(sim: &Simulator, done: u64, path: &Path) -> Result<(), String> {
+    SimSnapshot::capture(sim, done)?
+        .write_atomic(path)
+        .map_err(|e| format!("write snapshot: {e}"))
 }
 
 /// Builds the trace for a named sim job: `workload` at `accesses` under
@@ -341,6 +325,102 @@ mod tests {
         let on_disk = SimSnapshot::read(&snap).unwrap();
         assert!(on_disk.accesses_done >= 1_000);
         assert!(on_disk.restore(&config).is_ok());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The uninterrupted, unchecked statistics of `trace` under `config`.
+    fn reference_stats(config: &SimConfig, trace: &Trace, dir: &Path) -> Box<SimStats> {
+        let run = CheckpointRun {
+            config,
+            trace,
+            snapshot_path: &dir.join("ref.snap.json"),
+            snapshot_every: 0,
+            stop_after: None,
+            check: false,
+        };
+        match run_checkpointed(&run, &AtomicBool::new(false)).unwrap() {
+            CkptOutcome::Completed { stats, .. } => stats,
+            CkptOutcome::Preempted { .. } => panic!("reference preempted"),
+        }
+    }
+
+    #[test]
+    fn checked_run_writes_periodic_snapshots() {
+        let dir = tmpdir("checked_periodic");
+        let snap = dir.join("run.snap.json");
+        let config = SimConfig::paper_default(Design::Cosmos);
+        let trace = build_trace("bfs".parse().unwrap(), 5_000, 9);
+        let run = CheckpointRun {
+            config: &config,
+            trace: &trace,
+            snapshot_path: &snap,
+            snapshot_every: 1_000,
+            stop_after: None,
+            check: true,
+        };
+        match run_checkpointed(&run, &AtomicBool::new(false)).unwrap() {
+            CkptOutcome::Completed { report, .. } => assert!(report.unwrap().is_clean()),
+            CkptOutcome::Preempted { .. } => panic!("should complete"),
+        }
+        let on_disk = SimSnapshot::read(&snap).expect("checked run left a snapshot");
+        assert!(on_disk.accesses_done >= 1_000);
+        assert!(on_disk.restore(&config).is_ok());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn cancel_flag_preempts_a_checked_run() {
+        let dir = tmpdir("checked_cancel");
+        let snap = dir.join("run.snap.json");
+        let config = SimConfig::paper_default(Design::MorphCtr);
+        let trace = build_trace("dfs".parse().unwrap(), 9_000, 5);
+        let run = CheckpointRun {
+            config: &config,
+            trace: &trace,
+            snapshot_path: &snap,
+            snapshot_every: 0,
+            stop_after: None,
+            check: true,
+        };
+        let at = match run_checkpointed(&run, &AtomicBool::new(true)).unwrap() {
+            CkptOutcome::Preempted { accesses_done } => accesses_done,
+            CkptOutcome::Completed { .. } => panic!("a set cancel flag must preempt"),
+        };
+        assert_eq!(at, CANCEL_POLL as u64, "preempts at the first poll point");
+        assert_eq!(SimSnapshot::read(&snap).unwrap().accesses_done, at);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn checked_resume_after_checked_preemption_matches_uninterrupted() {
+        let dir = tmpdir("checked_preempt_resume");
+        let snap = dir.join("run.snap.json");
+        let config = SimConfig::paper_default(Design::Cosmos);
+        let trace = build_trace("pr".parse().unwrap(), 12_000, 3);
+        let reference = reference_stats(&config, &trace, &dir);
+
+        let run = CheckpointRun {
+            config: &config,
+            trace: &trace,
+            snapshot_path: &snap,
+            snapshot_every: 0,
+            stop_after: None,
+            check: true,
+        };
+        assert!(matches!(
+            run_checkpointed(&run, &AtomicBool::new(true)).unwrap(),
+            CkptOutcome::Preempted { .. }
+        ));
+        let (stats, report) = match run_checkpointed(&run, &AtomicBool::new(false)).unwrap() {
+            CkptOutcome::Completed { stats, report } => (stats, report.unwrap()),
+            CkptOutcome::Preempted { .. } => panic!("resume should complete"),
+        };
+        assert!(report.is_clean(), "{}", report.summary());
+        assert!(
+            report.observer_events > 0,
+            "the resumed oracles saw nothing"
+        );
+        assert_eq!(stats_doc(&stats), stats_doc(&reference));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -8,12 +8,14 @@
 //!    fingerprinted against the configuration that produced it, written
 //!    atomically. Restoring and running the tail is byte-identical to
 //!    never having stopped — `scripts/check.sh` proves it by `cmp`-ing
-//!    artifacts, and [`cosmos_verify::run_checked_resumed`] re-arms the
-//!    shadow models over the resumed half.
+//!    artifacts. Under `check`, the one checkpointed step loop carries a
+//!    [`cosmos_verify::Checker`], which primes the shadow models from
+//!    the restored state, so checked runs snapshot, preempt and resume
+//!    exactly like unchecked ones.
 //! 2. **Serving** ([`queue`], [`protocol`], [`server`]): a long-running
 //!    job server speaking newline-delimited JSON over stdin/stdout and an
 //!    optional Unix socket. Jobs are either registered figures (the same
-//!    pipelines the `fig*` binaries run, so artifacts are byte-identical)
+//!    pipelines `cosmos_figure` runs, so artifacts are byte-identical)
 //!    or single checkpointed simulations. A manifest in the state
 //!    directory records every job's lifecycle; `--resume DIR` cold-starts
 //!    a killed server without re-running completed jobs.

@@ -23,7 +23,7 @@ use cosmos_workloads::Workload;
 /// What one job runs.
 #[derive(Clone, Debug, PartialEq)]
 pub enum JobSpec {
-    /// A registered figure pipeline (same code the `fig*` binaries run).
+    /// A registered figure pipeline (same code `cosmos_figure` runs).
     Figure {
         /// Registry name (`fig02`, `fig10`, …).
         figure: &'static str,

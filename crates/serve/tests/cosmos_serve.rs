@@ -1,0 +1,40 @@
+//! Command-line contract of the `cosmos_serve` binary.
+
+use std::process::{Command, Output};
+
+fn cosmos_serve(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_cosmos_serve"))
+        .args(args)
+        .output()
+        .expect("cosmos_serve runs")
+}
+
+#[test]
+fn ckpt_rejects_bad_access_counts_without_running() {
+    let snap =
+        std::env::temp_dir().join(format!("cosmos_serve_cli_{}.snap.json", std::process::id()));
+    let snap = snap.to_str().unwrap();
+    for (accesses, message) in [
+        ("0", "--accesses must be positive"),
+        ("abc", "--accesses needs a number"),
+    ] {
+        let out = cosmos_serve(&[
+            "ckpt",
+            "--design",
+            "NP",
+            "--workload",
+            "bfs",
+            "--accesses",
+            accesses,
+            "--snapshot",
+            snap,
+        ]);
+        assert_eq!(out.status.code(), Some(2), "--accesses {accesses}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(message), "--accesses {accesses}: {err}");
+        assert!(
+            !std::path::Path::new(snap).exists(),
+            "--accesses {accesses} must not run"
+        );
+    }
+}

@@ -16,10 +16,13 @@
 //!    configurations × random synthetic traces through both checkers,
 //!    with ddmin-style shrinking of any failure to a minimal repro.
 //!
-//! The entry points are [`run_checked`] / [`run_checked_sampled`]
-//! ([`runner`]), which produce statistics byte-identical to their
-//! unchecked counterparts plus a [`CheckReport`] — experiments expose
-//! them behind a `--check` flag.
+//! [`Checker`] ([`runner`]) is the one way to attach all of them to a
+//! live simulator: `attach` before the loop steps, `boundary` wherever
+//! the run loop has a natural interval, `finish` on every exit. The run
+//! loops that offer `--check` (full-trace [`run_checked`], the sampled
+//! loop, checkpointed runs, occupancy-channel cells) each call it, so
+//! checked statistics are byte-identical to unchecked ones and the
+//! [`CheckReport`] is extra.
 
 pub mod fuzz;
 pub mod invariants;
@@ -28,7 +31,6 @@ pub mod runner;
 pub mod shadow;
 
 pub use fuzz::{run_case, FuzzCase, FuzzFailure};
-pub use invariants::{check_monotonic, check_stats, Violation};
-pub use observer::{ShadowHook, ShadowState};
-pub use runner::{run_checked, run_checked_resumed, run_checked_sampled, CheckReport};
+pub use invariants::{check_stats, Violation};
+pub use runner::{run_checked, CheckReport, Checker, CHECK_INTERVAL};
 pub use shadow::{DenseCounterStore, ShadowCache, ShadowMode};

@@ -1,24 +1,28 @@
 //! Checked simulation: the real simulator plus every oracle in this crate.
 //!
-//! [`run_checked`] and [`run_checked_sampled`] drive exactly the accesses
-//! their unchecked counterparts ([`cosmos_core::Simulator::run`],
-//! [`cosmos_sampling::run_sampled`]) would, while (1) a [`ShadowHook`]
-//! observer mirrors every secure-path event into the shadow models and (2)
-//! the conservation-law catalogue runs on cumulative snapshots at interval
-//! boundaries. The returned statistics are byte-identical to an unchecked
-//! run — the oracles observe, they never perturb.
+//! [`Checker`] is the one way to attach the oracles to a [`Simulator`]:
+//! [`Checker::attach`] hooks a [`ShadowHook`] observer into the secure
+//! path, so the shadow models mirror every secure-path event;
+//! [`Checker::boundary`] runs the conservation-law catalogue on a
+//! cumulative snapshot; [`Checker::finish`] runs the end-of-run shadow
+//! diffs and returns the [`CheckReport`]. Each run loop that offers
+//! `--check` attaches a `Checker` and calls `boundary` at its own
+//! natural boundaries — [`run_checked`] here (the full trace, every
+//! [`CHECK_INTERVAL`] accesses), `cosmos_sampling::run_plan` (every
+//! measured window), `cosmos_serve`'s checkpointed loop and
+//! `cosmos_channel::run_cell` (every probe window). The oracles observe,
+//! they never perturb: checked statistics are byte-identical to
+//! unchecked ones.
 
 use crate::invariants::{check_monotonic, check_stats, Violation};
 use crate::observer::{ShadowHook, ShadowState};
-use cosmos_common::stats::Counters;
 use cosmos_common::Trace;
 use cosmos_core::{SimConfig, SimStats, Simulator};
-use cosmos_sampling::{SampledRun, SamplingPlan};
 use std::cell::RefCell;
 use std::rc::Rc;
 
-/// Cumulative-snapshot checks run every this many measured accesses.
-const CHECK_INTERVAL: usize = 4_096;
+/// Step loops run a [`Checker::boundary`] every this many accesses.
+pub const CHECK_INTERVAL: usize = 4_096;
 
 /// Retained-violation cap for a whole checked run.
 const REPORT_CAP: usize = 256;
@@ -52,10 +56,25 @@ impl CheckReport {
             self.boundary_checks,
         )
     }
+
+    /// Writes a dirty report to stderr as `verify[<label>]: …` lines (the
+    /// summary, then up to 16 violations); a clean report writes nothing.
+    /// Stderr keeps the findings away from the result tables and JSON,
+    /// which must not change under `--check`; `scripts/check.sh` fails a
+    /// `--check` run on any line with this prefix.
+    pub fn eprint_findings(&self, label: &str) {
+        if self.is_clean() {
+            return;
+        }
+        eprintln!("verify[{label}]: {}", self.summary());
+        for v in self.violations.iter().take(16) {
+            eprintln!("verify[{label}]:   {v}");
+        }
+    }
 }
 
-/// Boundary-check state shared by the full and sampled checked runners.
-struct Checker {
+/// Every oracle, attached to one live [`Simulator`].
+pub struct Checker {
     config: SimConfig,
     shadow: Option<Rc<RefCell<ShadowState>>>,
     prev: Option<SimStats>,
@@ -64,20 +83,33 @@ struct Checker {
 }
 
 impl Checker {
-    /// Builds the checker and attaches the shadow observer to `sim`.
-    fn attach(config: &SimConfig, sim: &mut Simulator) -> Self {
-        let shadow = ShadowState::new(config).map(|s| Rc::new(RefCell::new(s)));
+    /// Builds the oracles for `sim` and attaches the shadow observer to
+    /// its secure path. A simulator that has already simulated accesses
+    /// (restored from a snapshot) gets shadow models primed from its
+    /// secure path (see [`ShadowState::primed`]), so the oracles judge only
+    /// what happens from here on; a fresh one gets fresh shadows, which
+    /// cannot fail.
+    ///
+    /// # Errors
+    ///
+    /// When the restored secure path cannot expose priming state.
+    pub fn attach(config: &SimConfig, sim: &mut Simulator) -> Result<Self, String> {
+        let shadow = match sim.secure() {
+            Some(sp) if sim.snapshot().accesses > 0 => Some(ShadowState::primed(config, sp)?),
+            _ => ShadowState::new(config),
+        }
+        .map(|s| Rc::new(RefCell::new(s)));
         if let Some(state) = &shadow {
             let attached = sim.set_secure_observer(Box::new(ShadowHook::new(Rc::clone(state))));
             debug_assert!(attached, "secure design must accept an observer");
         }
-        Self {
+        Ok(Self {
             config: config.clone(),
             shadow,
             prev: None,
-            prev_ready: Vec::new(),
+            prev_ready: sim.core_ready().iter().map(|c| c.value()).collect(),
             report: CheckReport::default(),
-        }
+        })
     }
 
     fn record(&mut self, batch: Vec<Violation>) {
@@ -89,8 +121,10 @@ impl Checker {
         }
     }
 
-    /// Runs the cumulative-snapshot checks at an interval boundary.
-    fn boundary(&mut self, sim: &Simulator) {
+    /// Runs the conservation-law catalogue on `sim`'s cumulative snapshot
+    /// (where the laws are exact, even under warmup and sampling), plus the
+    /// monotonicity checks against the previous boundary.
+    pub fn boundary(&mut self, sim: &Simulator) {
         self.report.boundary_checks += 1;
         let snap = sim.snapshot();
         let mut batch = check_stats(&snap, &self.config);
@@ -111,9 +145,11 @@ impl Checker {
         self.record(batch);
     }
 
-    /// End-of-run shadow diffs (residency, counters, Merkle replay), then
-    /// folds the shadow's own violations into the report.
-    fn finish(mut self, sim: &Simulator) -> CheckReport {
+    /// A last [`boundary`](Self::boundary), then the end-of-run shadow
+    /// diffs (residency, counters, Merkle replay); folds the shadow's own
+    /// violations into the report. Valid between any two accesses, so a
+    /// preempted run finishes its checker too.
+    pub fn finish(mut self, sim: &Simulator) -> CheckReport {
         self.boundary(sim);
         if let Some(state) = self.shadow.take() {
             {
@@ -135,55 +171,13 @@ impl Checker {
     }
 }
 
-impl Checker {
-    /// Builds the checker with shadows primed from `sim`'s restored secure
-    /// path (see [`ShadowState::primed`]) and attaches the observer.
-    fn attach_primed(config: &SimConfig, sim: &mut Simulator) -> Result<Self, String> {
-        let shadow = match sim.secure() {
-            Some(sp) => Some(Rc::new(RefCell::new(ShadowState::primed(config, sp)?))),
-            None => None,
-        };
-        if let Some(state) = &shadow {
-            let attached = sim.set_secure_observer(Box::new(ShadowHook::new(Rc::clone(state))));
-            debug_assert!(attached, "secure design must accept an observer");
-        }
-        Ok(Self {
-            config: config.clone(),
-            shadow,
-            prev: None,
-            prev_ready: sim.core_ready().iter().map(|c| c.value()).collect(),
-            report: CheckReport::default(),
-        })
-    }
-}
-
-/// Continues a simulator restored from a snapshot over the remaining
-/// `tail` accesses, with every oracle attached and the shadow models
-/// primed from the restored state — so `--check` covers the resumed half
-/// of a checkpointed run. The returned statistics are byte-identical to an
-/// uninterrupted unchecked run over the full trace.
-pub fn run_checked_resumed(
-    config: &SimConfig,
-    mut sim: Simulator,
-    tail: &[cosmos_common::MemAccess],
-) -> Result<(SimStats, CheckReport), String> {
-    let mut checker = Checker::attach_primed(config, &mut sim)?;
-    for (i, access) in tail.iter().enumerate() {
-        sim.step(access);
-        if (i + 1) % CHECK_INTERVAL == 0 {
-            checker.boundary(&sim);
-        }
-    }
-    let report = checker.finish(&sim);
-    Ok((sim.finalize(), report))
-}
-
 /// Runs `trace` exactly as [`Simulator::run`] would, with every oracle
-/// attached. The returned statistics are byte-identical to the unchecked
-/// run's.
+/// attached and a boundary every [`CHECK_INTERVAL`] accesses. The returned
+/// statistics are byte-identical to the unchecked run's.
 pub fn run_checked(config: &SimConfig, trace: &Trace) -> (SimStats, CheckReport) {
     let mut sim = Simulator::new(config.clone());
-    let mut checker = Checker::attach(config, &mut sim);
+    let mut checker = Checker::attach(config, &mut sim)
+        .expect("a fresh simulator gets fresh shadows, which always build");
     for (i, access) in trace.iter().enumerate() {
         sim.step(access);
         if (i + 1) % CHECK_INTERVAL == 0 {
@@ -194,49 +188,12 @@ pub fn run_checked(config: &SimConfig, trace: &Trace) -> (SimStats, CheckReport)
     (sim.finalize(), report)
 }
 
-/// Runs `plan` over `trace` exactly as [`cosmos_sampling::run_sampled`]
-/// would — same warmup/measure/merge loop, same cursor arithmetic — with
-/// every oracle attached. Invariants run on *cumulative* snapshots (where
-/// the laws are exact), never on the reconstructed estimate.
-pub fn run_checked_sampled(
-    config: &SimConfig,
-    trace: &Trace,
-    plan: &SamplingPlan,
-) -> (SampledRun, CheckReport) {
-    let accesses = trace.as_slice();
-    let mut sim = Simulator::new(config.clone());
-    let mut checker = Checker::attach(config, &mut sim);
-    let mut estimate = cosmos_core::StatsEstimate::new();
-    let mut simulated = 0u64;
-    let mut cursor = 0usize;
-    for rep in &plan.representatives {
-        let warm_from = rep.warmup_start.max(cursor);
-        sim.warmup(accesses[warm_from..rep.interval.start].iter());
-        for a in &accesses[rep.interval.range()] {
-            sim.step(a);
-        }
-        let window = sim.snapshot().since(&sim.frozen_baseline());
-        estimate.add_weighted(&window, rep.scale());
-        simulated += (rep.interval.start - warm_from + rep.interval.len) as u64;
-        cursor = rep.interval.start + rep.interval.len;
-        checker.boundary(&sim);
-    }
-    let report = checker.finish(&sim);
-    (
-        SampledRun {
-            stats: estimate.reconstruct(),
-            simulated_accesses: simulated,
-        },
-        report,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use cosmos_common::{MemAccess, PhysAddr, SplitMix64};
     use cosmos_core::Design;
-    use cosmos_sampling::SamplingConfig;
+    use cosmos_sampling::{run_plan, SamplingConfig, SamplingPlan};
 
     fn small_config(design: Design) -> SimConfig {
         let mut c = SimConfig::paper_default(design);
@@ -263,6 +220,25 @@ mod tests {
                 }
             })
             .collect()
+    }
+
+    /// Continues a simulator restored from a snapshot over `tail` with a
+    /// [`Checker`] attached — the checked tail the checkpointed runner
+    /// drives — so `attach` primes the shadows from the restored state.
+    fn run_checked_tail(
+        config: &SimConfig,
+        mut sim: Simulator,
+        tail: &[MemAccess],
+    ) -> (SimStats, CheckReport) {
+        let mut checker = Checker::attach(config, &mut sim).expect("prime from restored state");
+        for (i, access) in tail.iter().enumerate() {
+            sim.step(access);
+            if (i + 1) % CHECK_INTERVAL == 0 {
+                checker.boundary(&sim);
+            }
+        }
+        let report = checker.finish(&sim);
+        (sim.finalize(), report)
     }
 
     #[test]
@@ -372,7 +348,10 @@ mod tests {
         for d in [Design::MorphCtr, Design::Cosmos] {
             let config = small_config(d);
             let plain = cosmos_sampling::run_sampled(&config, &t, &plan);
-            let (checked, report) = run_checked_sampled(&config, &t, &plan);
+            let mut sim = Simulator::new(config.clone());
+            let mut checker = Checker::attach(&config, &mut sim).expect("fresh shadows");
+            let checked = run_plan(&mut sim, &t, &plan, |sim| checker.boundary(sim));
+            let report = checker.finish(&sim);
             assert!(
                 report.is_clean(),
                 "{d}: {}\n{:#?}",
@@ -403,8 +382,7 @@ mod tests {
             let state = first.save_state().expect("save");
             let mut resumed = Simulator::new(config.clone());
             resumed.load_state(&state).expect("load");
-            let (stats, report) =
-                run_checked_resumed(&config, resumed, &t.as_slice()[half..]).expect("resume");
+            let (stats, report) = run_checked_tail(&config, resumed, &t.as_slice()[half..]);
             assert!(
                 report.is_clean(),
                 "{d}: {}\n{:#?}",
@@ -439,8 +417,7 @@ mod tests {
         let state = first.save_state().expect("save");
         let mut resumed = Simulator::new(config.clone());
         resumed.load_state(&state).expect("load");
-        let (stats, report) =
-            run_checked_resumed(&config, resumed, &t.as_slice()[half..]).expect("resume");
+        let (stats, report) = run_checked_tail(&config, resumed, &t.as_slice()[half..]);
         assert!(
             report.is_clean(),
             "{}\n{:#?}",

@@ -150,7 +150,8 @@ rm -f "$f10s_a" "$f10s_b" "$f10s_out_a" "$f10s_out_b"
 # Every registered figure, serial vs. parallel under the oracles and
 # telemetry: the --jobs 1 and --jobs 2 --check --telemetry runs must print
 # and emit the same bytes (telemetry also panics on a repeated job label,
-# since per-job counters are keyed by label).
+# since per-job counters are keyed by label), and the checked run's stderr
+# must carry no oracle finding (every finding line starts `verify[`).
 stage figure-modes
 modes_dir="$(mktemp -d)"
 names="$(figure --list)"
@@ -158,7 +159,15 @@ for name in $names; do
     figure "$name" --accesses 20000 --jobs 1 \
         --json "$modes_dir/serial.json" >"$modes_dir/serial.txt"
     figure "$name" --accesses 20000 --jobs 2 --check --telemetry "$modes_dir/tele" \
-        --json "$modes_dir/checked.json" >"$modes_dir/checked.txt"
+        --json "$modes_dir/checked.json" >"$modes_dir/checked.txt" 2>"$modes_dir/checked.err" || {
+        cat "$modes_dir/checked.err" >&2
+        exit 1
+    }
+    if grep -q '^verify\[' "$modes_dir/checked.err"; then
+        echo "check.sh: $name has oracle findings under --check:" >&2
+        cat "$modes_dir/checked.err" >&2
+        exit 1
+    fi
     cmp "$modes_dir/serial.json" "$modes_dir/checked.json" || {
         echo "check.sh: $name artifact differs between --jobs 1 and --jobs 2 --check --telemetry" >&2
         exit 1
@@ -228,10 +237,11 @@ cargo run --release -q -p cosmos-verify --bin verify_fuzz -- \
 
 # Snapshot/restore identity smoke (DESIGN.md §14): an uninterrupted
 # 200k-access run and a stop-at-100k-then-resume run of the same
-# design x workload must emit byte-identical result artifacts, with the
-# resumed half green under the cosmos-verify oracles (--check errors out
-# if any shadow model diverges). Covers a fig02-style scheme config
-# (MorphCtr) and the fig10 full design (COSMOS).
+# design x workload must emit byte-identical result artifacts, with both
+# legs of the interrupted run green under the cosmos-verify oracles
+# (--check errors out if any shadow model diverges; the resumed leg's
+# shadows are primed from the snapshot). Covers a fig02-style scheme
+# config (MorphCtr) and the fig10 full design (COSMOS).
 stage snapshot-restore
 ckpt_dir="$(mktemp -d)"
 for design in MorphCtr COSMOS; do
@@ -240,7 +250,7 @@ for design in MorphCtr COSMOS; do
         --snapshot "$ckpt_dir/$design.full.snap.json" \
         --json "$ckpt_dir/$design.full.json"
     cargo run --release -q -p cosmos-serve --bin cosmos_serve -- ckpt \
-        --design "$design" --workload bfs --accesses 200000 \
+        --design "$design" --workload bfs --accesses 200000 --check \
         --stop-after 100000 --snapshot "$ckpt_dir/$design.snap.json"
     cargo run --release -q -p cosmos-serve --bin cosmos_serve -- ckpt \
         --design "$design" --workload bfs --accesses 200000 --check \

@@ -28,6 +28,26 @@ OPTIONS:
     --list              list workloads and designs, then exit
 ";
 
+/// Prints `msg` and the usage text, then exits 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}\n\n{USAGE}");
+    exit(2);
+}
+
+/// Parses `flag`'s value as a number, or exits 2 naming the flag.
+fn number<T: std::str::FromStr>(flag: &str, v: &str) -> T {
+    v.parse()
+        .unwrap_or_else(|_| usage_error(&format!("{flag} needs a number, got {v:?}")))
+}
+
+/// [`number`], which must also be positive.
+fn positive(flag: &str, v: &str) -> usize {
+    match number(flag, v) {
+        0 => usage_error(&format!("{flag} must be positive")),
+        n => n,
+    }
+}
+
 fn main() {
     let mut workload = Workload::Graph(GraphKernel::Dfs);
     let mut designs = Design::ALL.to_vec();
@@ -39,31 +59,28 @@ fn main() {
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         let mut value = |flag: &str| {
-            it.next().unwrap_or_else(|| {
-                eprintln!("{flag} needs a value\n\n{USAGE}");
-                exit(2);
-            })
+            it.next()
+                .unwrap_or_else(|| usage_error(&format!("{flag} needs a value")))
         };
         match arg.as_str() {
             "--workload" => {
                 let name = value("--workload");
-                workload = name.parse().unwrap_or_else(|e| {
-                    eprintln!("{e}\n\n{USAGE}");
-                    exit(2);
-                });
+                workload = name.parse().unwrap_or_else(|e: String| usage_error(&e));
             }
             "--design" => {
                 let name = value("--design");
                 if name != "all" {
-                    designs = vec![name.parse().unwrap_or_else(|e| {
-                        eprintln!("{e}\n\n{USAGE}");
-                        exit(2);
-                    })];
+                    designs = vec![name.parse().unwrap_or_else(|e: String| usage_error(&e))];
                 }
             }
-            "--accesses" => accesses = value("--accesses").parse().expect("number"),
-            "--seed" => seed = value("--seed").parse().expect("number"),
-            "--cores" => cores = value("--cores").parse().expect("number"),
+            "--accesses" => accesses = positive("--accesses", &value("--accesses")),
+            "--seed" => seed = number("--seed", &value("--seed")),
+            "--cores" => {
+                cores = positive("--cores", &value("--cores"));
+                if cores > 256 {
+                    usage_error("--cores must be at most 256");
+                }
+            }
             "--paper-ctr-sizes" => paper_sizes = true,
             "--list" => {
                 println!("workloads: dfs bfs gc pr tc cc sp dc mcf canneal omnetpp");
@@ -75,10 +92,7 @@ fn main() {
                 println!("{USAGE}");
                 return;
             }
-            other => {
-                eprintln!("unknown argument `{other}`\n\n{USAGE}");
-                exit(2);
-            }
+            other => usage_error(&format!("unknown argument `{other}`")),
         }
     }
 
