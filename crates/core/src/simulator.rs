@@ -862,7 +862,14 @@ mod tests {
         // The tentpole identity: save at N/2, serialize to text, parse,
         // restore into a *fresh* simulator, run the tail — final statistics
         // equal the uninterrupted run exactly, for every design.
-        for d in [Design::Np, Design::MorphCtr, Design::Emcc, Design::Cosmos] {
+        for d in [
+            Design::Np,
+            Design::MorphCtr,
+            Design::Emcc,
+            Design::CosmosDp,
+            Design::CosmosCp,
+            Design::Cosmos,
+        ] {
             let t = random_trace(8_000, 80_000, 0.25, 21);
             let half = t.len() / 2;
 
