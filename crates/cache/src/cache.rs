@@ -12,7 +12,8 @@
 use crate::config::CacheConfig;
 use crate::policies::{Lcr, Lru, PolicyKind, ReplacementPolicy, WayView};
 use crate::stats::CacheStats;
-use cosmos_common::stats::Counters;
+use cosmos_common::json::Value;
+use cosmos_common::state::{self, LoadResult, State};
 use cosmos_common::LineAddr;
 
 /// An RL-provided locality annotation attached to a cached line, used by the
@@ -96,6 +97,25 @@ impl PolicyImpl {
     }
 }
 
+/// Saved by name. Only the inline policies can be saved: a boxed policy
+/// keeps private state behind the trait object.
+impl State for PolicyImpl {
+    fn savable(&self) -> LoadResult {
+        match self {
+            PolicyImpl::Boxed(p) => Err(format!("cannot snapshot boxed policy `{}`", p.name())),
+            _ => Ok(()),
+        }
+    }
+
+    fn save(&self) -> Value {
+        self.name().into()
+    }
+
+    fn load(&mut self, v: &Value) -> LoadResult {
+        state::same(self, v)
+    }
+}
+
 /// A set-associative cache with a pluggable replacement policy.
 ///
 /// The cache is *line-granular*: callers pass [`LineAddr`]s. It models tag
@@ -134,6 +154,14 @@ pub struct Cache {
     /// runs on every miss, and rebuilding a fresh `Vec<WayView>` per
     /// eviction was the hottest allocation in the simulator.
     scratch: Vec<WayView>,
+}
+
+// Tags, flag bits, hint scores, recency stamps and statistics: the whole
+// replacement-visible state. The victim scratch buffer is empty between
+// accesses.
+cosmos_common::state! {
+    #[check(Self::check_occupancy)]
+    Cache -> Result { policy, tags, flags, scores, occupied, clock, last_touch, fill_at, stats }
 }
 
 impl core::fmt::Debug for Cache {
@@ -384,85 +412,14 @@ impl Cache {
             .collect())
     }
 
-    /// Serializes the cache's full replacement-visible state — tags, flag
-    /// bits, hint scores, recency stamps, and statistics — for snapshots.
-    ///
-    /// Only the inline LRU/LCR policies are supported: boxed policy objects
-    /// carry private state behind the trait object and are rejected with an
-    /// error rather than silently half-saved. (Snapshotting allocates; it is
-    /// never called from hot paths.)
-    pub fn save_state(&self) -> Result<cosmos_common::json::Value, String> {
-        use cosmos_common::json::codec;
-        if let PolicyImpl::Boxed(p) = &self.policy {
-            return Err(format!(
-                "snapshot unsupported for boxed replacement policy `{}`",
-                p.name()
-            ));
+    /// A restored tag array's valid lines must match its saved occupancy.
+    fn check_occupancy(&self) -> LoadResult {
+        let saved = self.occupied;
+        let valid = self.tags.iter().filter(|&&t| t != INVALID_TAG).count();
+        match saved == valid {
+            true => Ok(()),
+            false => Err(format!("occupancy {saved}, but {valid} tags are valid")),
         }
-        Ok(cosmos_common::json!({
-            "policy": (self.policy.name()),
-            "tags": (codec::from_u64s(self.tags.iter().copied())),
-            "flags": (codec::from_u64s(self.flags.iter().map(|&f| u64::from(f)))),
-            "scores": (codec::from_u64s(self.scores.iter().map(|&s| u64::from(s)))),
-            "occupied": (self.occupied as u64),
-            "clock": (self.clock),
-            "last_touch": (codec::from_u64s(self.last_touch.iter().copied())),
-            "fill_at": (codec::from_u64s(self.fill_at.iter().copied())),
-            "stats": (self.stats.to_json()),
-        }))
-    }
-
-    /// Restores state produced by [`Cache::save_state`] into a cache built
-    /// with the *same* geometry and policy. Subsequent behavior is
-    /// indistinguishable from the original instance.
-    ///
-    /// Rejects (leaving `self` unspecified but memory-safe): policy-name
-    /// mismatches, array lengths that disagree with the constructed
-    /// geometry, and occupancy counts inconsistent with the tag array.
-    pub fn load_state(&mut self, v: &cosmos_common::json::Value) -> Result<(), String> {
-        use cosmos_common::json::codec;
-        let saved_policy = codec::str_field(v, "policy")?;
-        if saved_policy != self.policy.name() {
-            return Err(format!(
-                "snapshot policy `{saved_policy}` does not match constructed policy `{}`",
-                self.policy.name()
-            ));
-        }
-        let lines = self.config.num_lines();
-        let tags = codec::u64_array(v, "tags")?;
-        codec::check_len("tags", tags.len(), lines)?;
-        let flags = codec::u8_array(v, "flags")?;
-        codec::check_len("flags", flags.len(), lines)?;
-        let scores = codec::u8_array(v, "scores")?;
-        codec::check_len("scores", scores.len(), lines)?;
-        let last_touch = codec::u64_array(v, "last_touch")?;
-        codec::check_len("last_touch", last_touch.len(), lines)?;
-        let fill_at = codec::u64_array(v, "fill_at")?;
-        codec::check_len("fill_at", fill_at.len(), lines)?;
-        let occupied = codec::usize_field(v, "occupied")?;
-        let valid = tags.iter().filter(|&&t| t != INVALID_TAG).count();
-        if occupied != valid {
-            return Err(format!(
-                "snapshot occupancy {occupied} disagrees with {valid} valid tags"
-            ));
-        }
-        let clock = codec::u64_field(v, "clock")?;
-        let stats = CacheStats::from_json(codec::field(v, "stats")?)?;
-        if let PolicyImpl::Boxed(p) = &self.policy {
-            return Err(format!(
-                "snapshot unsupported for boxed replacement policy `{}`",
-                p.name()
-            ));
-        }
-        self.clock = clock;
-        self.last_touch = last_touch;
-        self.fill_at = fill_at;
-        self.tags = tags;
-        self.flags = flags;
-        self.scores = scores;
-        self.occupied = occupied;
-        self.stats = stats;
-        Ok(())
     }
 
     fn find_way(&self, line: LineAddr) -> Option<usize> {

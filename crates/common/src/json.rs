@@ -784,12 +784,10 @@ impl Parser<'_> {
     }
 }
 
-/// Field-extraction helpers for hand-written deserializers.
-///
-/// Snapshot restore across the workspace decodes JSON back into typed
-/// state; these helpers centralize the error phrasing so every missing or
-/// mistyped field reports its key ("snapshot field `tags`: expected an
-/// array of u64") instead of a bare `None`.
+/// Field-extraction helpers for hand-written deserializers: the snapshot
+/// envelope, the serve protocol and counter structs. They centralize the
+/// error phrasing, so every missing or mistyped field reports its key
+/// ("field `tags`: expected an array of u64") instead of a bare `None`.
 pub mod codec {
     use super::{Map, Value};
 
@@ -825,20 +823,6 @@ pub mod codec {
             .ok_or_else(|| format!("field `{key}`: expected a string"))
     }
 
-    /// A bool field.
-    pub fn bool_field(v: &Value, key: &str) -> Result<bool, String> {
-        field(v, key)?
-            .as_bool()
-            .ok_or_else(|| format!("field `{key}`: expected a bool"))
-    }
-
-    /// An `f64` field (integers accepted — JSON does not distinguish).
-    pub fn f64_field(v: &Value, key: &str) -> Result<f64, String> {
-        field(v, key)?
-            .as_f64()
-            .ok_or_else(|| format!("field `{key}`: expected a number"))
-    }
-
     /// An array field decoded element-wise as `u64`.
     pub fn u64_array(v: &Value, key: &str) -> Result<Vec<u64>, String> {
         let arr = field(v, key)?
@@ -852,56 +836,9 @@ pub mod codec {
             .collect()
     }
 
-    /// An array field decoded element-wise as `u8`.
-    pub fn u8_array(v: &Value, key: &str) -> Result<Vec<u8>, String> {
-        u64_array(v, key)?
-            .into_iter()
-            .map(|x| u8::try_from(x).map_err(|_| format!("field `{key}`: value {x} overflows u8")))
-            .collect()
-    }
-
-    /// An array field decoded element-wise as `u32`.
-    pub fn u32_array(v: &Value, key: &str) -> Result<Vec<u32>, String> {
-        u64_array(v, key)?
-            .into_iter()
-            .map(|x| {
-                u32::try_from(x).map_err(|_| format!("field `{key}`: value {x} overflows u32"))
-            })
-            .collect()
-    }
-
-    /// An array field decoded element-wise as `i64`.
-    pub fn i64_array(v: &Value, key: &str) -> Result<Vec<i64>, String> {
-        let arr = field(v, key)?
-            .as_array()
-            .ok_or_else(|| format!("field `{key}`: expected an array"))?;
-        arr.iter()
-            .map(|x| {
-                x.as_i64()
-                    .ok_or_else(|| format!("field `{key}`: expected an array of i64"))
-            })
-            .collect()
-    }
-
     /// Encodes an iterator of `u64`-convertible integers as a JSON array.
     pub fn from_u64s(xs: impl IntoIterator<Item = u64>) -> Value {
         Value::Array(xs.into_iter().map(Value::UInt).collect())
-    }
-
-    /// Encodes an iterator of signed integers as a JSON array.
-    pub fn from_i64s(xs: impl IntoIterator<Item = i64>) -> Value {
-        Value::Array(xs.into_iter().map(Value::Int).collect())
-    }
-
-    /// Checks a restored array's length against the constructed geometry.
-    pub fn check_len(key: &str, got: usize, expected: usize) -> Result<(), String> {
-        if got == expected {
-            Ok(())
-        } else {
-            Err(format!(
-                "field `{key}`: length {got} does not match expected {expected}"
-            ))
-        }
     }
 }
 

@@ -16,7 +16,9 @@
 //! - ready-time timing primitives ([`timing`]) shared by the DRAM bank
 //!   model and the event-driven simulator core,
 //! - a dependency-free JSON document model ([`json`]) the experiment
-//!   harnesses use to emit machine-readable results.
+//!   harnesses use to emit machine-readable results,
+//! - snapshot state ([`state`]): the [`state!`] declaration of what a
+//!   checkpoint saves of each simulator part.
 //!
 //! # Examples
 //!
@@ -33,6 +35,7 @@ pub mod cycle;
 pub mod hash;
 pub mod json;
 pub mod rng;
+pub mod state;
 pub mod stats;
 pub mod timing;
 pub mod trace;

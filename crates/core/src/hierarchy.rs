@@ -15,8 +15,7 @@
 
 use crate::config::{CacheLevelConfig, SimConfig};
 use cosmos_cache::CacheConfig;
-use cosmos_common::json::{codec, json, Value};
-use cosmos_common::stats::{Counters, HitMiss};
+use cosmos_common::stats::HitMiss;
 use cosmos_common::LineAddr;
 
 /// Which level served a demand access.
@@ -100,24 +99,13 @@ impl LruLevel {
         (false, dirty_victim.then(|| LineAddr::new(victim >> 1)))
     }
 
-    fn save_state(&self) -> Value {
-        json!({
-            "words": (codec::from_u64s(self.words.iter().copied())),
-            "demand": (self.demand.to_json()),
-        })
-    }
-
-    /// Restores [`LruLevel::save_state`] output, rejecting any word array
-    /// that no sequence of accesses could have produced.
-    fn load_state(&mut self, v: &Value, name: &str) -> Result<(), String> {
-        let words = codec::u64_array(v, "words")?;
-        codec::check_len(&format!("{name}.words"), words.len(), self.words.len())?;
-        for (set, ways) in words.chunks_exact(self.ways).enumerate() {
+    /// Rejects any restored word array that no sequence of accesses could
+    /// have produced.
+    fn check_sets(&self) -> cosmos_common::state::LoadResult {
+        for (set, ways) in self.words.chunks_exact(self.ways).enumerate() {
             self.check_set(set, ways)
-                .map_err(|e| format!("{name} set {set}: {e}"))?;
+                .map_err(|e| format!("set {set}: {e}"))?;
         }
-        self.demand = HitMiss::from_json_field(v, "demand")?;
-        self.words = words;
         Ok(())
     }
 
@@ -141,6 +129,8 @@ impl LruLevel {
         Ok(())
     }
 }
+
+cosmos_common::state! { #[check(Self::check_sets)] LruLevel { words, demand } }
 
 /// Per-core L1/L2 caches plus the shared LLC.
 pub struct CacheHierarchy {
@@ -233,37 +223,10 @@ impl CacheHierarchy {
     pub fn llc_stats(&self) -> HitMiss {
         self.llc.demand
     }
-
-    /// Serializes every cache level for snapshots: each level's MRU-ordered
-    /// words and its demand hit/miss counts.
-    pub fn save_state(&self) -> Value {
-        let levels =
-            |levels: &[LruLevel]| Value::Array(levels.iter().map(LruLevel::save_state).collect());
-        json!({
-            "l1": (levels(&self.l1)),
-            "l2": (levels(&self.l2)),
-            "llc": (self.llc.save_state()),
-        })
-    }
-
-    /// Restores state produced by [`CacheHierarchy::save_state`] into a
-    /// hierarchy built from the same config.
-    pub fn load_state(&mut self, v: &Value) -> Result<(), String> {
-        let per_core = |levels: &mut [LruLevel], key: &str| -> Result<(), String> {
-            let arr = codec::field(v, key)?
-                .as_array()
-                .ok_or_else(|| format!("field `{key}`: expected an array"))?;
-            codec::check_len(key, arr.len(), levels.len())?;
-            for (core, (level, saved)) in levels.iter_mut().zip(arr).enumerate() {
-                level.load_state(saved, &format!("{key}[{core}]"))?;
-            }
-            Ok(())
-        };
-        per_core(&mut self.l1, "l1")?;
-        per_core(&mut self.l2, "l2")?;
-        self.llc.load_state(codec::field(v, "llc")?, "llc")
-    }
 }
+
+// Each level's MRU-ordered words and its demand hit/miss counts.
+cosmos_common::state! { CacheHierarchy -> Value { l1, l2, llc } }
 
 /// Sums the demand hit/miss counts of one level's per-core caches.
 fn demand_sum(levels: &[LruLevel]) -> HitMiss {
@@ -277,6 +240,7 @@ fn demand_sum(levels: &[LruLevel]) -> HitMiss {
 mod tests {
     use super::*;
     use crate::config::{Design, SimConfig};
+    use cosmos_common::json::{codec, Value};
     use proptest::prelude::*;
 
     /// The hierarchy this module used to be: three levels of the generic

@@ -19,7 +19,6 @@ use crate::check::SecureObserver;
 use crate::config::SimConfig;
 use crate::stats::{TenantCtrStats, TrafficBreakdown, MAX_TENANTS};
 use cosmos_cache::{Cache, CacheConfig, LocalityHint, Prefetcher};
-use cosmos_common::stats::Counters;
 use cosmos_common::{Cycle, LineAddr};
 use cosmos_dram::Dram;
 use cosmos_rl::{CtrLocalityPredictor, Locality};
@@ -71,6 +70,16 @@ pub struct SecurePath {
     // and timing never read the tenant.
     tenant: u8,
     tenant_ctr: [TenantCtrStats; MAX_TENANTS],
+}
+
+// The metadata layout and latencies are functions of the config, and
+// observers and telemetry are reattached by the caller: none is saved.
+cosmos_common::state! {
+    #[savable(Self::no_prefetcher)]
+    SecurePath as "secure path" -> Result {
+        ctr_cache, mt_cache, counters, locality,
+        mac_read_counter, mac_write_counter, overflows, tenant_ctr,
+    }
 }
 
 impl SecurePath {
@@ -182,64 +191,12 @@ impl SecurePath {
         self.counters.scheme()
     }
 
-    /// Serializes the secure path's state — both metadata caches, the
-    /// counter store, the locality predictor (when present), and the
-    /// MAC/overflow counters — for snapshots. The metadata layout and
-    /// latencies are pure functions of the config and are not stored;
-    /// observers and telemetry are reattached by the caller, not saved.
-    ///
-    /// Rejects configurations with a CTR prefetcher attached (prefetcher
-    /// objects carry unserializable state behind the trait object).
-    pub fn save_state(&self) -> Result<cosmos_common::json::Value, String> {
-        if self.prefetcher.is_some() {
-            return Err("snapshot unsupported with a CTR prefetcher attached".into());
+    /// Prefetcher objects keep unsaveable state behind the trait object.
+    fn no_prefetcher(&self) -> Result<(), String> {
+        match self.prefetcher {
+            Some(_) => Err("snapshot unsupported with a CTR prefetcher attached".into()),
+            None => Ok(()),
         }
-        let locality = match &self.locality {
-            Some(p) => p.save_state(),
-            None => cosmos_common::json::Value::Null,
-        };
-        Ok(cosmos_common::json!({
-            "ctr_cache": (self.ctr_cache.save_state()?),
-            "mt_cache": (self.mt_cache.save_state()?),
-            "counters": (self.counters.save_state()),
-            "locality": (locality),
-            "mac_read_counter": (self.mac_read_counter),
-            "mac_write_counter": (self.mac_write_counter),
-            "overflows": (self.overflows),
-            "tenant_ctr": (self.tenant_ctr.to_json()),
-        }))
-    }
-
-    /// Restores state produced by [`SecurePath::save_state`] into a path
-    /// built from the same config. Rejects predictor presence mismatches
-    /// (a snapshot from a locality design cannot restore into one without).
-    pub fn load_state(&mut self, v: &cosmos_common::json::Value) -> Result<(), String> {
-        use cosmos_common::json::codec;
-        if self.prefetcher.is_some() {
-            return Err("snapshot unsupported with a CTR prefetcher attached".into());
-        }
-        self.ctr_cache.load_state(codec::field(v, "ctr_cache")?)?;
-        self.mt_cache.load_state(codec::field(v, "mt_cache")?)?;
-        self.counters.load_state(codec::field(v, "counters")?)?;
-        let locality = codec::field(v, "locality")?;
-        match (
-            self.locality.as_mut(),
-            matches!(locality, cosmos_common::json::Value::Null),
-        ) {
-            (Some(p), false) => p.load_state(locality)?,
-            (None, true) => {}
-            (Some(_), true) => {
-                return Err("snapshot has no locality predictor but this design expects one".into())
-            }
-            (None, false) => {
-                return Err("snapshot carries a locality predictor but this design has none".into())
-            }
-        }
-        self.mac_read_counter = codec::u64_field(v, "mac_read_counter")?;
-        self.mac_write_counter = codec::u64_field(v, "mac_write_counter")?;
-        self.overflows = codec::u64_field(v, "overflows")?;
-        self.tenant_ctr = Counters::from_json_field(v, "tenant_ctr")?;
-        Ok(())
     }
 
     /// Reads the CTR covering `data_line` on the critical path, starting at

@@ -30,11 +30,23 @@ pub struct Simulator {
     wb_scratch: Vec<LineAddr>,
     stats: SimStats,
     // Statistics snapshot taken at the end of warmup; `finalize` reports
-    // only what accumulated after it (boxed: it is absent on the hot path).
-    baseline: Option<Box<SimStats>>,
+    // only what accumulated after it.
+    baseline: Option<SimStats>,
     // Timeline window state.
     window_ctr_total: u64,
     window_ctr_miss: u64,
+}
+
+// Everything a resumed run needs to continue byte-identically: caches,
+// counters, predictors (tables, CET, RNG positions), DRAM banks, core
+// timelines, cumulative statistics and any frozen baseline. The config is
+// not saved (the serve layer fingerprints it in the snapshot envelope), and
+// the writeback scratch buffer is empty between accesses.
+cosmos_common::state! {
+    Simulator -> Result {
+        hierarchy, secure, data_pred, dram, timeline,
+        stats, baseline, window_ctr_total, window_ctr_miss,
+    }
 }
 
 impl Simulator {
@@ -169,7 +181,7 @@ impl Simulator {
     /// on. State (cache contents, predictor tables, core timelines) is
     /// untouched.
     pub fn freeze_stats(&mut self) {
-        self.baseline = Some(Box::new(self.snapshot()));
+        self.baseline = Some(self.snapshot());
     }
 
     /// A non-destructive snapshot of the *cumulative* statistics (warmup
@@ -196,104 +208,13 @@ impl Simulator {
         stats
     }
 
-    /// Serializes the complete microarchitectural and statistical state of
-    /// the simulator: caches, counters, predictors (tables, CET, RNG
-    /// positions), DRAM banks, core timelines, cumulative statistics, and
-    /// any frozen measurement baseline. A simulator built from the *same*
-    /// config and fed this state via [`Simulator::load_state`] continues
-    /// byte-identically to one that never stopped.
-    ///
-    /// The writeback scratch buffer is not stored — it is empty between
-    /// accesses (capacity-only). Configuration is not stored either; the
-    /// caller pairs the state with its config (the serve layer adds a
-    /// config fingerprint to its snapshot envelope).
-    ///
-    /// Fails for state that cannot round-trip: boxed replacement policies
-    /// and attached CTR prefetchers.
-    pub fn save_state(&self) -> Result<cosmos_common::json::Value, String> {
-        use cosmos_common::json::Value;
-        let secure = match &self.secure {
-            Some(sp) => sp.save_state()?,
-            None => Value::Null,
-        };
-        let data_pred = match &self.data_pred {
-            Some(dp) => dp.save_state(),
-            None => Value::Null,
-        };
-        let baseline = match &self.baseline {
-            Some(b) => b.to_json(),
-            None => Value::Null,
-        };
-        Ok(cosmos_common::json!({
-            "hierarchy": (self.hierarchy.save_state()),
-            "secure": (secure),
-            "data_pred": (data_pred),
-            "dram": (self.dram.save_state()),
-            "timeline": (self.timeline.save_state()),
-            "stats": (self.stats.to_json()),
-            "baseline": (baseline),
-            "window_ctr_total": (self.window_ctr_total),
-            "window_ctr_miss": (self.window_ctr_miss),
-        }))
-    }
-
-    /// Restores state produced by [`Simulator::save_state`] into a
-    /// simulator built from the same configuration. Every mismatch —
-    /// missing field, wrong geometry, design with/without a predictor the
-    /// snapshot lacks/carries — is rejected with an error naming the
-    /// offending field.
-    pub fn load_state(&mut self, v: &cosmos_common::json::Value) -> Result<(), String> {
-        use cosmos_common::json::{codec, Value};
-        self.hierarchy.load_state(codec::field(v, "hierarchy")?)?;
-        let secure = codec::field(v, "secure")?;
-        match (self.secure.as_mut(), matches!(secure, Value::Null)) {
-            (Some(sp), false) => sp.load_state(secure)?,
-            (None, true) => {}
-            (Some(_), true) => {
-                return Err("snapshot has no secure path but this design expects one".into())
-            }
-            (None, false) => {
-                return Err("snapshot carries a secure path but this design has none".into())
-            }
-        }
-        let data_pred = codec::field(v, "data_pred")?;
-        match (self.data_pred.as_mut(), matches!(data_pred, Value::Null)) {
-            (Some(dp), false) => dp.load_state(data_pred)?,
-            (None, true) => {}
-            (Some(_), true) => {
-                return Err(
-                    "snapshot has no data-location predictor but this design expects one".into(),
-                )
-            }
-            (None, false) => {
-                return Err(
-                    "snapshot carries a data-location predictor but this design has none".into(),
-                )
-            }
-        }
-        self.dram.load_state(codec::field(v, "dram")?)?;
-        self.timeline.load_state(codec::field(v, "timeline")?)?;
-        self.stats = SimStats::from_json(codec::field(v, "stats")?)?;
-        let baseline = codec::field(v, "baseline")?;
-        self.baseline = match baseline {
-            Value::Null => None,
-            other => Some(Box::new(SimStats::from_json(other)?)),
-        };
-        self.window_ctr_total = codec::u64_field(v, "window_ctr_total")?;
-        self.window_ctr_miss = codec::u64_field(v, "window_ctr_miss")?;
-        Ok(())
-    }
-
     /// The baseline frozen by the last [`Simulator::warmup`] /
     /// [`Simulator::freeze_stats`] call, or zeroed statistics if none was
     /// frozen — `snapshot().since(&frozen_baseline())` is the current
     /// measurement window either way. Lets one simulator measure several
     /// windows without being consumed by [`Simulator::finalize`].
     pub fn frozen_baseline(&self) -> SimStats {
-        match &self.baseline {
-            Some(baseline) => (**baseline).clone(),
-            None => SimStats::default(),
-        }
+        self.baseline.clone().unwrap_or_default()
     }
 
     /// Finishes the run and extracts statistics. With a warmup baseline

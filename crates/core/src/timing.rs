@@ -94,25 +94,9 @@ impl CoreTimeline {
     pub fn horizon(&self) -> u64 {
         self.ready.iter().map(|c| c.value()).max().unwrap_or(0)
     }
-
-    /// Serializes the per-core ready cycles for snapshots.
-    pub fn save_state(&self) -> cosmos_common::json::Value {
-        use cosmos_common::json::codec;
-        cosmos_common::json!({
-            "ready": (codec::from_u64s(self.ready.iter().map(|c| c.value()))),
-        })
-    }
-
-    /// Restores state produced by [`CoreTimeline::save_state`] into a
-    /// timeline with the same core count.
-    pub fn load_state(&mut self, v: &cosmos_common::json::Value) -> Result<(), String> {
-        use cosmos_common::json::codec;
-        let ready = codec::u64_array(v, "ready")?;
-        codec::check_len("ready", ready.len(), self.ready.len())?;
-        self.ready = ready.into_iter().map(Cycle::new).collect();
-        Ok(())
-    }
 }
+
+cosmos_common::state! { CoreTimeline -> Value { ready } }
 
 #[cfg(test)]
 mod tests {

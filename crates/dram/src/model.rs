@@ -1,7 +1,6 @@
 //! The bank/row-buffer DRAM model.
 
 use crate::config::DramConfig;
-use cosmos_common::stats::Counters;
 use cosmos_common::timing::ServiceQueue;
 use cosmos_common::{Cycle, LineAddr, LINE_SIZE};
 use cosmos_telemetry::Telemetry;
@@ -51,12 +50,6 @@ impl DramStats {
     pub const fn bytes(&self) -> u64 {
         self.requests() * LINE_SIZE as u64
     }
-}
-
-#[derive(Clone, Copy, Debug)]
-struct Bank {
-    open_row: Option<u64>,
-    queue: ServiceQueue,
 }
 
 /// Precomputed shift/mask form of the line → (bank, row) mapping. All
@@ -125,10 +118,16 @@ impl LineMap {
 pub struct Dram {
     config: DramConfig,
     map: LineMap,
-    banks: Vec<Bank>,
+    /// Per bank, its open row plus one; 0 while the bank is closed.
+    open_rows: Vec<u64>,
+    /// Per bank, the queue of requests it serves.
+    queues: Vec<ServiceQueue>,
     stats: DramStats,
     telemetry: Telemetry,
 }
+
+// The line map is derived from the config and not saved.
+cosmos_common::state! { Dram -> Value { open_rows, busy_until = queues, stats } }
 
 impl Dram {
     /// Creates the model.
@@ -141,13 +140,8 @@ impl Dram {
         Self {
             config,
             map: LineMap::new(&config),
-            banks: vec![
-                Bank {
-                    open_row: None,
-                    queue: ServiceQueue::new(),
-                };
-                config.total_banks()
-            ],
+            open_rows: vec![0; config.total_banks()],
+            queues: vec![ServiceQueue::new(); config.total_banks()],
             stats: DramStats::default(),
             telemetry: Telemetry::disabled(),
         }
@@ -170,58 +164,28 @@ impl Dram {
         &self.stats
     }
 
-    /// Serializes bank state (open rows, busy times) and statistics for
-    /// snapshots. The line map is derived from the config and not stored.
-    pub fn save_state(&self) -> cosmos_common::json::Value {
-        use cosmos_common::json::codec;
-        // `Option<row>` encoded as row+1 (0 = closed) to keep banks a flat
-        // integer array rather than a vector of objects.
-        let open_rows = self.banks.iter().map(|b| b.open_row.map_or(0, |r| r + 1));
-        let busy = self.banks.iter().map(|b| b.queue.busy_until().value());
-        cosmos_common::json!({
-            "open_rows": (codec::from_u64s(open_rows)),
-            "busy_until": (codec::from_u64s(busy)),
-            "stats": (self.stats.to_json()),
-        })
-    }
-
-    /// Restores state produced by [`Dram::save_state`] into a model built
-    /// with the *same* config. Rejects bank-count mismatches.
-    pub fn load_state(&mut self, v: &cosmos_common::json::Value) -> Result<(), String> {
-        use cosmos_common::json::codec;
-        let open_rows = codec::u64_array(v, "open_rows")?;
-        codec::check_len("open_rows", open_rows.len(), self.banks.len())?;
-        let busy = codec::u64_array(v, "busy_until")?;
-        codec::check_len("busy_until", busy.len(), self.banks.len())?;
-        let stats = DramStats::from_json(codec::field(v, "stats")?)?;
-        for (bank, (row, busy)) in self.banks.iter_mut().zip(open_rows.into_iter().zip(busy)) {
-            bank.open_row = row.checked_sub(1);
-            bank.queue = ServiceQueue::resume(Cycle::new(busy));
-        }
-        self.stats = stats;
-        Ok(())
-    }
-
     /// Serves a line request issued at `now`; returns its completion time.
     // cosmos-lint: hot
     pub fn access(&mut self, line: LineAddr, now: Cycle, write: bool) -> Cycle {
         let (bank_idx, row) = self.map.map(line);
         let t = self.config.timings;
-        let bank = &mut self.banks[bank_idx];
+        let open = &mut self.open_rows[bank_idx];
 
-        let outcome = match bank.open_row {
-            Some(open) if open == row => RowBufferOutcome::Hit,
-            Some(_) => RowBufferOutcome::Conflict,
-            None => RowBufferOutcome::Closed,
+        let outcome = if *open == row + 1 {
+            RowBufferOutcome::Hit
+        } else if *open == 0 {
+            RowBufferOutcome::Closed
+        } else {
+            RowBufferOutcome::Conflict
         };
+        *open = row + 1;
         let service = match outcome {
             RowBufferOutcome::Hit => t.row_hit(),
             RowBufferOutcome::Closed => t.row_closed(),
             RowBufferOutcome::Conflict => t.row_conflict(),
         };
 
-        let served = bank.queue.serve(now, service);
-        bank.open_row = Some(row);
+        let served = self.queues[bank_idx].serve(now, service);
 
         self.stats.queue_cycles += served.queued;
         match outcome {

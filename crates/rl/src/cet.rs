@@ -20,10 +20,12 @@
 
 use crate::locality::Locality;
 use cosmos_common::hash::splitmix64;
+use cosmos_common::json::Value;
+use cosmos_common::state::{self, LoadResult};
 
 /// An entry evicted from the CET (feeds the eviction rewards
 /// `R_C_eg` / `R_C_eb`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CetEvicted {
     /// The evicted CTR line address.
     pub addr: u64,
@@ -295,79 +297,59 @@ impl Cet {
         None
     }
 
-    /// Serializes the table's *logical* state — entries in LRU→MRU order
-    /// plus the bootstrap head — for snapshots. Arena slot numbers, the
-    /// free list, and hash-index layout are deliberately not stored: they
-    /// are unobservable, and the LRU→MRU list is the canonical form (equal
-    /// logical states always serialize to equal bytes).
-    pub fn save_state(&self) -> cosmos_common::json::Value {
+    /// The entries in LRU→MRU order: the canonical form of the table,
+    /// which equal logical states share whatever their slot layout.
+    fn saved_entries(&self) -> Vec<CetEvicted> {
         let mut entries = Vec::with_capacity(self.len);
         let mut slot = self.lru;
         while slot != NONE {
             let s = &self.slots[slot as usize];
-            entries.push(cosmos_common::json!({
-                "addr": (s.addr),
-                "state": (s.state as u64),
-                "action": (s.action.name()),
-            }));
+            entries.push(CetEvicted {
+                addr: s.addr,
+                state: s.state,
+                action: s.action,
+            });
             slot = s.newer;
         }
-        let head = match self.head {
-            Some((state, action)) => cosmos_common::json!({
-                "state": (state as u64),
-                "action": (action.name()),
-            }),
-            None => cosmos_common::json::Value::Null,
-        };
-        cosmos_common::json!({
-            "capacity": (self.capacity as u64),
-            "radius": (self.radius),
-            "entries": (cosmos_common::json::Value::Array(entries)),
-            "head": (head),
-        })
+        entries
     }
 
-    /// Restores state produced by [`Cet::save_state`] into a CET built with
-    /// the same capacity and radius, by re-inserting the entries in LRU→MRU
-    /// order (rebuilding the index and recency list from scratch).
-    pub fn load_state(&mut self, v: &cosmos_common::json::Value) -> Result<(), String> {
-        use cosmos_common::json::codec;
-        let capacity = codec::usize_field(v, "capacity")?;
-        let radius = codec::u64_field(v, "radius")?;
-        if capacity != self.capacity || radius != self.radius {
-            return Err(format!(
-                "snapshot CET geometry {capacity}x±{radius} does not match constructed {}x±{}",
-                self.capacity, self.radius
-            ));
+    /// Rebuilds the arena, index and recency list by inserting the saved
+    /// entries in LRU→MRU order into an empty table; every insert moves
+    /// the head, which the saved head must then match.
+    fn rebuild(&mut self, v: &Value) -> LoadResult {
+        let entries = state::seq(v, &CetEvicted::default())?;
+        *self = Cet::new(self.capacity, self.radius);
+        for e in &entries {
+            self.insert(e.addr, e.state, e.action);
         }
-        let entries = codec::field(v, "entries")?
-            .as_array()
-            .ok_or_else(|| "field `entries`: expected an array".to_string())?;
-        if entries.len() > capacity {
-            return Err(format!(
-                "snapshot holds {} CET entries, over capacity {capacity}",
-                entries.len()
-            ));
+        match self.len == entries.len() {
+            true => Ok(()),
+            false => Err("snapshot CET entries overflow its capacity or repeat".into()),
         }
-        *self = Cet::new(capacity, radius);
-        for e in entries {
-            let addr = codec::u64_field(e, "addr")?;
-            let state = codec::usize_field(e, "state")?;
-            let action = Locality::from_name(codec::str_field(e, "action")?)?;
-            if self.insert(addr, state, action).is_some() {
-                return Err("snapshot CET entries evicted during rebuild (duplicates?)".into());
-            }
-        }
-        let head = codec::field(v, "head")?;
-        self.head = if matches!(head, cosmos_common::json::Value::Null) {
-            None
-        } else {
-            Some((
-                codec::usize_field(head, "state")?,
-                Locality::from_name(codec::str_field(head, "action")?)?,
-            ))
-        };
-        Ok(())
+    }
+
+    fn saved_head(&self) -> Option<Head> {
+        self.head.map(|(state, action)| Head { state, action })
+    }
+}
+
+/// The bootstrap head as a snapshot stores it.
+struct Head {
+    state: usize,
+    action: Locality,
+}
+
+// The logical state only: entries by their payload, the fields an eviction
+// reports. Arena slot numbers, the recycled slot and the index layout are
+// unobservable and rebuilt on restore.
+cosmos_common::state! {
+    CetEvicted { addr, state, action }
+    Head { state, action }
+    Cet -> Value {
+        capacity: fixed, radius: fixed,
+        entries: via(Self::saved_entries, Self::rebuild),
+        head: fixed(Self::saved_head),
     }
 }
 

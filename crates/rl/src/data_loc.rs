@@ -3,7 +3,6 @@
 use crate::params::{DataRewards, RlParams};
 use crate::qtable::QTable;
 use cosmos_common::hash::hash_address;
-use cosmos_common::stats::Counters;
 use cosmos_common::{PhysAddr, SplitMix64};
 use cosmos_telemetry::Telemetry;
 
@@ -99,6 +98,11 @@ pub struct DataLocationPredictor {
     rng: SplitMix64,
     stats: DataLocationStats,
     telemetry: Telemetry,
+}
+
+// Parameters and rewards come from the config and are not saved.
+cosmos_common::state! {
+    DataLocationPredictor as "data-location predictor" -> Value { qtable, rng, stats }
 }
 
 impl DataLocationPredictor {
@@ -213,27 +217,6 @@ impl DataLocationPredictor {
     #[inline]
     pub fn state_of(&self, addr: PhysAddr) -> usize {
         hash_address(addr, self.params.num_states)
-    }
-
-    /// Serializes the agent's learned state — Q-table, RNG position, and
-    /// statistics — for snapshots. Parameters and rewards are not stored;
-    /// they are reconstructed from the config at restore time.
-    pub fn save_state(&self) -> cosmos_common::json::Value {
-        cosmos_common::json!({
-            "qtable": (self.qtable.save_state()),
-            "rng": (self.rng.state()),
-            "stats": (self.stats.to_json()),
-        })
-    }
-
-    /// Restores state produced by [`DataLocationPredictor::save_state`]
-    /// into a predictor constructed with the same parameters.
-    pub fn load_state(&mut self, v: &cosmos_common::json::Value) -> Result<(), String> {
-        use cosmos_common::json::codec;
-        self.qtable.load_state(codec::field(v, "qtable")?)?;
-        self.rng = SplitMix64::new(codec::u64_field(v, "rng")?);
-        self.stats = DataLocationStats::from_json(codec::field(v, "stats")?)?;
-        Ok(())
     }
 }
 

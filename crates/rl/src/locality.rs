@@ -4,16 +4,19 @@ use crate::cet::Cet;
 use crate::params::{CtrRewards, RlParams};
 use crate::qtable::QTable;
 use cosmos_common::hash::hash_address;
-use cosmos_common::stats::Counters;
+use cosmos_common::json::Value;
+use cosmos_common::state::{LoadResult, State};
 use cosmos_common::{LineAddr, SplitMix64};
 use cosmos_telemetry::Telemetry;
 
 /// A CTR locality classification.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Locality {
     /// Likely to be re-referenced soon — retain in the LCR-CTR cache.
     Good,
-    /// Unlikely to be re-referenced — prioritize for eviction.
+    /// Unlikely to be re-referenced — prioritize for eviction. The default,
+    /// as action 0.
+    #[default]
     Bad,
 }
 
@@ -63,6 +66,18 @@ impl Locality {
             "Bad" => Ok(Locality::Bad),
             other => Err(format!("unknown locality `{other}`")),
         }
+    }
+}
+
+/// Saved by [name](Locality::name).
+impl State for Locality {
+    fn save(&self) -> Value {
+        Value::Str(self.name().into())
+    }
+
+    fn load(&mut self, v: &Value) -> LoadResult {
+        *self = Locality::from_name(v.as_str().ok_or("expected a string")?)?;
+        Ok(())
     }
 }
 
@@ -137,6 +152,11 @@ pub struct CtrLocalityPredictor {
     rng: SplitMix64,
     stats: CtrLocalityStats,
     telemetry: Telemetry,
+}
+
+// Parameters and rewards come from the config and are not saved.
+cosmos_common::state! {
+    CtrLocalityPredictor as "locality predictor" -> Value { qtable, cet, rng, stats }
 }
 
 impl CtrLocalityPredictor {
@@ -307,29 +327,6 @@ impl CtrLocalityPredictor {
     #[inline]
     pub fn state_of(&self, ctr_line: LineAddr) -> usize {
         hash_address(ctr_line.base(), self.params.num_states)
-    }
-
-    /// Serializes the agent's learned state — Q-table, CET, RNG position,
-    /// and statistics — for snapshots. Parameters and rewards are not
-    /// stored; they are reconstructed from the config at restore time.
-    pub fn save_state(&self) -> cosmos_common::json::Value {
-        cosmos_common::json!({
-            "qtable": (self.qtable.save_state()),
-            "cet": (self.cet.save_state()),
-            "rng": (self.rng.state()),
-            "stats": (self.stats.to_json()),
-        })
-    }
-
-    /// Restores state produced by [`CtrLocalityPredictor::save_state`] into
-    /// a predictor constructed with the same parameters.
-    pub fn load_state(&mut self, v: &cosmos_common::json::Value) -> Result<(), String> {
-        use cosmos_common::json::codec;
-        self.qtable.load_state(codec::field(v, "qtable")?)?;
-        self.cet.load_state(codec::field(v, "cet")?)?;
-        self.rng = SplitMix64::new(codec::u64_field(v, "rng")?);
-        self.stats = CtrLocalityStats::from_json(codec::field(v, "stats")?)?;
-        Ok(())
     }
 }
 

@@ -100,27 +100,10 @@ impl QTable {
     pub fn reset(&mut self) {
         self.q.iter_mut().for_each(|e| *e = 0.0);
     }
-
-    /// Serializes the table for snapshots. Q-values are stored as their IEEE
-    /// `f32` bit patterns, so the restore is bit-exact — no decimal
-    /// round-trip can perturb subsequent learning.
-    pub fn save_state(&self) -> cosmos_common::json::Value {
-        use cosmos_common::json::codec;
-        cosmos_common::json!({
-            "q_bits": (codec::from_u64s(self.q.iter().map(|f| u64::from(f.to_bits())))),
-        })
-    }
-
-    /// Restores state produced by [`QTable::save_state`] into a table of the
-    /// same size.
-    pub fn load_state(&mut self, v: &cosmos_common::json::Value) -> Result<(), String> {
-        use cosmos_common::json::codec;
-        let bits = codec::u32_array(v, "q_bits")?;
-        codec::check_len("q_bits", bits.len(), self.q.len())?;
-        self.q = bits.into_iter().map(f32::from_bits).collect();
-        Ok(())
-    }
 }
+
+// Q-values are saved as IEEE bit patterns, so a restore is bit-exact.
+cosmos_common::state! { QTable -> Value { q_bits = q } }
 
 #[cfg(test)]
 mod tests {

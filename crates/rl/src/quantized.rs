@@ -27,6 +27,9 @@ pub struct QuantizedQTable {
     alpha_shift: u32,
 }
 
+// Raw fixed-point values; the learning rate must match the constructed one.
+cosmos_common::state! { QuantizedQTable -> Value { alpha_shift: fixed, q } }
+
 /// Fixed-point fraction bits (values are `i8 / 4`).
 const FRAC_BITS: u32 = 2;
 
@@ -103,35 +106,6 @@ impl QuantizedQTable {
     pub fn score(&self, state: usize, action: usize) -> u8 {
         assert!(action < 2, "action {action} out of range");
         self.q[2 * state + action].unsigned_abs()
-    }
-
-    /// Serializes the table for snapshots (raw fixed-point values).
-    pub fn save_state(&self) -> cosmos_common::json::Value {
-        use cosmos_common::json::codec;
-        cosmos_common::json!({
-            "alpha_shift": (u64::from(self.alpha_shift)),
-            "q": (codec::from_i64s(self.q.iter().map(|&x| i64::from(x)))),
-        })
-    }
-
-    /// Restores state produced by [`QuantizedQTable::save_state`] into a
-    /// table of the same size; the learning rate must match.
-    pub fn load_state(&mut self, v: &cosmos_common::json::Value) -> Result<(), String> {
-        use cosmos_common::json::codec;
-        let shift = codec::u64_field(v, "alpha_shift")?;
-        if shift != u64::from(self.alpha_shift) {
-            return Err(format!(
-                "snapshot alpha_shift {shift} does not match constructed {}",
-                self.alpha_shift
-            ));
-        }
-        let q = codec::i64_array(v, "q")?;
-        codec::check_len("q", q.len(), self.q.len())?;
-        self.q = q
-            .into_iter()
-            .map(|x| i8::try_from(x).map_err(|_| format!("field `q`: value {x} overflows i8")))
-            .collect::<Result<_, _>>()?;
-        Ok(())
     }
 }
 

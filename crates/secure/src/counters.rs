@@ -16,6 +16,8 @@
 //! (the paper charges this as background 64 B write traffic; MorphCtr's
 //! morphing makes it rare — about 1 per 67 same-counter updates).
 
+use cosmos_common::json::Value;
+use cosmos_common::state::{self, LoadResult, State};
 use cosmos_common::LineAddr;
 use std::collections::BTreeMap;
 
@@ -305,6 +307,26 @@ pub enum IncrementOutcome {
     },
 }
 
+/// Saved by name; a snapshot restores only into the scheme that saved it.
+impl State for CounterScheme {
+    fn save(&self) -> Value {
+        self.name().into()
+    }
+
+    fn load(&mut self, v: &Value) -> LoadResult {
+        state::same(self, v)
+    }
+}
+
+/// A counter block as a snapshot stores it: every minor, zeros included,
+/// whatever the in-memory form. The format is derived on restore.
+#[derive(Clone, Default)]
+struct SavedBlock {
+    idx: u64,
+    major: u64,
+    minors: Vec<u32>,
+}
+
 /// All counter blocks of the protected region, managed functionally.
 ///
 /// Blocks are materialized lazily: untouched blocks are implicit zeros
@@ -319,6 +341,14 @@ pub struct CounterStore {
     morphs: u64,
     /// Total increments.
     increments: u64,
+}
+
+cosmos_common::state! {
+    SavedBlock { idx, major, minors }
+    CounterStore -> Value {
+        scheme, overflows, morphs, increments,
+        blocks: via(Self::saved_blocks, Self::restore_blocks),
+    }
 }
 
 impl CounterStore {
@@ -423,75 +453,39 @@ impl CounterStore {
         }
     }
 
-    /// Serializes every materialized counter block plus the event counters
-    /// for snapshots. Blocks are emitted in ascending index order (the
-    /// `BTreeMap` iteration order), so equal stores produce equal bytes.
-    /// Minors are written densely, zeros included, whatever the in-memory
-    /// form. The per-block `format`/`max_minor` caches are *not* stored:
-    /// they are pure functions of the minors and are recomputed on restore.
-    pub fn save_state(&self) -> cosmos_common::json::Value {
-        use cosmos_common::json::codec;
-        let blocks: Vec<_> = self
-            .blocks
+    /// Every materialized block in ascending index order, minors dense.
+    fn saved_blocks(&self) -> Vec<SavedBlock> {
+        self.blocks
             .iter()
-            .map(|(&idx, b)| {
-                cosmos_common::json!({
-                    "idx": (idx),
-                    "major": (b.major),
-                    "minors": (codec::from_u64s(b.minors().into_iter().map(u64::from))),
-                })
+            .map(|(&idx, b)| SavedBlock {
+                idx,
+                major: b.major,
+                minors: b.minors(),
             })
-            .collect();
-        cosmos_common::json!({
-            "scheme": (self.scheme.name()),
-            "overflows": (self.overflows),
-            "morphs": (self.morphs),
-            "increments": (self.increments),
-            "blocks": (cosmos_common::json::Value::Array(blocks)),
-        })
+            .collect()
     }
 
-    /// Restores state produced by [`CounterStore::save_state`] into a store
-    /// built for the *same* scheme, rebuilding the derived format/summary
-    /// fields from the minors. Rejects scheme mismatches, wrong minor-array
-    /// lengths, and minors no format can represent.
-    pub fn load_state(&mut self, v: &cosmos_common::json::Value) -> Result<(), String> {
-        use cosmos_common::json::codec;
-        let saved_scheme = codec::str_field(v, "scheme")?;
-        if saved_scheme != self.scheme.name() {
-            return Err(format!(
-                "snapshot scheme `{saved_scheme}` does not match constructed scheme `{}`",
-                self.scheme.name()
-            ));
-        }
-        let coverage = self.scheme.coverage() as usize;
-        let blocks_json = codec::field(v, "blocks")?
-            .as_array()
-            .ok_or_else(|| "field `blocks`: expected an array".to_string())?;
-        let mut blocks = BTreeMap::new();
-        for entry in blocks_json {
-            let idx = codec::u64_field(entry, "idx")?;
-            let major = codec::u64_field(entry, "major")?;
-            let minors = codec::u32_array(entry, "minors")?;
-            codec::check_len("minors", minors.len(), coverage)?;
-            // Only MorphCtr maintains `format`; other schemes leave it at
-            // `Uniform` no matter the minors, and restore must match.
-            let format = if self.scheme == CounterScheme::MorphCtr {
-                MorphFormat::choose(&minors).ok_or_else(|| {
-                    format!("block {idx}: minors fit no MorphCtr format (corrupt snapshot)")
-                })?
-            } else {
-                MorphFormat::Uniform
+    /// Rebuilds the blocks from their saved minors, deriving each format
+    /// (only MorphCtr maintains one) and rejecting minors no format fits
+    /// and blocks saved twice.
+    fn restore_blocks(&mut self, v: &Value) -> LoadResult {
+        let minors = vec![0; self.scheme.coverage() as usize];
+        let proto = SavedBlock {
+            minors,
+            ..Default::default()
+        };
+        self.blocks.clear();
+        for SavedBlock { idx, major, minors } in state::seq(v, &proto)? {
+            let format = match self.scheme {
+                CounterScheme::MorphCtr => MorphFormat::choose(&minors),
+                _ => Some(MorphFormat::Uniform),
             };
+            let format = format.ok_or(format!("block {idx}: minors fit no MorphCtr format"))?;
             let block = CounterBlock::from_dense(major, &minors, format);
-            if blocks.insert(idx, block).is_some() {
+            if self.blocks.insert(idx, block).is_some() {
                 return Err(format!("block {idx}: duplicated in snapshot"));
             }
         }
-        self.blocks = blocks;
-        self.overflows = codec::u64_field(v, "overflows")?;
-        self.morphs = codec::u64_field(v, "morphs")?;
-        self.increments = codec::u64_field(v, "increments")?;
         Ok(())
     }
 
