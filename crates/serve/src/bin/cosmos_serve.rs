@@ -40,13 +40,14 @@ usage:
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
+    // `--help` asks for the usage, with or without a subcommand.
+    if argv.iter().any(|a| a == "--help" || a == "-h") {
+        print!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
     let result = match argv.first().map(String::as_str) {
         Some("ckpt") => run_ckpt(&argv[1..]),
         Some("serve") => run_serve(&argv[1..]),
-        Some("--help") | Some("-h") => {
-            print!("{USAGE}");
-            return ExitCode::SUCCESS;
-        }
         _ => Err(format!("expected a subcommand\n{USAGE}")),
     };
     match result {

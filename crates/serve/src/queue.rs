@@ -1,73 +1,54 @@
-//! A sharded FIFO work queue for the serve-mode worker pool.
-//!
-//! Submissions round-robin across shards; each worker drains its own
-//! shard first and steals from the others when it runs dry. Per-shard
-//! order is strict FIFO, and with one shard the queue is globally FIFO —
-//! sharding trades global ordering for less lock traffic when many
-//! producers and workers hammer the queue at once.
+//! The FIFO work queue of the serve-mode worker pool: one deque behind one
+//! mutex, with a condition variable for idle workers. Jobs start in the
+//! order they were submitted.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 
-/// Shared queue state guarded by one mutex: the per-shard deques plus the
-/// closed flag. Shard count is fixed at construction.
+/// Queued items plus the closed flag, guarded by one mutex.
 struct Inner<T> {
-    shards: Vec<VecDeque<T>>,
+    items: VecDeque<T>,
     closed: bool,
 }
 
-/// A multi-producer multi-consumer FIFO queue with work stealing.
-pub struct ShardedQueue<T> {
+/// A multi-producer multi-consumer FIFO queue.
+pub struct WorkQueue<T> {
     inner: Mutex<Inner<T>>,
     available: Condvar,
-    next_shard: AtomicUsize,
 }
 
-impl<T> ShardedQueue<T> {
-    /// Creates a queue with `shards` independent FIFO lanes (min 1).
-    pub fn new(shards: usize) -> Self {
-        let shards = shards.max(1);
+impl<T> Default for WorkQueue<T> {
+    fn default() -> Self {
         Self {
             inner: Mutex::new(Inner {
-                shards: (0..shards).map(|_| VecDeque::new()).collect(),
+                items: VecDeque::new(),
                 closed: false,
             }),
             available: Condvar::new(),
-            next_shard: AtomicUsize::new(0),
         }
     }
+}
 
-    /// Enqueues an item on the next shard round-robin. Returns `false`
-    /// (dropping nothing — the item is handed back) if the queue is
-    /// closed.
+impl<T> WorkQueue<T> {
+    /// Enqueues an item, or hands it back if the queue is closed.
     pub fn push(&self, item: T) -> Result<(), T> {
-        let shard = self.next_shard.fetch_add(1, Ordering::Relaxed);
         let mut inner = self.inner.lock().expect("queue poisoned");
         if inner.closed {
             return Err(item);
         }
-        let n = inner.shards.len();
-        inner.shards[shard % n].push_back(item);
+        inner.items.push_back(item);
         drop(inner);
         self.available.notify_one();
         Ok(())
     }
 
-    /// Blocks until an item is available or the queue closes. Worker `id`
-    /// prefers its home shard (`id % shards`) and steals FIFO from the
-    /// others otherwise. Returns `None` only after close with all shards
-    /// drained.
-    pub fn pop(&self, id: usize) -> Option<T> {
+    /// Blocks until an item is available or the queue closes. Returns
+    /// `None` only after close, with every item taken.
+    pub fn pop(&self) -> Option<T> {
         let mut inner = self.inner.lock().expect("queue poisoned");
         loop {
-            let n = inner.shards.len();
-            let home = id % n;
-            for off in 0..n {
-                let s = (home + off) % n;
-                if let Some(item) = inner.shards[s].pop_front() {
-                    return Some(item);
-                }
+            if let Some(item) = inner.items.pop_front() {
+                return Some(item);
             }
             if inner.closed {
                 return None;
@@ -76,48 +57,17 @@ impl<T> ShardedQueue<T> {
         }
     }
 
-    /// Non-blocking pop with the same steal order as [`pop`](Self::pop).
-    pub fn try_pop(&self, id: usize) -> Option<T> {
-        let mut inner = self.inner.lock().expect("queue poisoned");
-        let n = inner.shards.len();
-        let home = id % n;
-        for off in 0..n {
-            let s = (home + off) % n;
-            if let Some(item) = inner.shards[s].pop_front() {
-                return Some(item);
-            }
-        }
-        None
-    }
-
-    /// Items currently queued across all shards.
-    pub fn len(&self) -> usize {
-        let inner = self.inner.lock().expect("queue poisoned");
-        inner.shards.iter().map(VecDeque::len).sum()
-    }
-
-    /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    /// Items currently queued (test observability).
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.inner.lock().expect("queue poisoned").items.len()
     }
 
     /// Closes the queue: further pushes fail, blocked and future pops
-    /// drain what remains and then return `None`.
+    /// take what remains and then return `None`.
     pub fn close(&self) {
         self.inner.lock().expect("queue poisoned").closed = true;
         self.available.notify_all();
-    }
-
-    /// Drains everything still queued (used to persist unfinished work
-    /// into the manifest at shutdown), preserving per-shard FIFO order.
-    pub fn drain(&self) -> Vec<T> {
-        let mut inner = self.inner.lock().expect("queue poisoned");
-        let mut out = Vec::new();
-        let n = inner.shards.len();
-        for s in 0..n {
-            out.extend(inner.shards[s].drain(..));
-        }
-        out
     }
 }
 
@@ -127,53 +77,39 @@ mod tests {
     use std::sync::Arc;
 
     #[test]
-    fn single_shard_is_globally_fifo() {
-        let q = ShardedQueue::new(1);
+    fn is_globally_fifo() {
+        let q = WorkQueue::default();
         for i in 0..10 {
             q.push(i).unwrap();
         }
-        let got: Vec<i32> = (0..10).map(|_| q.pop(0).unwrap()).collect();
+        let got: Vec<i32> = (0..10).map(|_| q.pop().unwrap()).collect();
         assert_eq!(got, (0..10).collect::<Vec<_>>());
     }
 
     #[test]
-    fn each_shard_preserves_fifo_order() {
-        let q = ShardedQueue::new(3);
-        for i in 0..9 {
-            q.push(i).unwrap();
-        }
-        // Worker 0 drains home shard 0 first: items 0, 3, 6 in order.
-        assert_eq!(q.pop(0), Some(0));
-        assert_eq!(q.pop(0), Some(3));
-        assert_eq!(q.pop(0), Some(6));
-        // Then steals from shard 1 in FIFO order.
-        assert_eq!(q.pop(0), Some(1));
-    }
-
-    #[test]
     fn close_rejects_pushes_and_drains_pops() {
-        let q = ShardedQueue::new(2);
+        let q = WorkQueue::default();
         q.push(1).unwrap();
         q.close();
         assert_eq!(q.push(2), Err(2));
-        assert_eq!(q.pop(0), Some(1));
-        assert_eq!(q.pop(0), None);
+        assert_eq!(q.pop(), Some(1));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
     fn workers_drain_everything_exactly_once() {
-        let q = Arc::new(ShardedQueue::new(4));
+        let q = Arc::new(WorkQueue::default());
         const N: usize = 400;
         for i in 0..N {
             q.push(i).unwrap();
         }
         q.close();
         let mut handles = Vec::new();
-        for w in 0..4 {
+        for _ in 0..4 {
             let q = Arc::clone(&q);
             handles.push(std::thread::spawn(move || {
                 let mut got = Vec::new();
-                while let Some(item) = q.pop(w) {
+                while let Some(item) = q.pop() {
                     got.push(item);
                 }
                 got
@@ -189,24 +125,11 @@ mod tests {
 
     #[test]
     fn blocked_pop_wakes_on_push() {
-        let q = Arc::new(ShardedQueue::new(2));
+        let q = Arc::new(WorkQueue::default());
         let q2 = Arc::clone(&q);
-        let h = std::thread::spawn(move || q2.pop(0));
+        let h = std::thread::spawn(move || q2.pop());
         std::thread::sleep(std::time::Duration::from_millis(20));
         q.push(42).unwrap();
         assert_eq!(h.join().unwrap(), Some(42));
-    }
-
-    #[test]
-    fn drain_returns_leftovers() {
-        let q = ShardedQueue::new(2);
-        for i in 0..5 {
-            q.push(i).unwrap();
-        }
-        assert_eq!(q.pop(0), Some(0));
-        let mut left = q.drain();
-        left.sort_unstable();
-        assert_eq!(left, vec![1, 2, 3, 4]);
-        assert!(q.is_empty());
     }
 }

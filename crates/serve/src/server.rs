@@ -1,6 +1,6 @@
 //! The long-running experiment server.
 //!
-//! A bounded worker pool drains a [`ShardedQueue`] of job ids; the job
+//! A bounded worker pool drains a FIFO [`WorkQueue`] of job ids; the job
 //! table (and its on-disk `manifest.json`, rewritten atomically on every
 //! transition) is the source of truth for lifecycle state. Requests
 //! arrive as NDJSON lines on stdin and, optionally, on a Unix socket;
@@ -21,7 +21,7 @@
 
 use crate::checkpoint::{build_trace, run_checkpointed, CheckpointRun, CkptOutcome};
 use crate::protocol::{error_reply, parse_request, JobSpec, Request};
-use crate::queue::ShardedQueue;
+use crate::queue::WorkQueue;
 use crate::snapshot::write_atomic;
 use cosmos_common::json::{codec, json, Value};
 use cosmos_common::stats::Counters;
@@ -111,7 +111,7 @@ pub struct Server {
     socket: Option<PathBuf>,
     jobs: Mutex<Vec<JobRecord>>,
     idle: Condvar,
-    queue: ShardedQueue<u64>,
+    queue: WorkQueue<u64>,
     next_id: AtomicU64,
     /// Set on shutdown/SIGINT: cancels in-flight sim jobs and unblocks
     /// `wait`ers.
@@ -145,7 +145,7 @@ impl Server {
             socket: opts.socket,
             jobs: Mutex::new(Vec::new()),
             idle: Condvar::new(),
-            queue: ShardedQueue::new(workers),
+            queue: WorkQueue::default(),
             next_id: AtomicU64::new(1),
             stop_work: AtomicBool::new(false),
             stop_requested: AtomicBool::new(false),
@@ -524,10 +524,10 @@ impl Server {
     /// Starts the worker pool.
     pub fn start_workers(self: &Arc<Self>) -> Vec<std::thread::JoinHandle<()>> {
         (0..self.workers)
-            .map(|w| {
+            .map(|_| {
                 let server = Arc::clone(self);
                 std::thread::spawn(move || {
-                    while let Some(id) = server.queue.pop(w) {
+                    while let Some(id) = server.queue.pop() {
                         server.execute(id);
                     }
                 })

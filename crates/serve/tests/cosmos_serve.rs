@@ -38,3 +38,14 @@ fn ckpt_rejects_bad_access_counts_without_running() {
         );
     }
 }
+
+#[test]
+fn help_prints_usage_with_or_without_a_subcommand() {
+    for args in [&["--help"][..], &["ckpt", "--help"], &["serve", "--help"]] {
+        let out = cosmos_serve(args);
+        assert_eq!(out.status.code(), Some(0), "{args:?}");
+        let usage = String::from_utf8_lossy(&out.stdout);
+        assert!(usage.starts_with("usage:"), "{args:?}: {usage}");
+        assert!(usage.contains("cosmos_serve ckpt") && usage.contains("cosmos_serve serve"));
+    }
+}

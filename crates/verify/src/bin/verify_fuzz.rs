@@ -30,29 +30,21 @@ fn parse(mut argv: impl Iterator<Item = String>) -> Result<Option<Options>, Stri
         accesses: 6_000,
     };
     while let Some(arg) = argv.next() {
-        let mut value = |name: &str| {
-            argv.next()
-                .ok_or_else(|| format!("{name} requires a value"))
+        let mut number = |flag: &str| -> Result<u64, String> {
+            let v = argv.next().ok_or_else(|| format!("{flag} needs a value"))?;
+            v.parse()
+                .map_err(|_| format!("{flag} needs a number, got {v:?}"))
         };
         match arg.as_str() {
-            "--seed" => {
-                opts.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?;
-            }
-            "--cases" => {
-                opts.cases = value("--cases")?
-                    .parse()
-                    .map_err(|e| format!("--cases: {e}"))?;
-            }
-            "--accesses" => {
-                opts.accesses = value("--accesses")?
-                    .parse()
-                    .map_err(|e| format!("--accesses: {e}"))?;
-            }
+            "--seed" => opts.seed = number("--seed")?,
+            "--cases" => opts.cases = number("--cases")?,
+            "--accesses" => opts.accesses = number("--accesses")? as usize,
             "--help" | "-h" => return Ok(None),
             other => return Err(format!("unknown flag {other}")),
         }
+    }
+    if opts.cases == 0 {
+        return Err("--cases must be positive".to_string());
     }
     if opts.accesses < 16 {
         return Err("--accesses must be at least 16".to_string());
