@@ -299,7 +299,7 @@ impl Cet {
 
     /// The entries in LRU→MRU order: the canonical form of the table,
     /// which equal logical states share whatever their slot layout.
-    fn saved_entries(&self) -> Vec<CetEvicted> {
+    pub(crate) fn saved_entries(&self) -> Vec<CetEvicted> {
         let mut entries = Vec::with_capacity(self.len);
         let mut slot = self.lru;
         while slot != NONE {

@@ -156,6 +156,7 @@ pub struct CtrLocalityPredictor {
 
 // Parameters and rewards come from the config and are not saved.
 cosmos_common::state! {
+    #[check(Self::check_cet_states)]
     CtrLocalityPredictor as "locality predictor" -> Value { qtable, cet, rng, stats }
 }
 
@@ -323,6 +324,19 @@ impl CtrLocalityPredictor {
         }
     }
 
+    /// Every restored CET entry must name a state of the Q-table it trains
+    /// (the head is the newest entry's).
+    fn check_cet_states(&self) -> LoadResult {
+        let states = self.qtable.num_states();
+        match self.cet.saved_entries().iter().find(|e| e.state >= states) {
+            Some(e) => Err(format!(
+                "CET entry state {} is out of {states} states",
+                e.state
+            )),
+            None => Ok(()),
+        }
+    }
+
     /// The hashed RL state of a CTR line.
     #[inline]
     pub fn state_of(&self, ctr_line: LineAddr) -> usize {
@@ -473,6 +487,29 @@ mod tests {
         // Different CET capacity.
         let mut wrong = CtrLocalityPredictor::new(RlParams::ctr_defaults(), 128, 0, 9);
         assert!(wrong.load_state(&saved).unwrap_err().contains("geometry"));
+    }
+
+    /// A CET entry whose state is outside the Q-table would restore and
+    /// then index past the table on the next TD update.
+    #[test]
+    fn snapshot_rejects_cet_state_outside_the_qtable() {
+        let mut live = CtrLocalityPredictor::new(RlParams::ctr_defaults(), 64, 0, 9);
+        live.classify(ctr(1));
+        // The one CET entry and the head, which must agree, both move past
+        // the last state.
+        let (state, _) = live.cet().head().expect("one entry");
+        let states = RlParams::ctr_defaults().num_states;
+        let text = live.save_state().to_string().replace(
+            &format!("\"state\":{state},"),
+            &format!("\"state\":{states},"),
+        );
+        let saved = cosmos_common::json::parse(&text).expect("still JSON");
+        let mut restored = CtrLocalityPredictor::new(RlParams::ctr_defaults(), 64, 0, 9);
+        let err = restored.load_state(&saved).unwrap_err();
+        assert!(
+            err.contains("CET entry state") && err.contains("out of"),
+            "{err}"
+        );
     }
 
     #[test]
