@@ -72,7 +72,7 @@ impl Locality {
 /// Saved by [name](Locality::name).
 impl State for Locality {
     fn save(&self) -> Value {
-        Value::Str(self.name().into())
+        self.name().into()
     }
 
     fn load(&mut self, v: &Value) -> LoadResult {
