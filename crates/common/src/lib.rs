@@ -17,8 +17,8 @@
 //!   model and the event-driven simulator core,
 //! - a dependency-free JSON document model ([`json`]) the experiment
 //!   harnesses use to emit machine-readable results,
-//! - snapshot state ([`state`]): the [`state!`] declaration of what a
-//!   checkpoint saves of each simulator part.
+//! - snapshot state ([`state`](mod@state)): the [`state!`] declaration
+//!   of what a checkpoint saves of each simulator part.
 //!
 //! # Examples
 //!

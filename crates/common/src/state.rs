@@ -37,7 +37,7 @@ pub trait State: Sized {
 
 /// Prefixes `err` with the field or index it came from, so errors name a
 /// dotted path: ``field `llc.words`: length 63 does not match expected 64``.
-pub fn at(key: impl core::fmt::Display, err: String) -> String {
+fn at(key: impl core::fmt::Display, err: String) -> String {
     match err.strip_prefix("field `") {
         Some(rest) => format!("field `{key}.{rest}"),
         None => format!("field `{key}`: {err}"),
