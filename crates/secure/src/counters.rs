@@ -480,7 +480,8 @@ impl CounterStore {
                 CounterScheme::MorphCtr => MorphFormat::choose(&minors),
                 _ => Some(MorphFormat::Uniform),
             };
-            let format = format.ok_or(format!("block {idx}: minors fit no MorphCtr format"))?;
+            let format =
+                format.ok_or_else(|| format!("block {idx}: minors fit no MorphCtr format"))?;
             let block = CounterBlock::from_dense(major, &minors, format);
             if self.blocks.insert(idx, block).is_some() {
                 return Err(format!("block {idx}: duplicated in snapshot"));
