@@ -49,6 +49,25 @@ pub struct Eviction {
     pub lru_deviated: bool,
 }
 
+/// The line an access pushed out and whether it was dirty: what the
+/// secure path's correctness observers see of an eviction.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Victim {
+    /// The line that was evicted.
+    pub line: LineAddr,
+    /// Whether it was dirty (needs a writeback).
+    pub dirty: bool,
+}
+
+impl From<Eviction> for Victim {
+    fn from(ev: Eviction) -> Self {
+        Self {
+            line: ev.line,
+            dirty: ev.dirty,
+        }
+    }
+}
+
 /// Result of a cache access.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct AccessResult {

@@ -37,7 +37,7 @@ pub mod policies;
 pub mod prefetchers;
 pub mod stats;
 
-pub use cache::{AccessResult, Cache, Eviction, LocalityHint};
+pub use cache::{AccessResult, Cache, Eviction, LocalityHint, Victim};
 pub use config::{CacheConfig, IndexKind};
 pub use policies::{PolicyKind, ReplacementPolicy};
 pub use prefetchers::{Prefetcher, PrefetcherKind};

@@ -12,7 +12,7 @@
 //! When no observer is attached (the default), the hooks cost one
 //! always-false branch per event.
 
-use cosmos_cache::Eviction;
+use cosmos_cache::Victim;
 use cosmos_common::LineAddr;
 
 /// Receives secure-path events in simulation order.
@@ -21,20 +21,14 @@ use cosmos_common::LineAddr;
 /// the events it cares about.
 pub trait SecureObserver {
     /// A demand access to the CTR cache (read or write path), with the
-    /// real cache's outcome: `hit` and any eviction the fill caused.
-    fn ctr_access(
-        &mut self,
-        ctr_line: LineAddr,
-        write: bool,
-        hit: bool,
-        evicted: Option<Eviction>,
-    ) {
+    /// real cache's outcome: `hit` and the line the fill evicted, if any.
+    fn ctr_access(&mut self, ctr_line: LineAddr, write: bool, hit: bool, evicted: Option<Victim>) {
         let _ = (ctr_line, write, hit, evicted);
     }
 
     /// A prefetch fill into the CTR cache (never a demand access; the line
     /// was checked non-resident first).
-    fn ctr_prefetch(&mut self, ctr_line: LineAddr, evicted: Option<Eviction>) {
+    fn ctr_prefetch(&mut self, ctr_line: LineAddr, evicted: Option<Victim>) {
         let _ = (ctr_line, evicted);
     }
 
@@ -44,8 +38,9 @@ pub trait SecureObserver {
         let _ = data_line;
     }
 
-    /// An access to the MT metadata cache, with the real cache's outcome.
-    fn mt_access(&mut self, node: LineAddr, write: bool, hit: bool, evicted: Option<Eviction>) {
+    /// An access to the MT metadata cache, with the real cache's outcome:
+    /// `hit` and the line the fill evicted, if any.
+    fn mt_access(&mut self, node: LineAddr, write: bool, hit: bool, evicted: Option<Victim>) {
         let _ = (node, write, hit, evicted);
     }
 }

@@ -18,7 +18,7 @@
 use crate::check::SecureObserver;
 use crate::config::SimConfig;
 use crate::stats::{TenantCtrStats, TrafficBreakdown, MAX_TENANTS};
-use cosmos_cache::{Cache, CacheConfig, LocalityHint, Prefetcher};
+use cosmos_cache::{Cache, CacheConfig, LocalityHint, Prefetcher, Victim};
 use cosmos_common::{Cycle, LineAddr};
 use cosmos_dram::Dram;
 use cosmos_rl::{CtrLocalityPredictor, Locality};
@@ -239,7 +239,7 @@ impl SecurePath {
         let hint = self.classify(ctr_line);
         let res = self.ctr_cache.access(ctr_line, false, hint);
         if let Some(obs) = self.observer.as_mut() {
-            obs.ctr_access(ctr_line, false, res.hit, res.evicted);
+            obs.ctr_access(ctr_line, false, res.hit, res.evicted.map(Victim::from));
         }
         self.telemetry_ctr_access(ctr_line, false, spec_kill, &res);
         if let Some(ev) = res.evicted {
@@ -295,7 +295,7 @@ impl SecurePath {
         let hint = self.classify(ctr_line);
         let res = self.ctr_cache.access(ctr_line, true, hint);
         if let Some(obs) = self.observer.as_mut() {
-            obs.ctr_access(ctr_line, true, res.hit, res.evicted);
+            obs.ctr_access(ctr_line, true, res.hit, res.evicted.map(Victim::from));
         }
         self.telemetry_ctr_access(ctr_line, true, false, &res);
         let bucket = &mut self.tenant_ctr[self.tenant as usize];
@@ -320,7 +320,7 @@ impl SecurePath {
         for node in self.layout.mt_path_iter(ctr_line) {
             let r = self.mt_cache.access(node, true, None);
             if let Some(obs) = self.observer.as_mut() {
-                obs.mt_access(node, true, r.hit, r.evicted);
+                obs.mt_access(node, true, r.hit, r.evicted.map(Victim::from));
             }
             if let Some(ev) = r.evicted {
                 if ev.dirty {
@@ -362,7 +362,7 @@ impl SecurePath {
             depth += 1;
             let r = self.mt_cache.access(node, false, None);
             if let Some(obs) = self.observer.as_mut() {
-                obs.mt_access(node, false, r.hit, r.evicted);
+                obs.mt_access(node, false, r.hit, r.evicted.map(Victim::from));
             }
             if let Some(ev) = r.evicted {
                 if ev.dirty {
@@ -466,7 +466,7 @@ impl SecurePath {
                 traffic.ctr_reads += 1;
                 let ev = self.ctr_cache.prefetch_fill(cand, None);
                 if let Some(obs) = self.observer.as_mut() {
-                    obs.ctr_prefetch(cand, ev);
+                    obs.ctr_prefetch(cand, ev.map(Victim::from));
                 }
                 if let Some(ev) = ev {
                     if ev.dirty {
@@ -493,7 +493,7 @@ impl SecurePath {
                 for node in self.layout.mt_path_iter(cand) {
                     let r = self.mt_cache.access(node, false, None);
                     if let Some(obs) = self.observer.as_mut() {
-                        obs.mt_access(node, false, r.hit, r.evicted);
+                        obs.mt_access(node, false, r.hit, r.evicted.map(Victim::from));
                     }
                     if r.hit {
                         break;

@@ -12,7 +12,7 @@
 
 use crate::invariants::Violation;
 use crate::shadow::{DenseCounterStore, ShadowCache, ShadowMode};
-use cosmos_cache::{CacheConfig, Eviction, PolicyKind};
+use cosmos_cache::{CacheConfig, PolicyKind, Victim};
 use cosmos_common::LineAddr;
 use cosmos_core::secure_path::SecurePath;
 use cosmos_core::{SecureObserver, SimConfig};
@@ -248,13 +248,7 @@ impl ShadowHook {
 }
 
 impl SecureObserver for ShadowHook {
-    fn ctr_access(
-        &mut self,
-        ctr_line: LineAddr,
-        write: bool,
-        hit: bool,
-        evicted: Option<Eviction>,
-    ) {
+    fn ctr_access(&mut self, ctr_line: LineAddr, write: bool, hit: bool, evicted: Option<Victim>) {
         let mut s = self.state.borrow_mut();
         s.events += 1;
         let mut out = Vec::new();
@@ -262,7 +256,7 @@ impl SecureObserver for ShadowHook {
         s.record(out);
     }
 
-    fn ctr_prefetch(&mut self, ctr_line: LineAddr, evicted: Option<Eviction>) {
+    fn ctr_prefetch(&mut self, ctr_line: LineAddr, evicted: Option<Victim>) {
         let mut s = self.state.borrow_mut();
         s.events += 1;
         let mut out = Vec::new();
@@ -284,7 +278,7 @@ impl SecureObserver for ShadowHook {
         }
     }
 
-    fn mt_access(&mut self, node: LineAddr, write: bool, hit: bool, evicted: Option<Eviction>) {
+    fn mt_access(&mut self, node: LineAddr, write: bool, hit: bool, evicted: Option<Victim>) {
         let mut s = self.state.borrow_mut();
         s.events += 1;
         let mut out = Vec::new();

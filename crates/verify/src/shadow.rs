@@ -13,7 +13,7 @@
 // violation messages are the price of lockstep verification.
 
 use crate::invariants::Violation;
-use cosmos_cache::{Eviction, IndexKind};
+use cosmos_cache::{IndexKind, Victim};
 use cosmos_common::hash::splitmix64;
 use cosmos_common::LineAddr;
 use cosmos_secure::CounterScheme;
@@ -130,7 +130,7 @@ impl ShadowCache {
         line: LineAddr,
         write: bool,
         hit: bool,
-        evicted: Option<Eviction>,
+        evicted: Option<Victim>,
         out: &mut Vec<Violation>,
     ) {
         let set_idx = self.set_of(line);
@@ -208,12 +208,7 @@ impl ShadowCache {
 
     /// Mirrors a prefetch fill (the real cache verified the line absent
     /// before filling, so this is always a miss-fill, never dirty).
-    pub fn prefetch(
-        &mut self,
-        line: LineAddr,
-        evicted: Option<Eviction>,
-        out: &mut Vec<Violation>,
-    ) {
+    pub fn prefetch(&mut self, line: LineAddr, evicted: Option<Victim>, out: &mut Vec<Violation>) {
         let set_idx = self.set_of(line);
         let set = &mut self.sets[set_idx];
         if let Some(p) = set.iter().position(|e| e.line == line) {
@@ -253,7 +248,7 @@ impl ShadowCache {
         set_idx: usize,
         line: LineAddr,
         dirty: bool,
-        evicted: Option<Eviction>,
+        evicted: Option<Victim>,
         out: &mut Vec<Violation>,
     ) {
         let name = self.name;
@@ -516,7 +511,13 @@ mod tests {
     ) -> Vec<Violation> {
         let mut out = Vec::new();
         let r = cache.access(LineAddr::new(line), write, None);
-        shadow.demand(LineAddr::new(line), write, r.hit, r.evicted, &mut out);
+        shadow.demand(
+            LineAddr::new(line),
+            write,
+            r.hit,
+            r.evicted.map(Victim::from),
+            &mut out,
+        );
         out
     }
 
@@ -560,12 +561,9 @@ mod tests {
             LineAddr::new(8),
             false,
             false,
-            Some(Eviction {
+            Some(Victim {
                 line: LineAddr::new(4),
                 dirty: false,
-                fill_at: 0,
-                last_touch_at: 0,
-                lru_deviated: false,
             }),
             &mut out,
         );
@@ -664,12 +662,9 @@ mod tests {
             LineAddr::new(8),
             false,
             false,
-            Some(Eviction {
+            Some(Victim {
                 line: LineAddr::new(0),
                 dirty: true,
-                fill_at: 0,
-                last_touch_at: 0,
-                lru_deviated: false,
             }),
             &mut out,
         );
@@ -684,12 +679,9 @@ mod tests {
             LineAddr::new(0),
             false,
             false,
-            Some(Eviction {
+            Some(Victim {
                 line: LineAddr::new(12),
                 dirty: false,
-                fill_at: 0,
-                last_touch_at: 0,
-                lru_deviated: false,
             }),
             &mut out,
         );

@@ -2,7 +2,7 @@
 //! re-implementations must agree with the production structures on
 //! arbitrary inputs, not just on curated traces.
 
-use cosmos_cache::{Cache, CacheConfig, PolicyKind};
+use cosmos_cache::{Cache, CacheConfig, PolicyKind, Victim};
 use cosmos_common::LineAddr;
 use cosmos_secure::{CounterScheme, CounterStore, IncrementOutcome};
 use cosmos_verify::{DenseCounterStore, ShadowCache, ShadowMode};
@@ -41,7 +41,7 @@ proptest! {
         let mut violations = Vec::new();
         for &(line, write) in &ops {
             let r = real.access(LineAddr::new(line), write, None);
-            shadow.demand(LineAddr::new(line), write, r.hit, r.evicted, &mut violations);
+            shadow.demand(LineAddr::new(line), write, r.hit, r.evicted.map(Victim::from), &mut violations);
             prop_assert!(violations.is_empty(), "{violations:?}");
         }
         shadow.diff_residency(&real, &mut violations);
@@ -60,7 +60,7 @@ proptest! {
             let mut violations = Vec::new();
             for &(line, write) in &ops {
                 let r = real.access(LineAddr::new(line), write, None);
-                shadow.demand(LineAddr::new(line), write, r.hit, r.evicted, &mut violations);
+                shadow.demand(LineAddr::new(line), write, r.hit, r.evicted.map(Victim::from), &mut violations);
                 prop_assert!(violations.is_empty(), "{policy:?}: {violations:?}");
             }
             shadow.diff_residency(&real, &mut violations);
