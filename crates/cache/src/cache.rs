@@ -33,7 +33,9 @@ pub struct LocalityHint {
 /// when it was last touched, and whether the chosen victim deviates from
 /// what strict LRU would have picked. These stamps are identical whichever
 /// dispatch path (inline or boxed) selected the victim: they come from
-/// cache-owned state, not from the policy object.
+/// cache-owned state, not from the policy object. A
+/// [`RecencyStore`](crate::RecencyStore) built without stamps reports
+/// them as 0.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Eviction {
     /// The line that was evicted.

@@ -1,9 +1,18 @@
-//! Set-associative cache substrate with pluggable replacement policies and
-//! prefetchers.
+//! Set-associative cache substrate: one exact-recency tag store, and a
+//! generic cache with pluggable replacement policies and prefetchers.
 //!
-//! Every cache level in the COSMOS simulator — L1/L2/LLC data caches, the
-//! CTR cache (LRU or LCR), and the Merkle-tree metadata cache — is an
-//! instance of [`Cache`]. Replacement behaviour is provided by a
+//! Most cache levels of the COSMOS simulator run on the
+//! [`RecencyStore`]: each set is its lines' `u64` words in MRU order, so
+//! an 8-way set is one 64 B host line. The L1/L2/LLC data caches and the
+//! Merkle-tree metadata cache use it with LRU; the CTR cache uses it
+//! (through [`RecencyCache`], which adds [`CacheStats`]) whenever its
+//! policy is LRU or LCR over the modulo index with no prefetcher, which
+//! covers every paper design but RMCC.
+//!
+//! The generic [`Cache`] keeps a slot per way, and stays where way slots
+//! are needed: boxed replacement policies (RMCC's SHiP and the Figure-5
+//! policy study), prefetchers, and the keyed-random and skewed indexes of
+//! the occupancy-channel study. Replacement behaviour is provided by a
 //! [`ReplacementPolicy`] implementation:
 //!
 //! - [`policies::Lru`] — true LRU (the paper's baseline CTR cache),
@@ -35,10 +44,12 @@ pub mod cache;
 pub mod config;
 pub mod policies;
 pub mod prefetchers;
+pub mod recency;
 pub mod stats;
 
 pub use cache::{AccessResult, Cache, Eviction, LocalityHint, Victim};
 pub use config::{CacheConfig, IndexKind};
 pub use policies::{PolicyKind, ReplacementPolicy};
 pub use prefetchers::{Prefetcher, PrefetcherKind};
+pub use recency::{RecencyCache, RecencyStore};
 pub use stats::CacheStats;

@@ -5,16 +5,12 @@
 //! the memory controller (and, in secure designs, the secure write path).
 //!
 //! Every level is a plain LRU cache that is never invalidated, prefetched
-//! or hinted, so it keeps only what LRU needs. A set is `ways` words
-//! `line << 1 | dirty`, ordered most- to least-recently used, with the
-//! `EMPTY` word in its unused ways at the tail. A touch moves a word to
-//! the front; a fill shifts the set right by one and the word pushed off
-//! the tail is the victim. That is exactly the way the generic
-//! [`cosmos_cache::Cache`] LRU evicts — the one with the oldest touch
-//! stamp, empty ways first — at 8 bytes per line (DESIGN.md §13).
+//! or hinted, so its tags are a [`RecencyStore`]: each set is `ways` words
+//! `line << 1 | dirty` in MRU order, 8 bytes per line, evicting exactly
+//! the way the generic [`cosmos_cache::Cache`] LRU does (DESIGN.md §13).
 
 use crate::config::{CacheLevelConfig, SimConfig};
-use cosmos_cache::CacheConfig;
+use cosmos_cache::{CacheConfig, PolicyKind, RecencyStore};
 use cosmos_common::stats::HitMiss;
 use cosmos_common::LineAddr;
 
@@ -38,28 +34,23 @@ impl DataHit {
     }
 }
 
-/// The word of an empty way. Data line indices stay far below 2^63, so no
-/// `line << 1 | dirty` word can equal it.
-const EMPTY: u64 = u64::MAX;
-
-/// One exact-LRU cache level: a per-core L1 or L2, or the shared LLC.
-struct LruLevel {
-    /// `sets × ways` words, each set MRU-first with [`EMPTY`] at the tail.
-    words: Vec<u64>,
-    ways: usize,
-    set_mask: u64,
-    /// Demand hits and misses (spill fills are not demand traffic).
+/// One data-cache level: a per-core L1 or L2, or the shared LLC. Its tags
+/// are an exact-LRU [`RecencyStore`]; it counts demand hits and misses
+/// (spill fills are not demand traffic).
+struct Level {
+    tags: RecencyStore,
     demand: HitMiss,
 }
 
-impl LruLevel {
+// Each level's MRU-ordered words and its demand hit/miss counts.
+cosmos_common::state! { Level { words = tags, demand } }
+
+impl Level {
     fn new(level: &CacheLevelConfig) -> Self {
         // `CacheConfig` validates the geometry exactly as it always has.
         let geometry = CacheConfig::new(level.size_bytes, level.ways);
         Self {
-            words: vec![EMPTY; geometry.num_lines()],
-            ways: geometry.ways(),
-            set_mask: geometry.num_sets() as u64 - 1,
+            tags: RecencyStore::new(&geometry, PolicyKind::Lru, false),
             demand: HitMiss::new(),
         }
     }
@@ -67,7 +58,7 @@ impl LruLevel {
     /// A demand access: counts a hit or a miss, then touches `line`.
     /// Returns whether it hit and the dirty line it evicted, if any.
     // cosmos-lint: hot
-    #[inline]
+    #[inline(always)]
     fn access(&mut self, line: LineAddr, write: bool) -> (bool, Option<LineAddr>) {
         let (hit, victim) = self.touch(line, write);
         self.demand.record(hit);
@@ -78,65 +69,19 @@ impl LruLevel {
     /// or inserts it there if it is not resident. Returns whether it was
     /// resident and the dirty line pushed off the tail, if any.
     // cosmos-lint: hot
-    #[inline]
+    #[inline(always)]
     fn touch(&mut self, line: LineAddr, dirty: bool) -> (bool, Option<LineAddr>) {
-        let line = line.index();
-        debug_assert!(line < 1 << 63, "line {line:#x} does not fit a tag word");
-        let base = (line & self.set_mask) as usize * self.ways;
-        let set = &mut self.words[base..base + self.ways];
-        let dirty = u64::from(dirty);
-        if let Some(pos) = set.iter().position(|&w| w >> 1 == line) {
-            let word = set[pos] | dirty;
-            set.copy_within(..pos, 1);
-            set[0] = word;
-            return (true, None);
-        }
-        let last = set.len() - 1;
-        let victim = set[last];
-        set.copy_within(..last, 1);
-        set[0] = line << 1 | dirty;
-        let dirty_victim = victim != EMPTY && victim & 1 != 0;
-        (false, dirty_victim.then(|| LineAddr::new(victim >> 1)))
-    }
-
-    /// Rejects any restored word array that no sequence of accesses could
-    /// have produced.
-    fn check_sets(&self) -> cosmos_common::state::LoadResult {
-        for (set, ways) in self.words.chunks_exact(self.ways).enumerate() {
-            self.check_set(set, ways)
-                .map_err(|e| format!("set {set}: {e}"))?;
-        }
-        Ok(())
-    }
-
-    /// A saved set is valid when its resident words form a prefix, each
-    /// maps to `set`, and no line appears twice.
-    fn check_set(&self, set: usize, ways: &[u64]) -> Result<(), String> {
-        let valid = ways.iter().take_while(|&&w| w != EMPTY).count();
-        if ways[valid..].iter().any(|&w| w != EMPTY) {
-            return Err(format!("a resident line follows the empty way {valid}"));
-        }
-        for (i, &w) in ways[..valid].iter().enumerate() {
-            let line = w >> 1;
-            let home = (line & self.set_mask) as usize;
-            if home != set {
-                return Err(format!("line {line} belongs to set {home}"));
-            }
-            if ways[..i].iter().any(|&p| p >> 1 == line) {
-                return Err(format!("line {line} is stored twice"));
-            }
-        }
-        Ok(())
+        let r = self.tags.access(line, dirty, None);
+        let victim = r.evicted.filter(|ev| ev.dirty).map(|ev| ev.line);
+        (r.hit, victim)
     }
 }
 
-cosmos_common::state! { #[check(Self::check_sets)] LruLevel { words, demand } }
-
 /// Per-core L1/L2 caches plus the shared LLC.
 pub struct CacheHierarchy {
-    l1: Vec<LruLevel>,
-    l2: Vec<LruLevel>,
-    llc: LruLevel,
+    l1: Vec<Level>,
+    l2: Vec<Level>,
+    llc: Level,
 }
 
 impl CacheHierarchy {
@@ -144,13 +89,9 @@ impl CacheHierarchy {
     /// core, and one shared LLC, all LRU.
     pub fn new(config: &SimConfig) -> Self {
         Self {
-            l1: (0..config.cores)
-                .map(|_| LruLevel::new(&config.l1))
-                .collect(),
-            l2: (0..config.cores)
-                .map(|_| LruLevel::new(&config.l2))
-                .collect(),
-            llc: LruLevel::new(&config.llc),
+            l1: (0..config.cores).map(|_| Level::new(&config.l1)).collect(),
+            l2: (0..config.cores).map(|_| Level::new(&config.l2)).collect(),
+            llc: Level::new(&config.llc),
         }
     }
 
@@ -204,6 +145,7 @@ impl CacheHierarchy {
     }
 
     // cosmos-lint: hot
+    #[inline(always)]
     fn spill_to_llc(&mut self, line: LineAddr, writebacks: &mut Vec<LineAddr>) {
         let (_, victim) = self.llc.touch(line, true);
         writebacks.extend(victim);
@@ -225,11 +167,10 @@ impl CacheHierarchy {
     }
 }
 
-// Each level's MRU-ordered words and its demand hit/miss counts.
 cosmos_common::state! { CacheHierarchy -> Value { l1, l2, llc } }
 
 /// Sums the demand hit/miss counts of one level's per-core caches.
-fn demand_sum(levels: &[LruLevel]) -> HitMiss {
+fn demand_sum(levels: &[Level]) -> HitMiss {
     let (hits, misses) = levels.iter().fold((0, 0), |(h, m), l| {
         (h + l.demand.hits(), m + l.demand.misses())
     });
@@ -240,6 +181,7 @@ fn demand_sum(levels: &[LruLevel]) -> HitMiss {
 mod tests {
     use super::*;
     use crate::config::{Design, SimConfig};
+    use cosmos_cache::recency::EMPTY;
     use cosmos_common::json::{codec, Value};
     use proptest::prelude::*;
 
@@ -483,6 +425,13 @@ mod tests {
             w[last] = 3 << 3;
         }));
         assert!(err.contains("follows the empty way"), "{err}");
+    }
+
+    #[test]
+    fn load_rejects_hint_bits() {
+        let (_, saved) = saved_tiny();
+        let err = load_err(&tamper_llc(&saved, |w| w[0] |= 1 << 63));
+        assert!(err.contains("hint bits in an LRU store"), "{err}");
     }
 
     fn tiny_hierarchy() -> CacheHierarchy {

@@ -18,7 +18,12 @@
 use crate::check::SecureObserver;
 use crate::config::SimConfig;
 use crate::stats::{TenantCtrStats, TrafficBreakdown, MAX_TENANTS};
-use cosmos_cache::{Cache, CacheConfig, LocalityHint, Prefetcher, Victim};
+use cosmos_cache::{
+    AccessResult, Cache, CacheConfig, CacheStats, LocalityHint, PolicyKind, Prefetcher,
+    PrefetcherKind, RecencyCache, RecencyStore, Victim,
+};
+use cosmos_common::json::Value;
+use cosmos_common::state::{LoadResult, State};
 use cosmos_common::{Cycle, LineAddr};
 use cosmos_dram::Dram;
 use cosmos_rl::{CtrLocalityPredictor, Locality};
@@ -35,11 +40,126 @@ pub struct CtrReadOutcome {
     pub ctr_hit: bool,
 }
 
+/// The CTR cache. An LRU or LCR policy over the modulo index with no
+/// prefetcher runs on the exact-recency store; boxed policies (SHiP and
+/// the other Figure-5 policies), prefetchers and keyed-random or skewed
+/// indexes need way slots, so they run on the generic [`Cache`].
+pub enum CtrCache {
+    /// MRU-ordered words (MorphCtr, EMCC and the COSMOS designs).
+    Recency(RecencyCache),
+    /// Way slots, with the prefetcher that fills them, if any.
+    Slots {
+        /// The cache.
+        cache: Cache,
+        /// Its prefetcher.
+        prefetcher: Option<Box<dyn Prefetcher>>,
+    },
+}
+
+impl CtrCache {
+    /// The CTR cache `config` describes; its stamps are kept only while
+    /// the config's telemetry is enabled.
+    fn new(config: &SimConfig) -> Self {
+        let geometry = CacheConfig::new(config.ctr_cache.size_bytes, config.ctr_cache.ways)
+            .with_index(config.ctr_index.to_cache(config.seed));
+        let policy = config.ctr_policy;
+        if config.ctr_prefetcher == PrefetcherKind::None
+            && RecencyStore::supports(&geometry, policy)
+        {
+            let stamps = config.telemetry.is_enabled();
+            return CtrCache::Recency(RecencyCache::new(geometry, policy, stamps));
+        }
+        CtrCache::Slots {
+            cache: Cache::new(geometry, policy),
+            prefetcher: config.ctr_prefetcher.build(),
+        }
+    }
+
+    // cosmos-lint: hot
+    #[inline]
+    fn access(&mut self, line: LineAddr, write: bool, hint: Option<LocalityHint>) -> AccessResult {
+        match self {
+            CtrCache::Recency(c) => c.access(line, write, hint),
+            CtrCache::Slots { cache, .. } => cache.access(line, write, hint),
+        }
+    }
+
+    /// Accumulated statistics.
+    pub fn stats(&self) -> &CacheStats {
+        match self {
+            CtrCache::Recency(c) => c.stats(),
+            CtrCache::Slots { cache, .. } => cache.stats(),
+        }
+    }
+
+    /// The cache geometry.
+    pub fn config(&self) -> &CacheConfig {
+        match self {
+            CtrCache::Recency(c) => c.config(),
+            CtrCache::Slots { cache, .. } => cache.config(),
+        }
+    }
+
+    /// The access clock that stamps telemetry events.
+    fn access_clock(&self) -> u64 {
+        match self {
+            CtrCache::Recency(c) => c.store().access_clock(),
+            CtrCache::Slots { cache, .. } => cache.access_clock(),
+        }
+    }
+
+    /// All resident lines.
+    pub fn resident_lines(&self) -> Vec<LineAddr> {
+        match self {
+            CtrCache::Recency(c) => c.store().resident_lines().collect(),
+            CtrCache::Slots { cache, .. } => cache.resident_lines().collect(),
+        }
+    }
+
+    /// Resident lines with their dirty bits, least- to most-recently used
+    /// within each set (see [`RecencyStore::resident_entries_lru_to_mru`]).
+    /// Fails for a boxed policy, whose victims do not follow recency.
+    pub fn resident_entries_lru_to_mru(&self) -> Result<Vec<(LineAddr, bool)>, String> {
+        match self {
+            CtrCache::Recency(c) => Ok(c.store().resident_entries_lru_to_mru()),
+            CtrCache::Slots { cache, .. } => cache.resident_entries_lru_to_mru(),
+        }
+    }
+}
+
+/// Saved as the cache it is. Prefetcher objects keep unsaveable state
+/// behind the trait object.
+impl State for CtrCache {
+    fn savable(&self) -> LoadResult {
+        match self {
+            CtrCache::Recency(c) => c.savable(),
+            CtrCache::Slots {
+                prefetcher: Some(_),
+                ..
+            } => Err("snapshot unsupported with a CTR prefetcher attached".into()),
+            CtrCache::Slots { cache, .. } => cache.savable(),
+        }
+    }
+
+    fn save(&self) -> Value {
+        match self {
+            CtrCache::Recency(c) => c.save(),
+            CtrCache::Slots { cache, .. } => cache.save(),
+        }
+    }
+
+    fn load(&mut self, v: &Value) -> LoadResult {
+        match self {
+            CtrCache::Recency(c) => c.load(v),
+            CtrCache::Slots { cache, .. } => cache.load(v),
+        }
+    }
+}
+
 /// The secure engine owned by the memory controller.
 pub struct SecurePath {
-    ctr_cache: Cache,
-    mt_cache: Cache,
-    prefetcher: Option<Box<dyn Prefetcher>>,
+    ctr_cache: CtrCache,
+    mt_cache: RecencyCache,
     // Reusable prefetch-candidate buffer: run_prefetcher clears and
     // refills it every access instead of allocating.
     pf_scratch: Vec<LineAddr>,
@@ -75,7 +195,6 @@ pub struct SecurePath {
 // The metadata layout and latencies are functions of the config, and
 // observers and telemetry are reattached by the caller: none is saved.
 cosmos_common::state! {
-    #[savable(Self::no_prefetcher)]
     SecurePath as "secure path" -> Result {
         ctr_cache, mt_cache, counters, locality,
         mac_read_counter, mac_write_counter, overflows, tenant_ctr,
@@ -94,14 +213,11 @@ impl SecurePath {
                 cosmos_common::rng::streams::CTR_PREDICTOR.derive_seed(config.seed),
             )
         });
-        let ctr_cache = Cache::new(
-            CacheConfig::new(config.ctr_cache.size_bytes, config.ctr_cache.ways)
-                .with_index(config.ctr_index.to_cache(config.seed)),
-            config.ctr_policy,
-        );
-        let mt_cache = Cache::new(
+        let ctr_cache = CtrCache::new(config);
+        let mt_cache = RecencyCache::new(
             CacheConfig::new(config.mt_cache.size_bytes, config.mt_cache.ways),
-            cosmos_cache::PolicyKind::Lru,
+            PolicyKind::Lru,
+            false,
         );
         let mut telemetry = config.telemetry.clone();
         telemetry.ctr_heatmap_init(ctr_cache.config().num_sets());
@@ -118,7 +234,6 @@ impl SecurePath {
         Self {
             ctr_cache,
             mt_cache,
-            prefetcher: config.ctr_prefetcher.build(),
             pf_scratch: Vec::with_capacity(8),
             counters: CounterStore::new(config.scheme),
             layout: MetadataLayout::new(config.protected_bytes, config.scheme),
@@ -157,12 +272,12 @@ impl SecurePath {
     }
 
     /// The CTR cache (stats access).
-    pub fn ctr_cache(&self) -> &Cache {
+    pub fn ctr_cache(&self) -> &CtrCache {
         &self.ctr_cache
     }
 
     /// The MT metadata cache (stats access).
-    pub fn mt_cache(&self) -> &Cache {
+    pub fn mt_cache(&self) -> &RecencyCache {
         &self.mt_cache
     }
 
@@ -189,14 +304,6 @@ impl SecurePath {
     /// The counter scheme in use.
     pub fn scheme(&self) -> CounterScheme {
         self.counters.scheme()
-    }
-
-    /// Prefetcher objects keep unsaveable state behind the trait object.
-    fn no_prefetcher(&self) -> Result<(), String> {
-        match self.prefetcher {
-            Some(_) => Err("snapshot unsupported with a CTR prefetcher attached".into()),
-            None => Ok(()),
-        }
     }
 
     /// Reads the CTR covering `data_line` on the critical path, starting at
@@ -395,7 +502,7 @@ impl SecurePath {
         ctr_line: LineAddr,
         write: bool,
         spec_kill: bool,
-        res: &cosmos_cache::AccessResult,
+        res: &AccessResult,
     ) {
         if !self.telemetry.is_enabled() {
             return;
@@ -445,64 +552,65 @@ impl SecurePath {
     }
 
     fn run_prefetcher(&mut self, ctr_line: LineAddr, hit: bool, traffic: &mut TrafficBreakdown) {
-        // Take the prefetcher (and the candidate scratch buffer) out to
-        // satisfy the borrow checker, then process its candidates against
-        // the CTR cache. The buffer is reused across accesses so this path
-        // stays allocation-free after warmup.
-        if let Some(mut pf) = self.prefetcher.take() {
-            let mut cands = std::mem::take(&mut self.pf_scratch);
-            cands.clear();
-            pf.on_access(ctr_line, hit, &mut cands);
-            for &cand in &cands {
-                // Only prefetch within the CTR region.
-                if !self.layout.is_ctr(cand) {
-                    continue;
+        let CtrCache::Slots {
+            cache,
+            prefetcher: Some(pf),
+        } = &mut self.ctr_cache
+        else {
+            return;
+        };
+        // The candidate scratch buffer is reused across accesses so this
+        // path stays allocation-free after warmup.
+        let cands = &mut self.pf_scratch;
+        cands.clear();
+        pf.on_access(ctr_line, hit, cands);
+        for &cand in cands.iter() {
+            // Only prefetch within the CTR region.
+            if !self.layout.is_ctr(cand) {
+                continue;
+            }
+            if cache.contains(cand) {
+                continue;
+            }
+            // A prefetched CTR still needs fetching + integrity checks
+            // (the paper's point about wasted prefetch traffic).
+            traffic.ctr_reads += 1;
+            let ev = cache.prefetch_fill(cand, None);
+            if let Some(obs) = self.observer.as_mut() {
+                obs.ctr_prefetch(cand, ev.map(Victim::from));
+            }
+            if let Some(ev) = ev {
+                if ev.dirty {
+                    traffic.ctr_writes += 1;
                 }
-                if self.ctr_cache.contains(cand) {
-                    continue;
-                }
-                // A prefetched CTR still needs fetching + integrity checks
-                // (the paper's point about wasted prefetch traffic).
-                traffic.ctr_reads += 1;
-                let ev = self.ctr_cache.prefetch_fill(cand, None);
-                if let Some(obs) = self.observer.as_mut() {
-                    obs.ctr_prefetch(cand, ev.map(Victim::from));
-                }
-                if let Some(ev) = ev {
-                    if ev.dirty {
-                        traffic.ctr_writes += 1;
-                    }
-                    // Prefetch-induced evictions victimize lines too;
-                    // report them so miss attribution sees every eviction.
-                    // No demand access pairs with this `at`, and no RL
-                    // decision ranked the victim (rl: None).
-                    if self.telemetry.is_enabled() {
-                        self.telemetry.ctr_evict(EvictInfo {
-                            set: self.ctr_cache.config().set_of(cand.index()) as u32,
-                            victim_line: ev.line.index(),
-                            dirty: ev.dirty,
-                            fill_at: ev.fill_at,
-                            last_touch_at: ev.last_touch_at,
-                            at: self.ctr_cache.access_clock(),
-                            lru_deviated: ev.lru_deviated,
-                            rl: None,
-                        });
-                    }
-                }
-                // Integrity verification for the prefetched counter.
-                for node in self.layout.mt_path_iter(cand) {
-                    let r = self.mt_cache.access(node, false, None);
-                    if let Some(obs) = self.observer.as_mut() {
-                        obs.mt_access(node, false, r.hit, r.evicted.map(Victim::from));
-                    }
-                    if r.hit {
-                        break;
-                    }
-                    traffic.mt_reads += 1;
+                // Prefetch-induced evictions victimize lines too;
+                // report them so miss attribution sees every eviction.
+                // No demand access pairs with this `at`, and no RL
+                // decision ranked the victim (rl: None).
+                if self.telemetry.is_enabled() {
+                    self.telemetry.ctr_evict(EvictInfo {
+                        set: cache.config().set_of(cand.index()) as u32,
+                        victim_line: ev.line.index(),
+                        dirty: ev.dirty,
+                        fill_at: ev.fill_at,
+                        last_touch_at: ev.last_touch_at,
+                        at: cache.access_clock(),
+                        lru_deviated: ev.lru_deviated,
+                        rl: None,
+                    });
                 }
             }
-            self.pf_scratch = cands;
-            self.prefetcher = Some(pf);
+            // Integrity verification for the prefetched counter.
+            for node in self.layout.mt_path_iter(cand) {
+                let r = self.mt_cache.access(node, false, None);
+                if let Some(obs) = self.observer.as_mut() {
+                    obs.mt_access(node, false, r.hit, r.evicted.map(Victim::from));
+                }
+                if r.hit {
+                    break;
+                }
+                traffic.mt_reads += 1;
+            }
         }
     }
 }
@@ -604,6 +712,82 @@ mod tests {
             second_mt < first_mt,
             "shared ancestors must be cached ({first_mt} then {second_mt})"
         );
+    }
+
+    /// The saved state of a `design` secure path whose tiny CTR and MT
+    /// caches are full, after a mix of reads and writes.
+    fn saved_full(design: Design) -> Value {
+        let (mut sp, mut dram, mut tr) = setup(design);
+        for i in 0..2_000u64 {
+            let line = LineAddr::new(i * 7 % 600 * 128);
+            match i % 3 {
+                0 => sp.ctr_write(line, Cycle::new(i), &mut dram, &mut tr),
+                _ => drop(sp.ctr_read(line, Cycle::new(i), &mut dram, &mut tr)),
+            }
+        }
+        sp.save_state().unwrap()
+    }
+
+    /// An edit of a saved word array.
+    type WordsEdit = fn(&mut Vec<u64>);
+
+    /// `v` with the words of its `part` cache edited by `f`.
+    fn tamper(v: &Value, part: &str, f: WordsEdit) -> Value {
+        let mut v = v.clone();
+        let Value::Object(top) = &mut v else {
+            panic!("secure-path state is an object")
+        };
+        let cache = top.get_mut(part).unwrap();
+        let mut words = cosmos_common::json::codec::u64_array(cache, "words").unwrap();
+        f(&mut words);
+        let Value::Object(m) = cache else {
+            panic!("cache state is an object")
+        };
+        m.insert("words", cosmos_common::json::codec::from_u64s(words));
+        v
+    }
+
+    #[test]
+    fn load_rejects_tampered_ctr_and_mt_words() {
+        // Set 0's first word moved to set 1, a line stored twice, a line
+        // after an empty way, and a good flag without its hint's present
+        // bit: hint bits are legal only in an LCR store (COSMOS's CTR
+        // cache), and there only with the present bit.
+        for (design, part) in [
+            (Design::MorphCtr, "ctr_cache"),
+            (Design::Cosmos, "ctr_cache"),
+            (Design::Cosmos, "mt_cache"),
+        ] {
+            let saved = saved_full(design);
+            let hint_error = match (design, part) {
+                (Design::Cosmos, "ctr_cache") => "without a hint",
+                _ => "hint bits in an LRU store",
+            };
+            let edits: [(WordsEdit, &str); 4] = [
+                (|w| w[0] += 2, "belongs to set 1"),
+                (|w| w[1] = w[0] ^ 1, "stored twice"),
+                (
+                    |w| w[1] = cosmos_cache::recency::EMPTY,
+                    "follows the empty way 1",
+                ),
+                (|w| w[0] = w[0] & !(1 << 63) | 1 << 62, hint_error),
+            ];
+            for (edit, want) in edits {
+                let err = setup(design)
+                    .0
+                    .load_state(&tamper(&saved, part, edit))
+                    .expect_err(&format!("{design} {part}: {want} must be rejected"));
+                assert!(
+                    err.contains(&format!("{part}.words"))
+                        && err.contains("set 0")
+                        && err.contains(want),
+                    "{design} {part}: {err}"
+                );
+            }
+            let mut restored = setup(design).0;
+            restored.load_state(&saved).unwrap();
+            assert_eq!(restored.save_state().unwrap(), saved);
+        }
     }
 
     #[test]

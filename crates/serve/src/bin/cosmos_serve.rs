@@ -24,7 +24,9 @@
 //! checkpointing in-flight sim jobs. `--resume DIR` picks up a killed
 //! server's state directory without re-running completed jobs.
 
-use cosmos_serve::checkpoint::{build_trace, run_checkpointed, CheckpointRun, CkptOutcome};
+use cosmos_serve::checkpoint::{
+    build_trace, refuse_unsavable, run_checkpointed, CheckpointRun, CkptOutcome,
+};
 use cosmos_serve::server::{sim_result_doc, Server, ServerOpts};
 use cosmos_serve::{interrupt, snapshot};
 use std::path::PathBuf;
@@ -106,8 +108,9 @@ fn run_ckpt(args: &[String]) -> Result<(), String> {
     let accesses = accesses.ok_or("--accesses is required")?;
     let snapshot_path = snapshot_path.ok_or("--snapshot is required")?;
 
-    interrupt::install();
     let config = cosmos_core::SimConfig::paper_default(design);
+    refuse_unsavable(&config, accesses, snapshot_every, stop_after)?;
+    interrupt::install();
     let trace = build_trace(workload, accesses, seed);
     let run = CheckpointRun {
         config: &config,

@@ -11,6 +11,7 @@
 //! and honour `stop_after`.
 
 use crate::snapshot::SimSnapshot;
+use cosmos_common::state::State;
 use cosmos_common::Trace;
 use cosmos_core::{SimConfig, SimStats, Simulator};
 use cosmos_verify::{CheckReport, Checker, CHECK_INTERVAL};
@@ -57,6 +58,24 @@ pub enum CkptOutcome {
         /// Accesses simulated so far, across all sessions of this run.
         accesses_done: u64,
     },
+}
+
+/// Refuses, before any work, a run of `accesses` that will surely write
+/// a snapshot of a configuration no snapshot can hold (a boxed CTR policy
+/// such as RMCC's SHiP, or a CTR prefetcher): one that checkpoints every
+/// `snapshot_every > 0` accesses or stops after fewer than `accesses`.
+/// The error is the one its first snapshot would fail with.
+pub fn refuse_unsavable(
+    config: &SimConfig,
+    accesses: usize,
+    snapshot_every: usize,
+    stop_after: Option<u64>,
+) -> Result<(), String> {
+    let snapshots = snapshot_every > 0 || stop_after.is_some_and(|n| n < accesses as u64);
+    match snapshots {
+        true => State::savable(&Simulator::new(config.clone())),
+        false => Ok(()),
+    }
 }
 
 /// Executes one checkpointed run. See [`CheckpointRun`] for the knobs.
@@ -150,6 +169,24 @@ mod tests {
 
     fn stats_doc(stats: &SimStats) -> String {
         stats.to_json().to_string()
+    }
+
+    #[test]
+    fn unsavable_runs_are_refused_only_when_they_will_snapshot() {
+        let rmcc = SimConfig::paper_default(Design::Rmcc);
+        for (every, stop) in [(1000, None), (0, Some(500))] {
+            let err = refuse_unsavable(&rmcc, 4000, every, stop).unwrap_err();
+            assert_eq!(err, "cannot snapshot boxed policy `SHiP`");
+        }
+        // No periodic snapshot and no early stop: nothing to refuse.
+        for stop in [None, Some(4000), Some(9000)] {
+            refuse_unsavable(&rmcc, 4000, 0, stop).unwrap();
+        }
+        let mut prefetching = SimConfig::paper_default(Design::MorphCtr);
+        prefetching.ctr_prefetcher = cosmos_cache::PrefetcherKind::NextLine;
+        let err = refuse_unsavable(&prefetching, 4000, 1000, None).unwrap_err();
+        assert!(err.contains("prefetcher"), "{err}");
+        refuse_unsavable(&SimConfig::paper_default(Design::Cosmos), 4000, 1000, None).unwrap();
     }
 
     #[test]

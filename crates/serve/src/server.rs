@@ -19,7 +19,9 @@
 // binary, only job *scheduling* is concurrent — gated byte-for-byte by
 // the serve smokes in scripts/check.sh and the server unit tests.
 
-use crate::checkpoint::{build_trace, run_checkpointed, CheckpointRun, CkptOutcome};
+use crate::checkpoint::{
+    build_trace, refuse_unsavable, run_checkpointed, CheckpointRun, CkptOutcome,
+};
 use crate::protocol::{error_reply, parse_request, JobSpec, Request};
 use crate::queue::WorkQueue;
 use crate::snapshot::write_atomic;
@@ -260,8 +262,20 @@ impl Server {
 
     // ---- request handling ------------------------------------------------
 
-    /// Enqueues a validated job; returns its id.
+    /// Enqueues a validated job; returns its id. A sim job that
+    /// checkpoints periodically is refused up front when its design cannot
+    /// be snapshotted.
     pub fn submit(&self, spec: JobSpec) -> Result<u64, String> {
+        if let JobSpec::Sim {
+            design,
+            accesses,
+            snapshot_every,
+            ..
+        } = &spec
+        {
+            let config = SimConfig::paper_default(*design);
+            refuse_unsavable(&config, *accesses, *snapshot_every, None)?;
+        }
         let id = self.next_id.fetch_add(1, Ordering::SeqCst);
         let mut jobs = self.jobs.lock().expect("jobs poisoned");
         jobs.push(JobRecord {
@@ -782,6 +796,25 @@ mod tests {
         assert!(log.contains("job-1.json"), "{log}");
         let manifest = std::fs::read_to_string(dir.join("manifest.json")).unwrap();
         assert!(manifest.contains(r#""state": "failed""#), "{manifest}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn unsavable_checkpointing_sim_job_is_refused_at_submission() {
+        let dir = tmpdir("sim_unsavable");
+        let (server, _events) = test_server(&dir, 1, false);
+        let mut reply = Vec::new();
+        assert!(!server.handle_line(
+            r#"{"op":"submit","job":{"type":"sim","design":"RMCC","workload":"bfs","accesses":4000,"snapshot_every":1000}}"#,
+            &mut reply,
+        ));
+        let reply = String::from_utf8(reply).unwrap();
+        assert!(
+            reply.contains("cannot snapshot boxed policy `SHiP`"),
+            "{reply}"
+        );
+        let manifest = std::fs::read_to_string(dir.join("manifest.json")).unwrap_or_default();
+        assert!(!manifest.contains("RMCC"), "{manifest}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

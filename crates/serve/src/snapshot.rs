@@ -20,8 +20,10 @@ use std::path::Path;
 /// reinterpreted.
 ///
 /// Version 2 saves each data-cache level as MRU-ordered line words plus
-/// its demand hit/miss counts.
-pub const SNAPSHOT_VERSION: u64 = 2;
+/// its demand hit/miss counts. Version 3 saves the MT cache, and a CTR
+/// cache on the recency store, the same way: MRU-ordered words (with the
+/// LCR hint in their high bits) plus the cache statistics.
+pub const SNAPSHOT_VERSION: u64 = 3;
 
 /// 64-bit FNV-1a over `bytes`.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -235,8 +237,9 @@ mod tests {
     fn version_mismatch_is_rejected_with_clear_error() {
         let (_, sim, _) = small_sim(Design::MorphCtr, 1000);
         let mut snap = SimSnapshot::capture(&sim, 1000).unwrap();
-        // Version 1 is the layout before the exact-LRU hierarchy.
-        for version in [1, SNAPSHOT_VERSION + 1] {
+        // Version 1 is the layout before the exact-LRU hierarchy, version
+        // 2 the one before the CTR and MT caches saved MRU-ordered words.
+        for version in [1, 2, SNAPSHOT_VERSION + 1] {
             snap.version = version;
             let err = SimSnapshot::from_json(&snap.to_json()).unwrap_err();
             assert!(

@@ -49,3 +49,37 @@ fn help_prints_usage_with_or_without_a_subcommand() {
         assert!(usage.contains("cosmos_serve ckpt") && usage.contains("cosmos_serve serve"));
     }
 }
+
+#[test]
+fn ckpt_refuses_an_unsavable_design_before_running() {
+    let snap = std::env::temp_dir().join(format!(
+        "cosmos_serve_cli_rmcc_{}.snap.json",
+        std::process::id()
+    ));
+    let snap = snap.to_str().unwrap();
+    for stop in [&["--snapshot-every", "5000"][..], &["--stop-after", "100"]] {
+        let mut args = vec![
+            "ckpt",
+            "--design",
+            "RMCC",
+            "--workload",
+            "bfs",
+            "--accesses",
+            "20000",
+            "--snapshot",
+            snap,
+        ];
+        args.extend_from_slice(stop);
+        let out = cosmos_serve(&args);
+        assert_eq!(out.status.code(), Some(2), "{stop:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains("cannot snapshot boxed policy `SHiP`"),
+            "{stop:?}: {err}"
+        );
+        assert!(
+            !std::path::Path::new(snap).exists(),
+            "{stop:?} must not run"
+        );
+    }
+}

@@ -123,7 +123,7 @@ impl ShadowState {
         s.ctr_shadow
             .prime(&real.ctr_cache().resident_entries_lru_to_mru()?);
         s.mt_shadow
-            .prime(&real.mt_cache().resident_entries_lru_to_mru()?);
+            .prime(&real.mt_cache().store().resident_entries_lru_to_mru());
         s.counters.prime_from(real.counters());
         let blocks: Vec<u64> = real
             .counters()
@@ -194,8 +194,10 @@ impl ShadowState {
     /// scratch out of the final leaf hashes.
     pub fn final_checks(&mut self, real: &SecurePath) {
         let mut out = Vec::new();
-        self.ctr_shadow.diff_residency(real.ctr_cache(), &mut out);
-        self.mt_shadow.diff_residency(real.mt_cache(), &mut out);
+        self.ctr_shadow
+            .diff_residency(real.ctr_cache().resident_lines(), &mut out);
+        self.mt_shadow
+            .diff_residency(real.mt_cache().store().resident_lines(), &mut out);
         self.counters.diff(real.counters(), 8, &mut out);
         if real.overflows() != self.counters.overflows() {
             out.push(Violation::new(

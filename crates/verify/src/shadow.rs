@@ -293,10 +293,15 @@ impl ShadowCache {
         v
     }
 
-    /// Diffs the shadow residency set against the real cache's, appending
-    /// one violation per direction (with a few example lines) on mismatch.
-    pub fn diff_residency(&self, real: &cosmos_cache::Cache, out: &mut Vec<Violation>) {
-        let mut real_lines: Vec<LineAddr> = real.resident_lines().collect();
+    /// Diffs the shadow residency set against the real cache's resident
+    /// lines, appending one violation per direction (with a few example
+    /// lines) on mismatch.
+    pub fn diff_residency(
+        &self,
+        real: impl IntoIterator<Item = LineAddr>,
+        out: &mut Vec<Violation>,
+    ) {
+        let mut real_lines: Vec<LineAddr> = real.into_iter().collect();
         real_lines.sort_unstable_by_key(|l| l.index());
         let shadow = self.resident();
         if real_lines != shadow {
@@ -534,7 +539,7 @@ mod tests {
             assert!(v.is_empty(), "{v:?}");
         }
         let mut out = Vec::new();
-        shadow.diff_residency(&cache, &mut out);
+        shadow.diff_residency(cache.resident_lines(), &mut out);
         assert!(out.is_empty(), "{out:?}");
     }
 
@@ -586,7 +591,7 @@ mod tests {
             assert!(v.is_empty(), "{v:?}");
         }
         let mut out = Vec::new();
-        shadow.diff_residency(&cache, &mut out);
+        shadow.diff_residency(cache.resident_lines(), &mut out);
         assert!(out.is_empty(), "{out:?}");
     }
 
@@ -625,7 +630,7 @@ mod tests {
             assert!(v.is_empty(), "{v:?}");
         }
         let mut out = Vec::new();
-        shadow.diff_residency(&cache, &mut out);
+        shadow.diff_residency(cache.resident_lines(), &mut out);
         assert!(out.is_empty(), "{out:?}");
     }
 
@@ -647,7 +652,7 @@ mod tests {
             assert!(v.is_empty(), "{v:?}");
         }
         let mut out = Vec::new();
-        shadow.diff_residency(&cache, &mut out);
+        shadow.diff_residency(cache.resident_lines(), &mut out);
         assert!(out.is_empty(), "{out:?}");
     }
 

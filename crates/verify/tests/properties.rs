@@ -2,7 +2,7 @@
 //! re-implementations must agree with the production structures on
 //! arbitrary inputs, not just on curated traces.
 
-use cosmos_cache::{Cache, CacheConfig, PolicyKind, Victim};
+use cosmos_cache::{Cache, CacheConfig, PolicyKind, RecencyCache, Victim};
 use cosmos_common::LineAddr;
 use cosmos_secure::{CounterScheme, CounterStore, IncrementOutcome};
 use cosmos_verify::{DenseCounterStore, ShadowCache, ShadowMode};
@@ -44,7 +44,28 @@ proptest! {
             shadow.demand(LineAddr::new(line), write, r.hit, r.evicted.map(Victim::from), &mut violations);
             prop_assert!(violations.is_empty(), "{violations:?}");
         }
-        shadow.diff_residency(&real, &mut violations);
+        shadow.diff_residency(real.resident_lines(), &mut violations);
+        prop_assert!(violations.is_empty(), "{violations:?}");
+    }
+
+    /// The exact shadow, primed from a real LRU recency store halfway
+    /// through the stream, predicts every later hit/miss and victim.
+    #[test]
+    fn exact_shadow_primed_from_a_recency_store_agrees(ops in arb_ops()) {
+        let mut real = RecencyCache::new(CacheConfig::new(2048, 2), PolicyKind::Lru, false);
+        let mut shadow = ShadowCache::new("prop-mt", 16, 2, ShadowMode::Exact);
+        let (head, tail) = ops.split_at(ops.len() / 2);
+        for &(line, write) in head {
+            real.access(LineAddr::new(line), write, None);
+        }
+        shadow.prime(&real.store().resident_entries_lru_to_mru());
+        let mut violations = Vec::new();
+        for &(line, write) in tail {
+            let r = real.access(LineAddr::new(line), write, None);
+            shadow.demand(LineAddr::new(line), write, r.hit, r.evicted.map(Victim::from), &mut violations);
+            prop_assert!(violations.is_empty(), "{violations:?}");
+        }
+        shadow.diff_residency(real.store().resident_lines(), &mut violations);
         prop_assert!(violations.is_empty(), "{violations:?}");
     }
 
@@ -63,7 +84,7 @@ proptest! {
                 shadow.demand(LineAddr::new(line), write, r.hit, r.evicted.map(Victim::from), &mut violations);
                 prop_assert!(violations.is_empty(), "{policy:?}: {violations:?}");
             }
-            shadow.diff_residency(&real, &mut violations);
+            shadow.diff_residency(real.resident_lines(), &mut violations);
             prop_assert!(violations.is_empty(), "{policy:?}: {violations:?}");
         }
     }
