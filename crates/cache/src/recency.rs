@@ -124,7 +124,7 @@ impl Stamps {
 /// use cosmos_common::LineAddr;
 ///
 /// // 1 set x 2 ways.
-/// let mut s = RecencyStore::new(&CacheConfig::new(128, 2), PolicyKind::Lru, false);
+/// let mut s = RecencyStore::new(CacheConfig::new(128, 2), PolicyKind::Lru, false);
 /// s.access(LineAddr::new(1), true, None);
 /// s.access(LineAddr::new(2), false, None);
 /// let r = s.access(LineAddr::new(3), false, None);
@@ -150,9 +150,9 @@ impl RecencyStore {
     /// Panics if `policy` is neither LRU nor LCR, or if `config` does not
     /// use the modulo index: other policies and indexes need way slots
     /// (use [`Cache`](crate::Cache)).
-    pub fn new(config: &CacheConfig, policy: PolicyKind, stamps: bool) -> Self {
+    pub fn new(config: CacheConfig, policy: PolicyKind, stamps: bool) -> Self {
         assert!(
-            Self::supports(config, policy),
+            Self::supports(&config, policy),
             "a recency store runs LRU or LCR over a modulo index, not {policy:?} over {}",
             config.index().name()
         );
@@ -337,7 +337,7 @@ impl RecencyCache {
     /// Panics where [`RecencyStore::new`] does.
     pub fn new(config: CacheConfig, policy: PolicyKind, stamps: bool) -> Self {
         Self {
-            tags: RecencyStore::new(&config, policy, stamps),
+            tags: RecencyStore::new(config, policy, stamps),
             config,
             stats: CacheStats::default(),
         }
@@ -582,7 +582,7 @@ mod tests {
 
     #[test]
     fn entries_are_lru_to_mru_within_each_set() {
-        let mut s = RecencyStore::new(&CacheConfig::new(256, 2), PolicyKind::Lru, false);
+        let mut s = RecencyStore::new(CacheConfig::new(256, 2), PolicyKind::Lru, false);
         for line in [0, 1, 2, 0, 3] {
             s.access(LineAddr::new(line), line == 2, None);
         }
@@ -598,6 +598,6 @@ mod tests {
     #[should_panic(expected = "modulo index")]
     fn rejects_a_keyed_index() {
         let config = CacheConfig::new(512, 2).with_index(crate::IndexKind::Random { key: 1 });
-        RecencyStore::new(&config, PolicyKind::Lru, false);
+        RecencyStore::new(config, PolicyKind::Lru, false);
     }
 }

@@ -50,7 +50,7 @@ impl Level {
         // `CacheConfig` validates the geometry exactly as it always has.
         let geometry = CacheConfig::new(level.size_bytes, level.ways);
         Self {
-            tags: RecencyStore::new(&geometry, PolicyKind::Lru, false),
+            tags: RecencyStore::new(geometry, PolicyKind::Lru, false),
             demand: HitMiss::new(),
         }
     }

@@ -107,9 +107,9 @@ impl ShadowCache {
 
     /// Adopts a live cache's residency — priming for checked runs resumed
     /// from a snapshot. `lines_lru_to_mru` must be ordered least- to
-    /// most-recently touched (see
-    /// `cosmos_cache::Cache::resident_entries_lru_to_mru`): each entry is
-    /// installed at its set's MRU position, so the final per-set order
+    /// most-recently used within each set (see
+    /// `cosmos_cache::RecencyStore::resident_entries_lru_to_mru`): each
+    /// entry is installed at its set's MRU position, so the final per-set order
     /// matches the real cache's recency exactly — which
     /// [`ShadowMode::Exact`] victim prediction depends on.
     pub fn prime(&mut self, lines_lru_to_mru: &[(LineAddr, bool)]) {
