@@ -1,11 +1,13 @@
 //! Golden digests of the secure path's per-event behavior.
 //!
-//! The constants were recorded with the CTR and MT caches built on the
-//! generic `cosmos_cache::Cache`. A [`SecureObserver`] feeds every event
-//! the secure path reports, in order, into one FNV-1a digest: each CTR and
-//! MT access (line, write, hit, and the victim's line and dirty bit), each
-//! CTR prefetch fill and each counter increment. The final CTR and MT
-//! `CacheStats` close the digest. Any change to the metadata caches that
+//! The `GOLDEN` constants were recorded with the CTR and MT caches built
+//! on the generic `cosmos_cache::Cache`, the `GOLDEN_LARGE_BFS` ones with
+//! the recency store that replaced it event for event. A
+//! [`SecureObserver`] feeds every event the secure path reports, in
+//! order, into one FNV-1a digest: each CTR and MT access (line, write,
+//! hit, and the victim's line and dirty bit), each CTR prefetch fill and
+//! each counter increment. The final CTR and MT `CacheStats` close the
+//! digest. Any change to the metadata caches that
 //! moves one hit, one victim or one dirty bit fails here.
 
 use cosmos_cache::Victim;
@@ -38,9 +40,25 @@ const GOLDEN: [(Design, &str, u64, u64); 12] = [
     (Design::Cosmos, "bfs", 0x2fa1_2659_a559_0e57, 0x94ec_3ce2_8212_5c36),
 ];
 
-/// The running digest, plus how many dirty lines each cache evicted.
+/// `(design, digest)` at paper geometry for bfs over a 2^20-vertex graph:
+/// a footprint that overflows the 512 KB CTR cache, so each run's digest
+/// pins the design's CTR replacement decisions (the 2^12-vertex bfs rows
+/// above never evict a CTR line at paper geometry).
+#[rustfmt::skip]
+const GOLDEN_LARGE_BFS: [(Design, u64); 6] = [
+    (Design::MorphCtr, 0xba33_93b4_feea_b301),
+    (Design::Emcc, 0x41e0_796f_2eba_b671),
+    (Design::Rmcc, 0x852c_53a5_8dfb_942d),
+    (Design::CosmosDp, 0xf3b8_f047_063f_af3f),
+    (Design::CosmosCp, 0xb557_9a72_6a9e_3408),
+    (Design::Cosmos, 0x0ef2_75d2_5498_c536),
+];
+
+/// The running digest, plus how many lines (and how many dirty lines)
+/// each cache evicted.
 struct Digest {
     hash: u64,
+    ctr_victims: u64,
     dirty_ctr_victims: u64,
     dirty_mt_victims: u64,
 }
@@ -76,14 +94,15 @@ struct Recorder(Rc<RefCell<Digest>>);
 impl SecureObserver for Recorder {
     fn ctr_access(&mut self, ctr_line: LineAddr, write: bool, hit: bool, evicted: Option<Victim>) {
         let mut d = self.0.borrow_mut();
+        d.ctr_victims += u64::from(evicted.is_some());
         d.dirty_ctr_victims += u64::from(evicted.is_some_and(|v| v.dirty));
         d.access(0, ctr_line, write, hit, evicted);
     }
 
     fn ctr_prefetch(&mut self, ctr_line: LineAddr, evicted: Option<Victim>) {
-        self.0
-            .borrow_mut()
-            .access(1, ctr_line, false, false, evicted);
+        let mut d = self.0.borrow_mut();
+        d.ctr_victims += u64::from(evicted.is_some());
+        d.access(1, ctr_line, false, false, evicted);
     }
 
     fn ctr_increment(&mut self, data_line: LineAddr) {
@@ -100,8 +119,13 @@ impl SecureObserver for Recorder {
 }
 
 fn trace(workload: &str) -> Trace {
+    trace_over(workload, 1 << 12)
+}
+
+/// `workload`'s trace, with a `graph_vertices`-vertex graph for bfs.
+fn trace_over(workload: &str, graph_vertices: usize) -> Trace {
     let spec = TraceSpec {
-        graph_vertices: 1 << 12,
+        graph_vertices,
         ..TraceSpec::paper_default(ACCESSES, SEED)
     };
     let w = match workload {
@@ -124,10 +148,12 @@ fn small_config(design: Design) -> SimConfig {
     c
 }
 
-/// The digest of one run, and its dirty CTR and MT victim counts.
-fn secure_digest(config: SimConfig, trace: &Trace) -> (u64, u64, u64) {
+/// The digest of one run, its CTR victim count, and its dirty CTR and MT
+/// victim counts.
+fn secure_digest(config: SimConfig, trace: &Trace) -> (u64, u64, u64, u64) {
     let digest = Rc::new(RefCell::new(Digest {
         hash: 0xcbf2_9ce4_8422_2325,
+        ctr_victims: 0,
         dirty_ctr_victims: 0,
         dirty_mt_victims: 0,
     }));
@@ -141,7 +167,12 @@ fn secure_digest(config: SimConfig, trace: &Trace) -> (u64, u64, u64) {
     for stats in [sp.ctr_cache().stats(), sp.mt_cache().stats()] {
         d.write(stats.to_json().to_string().as_bytes());
     }
-    (d.hash, d.dirty_ctr_victims, d.dirty_mt_victims)
+    (
+        d.hash,
+        d.ctr_victims,
+        d.dirty_ctr_victims,
+        d.dirty_mt_victims,
+    )
 }
 
 #[test]
@@ -150,8 +181,8 @@ fn secure_path_matches_golden_digests() {
     let mut failures = Vec::new();
     for (design, workload, want_paper, want_small) in GOLDEN {
         let t = &traces.iter().find(|(w, _)| *w == workload).unwrap().1;
-        let (paper, _, _) = secure_digest(SimConfig::paper_default(design), t);
-        let (small, ctr_dirty, mt_dirty) = secure_digest(small_config(design), t);
+        let (paper, ..) = secure_digest(SimConfig::paper_default(design), t);
+        let (small, _, ctr_dirty, mt_dirty) = secure_digest(small_config(design), t);
         assert!(
             ctr_dirty > 0 && mt_dirty > 0,
             "{design} {workload}: the small geometry must evict dirty CTR and MT lines \
@@ -166,6 +197,27 @@ fn secure_path_matches_golden_digests() {
     assert!(
         failures.is_empty(),
         "secure-path digests moved:\n{}",
+        failures.join("\n")
+    );
+}
+
+#[test]
+fn large_bfs_matches_golden_digests_at_paper_geometry() {
+    let t = trace_over("bfs", 1 << 20);
+    let mut failures = Vec::new();
+    for (design, want) in GOLDEN_LARGE_BFS {
+        let (got, ctr_victims, _, _) = secure_digest(SimConfig::paper_default(design), &t);
+        assert!(
+            ctr_victims > 0,
+            "{design}: bfs over 2^20 vertices must evict CTR lines at paper geometry"
+        );
+        if got != want {
+            failures.push(format!("(Design::{design:?}, {got:#018x}),"));
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "large-bfs secure-path digests moved:\n{}",
         failures.join("\n")
     );
 }
