@@ -31,6 +31,11 @@ pub struct SplitMix64 {
 }
 
 impl SplitMix64 {
+    /// The Weyl increment γ each draw adds to the state. The generator is
+    /// counter-based: from state `s`, draw `j` (from 0) is
+    /// `hash::splitmix64(s + j·γ)`, wrapping, whatever came before it.
+    pub const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
     /// Creates a generator from a seed.
     #[inline]
     pub const fn new(seed: u64) -> Self {
@@ -48,11 +53,18 @@ impl SplitMix64 {
     /// Returns the next 64 uniformly random bits.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        // Re-mix the *post-increment* state exactly like the canonical
-        // generator: splitmix64() adds the increment again internally, so we
-        // feed it the state minus one increment.
-        splitmix64(self.state.wrapping_sub(0x9E37_79B9_7F4A_7C15))
+        // splitmix64() adds γ before mixing, so this is the canonical
+        // generator's mix of the post-increment state.
+        let draw = splitmix64(self.state);
+        self.state = self.state.wrapping_add(Self::GAMMA);
+        draw
+    }
+
+    /// Skips `draws` draws at once: afterwards the generator is where
+    /// `draws` calls of [`SplitMix64::next_u64`] would leave it.
+    #[inline]
+    pub fn advance(&mut self, draws: u64) {
+        self.state = self.state.wrapping_add(draws.wrapping_mul(Self::GAMMA));
     }
 
     /// Returns the next 32 uniformly random bits.
@@ -308,6 +320,32 @@ mod tests {
         let mut r = SplitMix64::new(0);
         assert_eq!(r.next_u64(), 0xE220_A839_7B1D_CDAF);
         assert_eq!(r.next_u64(), 0x6E78_9E6A_A1B9_65F4);
+    }
+
+    #[test]
+    fn advance_equals_that_many_draws() {
+        for seed in [0, 42, u64::MAX - 3] {
+            for draws in [0, 1, 2, 7, 8, 22, 1000] {
+                let mut stepped = SplitMix64::new(seed);
+                for _ in 0..draws {
+                    stepped.next_u64();
+                }
+                let mut jumped = SplitMix64::new(seed);
+                jumped.advance(draws);
+                assert_eq!(jumped, stepped, "seed {seed}, {draws} draws");
+                assert_eq!(jumped.next_u64(), stepped.next_u64());
+            }
+        }
+    }
+
+    #[test]
+    fn draw_j_is_the_mix_of_state_plus_j_gammas() {
+        let seed = 0x0123_4567_89ab_cdef;
+        let mut rng = SplitMix64::new(seed);
+        for j in 0..100u64 {
+            let at_j = splitmix64(seed.wrapping_add(j.wrapping_mul(SplitMix64::GAMMA)));
+            assert_eq!(rng.next_u64(), at_j, "draw {j}");
+        }
     }
 
     #[test]

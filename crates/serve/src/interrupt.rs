@@ -23,6 +23,11 @@ extern "C" fn on_sigint(_signum: i32) {
 
 /// Installs the SIGINT handler. Idempotent; call once at startup.
 pub fn install() {
+    // SAFETY: `signal` is libc's, declared above with its C signature
+    // (`int` signal number, handler passed as a pointer-sized integer).
+    // `on_sigint` is an `extern "C" fn(i32)` that only stores to an
+    // atomic, which is async-signal-safe, and as a plain function it lives
+    // for the whole process.
     unsafe {
         signal(SIGINT, on_sigint as *const () as usize);
     }

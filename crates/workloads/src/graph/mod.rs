@@ -2,11 +2,13 @@
 
 mod kernels;
 mod layout;
+mod rmat;
 
 pub use kernels::GraphKernel;
 pub use layout::{GraphLayout, LayoutMode};
 
 use cosmos_common::SplitMix64;
+use rmat::rmat_edges;
 
 /// A directed graph in Compressed Sparse Row form.
 ///
@@ -204,181 +206,9 @@ impl Graph {
     }
 }
 
-/// `2^53`: [`SplitMix64::next_f64`] returns `(next_u64() >> 11) / 2^53`.
-const F64_DRAW_SCALE: f64 = (1u64 << 53) as f64;
-
-/// The integer form of the draw test `rng.next_f64() < p`: the least `t`
-/// with `t / 2^53 >= p`, so that `(next_u64() >> 11) < t` decides exactly
-/// what `next_f64() < p` decides.
-///
-/// Exactness: `next_f64()` is `m * 2^-53` for the integer
-/// `m = next_u64() >> 11 < 2^53`. Converting `m` to `f64` is exact (it
-/// has at most 53 significant bits) and so is scaling by a power of two,
-/// so the float compare `m * 2^-53 < p` is the real-number compare
-/// `m < p * 2^53`. `p * 2^53` is itself exact in `f64` (a power-of-two
-/// scaling of a normal number in `(0, 1)`), and `ceil` is exact, so
-/// `t = ceil(p * 2^53)` is an integer at most `2^53`, and for every
-/// integer `m`, `m < p * 2^53` holds exactly when `m < t`. The two tests
-/// agree on all `2^53` possible draws, so the generated graph is
-/// bit-identical to the one the `f64` compare produces.
-const fn draw_threshold(p: f64) -> u64 {
-    (p * F64_DRAW_SCALE).ceil() as u64
-}
-
-/// RMAT cumulative quadrant thresholds `a`, `a + b`, `a + b + c` for
-/// `(a, b, c, d) = (0.57, 0.19, 0.19, 0.05)`, in [`draw_threshold`] form.
-const RMAT_THRESHOLDS: [u64; 3] = [
-    draw_threshold(0.57),
-    draw_threshold(0.76),
-    draw_threshold(0.95),
-];
-
-/// Appends `num_edges` RMAT edges over `num_vertices` vertices, drawing one
-/// `next_u64` per recursion level per edge.
-///
-/// Branch-free: with `m` the 53-bit draw, quadrant `(bs, bd)` is `(0, 0)`
-/// below `a`, `(0, 1)` below `a + b`, `(1, 0)` below `a + b + c`, else
-/// `(1, 1)`, so `bs = [m >= a+b]` and `bd` is the parity of the three
-/// threshold tests.
-fn rmat_edges(
-    rng: &mut SplitMix64,
-    num_vertices: usize,
-    num_edges: usize,
-    edges: &mut Vec<(u32, u32)>,
-) {
-    let scale = num_vertices.next_power_of_two().trailing_zeros();
-    let n = num_vertices as u64;
-    let [t_a, t_ab, t_abc] = RMAT_THRESHOLDS;
-    // A sampled id is below `next_power_of_two(n) < 2n`, so `id % n` is at
-    // most one subtraction.
-    let fold = |id: u64| (if id >= n { id - n } else { id }) as u32;
-    edges.extend((0..num_edges).map(|_| {
-        let (mut s, mut d) = (0u64, 0u64);
-        for _ in 0..scale {
-            let m = rng.next_u64() >> 11;
-            let (ge_a, ge_ab, ge_abc) = (
-                u64::from(m >= t_a),
-                u64::from(m >= t_ab),
-                u64::from(m >= t_abc),
-            );
-            s = (s << 1) | ge_ab;
-            d = (d << 1) | (ge_a ^ ge_ab ^ ge_abc);
-        }
-        (fold(s), fold(d))
-    }));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
-
-    /// The original branchy `f64` RMAT sampler: the oracle [`rmat_edges`]
-    /// must match draw for draw.
-    fn rmat_edges_reference(
-        rng: &mut SplitMix64,
-        num_vertices: usize,
-        num_edges: usize,
-    ) -> Vec<(u32, u32)> {
-        let scale = num_vertices.next_power_of_two().trailing_zeros();
-        let mut edges = Vec::with_capacity(num_edges);
-        for _ in 0..num_edges {
-            let (mut s, mut d) = (0u64, 0u64);
-            for _ in 0..scale {
-                let r = rng.next_f64();
-                let (bs, bd) = if r < 0.57 {
-                    (0, 0)
-                } else if r < 0.76 {
-                    (0, 1)
-                } else if r < 0.95 {
-                    (1, 0)
-                } else {
-                    (1, 1)
-                };
-                s = (s << 1) | bs;
-                d = (d << 1) | bd;
-            }
-            let s = (s as usize % num_vertices) as u32;
-            let d = (d as usize % num_vertices) as u32;
-            edges.push((s, d));
-        }
-        edges
-    }
-
-    /// `(row_ptr, col_idx)` of `edges` by a stable sort on source: the
-    /// oracle for the counting sort in [`Graph::from_edges`].
-    fn csr_by_stable_sort(num_vertices: usize, mut edges: Vec<(u32, u32)>) -> (Vec<u32>, Vec<u32>) {
-        edges.sort_by_key(|&(src, _)| src);
-        let row_ptr = (0..=num_vertices)
-            .map(|v| edges.partition_point(|&(src, _)| (src as usize) < v) as u32)
-            .collect();
-        let col_idx = edges.iter().map(|&(_, dst)| dst).collect();
-        (row_ptr, col_idx)
-    }
-
-    /// Checks the branch-free sampler against the reference: same edges,
-    /// same RNG state afterwards (so the optional id shuffle sees the same
-    /// stream), and `Graph::generate` equal to the oracle CSR.
-    fn check_rmat_against_reference(n: usize, deg: usize, seed: u64) -> Result<(), String> {
-        let (mut fast, mut reference) = (SplitMix64::new(seed), SplitMix64::new(seed));
-        let mut edges = Vec::new();
-        rmat_edges(&mut fast, n, n * deg, &mut edges);
-        let expected = rmat_edges_reference(&mut reference, n, n * deg);
-        let ctx = format!("n {n}, degree {deg}, seed {seed}");
-        if edges != expected {
-            return Err(format!("{ctx}: edge lists differ"));
-        }
-        if fast.state() != reference.state() {
-            return Err(format!("{ctx}: RNG streams diverge"));
-        }
-        let g = Graph::generate(GraphKind::Rmat, n, deg, seed);
-        let (row_ptr, col_idx) = csr_by_stable_sort(n, expected);
-        if g.row_ptr() != row_ptr || g.col_idx() != col_idx {
-            return Err(format!(
-                "{ctx}: CSR arrays differ from the stable-sort oracle"
-            ));
-        }
-        Ok(())
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
-
-        fn rmat_matches_reference_sampler(
-            pick in 0usize..8,
-            any_n in 1usize..6000,
-            deg in 0usize..16,
-            seed in any::<u64>(),
-        ) {
-            // Half the cases use the fixed sizes, where the `% n` fold of
-            // non-powers-of-two (and n = 1, scale 0) is exercised.
-            let n = [1, 3, 1000, 5000].get(pick).copied().unwrap_or(any_n);
-            let outcome = check_rmat_against_reference(n, deg, seed);
-            prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
-        }
-    }
-
-    #[test]
-    fn rmat_matches_reference_at_fold_sizes() {
-        for n in [1, 2, 3, 1000, 1024, 5000] {
-            for seed in [0, 1, u64::MAX] {
-                check_rmat_against_reference(n, 5, seed).unwrap();
-            }
-        }
-    }
-
-    #[test]
-    fn rmat_thresholds_are_exact() {
-        let ulp = 1.0 / F64_DRAW_SCALE;
-        for (p, t) in [0.57, 0.76, 0.95].into_iter().zip(RMAT_THRESHOLDS) {
-            // Draw t - 1 is the last below p; draw t the first at or above.
-            assert!(
-                ((t - 1) as f64) * ulp < p,
-                "p = {p}: threshold {t} too high"
-            );
-            assert!(p <= t as f64 * ulp, "p = {p}: threshold {t} too low");
-        }
-    }
 
     #[test]
     #[should_panic(expected = "overflow the u32 CSR offsets")]

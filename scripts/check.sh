@@ -67,7 +67,9 @@ done
 rm -rf "$bench_dir"
 
 stage clippy
-cargo clippy -q --workspace --all-targets -- -D warnings
+# Every `unsafe` block must carry a `// SAFETY:` comment saying why it is
+# sound.
+cargo clippy -q --workspace --all-targets -- -D warnings -D clippy::undocumented_unsafe_blocks
 
 # Static analysis (DESIGN.md §12/§17): determinism, hot-path-closure,
 # stat-integrity, and panic invariants. Deny-by-default — any
