@@ -5,7 +5,10 @@
 //! sequence drives each scheme through a MorphCtr morph and overflow, a
 //! Split overflow, and a block touched again after others were. Any edit
 //! to the store that moves one counter, one event count, or the snapshot
-//! encoding fails here.
+//! encoding fails here. The `counters_far_*` fixtures were recorded from
+//! the ordered-map store: blocks on both sides of 64-block edges, far
+//! apart, and up to the block of the last line below 2^31 − 1, touched out
+//! of index order, must still save in ascending index order.
 
 use cosmos_common::LineAddr;
 use cosmos_secure::{CounterScheme, CounterStore};
@@ -66,4 +69,57 @@ fn golden_sequence_covers_morphs_and_overflows() {
     let morph = store_after_writes(CounterScheme::MorphCtr);
     assert!(morph.morphs() >= 2, "morphs: {}", morph.morphs());
     assert_eq!(morph.overflows(), 1);
+}
+
+/// Block indices that straddle the edges of 64-block runs, lie far apart,
+/// and end at the block of the last line below 2^31 − 1, touched out of
+/// index order.
+fn far_blocks(scheme: CounterScheme) -> Vec<u64> {
+    let last = ((1 << 31) - 2) / scheme.coverage();
+    vec![last, 64, 63, 1_000_003, 128, 127, 65, 4096, 4095, last - 1]
+}
+
+/// Per block of [`far_blocks`]: one write to slot 0, three to the last
+/// slot, and at block 64 also 130 writes to slot 5 (a Split overflow).
+fn store_after_far_writes(scheme: CounterScheme) -> CounterStore {
+    let mut store = CounterStore::new(scheme);
+    let cov = scheme.coverage();
+    for block in far_blocks(scheme) {
+        let mut runs = vec![(0, 1), (cov - 1, 3)];
+        if block == 64 {
+            runs.push((5, 130));
+        }
+        for (slot, repeats) in runs {
+            for _ in 0..repeats {
+                store.increment(LineAddr::new(block * cov + slot));
+            }
+        }
+    }
+    store
+}
+
+#[test]
+fn far_apart_blocks_match_golden_bytes() {
+    for (scheme, golden) in [
+        (
+            CounterScheme::Monolithic,
+            include_str!("golden/counters_far_mono.json"),
+        ),
+        (
+            CounterScheme::Split,
+            include_str!("golden/counters_far_split.json"),
+        ),
+        (
+            CounterScheme::MorphCtr,
+            include_str!("golden/counters_far_morphctr.json"),
+        ),
+    ] {
+        let store = store_after_far_writes(scheme);
+        let got = store.save_state().to_string();
+        assert_eq!(got, golden.trim_end(), "{scheme}: snapshot bytes moved");
+        let mut want = far_blocks(scheme);
+        want.sort_unstable();
+        let blocks: Vec<u64> = store.materialized_blocks().map(|(idx, _)| idx).collect();
+        assert_eq!(blocks, want, "{scheme}: blocks not in index order");
+    }
 }
