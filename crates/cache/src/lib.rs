@@ -2,12 +2,16 @@
 //! generic cache with pluggable replacement policies and prefetchers.
 //!
 //! Most cache levels of the COSMOS simulator run on the
-//! [`RecencyStore`]: each set is its lines' `u64` words in MRU order, so
-//! an 8-way set is one 64 B host line. The L1/L2/LLC data caches and the
-//! Merkle-tree metadata cache use it with LRU; the CTR cache uses it
-//! (through [`RecencyCache`], which adds [`CacheStats`]) whenever its
-//! policy is LRU or LCR over the modulo index with no prefetcher, which
-//! covers every paper design but RMCC.
+//! [`RecencyStore`]: each set is its lines' words in MRU order, a word
+//! `line << 1 | dirty` of the width its user fixes ([`recency::Word`]).
+//! The L1/L2/LLC data caches use `u32` words under LRU (data lines lie
+//! below [`LineAddr::DATA_LIMIT`](cosmos_common::LineAddr::DATA_LIMIT), so
+//! a 16-way set is one 64 B host line). The Merkle-tree metadata cache
+//! uses `u64` words under LRU, and the CTR cache uses them (through
+//! [`RecencyCache`], which adds [`CacheStats`]) whenever its policy is LRU
+//! or LCR over the modulo index with no prefetcher, which covers every
+//! paper design but RMCC; a `u64` word also carries LCR's locality hint.
+//! Snapshots save both widths' words in their `u64` form.
 //!
 //! The generic [`Cache`] keeps a slot per way, and stays where way slots
 //! are needed: boxed replacement policies (RMCC's SHiP and the Figure-5

@@ -1,11 +1,20 @@
 //! The exact-recency tag store: LRU and LCR sets as MRU-ordered words.
 //!
-//! A set is `ways` `u64` words ordered most- to least-recently used, with
-//! the [`EMPTY`] word in its unused ways at the tail, so an 8-way set is
-//! one 64 B host line. A word is `line << 1 | dirty`; an LCR store also
-//! keeps the line's locality hint in bits 54–63 (present, good, 8-bit
-//! score). A touch moves a word to the front; a fill shifts the words
-//! before the victim right by one and writes the new word at the front.
+//! A set is `ways` words ordered most- to least-recently used, with the
+//! empty word (all ones) in its unused ways at the tail. A word is
+//! `line << 1 | dirty`, and its width is fixed by the store's user
+//! ([`Word`]):
+//!
+//! - a `u64` word holds any line below 2^52, and in an LCR store also the
+//!   line's locality hint in bits 54–63 (present, good, 8-bit score). An
+//!   8-way set is one 64 B host line. The MT cache and the LRU/LCR CTR
+//!   caches use it: their metadata lines sit at 2^34 and above.
+//! - a `u32` word holds an LRU line below [`LineAddr::DATA_LIMIT`]
+//!   (2^31 − 1), so a 16-way set is one 64 B host line. The data
+//!   hierarchy uses it, at half the tag bytes of `u64` words.
+//!
+//! A touch moves a word to the front; a fill shifts the words before the
+//! victim right by one and writes the new word at the front.
 //!
 //! The victims are exactly those of the generic [`Cache`](crate::Cache)
 //! under the same policy, whose inline arms pick them off per-way touch
@@ -15,6 +24,10 @@
 //! score 0. `Cache` breaks a tie toward the older touch stamp, and since
 //! stamps are unique per touch, position order is stamp order, so a tie
 //! here goes to the older position.
+//!
+//! A snapshot saves every word in its `u64` form, the empty word as
+//! [`EMPTY`], so a line saves the same bytes at either width. A restore
+//! rejects a word whose line does not fit the store's width.
 //!
 //! The fill and last-touch stamps of a victim are read only by telemetry.
 //! A store built with stamps keeps its access clock and each line's
@@ -29,22 +42,133 @@ use cosmos_common::json::Value;
 use cosmos_common::state::{LoadResult, State};
 use cosmos_common::LineAddr;
 
-/// The word of an empty way. No line a store can hold has its tag bits.
+/// The saved form of an empty way, at either width. No line a store can
+/// hold has its tag bits.
 pub const EMPTY: u64 = u64::MAX;
 
-/// Lines a store can hold: the tag `line << 1` must stay below the hint
-/// bits and differ from [`EMPTY`]'s. Data and metadata line indices stay
-/// below 2^43.
-const LINE_LIMIT: u64 = 1 << 52;
-
 const DIRTY: u64 = 1;
-/// `line << 1`: the bits a lookup compares.
+/// `line << 1` of a saved word: the bits a `u64` lookup compares.
 const TAG: u64 = (1 << HINT_SHIFT) - 2;
 const HINT_SHIFT: u32 = 54;
 const HINT_SCORE: u64 = 0xFF << HINT_SHIFT;
 const HINT_GOOD: u64 = 1 << 62;
 const HINT_PRESENT: u64 = 1 << 63;
 const HINT: u64 = HINT_PRESENT | HINT_GOOD | HINT_SCORE;
+
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for u64 {}
+    impl Sealed for u32 {}
+}
+
+/// The width of a store's tag words: `u64` or `u32` (see the module docs).
+pub trait Word: sealed::Sealed + Copy + Eq + core::fmt::Debug {
+    /// The word of an empty way: all ones.
+    const EMPTY: Self;
+    /// Lines a word can hold: `line << 1` stays below the hint bits and
+    /// differs from the empty word's.
+    const LINE_LIMIT: u64;
+    /// Whether a word carries an LCR hint, so the store can run LCR.
+    const HINTS: bool;
+
+    /// The word `line << 1 | dirty` of a line below
+    /// [`LINE_LIMIT`](Word::LINE_LIMIT), with no hint.
+    fn new(line: u64, dirty: bool) -> Self;
+    /// The bits a lookup compares: `line << 1`.
+    fn tag(self) -> Self;
+    /// The word with `dirty` ORed into its dirty bit.
+    fn dirtied(self, dirty: bool) -> Self;
+    /// The word's hint bits replaced by `hint` (a `u32` word has none).
+    fn hinted(self, hint: u64) -> Self;
+    /// The line a resident word holds.
+    fn line(self) -> u64;
+    /// Whether a resident word is dirty.
+    fn is_dirty(self) -> bool;
+    /// The word as a snapshot saves it.
+    fn widen(self) -> u64;
+    /// The word of a saved one that [`RecencyStore`]'s restore checked.
+    fn narrow(saved: u64) -> Self;
+}
+
+impl Word for u64 {
+    const EMPTY: Self = EMPTY;
+    const LINE_LIMIT: u64 = 1 << 52;
+    const HINTS: bool = true;
+
+    #[inline(always)]
+    fn new(line: u64, dirty: bool) -> Self {
+        line << 1 | u64::from(dirty)
+    }
+    #[inline(always)]
+    fn tag(self) -> Self {
+        self & TAG
+    }
+    #[inline(always)]
+    fn dirtied(self, dirty: bool) -> Self {
+        self | u64::from(dirty)
+    }
+    #[inline(always)]
+    fn hinted(self, hint: u64) -> Self {
+        self & !HINT | hint
+    }
+    #[inline(always)]
+    fn line(self) -> u64 {
+        (self & TAG) >> 1
+    }
+    #[inline(always)]
+    fn is_dirty(self) -> bool {
+        self & DIRTY != 0
+    }
+    fn widen(self) -> u64 {
+        self
+    }
+    fn narrow(saved: u64) -> Self {
+        saved
+    }
+}
+
+impl Word for u32 {
+    const EMPTY: Self = u32::MAX;
+    const LINE_LIMIT: u64 = LineAddr::DATA_LIMIT;
+    const HINTS: bool = false;
+
+    #[inline(always)]
+    fn new(line: u64, dirty: bool) -> Self {
+        (line as u32) << 1 | u32::from(dirty)
+    }
+    #[inline(always)]
+    fn tag(self) -> Self {
+        self & !1
+    }
+    #[inline(always)]
+    fn dirtied(self, dirty: bool) -> Self {
+        self | u32::from(dirty)
+    }
+    #[inline(always)]
+    fn hinted(self, _hint: u64) -> Self {
+        self
+    }
+    #[inline(always)]
+    fn line(self) -> u64 {
+        u64::from(self >> 1)
+    }
+    #[inline(always)]
+    fn is_dirty(self) -> bool {
+        self & 1 != 0
+    }
+    fn widen(self) -> u64 {
+        match self {
+            u32::MAX => EMPTY,
+            w => u64::from(w),
+        }
+    }
+    fn narrow(saved: u64) -> Self {
+        match saved {
+            EMPTY => u32::MAX,
+            w => w as u32,
+        }
+    }
+}
 
 /// The hint bits of a word that carries `hint`.
 #[inline]
@@ -67,10 +191,10 @@ fn lcr_rank(word: u64) -> u32 {
 /// The LCR victim of a full set: the highest rank, ties to the older way.
 /// Kept out of line so the LRU callers' inlined access stays small.
 #[inline(never)]
-fn lcr_victim(set: &[u64]) -> usize {
-    let mut best = (0, lcr_rank(set[0]));
+fn lcr_victim<W: Word>(set: &[W]) -> usize {
+    let mut best = (0, lcr_rank(set[0].widen()));
     for (pos, &w) in set.iter().enumerate().skip(1) {
-        let rank = lcr_rank(w);
+        let rank = lcr_rank(w.widen());
         if rank >= best.1 {
             best = (pos, rank);
         }
@@ -82,7 +206,7 @@ fn lcr_victim(set: &[u64]) -> usize {
 /// and returns the word that was at `pos`. For a set of a few words this
 /// loop is cheaper than the `memmove` call of `copy_within`.
 #[inline(always)]
-fn push_front(set: &mut [u64], pos: usize, word: u64) -> u64 {
+fn push_front<W: Word>(set: &mut [W], pos: usize, word: W) -> W {
     let mut carry = word;
     for slot in &mut set[..=pos] {
         carry = core::mem::replace(slot, carry);
@@ -114,8 +238,8 @@ impl Stamps {
     }
 }
 
-/// An exact-recency tag store with an LRU or LCR policy over a modulo
-/// index (see the module docs).
+/// An exact-recency tag store of `W` words with an LRU or LCR policy
+/// over a modulo index (see the module docs).
 ///
 /// # Examples
 ///
@@ -123,8 +247,8 @@ impl Stamps {
 /// use cosmos_cache::{CacheConfig, PolicyKind, RecencyStore};
 /// use cosmos_common::LineAddr;
 ///
-/// // 1 set x 2 ways.
-/// let mut s = RecencyStore::new(CacheConfig::new(128, 2), PolicyKind::Lru, false);
+/// // 1 set x 2 ways of u32 words.
+/// let mut s = RecencyStore::<u32>::new(CacheConfig::new(128, 2), PolicyKind::Lru, false);
 /// s.access(LineAddr::new(1), true, None);
 /// s.access(LineAddr::new(2), false, None);
 /// let r = s.access(LineAddr::new(3), false, None);
@@ -132,33 +256,35 @@ impl Stamps {
 /// assert_eq!((victim.line, victim.dirty), (LineAddr::new(1), true));
 /// ```
 #[derive(Clone, Debug)]
-pub struct RecencyStore {
-    /// `sets × ways` words, each set MRU-first with [`EMPTY`] at the tail.
-    words: Vec<u64>,
+pub struct RecencyStore<W: Word> {
+    /// `sets × ways` words, each set MRU-first with empty words at the tail.
+    words: Vec<W>,
     ways: usize,
     set_mask: u64,
     lcr: bool,
     stamps: Option<Stamps>,
 }
 
-impl RecencyStore {
+impl<W: Word> RecencyStore<W> {
     /// Creates an empty store with `config`'s geometry under `policy`,
     /// keeping access stamps when `stamps` is set.
     ///
     /// # Panics
     ///
-    /// Panics if `policy` is neither LRU nor LCR, or if `config` does not
-    /// use the modulo index: other policies and indexes need way slots
-    /// (use [`Cache`](crate::Cache)).
+    /// Panics if `policy` is neither LRU nor LCR, if it is LCR over `u32`
+    /// words, or if `config` does not use the modulo index: other policies
+    /// and indexes need way slots (use [`Cache`](crate::Cache)).
     pub fn new(config: CacheConfig, policy: PolicyKind, stamps: bool) -> Self {
         assert!(
             Self::supports(&config, policy),
-            "a recency store runs LRU or LCR over a modulo index, not {policy:?} over {}",
+            "a recency store of {}-bit words runs LRU{} over a modulo index, not {policy:?} over {}",
+            core::mem::size_of::<W>() * 8,
+            if W::HINTS { " or LCR" } else { "" },
             config.index().name()
         );
         let lines = config.num_lines();
         Self {
-            words: vec![EMPTY; lines],
+            words: vec![W::EMPTY; lines],
             ways: config.ways(),
             set_mask: config.num_sets() as u64 - 1,
             lcr: policy == PolicyKind::Lcr,
@@ -169,10 +295,15 @@ impl RecencyStore {
         }
     }
 
-    /// Whether a store can run `policy` over `config`'s index.
+    /// Whether a store of `W` words can run `policy` over `config`'s
+    /// index: LRU, or LCR where `W` carries hints, over the modulo index.
     pub fn supports(config: &CacheConfig, policy: PolicyKind) -> bool {
-        matches!(policy, PolicyKind::Lru | PolicyKind::Lcr)
-            && matches!(config.index(), crate::IndexKind::Modulo)
+        let policy_ok = match policy {
+            PolicyKind::Lru => true,
+            PolicyKind::Lcr => W::HINTS,
+            _ => false,
+        };
+        policy_ok && matches!(config.index(), crate::IndexKind::Modulo)
     }
 
     /// Touches `line`: on a hit moves it to the front of its set, ORing
@@ -192,15 +323,20 @@ impl RecencyStore {
         hint: Option<LocalityHint>,
     ) -> AccessResult {
         let line = line.index();
-        debug_assert!(line < LINE_LIMIT, "line {line:#x} does not fit a tag word");
-        let (ways, key) = (self.ways, line << 1);
+        debug_assert!(
+            line < W::LINE_LIMIT,
+            "line {line:#x} does not fit a {}-bit tag word",
+            core::mem::size_of::<W>() * 8
+        );
+        let (ways, key) = (self.ways, W::new(line, false));
         let base = (line & self.set_mask) as usize * ways;
-        let hint = hint.filter(|_| self.lcr).map(hint_bits);
+        let lcr = W::HINTS && self.lcr;
+        let hint = hint.filter(|_| lcr).map(hint_bits);
         let set = &mut self.words[base..base + ways];
-        if let Some(pos) = set.iter().position(|&w| w & TAG == key) {
-            let mut word = set[pos] | u64::from(write);
+        if let Some(pos) = set.iter().position(|&w| w.tag() == key) {
+            let mut word = set[pos].dirtied(write);
             if let Some(h) = hint {
-                word = word & !HINT | h;
+                word = word.hinted(h);
             }
             push_front(set, pos, word);
             if let Some(st) = &mut self.stamps {
@@ -213,20 +349,24 @@ impl RecencyStore {
             };
         }
         let last = ways - 1;
-        let pos = match self.lcr && set[last] != EMPTY {
+        let pos = match lcr && set[last] != W::EMPTY {
             true => lcr_victim(set),
             false => last,
         };
-        let victim = push_front(set, pos, key | u64::from(write) | hint.unwrap_or(0));
+        let mut word = key.dirtied(write);
+        if let Some(h) = hint {
+            word = word.hinted(h);
+        }
+        let victim = push_front(set, pos, word);
         let [fill_at, last_touch_at] = match &mut self.stamps {
             Some(st) => st.touch(base, ways, pos, true),
             None => [0; 2],
         };
         AccessResult {
             hit: false,
-            evicted: (victim != EMPTY).then(|| Eviction {
-                line: LineAddr::new((victim & TAG) >> 1),
-                dirty: victim & DIRTY != 0,
+            evicted: (victim != W::EMPTY).then(|| Eviction {
+                line: LineAddr::new(victim.line()),
+                dirty: victim.is_dirty(),
                 fill_at,
                 last_touch_at,
                 lru_deviated: pos != last,
@@ -245,8 +385,8 @@ impl RecencyStore {
     pub fn resident_lines(&self) -> impl Iterator<Item = LineAddr> + '_ {
         self.words
             .iter()
-            .filter(|&&w| w != EMPTY)
-            .map(|&w| LineAddr::new((w & TAG) >> 1))
+            .filter(|&&w| w != W::EMPTY)
+            .map(|&w| LineAddr::new(w.line()))
     }
 
     /// Resident lines with their dirty bits, set by set, each set ordered
@@ -256,15 +396,15 @@ impl RecencyStore {
         self.words
             .chunks_exact(self.ways)
             .flat_map(|set| set.iter().rev())
-            .filter(|&&w| w != EMPTY)
-            .map(|&w| (LineAddr::new((w & TAG) >> 1), w & DIRTY != 0))
+            .filter(|&&w| w != W::EMPTY)
+            .map(|&w| (LineAddr::new(w.line()), w.is_dirty()))
             .collect()
     }
 
-    /// Rejects any restored word array that no sequence of accesses could
+    /// Rejects any saved word array that no sequence of accesses could
     /// have produced.
-    fn check_sets(&self) -> LoadResult {
-        for (set, ways) in self.words.chunks_exact(self.ways).enumerate() {
+    fn check_sets(&self, saved: &[u64]) -> LoadResult {
+        for (set, ways) in saved.chunks_exact(self.ways).enumerate() {
             self.check_set(set, ways)
                 .map_err(|e| format!("set {set}: {e}"))?;
         }
@@ -272,8 +412,9 @@ impl RecencyStore {
     }
 
     /// A saved set is valid when its resident words form a prefix, each
-    /// maps to `set`, no line appears twice, and each carries hint bits
-    /// only in an LCR store, and a score or good flag only with a hint.
+    /// maps to `set`, no line appears twice, each carries hint bits only
+    /// in an LCR store, and a score or good flag only with a hint, and
+    /// each line fits the store's words.
     fn check_set(&self, set: usize, ways: &[u64]) -> LoadResult {
         let valid = ways.iter().take_while(|&&w| w != EMPTY).count();
         if ways[valid..].iter().any(|&w| w != EMPTY) {
@@ -294,21 +435,33 @@ impl RecencyStore {
             if w & HINT != 0 && w & HINT_PRESENT == 0 {
                 return Err(format!("line {line} carries a hint score without a hint"));
             }
+            if line >= W::LINE_LIMIT {
+                return Err(format!(
+                    "line {line} does not fit a {}-bit tag word",
+                    core::mem::size_of::<W>() * 8
+                ));
+            }
         }
         Ok(())
     }
 }
 
-/// Saved as the bare word array; a restore checks every set and, in a
-/// store with stamps, restarts the clock (snapshots carry no telemetry).
-impl State for RecencyStore {
+/// Saved as the word array in its `u64` form; a restore checks every set
+/// and, in a store with stamps, restarts the clock (snapshots carry no
+/// telemetry).
+impl<W: Word> State for RecencyStore<W> {
     fn save(&self) -> Value {
-        self.words.save()
+        let saved: Vec<u64> = self.words.iter().map(|w| w.widen()).collect();
+        saved.save()
     }
 
     fn load(&mut self, v: &Value) -> LoadResult {
-        self.words.load(v)?;
-        self.check_sets()?;
+        let mut saved = vec![EMPTY; self.words.len()];
+        saved.load(v)?;
+        self.check_sets(&saved)?;
+        for (w, &s) in self.words.iter_mut().zip(&saved) {
+            *w = W::narrow(s);
+        }
         if let Some(st) = &mut self.stamps {
             st.clock = 0;
             st.at.fill([0; 2]);
@@ -317,12 +470,13 @@ impl State for RecencyStore {
     }
 }
 
-/// A metadata cache on a [`RecencyStore`]: the store, its geometry, and
-/// the [`CacheStats`] of its accesses, all of which are demand accesses.
+/// A metadata cache on a `u64` [`RecencyStore`]: the store, its geometry,
+/// and the [`CacheStats`] of its accesses, all of which are demand
+/// accesses.
 #[derive(Clone, Debug)]
 pub struct RecencyCache {
     config: CacheConfig,
-    tags: RecencyStore,
+    tags: RecencyStore<u64>,
     stats: CacheStats,
 }
 
@@ -373,7 +527,7 @@ impl RecencyCache {
     }
 
     /// The tag store (residency and recency).
-    pub fn store(&self) -> &RecencyStore {
+    pub fn store(&self) -> &RecencyStore<u64> {
         &self.tags
     }
 }
@@ -396,11 +550,12 @@ mod tests {
         (LineAddr::new(line), write, hint)
     }
 
-    /// Runs `ops` through a [`RecencyCache`] and a [`Cache`] with the same
-    /// geometry and policy, comparing every access's hit, victim, dirty
-    /// bit and LRU deviation and the statistics after it; with stamps,
-    /// also the victim's stamps and the access clock.
-    fn check_against_cache(
+    /// Runs `ops` through a store of `W` words and a [`Cache`] with the
+    /// same geometry and policy, comparing every access's hit, victim,
+    /// dirty bit and LRU deviation and the statistics after it (counted
+    /// as [`RecencyCache`] counts them); with stamps, also the victim's
+    /// stamps and the access clock.
+    fn check_against_cache<W: Word>(
         ways: usize,
         sets: usize,
         policy: PolicyKind,
@@ -408,11 +563,17 @@ mod tests {
         ops: &[(u64, bool, u8, u8)],
     ) -> Result<(), String> {
         let config = CacheConfig::new(ways * sets * 64, ways);
-        let mut store = RecencyCache::new(config, policy, stamps);
+        let mut store = RecencyStore::<W>::new(config, policy, stamps);
+        let mut stats = CacheStats::default();
         let mut cache = Cache::new(config, policy);
         for (i, &raw) in ops.iter().enumerate() {
             let (line, write, hint) = op(raw);
             let mut got = store.access(line, write, hint);
+            stats.demand.record(got.hit);
+            if let Some(ev) = got.evicted {
+                stats.evictions += 1;
+                stats.writebacks += u64::from(ev.dirty);
+            }
             let mut want = cache.access(line, write, hint);
             if !stamps {
                 for ev in want.evicted.iter_mut().chain(got.evicted.iter_mut()) {
@@ -420,14 +581,14 @@ mod tests {
                 }
             }
             let clocks = match stamps {
-                true => (store.store().access_clock(), cache.access_clock()),
+                true => (store.access_clock(), cache.access_clock()),
                 false => (0, 0),
             };
-            if got != want || store.stats() != cache.stats() || clocks.0 != clocks.1 {
+            if got != want || &stats != cache.stats() || clocks.0 != clocks.1 {
                 return Err(format!(
-                    "access {i} ({line:?}, write {write}, {hint:?}): {got:?} {:?} clock {} \
-                     vs Cache {want:?} {:?} clock {}",
-                    store.stats(),
+                    "{}-bit words, access {i} ({line:?}, write {write}, {hint:?}): {got:?} \
+                     {stats:?} clock {} vs Cache {want:?} {:?} clock {}",
+                    core::mem::size_of::<W>() * 8,
                     clocks.0,
                     cache.stats(),
                     clocks.1
@@ -440,6 +601,8 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(160))]
 
+        /// `u64` words under the drawn policy, and `u32` words under LRU
+        /// (an LRU store ignores the hints).
         fn matches_cache_access_for_access(
             ways in 1usize..17,
             sets_log2 in 0u32..3,
@@ -448,7 +611,9 @@ mod tests {
             ops in prop::collection::vec((0u64..96, any::<bool>(), 0u8..3, any::<u8>()), 1..400),
         ) {
             let policy = if lcr { PolicyKind::Lcr } else { PolicyKind::Lru };
-            let outcome = check_against_cache(ways, 1 << sets_log2, policy, stamps, &ops);
+            let sets = 1 << sets_log2;
+            let outcome = check_against_cache::<u64>(ways, sets, policy, stamps, &ops)
+                .and_then(|()| check_against_cache::<u32>(ways, sets, PolicyKind::Lru, stamps, &ops));
             prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
         }
     }
@@ -469,7 +634,7 @@ mod tests {
             })
             .collect();
         for ways in [1, 2, 3, 8, 16] {
-            check_against_cache(ways, 2, PolicyKind::Lcr, true, &ops).unwrap();
+            check_against_cache::<u64>(ways, 2, PolicyKind::Lcr, true, &ops).unwrap();
         }
     }
 
@@ -582,7 +747,7 @@ mod tests {
 
     #[test]
     fn entries_are_lru_to_mru_within_each_set() {
-        let mut s = RecencyStore::new(CacheConfig::new(256, 2), PolicyKind::Lru, false);
+        let mut s = RecencyStore::<u32>::new(CacheConfig::new(256, 2), PolicyKind::Lru, false);
         for line in [0, 1, 2, 0, 3] {
             s.access(LineAddr::new(line), line == 2, None);
         }
@@ -598,6 +763,66 @@ mod tests {
     #[should_panic(expected = "modulo index")]
     fn rejects_a_keyed_index() {
         let config = CacheConfig::new(512, 2).with_index(crate::IndexKind::Random { key: 1 });
-        RecencyStore::new(config, PolicyKind::Lru, false);
+        RecencyStore::<u64>::new(config, PolicyKind::Lru, false);
+    }
+
+    #[test]
+    #[should_panic(expected = "32-bit words runs LRU over")]
+    fn u32_words_reject_lcr() {
+        RecencyStore::<u32>::new(CacheConfig::new(512, 2), PolicyKind::Lcr, false);
+    }
+
+    /// A 2-set x 4-way `u32` store with some history, saved.
+    fn saved_u32() -> Value {
+        let mut s = RecencyStore::<u32>::new(CacheConfig::new(512, 4), PolicyKind::Lru, false);
+        for line in 0..11 {
+            s.access(LineAddr::new(line), line % 3 == 0, None);
+        }
+        s.save()
+    }
+
+    fn load_u32(v: &Value) -> LoadResult {
+        RecencyStore::<u32>::new(CacheConfig::new(512, 4), PolicyKind::Lru, false).load(v)
+    }
+
+    #[test]
+    fn u32_words_save_their_u64_form() {
+        let v = saved_u32();
+        let mut wide = RecencyStore::<u64>::new(CacheConfig::new(512, 4), PolicyKind::Lru, false);
+        for line in 0..11 {
+            wide.access(LineAddr::new(line), line % 3 == 0, None);
+        }
+        assert_eq!(v.to_string(), wide.save().to_string());
+        let mut restored =
+            RecencyStore::<u32>::new(CacheConfig::new(512, 4), PolicyKind::Lru, false);
+        restored.load(&v).unwrap();
+        assert_eq!(restored.save().to_string(), v.to_string());
+    }
+
+    #[test]
+    fn u32_restore_rejects_a_line_that_does_not_fit() {
+        let words = |v: &Value| -> Vec<u64> {
+            let items = v.as_array().expect("saved words are an array");
+            items.iter().map(|w| w.as_u64().unwrap()).collect()
+        };
+        let mut wide = words(&saved_u32());
+        // Set 0's MRU word moves to the first line past the u32 bound that
+        // still belongs to set 0; a u64 store takes the same word.
+        let line = LineAddr::DATA_LIMIT + 1;
+        assert_eq!(line % 2, 0);
+        wide[0] = line << 1;
+        let v = cosmos_common::json::codec::from_u64s(wide);
+        let err = load_u32(&v).expect_err("a line past the u32 bound must be rejected");
+        assert!(
+            err.contains("set 0") && err.contains("does not fit a 32-bit tag word"),
+            "{err}"
+        );
+        RecencyStore::<u64>::new(CacheConfig::new(512, 4), PolicyKind::Lru, false)
+            .load(&v)
+            .unwrap();
+        // The last line below the bound fits.
+        let mut wide = words(&saved_u32());
+        wide[0] = (LineAddr::DATA_LIMIT - 1) << 1 | 1;
+        load_u32(&cosmos_common::json::codec::from_u64s(wide)).unwrap();
     }
 }

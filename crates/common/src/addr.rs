@@ -98,6 +98,12 @@ impl fmt::LowerHex for PhysAddr {
 pub struct LineAddr(u64);
 
 impl LineAddr {
+    /// Data lines lie below this index, 2^31 − 1 (128 GiB of data), so a
+    /// data cache's `line << 1 | dirty` tag word fits a `u32` other than
+    /// its empty word `u32::MAX`. Metadata lines (2^34 and above) are not
+    /// data lines.
+    pub const DATA_LIMIT: u64 = (1 << 31) - 1;
+
     /// Creates a line index directly.
     #[inline]
     pub const fn new(index: u64) -> Self {

@@ -5,9 +5,11 @@
 //! the memory controller (and, in secure designs, the secure write path).
 //!
 //! Every level is a plain LRU cache that is never invalidated, prefetched
-//! or hinted, so its tags are a [`RecencyStore`]: each set is `ways` words
-//! `line << 1 | dirty` in MRU order, 8 bytes per line, evicting exactly
-//! the way the generic [`cosmos_cache::Cache`] LRU does (DESIGN.md §13).
+//! or hinted, so its tags are a [`RecencyStore`] of `u32` words: each set
+//! is `ways` words `line << 1 | dirty` in MRU order, 4 bytes per line (a
+//! 16-way LLC set is one 64 B host line), evicting exactly the way the
+//! generic [`cosmos_cache::Cache`] LRU does (DESIGN.md §13). Data lines
+//! lie below [`LineAddr::DATA_LIMIT`], so they fit.
 
 use crate::config::{CacheLevelConfig, SimConfig};
 use cosmos_cache::{CacheConfig, PolicyKind, RecencyStore};
@@ -35,10 +37,10 @@ impl DataHit {
 }
 
 /// One data-cache level: a per-core L1 or L2, or the shared LLC. Its tags
-/// are an exact-LRU [`RecencyStore`]; it counts demand hits and misses
-/// (spill fills are not demand traffic).
+/// are an exact-LRU [`RecencyStore`] of `u32` words; it counts demand hits
+/// and misses (spill fills are not demand traffic).
 struct Level {
-    tags: RecencyStore,
+    tags: RecencyStore<u32>,
     demand: HitMiss,
 }
 

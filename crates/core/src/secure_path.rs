@@ -64,7 +64,7 @@ impl CtrCache {
             .with_index(config.ctr_index.to_cache(config.seed));
         let policy = config.ctr_policy;
         if config.ctr_prefetcher == PrefetcherKind::None
-            && RecencyStore::supports(&geometry, policy)
+            && RecencyStore::<u64>::supports(&geometry, policy)
         {
             let stamps = config.telemetry.is_enabled();
             return CtrCache::Recency(RecencyCache::new(geometry, policy, stamps));

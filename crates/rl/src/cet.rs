@@ -12,43 +12,77 @@
 //!   entry's `(state, action)` (`CET.head` in Algorithm 1).
 //!
 //! The table is probed and updated on **every** CTR access of the COSMOS-CP
-//! designs, so its layout is the predictor hot path. Entries live in a flat
-//! arena threaded onto an intrusive doubly-linked recency list (head = MRU,
-//! tail = LRU victim), and lookup goes through an open-addressing index
-//! (linear probing, splitmix64 hash, backward-shift deletion) — no
-//! `HashMap`/`BTreeMap` nodes, no SipHash, no allocation after warm-up.
+//! designs, so its layout is the predictor hot path. An entry is a 16-byte
+//! slot in a flat arena: the line address and the links of an intrusive
+//! doubly-linked recency list (head = MRU, tail = LRU victim), with the
+//! action in the top bit of one link. Nothing the address determines is
+//! stored: an entry's RL state is [`Cet::state_of`] its address, computed
+//! when it is evicted or saved, and the head is the newest entry's.
+//! Lookup goes through an open-addressing index at a load factor of at
+//! most 1/2 (linear probing, splitmix64 hash, backward-shift deletion) —
+//! no `HashMap`/`BTreeMap` nodes, no SipHash, no allocation after warm-up.
+//! [`Cet::touch`] makes one probe that both answers the hit check and
+//! inserts or refreshes the entry.
 
 use crate::locality::Locality;
-use cosmos_common::hash::splitmix64;
+use cosmos_common::hash::{hash_address, splitmix64};
 use cosmos_common::json::Value;
 use cosmos_common::state::{self, LoadResult};
+use cosmos_common::LineAddr;
 
 /// An entry evicted from the CET (feeds the eviction rewards
-/// `R_C_eg` / `R_C_eb`).
+/// `R_C_eg` / `R_C_eb`), and the form a snapshot saves an entry in.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CetEvicted {
     /// The evicted CTR line address.
     pub addr: u64,
-    /// The RL state recorded at insertion.
+    /// The RL state of the address.
     pub state: usize,
-    /// The locality prediction recorded at insertion.
+    /// The locality prediction of its latest access.
     pub action: Locality,
 }
 
-/// Arena slot: payload plus intrusive recency-list links.
+/// Arena slot: the address plus intrusive recency-list links, the
+/// entry's action in the top bit of `older`.
 #[derive(Clone, Copy, Debug)]
 struct Slot {
     addr: u64,
-    state: usize,
-    action: Locality,
     /// Next-more-recent slot (`NONE` at the MRU head).
     newer: u32,
-    /// Next-less-recent slot (`NONE` at the LRU tail).
+    /// Next-less-recent slot (`NONE` at the LRU tail) in the low 31 bits;
+    /// [`GOOD`] iff the action is [`Locality::Good`].
     older: u32,
 }
 
-/// Null link / empty-bucket marker.
-const NONE: u32 = u32::MAX;
+/// The action bit of [`Slot::older`].
+const GOOD: u32 = 1 << 31;
+/// Null link / empty-bucket marker; slot numbers lie below it.
+const NONE: u32 = GOOD - 1;
+
+impl Slot {
+    #[inline]
+    fn older(&self) -> u32 {
+        self.older & NONE
+    }
+
+    #[inline]
+    fn set_older(&mut self, older: u32) {
+        self.older = self.older & GOOD | older;
+    }
+
+    #[inline]
+    fn action(&self) -> Locality {
+        match self.older & GOOD != 0 {
+            true => Locality::Good,
+            false => Locality::Bad,
+        }
+    }
+
+    #[inline]
+    fn set_action(&mut self, action: Locality) {
+        self.older = self.older & NONE | if action.is_good() { GOOD } else { 0 };
+    }
+}
 
 /// LRU table of recent CTR accesses with neighbourhood lookup.
 ///
@@ -56,15 +90,18 @@ const NONE: u32 = u32::MAX;
 ///
 /// ```
 /// use cosmos_rl::{Cet, Locality};
-/// let mut cet = Cet::new(8192, 32);
-/// cet.insert(1000, 5, Locality::Good);
+/// let mut cet = Cet::new(8192, 32, 16384);
+/// assert_eq!(cet.touch(1000, Locality::Good), (false, None));
 /// assert!(cet.check_nearby(1010)); // within ±32 lines
 /// assert!(!cet.check_nearby(2000));
+/// assert_eq!(cet.head(), Some((cet.state_of(1000), Locality::Good)));
 /// ```
 #[derive(Clone, Debug)]
 pub struct Cet {
     capacity: usize,
     radius: u64,
+    /// Q-table states an address hashes into.
+    num_states: usize,
     /// Entry arena; slots are allocated once and recycled via `free`.
     slots: Vec<Slot>,
     /// Open-addressing index: bucket -> arena slot (`NONE` = empty).
@@ -77,23 +114,33 @@ pub struct Cet {
     /// Recycled slot from the last eviction (`NONE` if the arena grows).
     free: u32,
     len: usize,
-    head: Option<(usize, Locality)>,
 }
 
 impl Cet {
-    /// Creates a CET with `capacity` entries and a ±`radius` neighbourhood.
+    /// Creates a CET with `capacity` entries and a ±`radius` neighbourhood,
+    /// whose entries' states index a Q-table of `num_states` states.
     ///
     /// # Panics
     ///
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize, radius: u64) -> Self {
+    /// Panics if `capacity` is zero or not below 2^31 − 2, or if
+    /// `num_states` is not a power of two.
+    pub fn new(capacity: usize, radius: u64, num_states: usize) -> Self {
         assert!(capacity > 0, "CET must have capacity");
-        // One transient extra entry: insert links the newcomer before the
+        // One transient extra entry: a touch links the newcomer before the
         // LRU victim is evicted, so occupancy peaks at capacity + 1.
+        assert!(
+            capacity < NONE as usize - 1,
+            "CET capacity {capacity} exceeds its 31-bit slot links"
+        );
+        assert!(
+            num_states.is_power_of_two(),
+            "num_states must be a power of two, got {num_states}"
+        );
         let buckets = (2 * (capacity + 1)).next_power_of_two();
         Self {
             capacity,
             radius,
+            num_states,
             slots: Vec::with_capacity(capacity + 1),
             index: vec![NONE; buckets],
             mask: buckets - 1,
@@ -101,7 +148,6 @@ impl Cet {
             lru: NONE,
             free: NONE,
             len: 0,
-            head: None,
         }
     }
 
@@ -120,16 +166,31 @@ impl Cet {
         self.capacity
     }
 
-    /// The most recently inserted `(state, action)` (`CET.head`).
+    /// The RL state of CTR line `addr`: its line address hashed into the
+    /// Q-table's states.
+    #[inline]
+    pub fn state_of(&self, addr: u64) -> usize {
+        hash_address(LineAddr::new(addr).base(), self.num_states)
+    }
+
+    /// The newest entry's `(state, action)` (`CET.head`).
     pub fn head(&self) -> Option<(usize, Locality)> {
-        self.head
+        if self.mru == NONE {
+            return None;
+        }
+        let s = &self.slots[self.mru as usize];
+        Some((self.state_of(s.addr), s.action()))
+    }
+
+    #[inline]
+    fn bucket(&self, addr: u64) -> usize {
+        splitmix64(addr) as usize & self.mask
     }
 
     /// The arena slot holding `addr`, if present.
-    // cosmos-lint: hot
     #[inline]
     fn find(&self, addr: u64) -> Option<u32> {
-        let mut b = splitmix64(addr) as usize & self.mask;
+        let mut b = self.bucket(addr);
         loop {
             let s = self.index[b];
             if s == NONE {
@@ -143,29 +204,27 @@ impl Cet {
     }
 
     /// Whether `addr` or any line within ±radius is present.
-    // cosmos-lint: hot
     pub fn check_nearby(&self, addr: u64) -> bool {
-        if self.find(addr).is_some() {
-            return true;
-        }
-        for d in 1..=self.radius {
-            if self.find(addr.wrapping_add(d)).is_some()
-                || self.find(addr.wrapping_sub(d)).is_some()
-            {
-                return true;
-            }
-        }
-        false
+        self.find(addr).is_some() || self.neighbour_present(addr)
+    }
+
+    /// Whether any line within ±radius of `addr`, other than `addr`, is
+    /// present.
+    fn neighbour_present(&self, addr: u64) -> bool {
+        (1..=self.radius).any(|d| {
+            self.find(addr.wrapping_add(d)).is_some() || self.find(addr.wrapping_sub(d)).is_some()
+        })
     }
 
     /// Unlinks `slot` from the recency list.
     #[inline]
     fn unlink(&mut self, slot: u32) {
-        let Slot { newer, older, .. } = self.slots[slot as usize];
+        let s = self.slots[slot as usize];
+        let (newer, older) = (s.newer, s.older());
         if newer == NONE {
             self.mru = older;
         } else {
-            self.slots[newer as usize].older = older;
+            self.slots[newer as usize].set_older(older);
         }
         if older == NONE {
             self.lru = newer;
@@ -181,7 +240,7 @@ impl Cet {
         {
             let s = &mut self.slots[slot as usize];
             s.newer = NONE;
-            s.older = old_mru;
+            s.set_older(old_mru);
         }
         if old_mru != NONE {
             self.slots[old_mru as usize].newer = slot;
@@ -192,20 +251,10 @@ impl Cet {
         }
     }
 
-    /// Registers `slot` (already holding `addr`) in the index.
-    #[inline]
-    fn index_insert(&mut self, addr: u64, slot: u32) {
-        let mut b = splitmix64(addr) as usize & self.mask;
-        while self.index[b] != NONE {
-            b = (b + 1) & self.mask;
-        }
-        self.index[b] = slot;
-    }
-
     /// Removes `addr` from the index with backward-shift deletion, keeping
     /// every remaining probe chain unbroken without tombstones.
     fn index_remove(&mut self, addr: u64) {
-        let mut b = splitmix64(addr) as usize & self.mask;
+        let mut b = self.bucket(addr);
         loop {
             let s = self.index[b];
             debug_assert!(s != NONE, "index_remove of absent address");
@@ -222,7 +271,7 @@ impl Cet {
             if s == NONE {
                 break;
             }
-            let ideal = splitmix64(self.slots[s as usize].addr) as usize & self.mask;
+            let ideal = self.bucket(self.slots[s as usize].addr);
             // The entry at j may move into the hole iff the hole still lies
             // on its probe path, i.e. its displacement from `ideal` reaches
             // at least as far as the hole.
@@ -236,92 +285,121 @@ impl Cet {
         self.index[hole] = NONE;
     }
 
-    /// Inserts (or refreshes) an entry; returns the LRU entry evicted when
-    /// the table overflows.
+    /// Makes `addr` the newest entry, with `action`: refreshes it if it is
+    /// present, else inserts it, evicting the LRU entry when the table
+    /// overflows. One probe of the index finds the entry or the empty
+    /// bucket a new one takes.
+    ///
+    /// Returns whether `addr` or a line within ±radius was present before
+    /// the touch (Algorithm 1's hit check), and the evicted entry. The
+    /// neighbours are probed only when `addr` was absent; an evicted
+    /// neighbour counts, as it was present before.
     // cosmos-lint: hot
-    pub fn insert(&mut self, addr: u64, state: usize, action: Locality) -> Option<CetEvicted> {
-        self.head = Some((state, action));
-        if let Some(slot) = self.find(addr) {
-            // Refresh: update payload, move to MRU. No eviction possible.
-            let s = &mut self.slots[slot as usize];
-            s.state = state;
-            s.action = action;
-            self.unlink(slot);
-            self.push_mru(slot);
-            return None;
+    pub fn touch(&mut self, addr: u64, action: Locality) -> (bool, Option<CetEvicted>) {
+        let mut b = self.bucket(addr);
+        loop {
+            let s = self.index[b];
+            if s == NONE {
+                break;
+            }
+            if self.slots[s as usize].addr == addr {
+                // Refresh: update the action, move to MRU. No eviction.
+                self.slots[s as usize].set_action(action);
+                self.unlink(s);
+                self.push_mru(s);
+                return (true, None);
+            }
+            b = (b + 1) & self.mask;
         }
-        let slot = if self.free != NONE {
-            let slot = self.free;
-            self.free = NONE;
-            let s = &mut self.slots[slot as usize];
-            s.addr = addr;
-            s.state = state;
-            s.action = action;
-            slot
-        } else {
-            let slot = self.slots.len() as u32;
-            self.slots.push(Slot {
-                addr,
-                state,
-                action,
-                newer: NONE,
-                older: NONE,
-            });
-            slot
+        let slot = match self.free {
+            NONE => {
+                self.slots.push(Slot {
+                    addr,
+                    newer: NONE,
+                    older: NONE,
+                });
+                self.slots.len() as u32 - 1
+            }
+            free => {
+                self.free = NONE;
+                self.slots[free as usize].addr = addr;
+                free
+            }
         };
-        self.index_insert(addr, slot);
+        self.slots[slot as usize].set_action(action);
+        self.index[b] = slot;
         self.push_mru(slot);
         self.len += 1;
-        if self.len > self.capacity {
-            let victim = self.lru;
-            debug_assert!(
-                victim != NONE && victim != slot,
-                "LRU victim is the newcomer"
-            );
-            let Slot {
-                addr: v_addr,
-                state: v_state,
-                action: v_action,
-                ..
-            } = self.slots[victim as usize];
-            self.unlink(victim);
-            self.index_remove(v_addr);
-            self.free = victim;
-            self.len -= 1;
-            return Some(CetEvicted {
-                addr: v_addr,
-                state: v_state,
-                action: v_action,
-            });
+        let evicted = (self.len > self.capacity).then(|| self.evict_lru());
+        let near = self.radius > 0
+            && (evicted.is_some_and(|e| self.within_radius(addr, e.addr))
+                || self.neighbour_present(addr));
+        (near, evicted)
+    }
+
+    /// Whether `other` lies within ±radius of `addr` (wrapping).
+    fn within_radius(&self, addr: u64, other: u64) -> bool {
+        addr.wrapping_sub(other).min(other.wrapping_sub(addr)) <= self.radius
+    }
+
+    /// Evicts the LRU entry, which is not the newest.
+    fn evict_lru(&mut self) -> CetEvicted {
+        let victim = self.lru;
+        debug_assert!(
+            victim != NONE && victim != self.mru,
+            "LRU victim is the newcomer"
+        );
+        let v = self.slots[victim as usize];
+        self.unlink(victim);
+        self.index_remove(v.addr);
+        self.free = victim;
+        self.len -= 1;
+        CetEvicted {
+            addr: v.addr,
+            state: self.state_of(v.addr),
+            action: v.action(),
         }
-        None
     }
 
     /// The entries in LRU→MRU order: the canonical form of the table,
     /// which equal logical states share whatever their slot layout.
-    pub(crate) fn saved_entries(&self) -> Vec<CetEvicted> {
+    fn saved_entries(&self) -> Vec<CetEvicted> {
         let mut entries = Vec::with_capacity(self.len);
         let mut slot = self.lru;
         while slot != NONE {
             let s = &self.slots[slot as usize];
             entries.push(CetEvicted {
                 addr: s.addr,
-                state: s.state,
-                action: s.action,
+                state: self.state_of(s.addr),
+                action: s.action(),
             });
             slot = s.newer;
         }
         entries
     }
 
-    /// Rebuilds the arena, index and recency list by inserting the saved
-    /// entries in LRU→MRU order into an empty table; every insert moves
-    /// the head, which the saved head must then match.
+    /// Rebuilds the arena, index and recency list by touching the saved
+    /// entries in LRU→MRU order in an empty table, after checking that
+    /// each entry's state is its address's; the saved head must then be
+    /// the newest entry's.
     fn rebuild(&mut self, v: &Value) -> LoadResult {
         let entries = state::seq(v, &CetEvicted::default())?;
-        *self = Cet::new(self.capacity, self.radius);
+        *self = Cet::new(self.capacity, self.radius, self.num_states);
         for e in &entries {
-            self.insert(e.addr, e.state, e.action);
+            if e.state >= self.num_states {
+                return Err(format!(
+                    "CET entry state {} is out of {} states",
+                    e.state, self.num_states
+                ));
+            }
+            let want = self.state_of(e.addr);
+            if e.state != want {
+                return Err(format!(
+                    "CET entry {} has state {}, not its address's state {want}",
+                    e.addr, e.state
+                ));
+            }
+            self.touch(e.addr, e.action);
         }
         match self.len == entries.len() {
             true => Ok(()),
@@ -330,7 +408,7 @@ impl Cet {
     }
 
     fn saved_head(&self) -> Option<Head> {
-        self.head.map(|(state, action)| Head { state, action })
+        self.head().map(|(state, action)| Head { state, action })
     }
 }
 
@@ -340,9 +418,9 @@ struct Head {
     action: Locality,
 }
 
-// The logical state only: entries by their payload, the fields an eviction
-// reports. Arena slot numbers, the recycled slot and the index layout are
-// unobservable and rebuilt on restore.
+// The logical state only: entries by their address, state and action, the
+// fields an eviction reports. Arena slot numbers, the recycled slot and
+// the index layout are unobservable and rebuilt on restore.
 cosmos_common::state! {
     CetEvicted { addr, state, action }
     Head { state, action }
@@ -357,10 +435,12 @@ cosmos_common::state! {
 mod tests {
     use super::*;
 
+    const STATES: usize = 1024;
+
     #[test]
     fn exact_and_nearby_hits() {
-        let mut cet = Cet::new(16, 32);
-        cet.insert(100, 1, Locality::Good);
+        let mut cet = Cet::new(16, 32, STATES);
+        cet.touch(100, Locality::Good);
         assert!(cet.check_nearby(100));
         assert!(cet.check_nearby(132));
         assert!(cet.check_nearby(68));
@@ -370,60 +450,65 @@ mod tests {
 
     #[test]
     fn zero_radius_is_exact_match_only() {
-        let mut cet = Cet::new(16, 0);
-        cet.insert(10, 0, Locality::Bad);
+        let mut cet = Cet::new(16, 0, STATES);
+        cet.touch(10, Locality::Bad);
         assert!(cet.check_nearby(10));
         assert!(!cet.check_nearby(11));
     }
 
     #[test]
     fn lru_eviction_order() {
-        let mut cet = Cet::new(2, 0);
-        assert!(cet.insert(1, 10, Locality::Good).is_none());
-        assert!(cet.insert(2, 20, Locality::Bad).is_none());
-        let ev = cet.insert(3, 30, Locality::Good).unwrap();
+        let mut cet = Cet::new(2, 0, STATES);
+        assert!(cet.touch(1, Locality::Good).1.is_none());
+        assert!(cet.touch(2, Locality::Bad).1.is_none());
+        let ev = cet.touch(3, Locality::Good).1.unwrap();
         assert_eq!(ev.addr, 1);
-        assert_eq!(ev.state, 10);
+        assert_eq!(ev.state, cet.state_of(1));
         assert_eq!(ev.action, Locality::Good);
         assert_eq!(cet.len(), 2);
     }
 
     #[test]
     fn reinsert_refreshes_recency() {
-        let mut cet = Cet::new(2, 0);
-        cet.insert(1, 0, Locality::Good);
-        cet.insert(2, 0, Locality::Good);
-        cet.insert(1, 1, Locality::Bad); // refresh 1
-        let ev = cet.insert(3, 0, Locality::Good).unwrap();
+        let mut cet = Cet::new(2, 0, STATES);
+        cet.touch(1, Locality::Good);
+        cet.touch(2, Locality::Good);
+        assert_eq!(cet.touch(1, Locality::Bad), (true, None)); // refresh 1
+        let ev = cet.touch(3, Locality::Good).1.unwrap();
         assert_eq!(ev.addr, 2, "refreshed entry must not be the LRU victim");
     }
 
     #[test]
-    fn refresh_updates_payload() {
-        let mut cet = Cet::new(2, 0);
-        cet.insert(1, 10, Locality::Good);
-        cet.insert(1, 77, Locality::Bad);
-        cet.insert(2, 0, Locality::Good);
-        let ev = cet.insert(3, 0, Locality::Good).unwrap();
+    fn refresh_updates_action() {
+        let mut cet = Cet::new(2, 0, STATES);
+        cet.touch(1, Locality::Good);
+        cet.touch(1, Locality::Bad);
+        cet.touch(2, Locality::Good);
+        let ev = cet.touch(3, Locality::Good).1.unwrap();
         assert_eq!(ev.addr, 1);
-        assert_eq!(ev.state, 77, "refresh must overwrite the stored state");
-        assert_eq!(ev.action, Locality::Bad);
+        assert_eq!(
+            ev.action,
+            Locality::Bad,
+            "refresh must overwrite the action"
+        );
     }
 
     #[test]
     fn head_tracks_most_recent() {
-        let mut cet = Cet::new(4, 0);
+        let mut cet = Cet::new(4, 0, STATES);
         assert_eq!(cet.head(), None);
-        cet.insert(1, 7, Locality::Good);
-        cet.insert(2, 9, Locality::Bad);
-        assert_eq!(cet.head(), Some((9, Locality::Bad)));
+        cet.touch(1, Locality::Good);
+        cet.touch(2, Locality::Bad);
+        assert_eq!(cet.head(), Some((cet.state_of(2), Locality::Bad)));
+        cet.touch(1, Locality::Bad);
+        assert_eq!(cet.head(), Some((cet.state_of(1), Locality::Bad)));
     }
 
     #[test]
     fn len_never_exceeds_capacity() {
-        let mut cet = Cet::new(8, 4);
+        let mut cet = Cet::new(8, 4, STATES);
         for i in 0..100u64 {
-            cet.insert(i * 1000, i as usize, Locality::Good);
+            cet.touch(i * 1000, Locality::Good);
             assert!(cet.len() <= 8);
         }
     }
@@ -433,12 +518,13 @@ mod tests {
         // Hammer the index's backward-shift deletion: a capacity-small CET
         // with clustered addresses (maximal probe-chain overlap) must keep
         // exact membership across thousands of insert/evict cycles.
-        let mut cet = Cet::new(32, 0);
+        let mut cet = Cet::new(32, 0, STATES);
         let mut model = std::collections::VecDeque::new(); // recency: front = LRU
         let mut rng = cosmos_common::SplitMix64::new(0xCE7);
         for _ in 0..50_000 {
             let addr = rng.next_index(96) as u64; // dense: constant collisions
-            let evicted = cet.insert(addr, 0, Locality::Good);
+            let (hit, evicted) = cet.touch(addr, Locality::Good);
+            assert_eq!(hit, model.contains(&addr));
             if let Some(pos) = model.iter().position(|&a| a == addr) {
                 model.remove(pos);
             }
@@ -455,5 +541,21 @@ mod tests {
             }
             assert!(!cet.check_nearby(1_000_000));
         }
+    }
+
+    /// A neighbour the touch itself evicts was present before it, so it
+    /// counts as a hit, as it did when the check ran before the insert.
+    #[test]
+    fn an_evicted_neighbour_still_counts() {
+        let mut cet = Cet::new(2, 1, STATES);
+        cet.touch(10, Locality::Good);
+        cet.touch(50, Locality::Good);
+        let (hit, evicted) = cet.touch(11, Locality::Bad);
+        assert_eq!(evicted.map(|e| e.addr), Some(10));
+        assert!(hit, "line 10 was within ±1 of line 11 before the touch");
+        assert!(!cet.check_nearby(9));
+        let (hit, evicted) = cet.touch(100, Locality::Bad);
+        assert_eq!(evicted.map(|e| e.addr), Some(50));
+        assert!(!hit);
     }
 }

@@ -3,7 +3,6 @@
 use crate::cet::Cet;
 use crate::params::{CtrRewards, RlParams};
 use crate::qtable::QTable;
-use cosmos_common::hash::hash_address;
 use cosmos_common::json::Value;
 use cosmos_common::state::{LoadResult, State};
 use cosmos_common::{LineAddr, SplitMix64};
@@ -154,9 +153,9 @@ pub struct CtrLocalityPredictor {
     telemetry: Telemetry,
 }
 
-// Parameters and rewards come from the config and are not saved.
+// Parameters and rewards come from the config and are not saved. The CET
+// checks that each restored entry's state is its address's.
 cosmos_common::state! {
-    #[check(Self::check_cet_states)]
     CtrLocalityPredictor as "locality predictor" -> Value { qtable, cet, rng, stats }
 }
 
@@ -186,7 +185,7 @@ impl CtrLocalityPredictor {
         params.validate();
         Self {
             qtable: QTable::new(params.num_states),
-            cet: Cet::new(cet_entries, radius),
+            cet: Cet::new(cet_entries, radius, params.num_states),
             params,
             rewards,
             rng: SplitMix64::new(seed),
@@ -232,7 +231,10 @@ impl CtrLocalityPredictor {
     ///
     /// The state index is hashed once and shared by the decision, both TD
     /// updates, and the score; the post-update Q-value flows out of
-    /// [`QTable::update_toward`] so the table is never re-indexed.
+    /// [`QTable::update_toward`] so the table is never re-indexed. One
+    /// [`Cet::touch`] answers the neighbourhood check and inserts the
+    /// access; the bootstrap head is read before it, and after it the
+    /// head is this access's own `(state, action)`.
     // cosmos-lint: hot
     pub fn classify(&mut self, ctr_line: LineAddr) -> LocalityDecision {
         let id = self.stats.predictions;
@@ -252,8 +254,11 @@ impl CtrLocalityPredictor {
             self.stats.predicted_good += 1;
         }
 
-        // Training: CET neighbourhood check (lines 9-15).
-        let hit = self.cet.check_nearby(ctr_line.index());
+        // CET.head before this access joins the CET (lines 16-17).
+        let head = self.cet.head();
+        // Training: CET neighbourhood check (lines 9-15), inserting the
+        // access (line 18) in the same probe.
+        let (hit, evicted) = self.cet.touch(ctr_line.index(), action);
         let r = match (hit, action) {
             (true, Locality::Good) => {
                 self.stats.cet_hits += 1;
@@ -275,7 +280,7 @@ impl CtrLocalityPredictor {
             .rl_ctr_action(id, action.is_good(), r, q_good, q_bad);
 
         // Bootstrap on CET.head (lines 16-17).
-        let boot = match self.cet.head() {
+        let boot = match head {
             Some((s2, _a2)) => self.qtable.max_q(s2),
             None => 0.0,
         };
@@ -284,17 +289,15 @@ impl CtrLocalityPredictor {
             .qtable
             .update_toward(s, action.action(), target, self.params.alpha);
 
-        // Insert and handle eviction rewards (lines 18-23).
-        if let Some(evicted) = self.cet.insert(ctr_line.index(), s, action) {
+        // Eviction rewards (lines 19-23), bootstrapped on the new head:
+        // this access.
+        if let Some(evicted) = evicted {
             self.stats.cet_evictions += 1;
             let r_evict = match evicted.action {
                 Locality::Good => self.rewards.r_eg,
                 Locality::Bad => self.rewards.r_eb,
             };
-            let boot2 = match self.cet.head() {
-                Some((s2, _)) => self.qtable.max_q(s2),
-                None => 0.0,
-            };
+            let boot2 = self.qtable.max_q(s);
             let target2 = r_evict + self.params.gamma * boot2;
             let q_evict = self.qtable.update_toward(
                 evicted.state,
@@ -324,23 +327,10 @@ impl CtrLocalityPredictor {
         }
     }
 
-    /// Every restored CET entry must name a state of the Q-table it trains
-    /// (the head is the newest entry's).
-    fn check_cet_states(&self) -> LoadResult {
-        let states = self.qtable.num_states();
-        match self.cet.saved_entries().iter().find(|e| e.state >= states) {
-            Some(e) => Err(format!(
-                "CET entry state {} is out of {states} states",
-                e.state
-            )),
-            None => Ok(()),
-        }
-    }
-
     /// The hashed RL state of a CTR line.
     #[inline]
     pub fn state_of(&self, ctr_line: LineAddr) -> usize {
-        hash_address(ctr_line.base(), self.params.num_states)
+        self.cet.state_of(ctr_line.index())
     }
 }
 
@@ -508,6 +498,31 @@ mod tests {
         let err = restored.load_state(&saved).unwrap_err();
         assert!(
             err.contains("CET entry state") && err.contains("out of"),
+            "{err}"
+        );
+    }
+
+    /// A CET entry's state is its address's hash; a snapshot that names
+    /// another state, even one inside the Q-table, would train the wrong
+    /// Q row on that entry's eviction.
+    #[test]
+    fn snapshot_rejects_cet_state_that_is_not_its_address_state() {
+        let mut live = CtrLocalityPredictor::new(RlParams::ctr_defaults(), 64, 0, 9);
+        live.classify(ctr(1));
+        live.classify(ctr(2));
+        // The older entry (not the head) moves to the next state.
+        let (addr, state) = (ctr(1).index(), live.state_of(ctr(1)));
+        let other = (state + 1) % RlParams::ctr_defaults().num_states;
+        let text = live.save_state().to_string().replace(
+            &format!("\"addr\":{addr},\"state\":{state},"),
+            &format!("\"addr\":{addr},\"state\":{other},"),
+        );
+        assert_ne!(text, live.save_state().to_string(), "entry not found");
+        let saved = cosmos_common::json::parse(&text).expect("still JSON");
+        let mut restored = CtrLocalityPredictor::new(RlParams::ctr_defaults(), 64, 0, 9);
+        let err = restored.load_state(&saved).unwrap_err();
+        assert!(
+            err.contains(&format!("CET entry {addr} has state {other}")),
             "{err}"
         );
     }

@@ -7,9 +7,18 @@ use cosmos_rl::{Cet, CtrLocalityPredictor, DataLocation, DataLocationPredictor, 
 use proptest::prelude::*;
 use std::collections::{BTreeMap, HashMap};
 
+/// Q-table states of the CETs below.
+const STATES: usize = 256;
+
+/// The state [`Cet`] derives from an address.
+fn state_of(addr: u64) -> usize {
+    cosmos_common::hash::hash_address(LineAddr::new(addr).base(), STATES)
+}
+
 /// Reference CET semantics: the pre-flattening map/tree implementation
-/// (`HashMap` for membership + `BTreeMap<time, addr>` for recency). The
-/// arena/open-addressing [`Cet`] must be observationally identical to it.
+/// (`HashMap` for membership + `BTreeMap<time, addr>` for recency),
+/// storing each entry's state. The arena/open-addressing [`Cet`] must be
+/// observationally identical to it.
 struct RefCet {
     capacity: usize,
     radius: u64,
@@ -93,12 +102,12 @@ proptest! {
         inserts in prop::collection::vec(0u64..10_000, 1..300),
         cap in 1usize..64,
     ) {
-        let mut cet = Cet::new(cap, 0);
+        let mut cet = Cet::new(cap, 0, STATES);
         let mut evictions = 0usize;
         let mut unique = std::collections::HashSet::new();
         for &a in &inserts {
             unique.insert(a);
-            if cet.insert(a, 0, Locality::Good).is_some() {
+            if cet.touch(a, Locality::Good).1.is_some() {
                 evictions += 1;
             }
             prop_assert!(cet.len() <= cap);
@@ -114,8 +123,8 @@ proptest! {
 
     #[test]
     fn cet_nearby_respects_radius(center in 1_000u64..1_000_000, radius in 0u64..64, d in 0u64..128) {
-        let mut cet = Cet::new(16, radius);
-        cet.insert(center, 0, Locality::Bad);
+        let mut cet = Cet::new(16, radius, STATES);
+        cet.touch(center, Locality::Bad);
         let probe = center + d;
         prop_assert_eq!(cet.check_nearby(probe), d <= radius);
     }
@@ -219,22 +228,24 @@ proptest! {
     }
 
     /// The arena/open-addressing CET is observationally identical to the
-    /// map/tree reference over arbitrary insert + neighbourhood-check
-    /// streams: same membership, same head, same eviction victims in the
-    /// same order.
+    /// map/tree reference over arbitrary touch streams: the same hit check
+    /// (a touch's, and a separate neighbourhood check before it), same
+    /// membership, same head, same eviction victims in the same order.
     #[test]
     fn cet_matches_map_tree_reference(
-        ops in prop::collection::vec((0u64..200, 0usize..64, any::<bool>()), 1..600),
+        ops in prop::collection::vec((0u64..200, any::<bool>()), 1..600),
         cap in 1usize..48,
         radius in 0u64..8,
     ) {
-        let mut cet = Cet::new(cap, radius);
+        let mut cet = Cet::new(cap, radius, STATES);
         let mut reference = RefCet::new(cap, radius);
-        for &(addr, state, good) in &ops {
+        for &(addr, good) in &ops {
             let action = if good { Locality::Good } else { Locality::Bad };
-            prop_assert_eq!(cet.check_nearby(addr), reference.check_nearby(addr));
-            let ev = cet.insert(addr, state, action);
-            let ref_ev = reference.insert(addr, state, action);
+            let near = reference.check_nearby(addr);
+            prop_assert_eq!(cet.check_nearby(addr), near);
+            let (hit, ev) = cet.touch(addr, action);
+            prop_assert_eq!(hit, near);
+            let ref_ev = reference.insert(addr, state_of(addr), action);
             prop_assert_eq!(ev.map(|e| (e.addr, e.state, e.action)), ref_ev);
             prop_assert_eq!(cet.len(), reference.map.len());
             prop_assert_eq!(cet.head(), reference.head);

@@ -19,7 +19,6 @@
 use cosmos_common::json::Value;
 use cosmos_common::state::{self, LoadResult, State};
 use cosmos_common::LineAddr;
-use std::collections::BTreeMap;
 
 /// Which counter organization the memory controller uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -327,14 +326,105 @@ struct SavedBlock {
     minors: Vec<u32>,
 }
 
+/// Blocks per page of the counter table.
+const PAGE_BLOCKS: usize = 64;
+
+/// [`PAGE_BLOCKS`] consecutive blocks of the counter table, allocated
+/// when the first of them is touched.
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct Page {
+    /// Bit `i` is set iff block `i` of the page is materialized.
+    present: u64,
+    blocks: [CounterBlock; PAGE_BLOCKS],
+}
+
+impl Page {
+    /// Out of line, so a lookup of an allocated page stays small enough
+    /// to inline.
+    #[cold]
+    #[inline(never)]
+    fn new(coverage: u64) -> Box<Self> {
+        // cosmos-lint: allow(H2): a page of 64 counter blocks is allocated on the first touch of any of them and kept for the store's life, so a run allocates once per page its writebacks reach, not per access
+        Box::new(Self {
+            present: 0,
+            blocks: core::array::from_fn(|_| CounterBlock::new(coverage)),
+        })
+    }
+}
+
+/// The counter blocks, indexed by block number: a directory of lazily
+/// allocated pages that grows to the highest page touched. Iteration is
+/// in ascending block order.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+struct CounterTable {
+    pages: Vec<Option<Box<Page>>>,
+}
+
+/// The page of block `idx` and the block's place in it.
+#[inline]
+fn page_of(idx: u64) -> (usize, usize) {
+    (
+        (idx / PAGE_BLOCKS as u64) as usize,
+        (idx % PAGE_BLOCKS as u64) as usize,
+    )
+}
+
+impl CounterTable {
+    /// The materialized block `idx`, if any.
+    #[inline]
+    fn get(&self, idx: u64) -> Option<&CounterBlock> {
+        let (p, i) = page_of(idx);
+        let page = self.pages.get(p)?.as_deref()?;
+        (page.present >> i & 1 == 1).then(|| &page.blocks[i])
+    }
+
+    /// Block `idx`, materialized (as a block of `coverage` zero minors,
+    /// allocating its page) if it was not.
+    // cosmos-lint: hot
+    #[inline]
+    fn entry(&mut self, idx: u64, coverage: u64) -> &mut CounterBlock {
+        let (p, i) = page_of(idx);
+        if p >= self.pages.len() {
+            self.grow(p);
+        }
+        let page = self.pages[p].get_or_insert_with(|| Page::new(coverage));
+        page.present |= 1 << i;
+        &mut page.blocks[i]
+    }
+
+    /// Extends the directory to page `p`, its new pages absent: like a
+    /// page's allocation, only on the first touch of a page past the
+    /// directory's end, with the `Vec`'s amortized growth.
+    #[cold]
+    #[inline(never)]
+    fn grow(&mut self, p: usize) {
+        self.pages.resize_with(p + 1, || None);
+    }
+
+    /// Every materialized block in ascending index order.
+    fn iter(&self) -> impl Iterator<Item = (u64, &CounterBlock)> + '_ {
+        let pages = self.pages.iter().enumerate();
+        pages
+            .filter_map(|(p, page)| Some((p, page.as_deref()?)))
+            .flat_map(|(p, page)| {
+                (0..PAGE_BLOCKS)
+                    .filter(move |&i| page.present >> i & 1 == 1)
+                    .map(move |i| ((p * PAGE_BLOCKS + i) as u64, &page.blocks[i]))
+            })
+    }
+}
+
 /// All counter blocks of the protected region, managed functionally.
 ///
 /// Blocks are materialized lazily: untouched blocks are implicit zeros
 /// (fresh memory), matching a real system where counters start zeroed.
+/// Data lines lie below [`LineAddr::DATA_LIMIT`], so block numbers lie
+/// below those lines' last block, which an increment debug-asserts and a
+/// restore checks.
 #[derive(Clone, Debug)]
 pub struct CounterStore {
     scheme: CounterScheme,
-    blocks: BTreeMap<u64, CounterBlock>,
+    table: CounterTable,
     /// Total overflow (re-encryption) events so far.
     overflows: u64,
     /// Total morph events so far (MorphCtr only).
@@ -356,7 +446,7 @@ impl CounterStore {
     pub fn new(scheme: CounterScheme) -> Self {
         Self {
             scheme,
-            blocks: BTreeMap::new(),
+            table: CounterTable::default(),
             overflows: 0,
             morphs: 0,
             increments: 0,
@@ -383,12 +473,18 @@ impl CounterStore {
         self.increments
     }
 
+    /// Blocks the store can hold: those of the data lines below
+    /// [`LineAddr::DATA_LIMIT`].
+    fn block_limit(&self) -> u64 {
+        LineAddr::DATA_LIMIT.div_ceil(self.scheme.coverage())
+    }
+
     /// The effective counter value of `line` (what goes into the OTP seed):
     /// `major << 20 | minor`. Minors are capped below 2^20 by every scheme.
     pub fn value(&self, line: LineAddr) -> u64 {
         let block_idx = self.scheme.block_of(line);
         let slot = self.scheme.slot_of(line);
-        match self.blocks.get(&block_idx) {
+        match self.table.get(block_idx) {
             Some(b) => (b.major << 20) | b.minor(slot) as u64,
             None => 0,
         }
@@ -398,14 +494,14 @@ impl CounterStore {
     /// (untouched blocks are implicit zeros and not yielded). Used to prime
     /// shadow models from a restored store.
     pub fn materialized_blocks(&self) -> impl Iterator<Item = (u64, &CounterBlock)> + '_ {
-        self.blocks.iter().map(|(&idx, b)| (idx, b))
+        self.table.iter()
     }
 
     /// Reads the whole block covering `line` (zeros if untouched).
     pub fn block(&self, line: LineAddr) -> CounterBlock {
         let block_idx = self.scheme.block_of(line);
-        self.blocks
-            .get(&block_idx)
+        self.table
+            .get(block_idx)
             .cloned()
             .unwrap_or_else(|| CounterBlock::new(self.scheme.coverage()))
     }
@@ -418,11 +514,13 @@ impl CounterStore {
         let scheme = self.scheme;
         let coverage = scheme.coverage();
         let block_idx = scheme.block_of(line);
+        debug_assert!(
+            block_idx < self.block_limit(),
+            "line {:#x} is past the data lines",
+            line.index()
+        );
         let slot = scheme.slot_of(line);
-        let block = self
-            .blocks
-            .entry(block_idx)
-            .or_insert_with(|| CounterBlock::new(coverage));
+        let block = self.table.entry(block_idx, coverage);
 
         let minor_cap: u64 = match scheme {
             CounterScheme::Monolithic => (1 << 20) - 1,
@@ -455,9 +553,9 @@ impl CounterStore {
 
     /// Every materialized block in ascending index order, minors dense.
     fn saved_blocks(&self) -> Vec<SavedBlock> {
-        self.blocks
+        self.table
             .iter()
-            .map(|(&idx, b)| SavedBlock {
+            .map(|(idx, b)| SavedBlock {
                 idx,
                 major: b.major,
                 minors: b.minors(),
@@ -466,26 +564,34 @@ impl CounterStore {
     }
 
     /// Rebuilds the blocks from their saved minors, deriving each format
-    /// (only MorphCtr maintains one) and rejecting minors no format fits
-    /// and blocks saved twice.
+    /// (only MorphCtr maintains one) and rejecting minors no format fits,
+    /// blocks past [`Self::block_limit`] and blocks saved twice.
     fn restore_blocks(&mut self, v: &Value) -> LoadResult {
-        let minors = vec![0; self.scheme.coverage() as usize];
+        let coverage = self.scheme.coverage();
+        let minors = vec![0; coverage as usize];
         let proto = SavedBlock {
             minors,
             ..Default::default()
         };
-        self.blocks.clear();
+        let limit = self.block_limit();
+        self.table = CounterTable::default();
         for SavedBlock { idx, major, minors } in state::seq(v, &proto)? {
+            if idx >= limit {
+                return Err(format!(
+                    "block {idx}: past the last block {} of the data lines",
+                    limit - 1
+                ));
+            }
             let format = match self.scheme {
                 CounterScheme::MorphCtr => MorphFormat::choose(&minors),
                 _ => Some(MorphFormat::Uniform),
             };
             let format =
                 format.ok_or_else(|| format!("block {idx}: minors fit no MorphCtr format"))?;
-            let block = CounterBlock::from_dense(major, &minors, format);
-            if self.blocks.insert(idx, block).is_some() {
+            if self.table.get(idx).is_some() {
                 return Err(format!("block {idx}: duplicated in snapshot"));
             }
+            *self.table.entry(idx, coverage) = CounterBlock::from_dense(major, &minors, format);
         }
         Ok(())
     }
@@ -493,7 +599,7 @@ impl CounterStore {
     fn overflow(&mut self, block_idx: u64) -> IncrementOutcome {
         self.overflows += 1;
         let coverage = self.scheme.coverage();
-        let block = self.blocks.get_mut(&block_idx).expect("block exists");
+        let block = self.table.entry(block_idx, coverage);
         block.major += 1;
         block.clear_minors();
         block.format = MorphFormat::Uniform;
@@ -635,6 +741,11 @@ mod tests {
                     "blocks": (cosmos_common::json::Value::Array(blocks)),
                 })
             }
+
+            /// Every touched block's index, ascending.
+            pub fn block_indices(&self) -> Vec<u64> {
+                self.blocks.keys().copied().collect()
+            }
         }
     }
 
@@ -671,6 +782,13 @@ mod tests {
                 "{scheme}: morph/overflow counts differ from reference"
             ));
         }
+        let blocks: Vec<u64> = store.materialized_blocks().map(|(idx, _)| idx).collect();
+        if blocks != dense.block_indices() {
+            return Err(format!(
+                "{scheme}: materialized blocks {blocks:?}, reference {:?}",
+                dense.block_indices()
+            ));
+        }
         if store.save_state().to_string() != dense.save_state().to_string() {
             return Err(format!("{scheme}: snapshot differs from reference"));
         }
@@ -680,13 +798,55 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
+        /// Half the writes land in 400 lines (morphs and overflows), a
+        /// quarter spread over 2^20 lines (many table pages) and a quarter
+        /// over 2^26 lines (far-apart blocks; the table's directory grows
+        /// to the highest page, which `golden_counters.rs` takes to the
+        /// last block).
         fn compressed_store_matches_dense_reference(
-            writes in prop::collection::vec((0u64..400, 1usize..140), 1..160),
+            writes in prop::collection::vec((0u8..4, 0u64..1 << 26, 1usize..140), 1..160),
         ) {
+            let writes: Vec<(u64, usize)> = writes
+                .iter()
+                .map(|&(kind, line, repeats)| {
+                    let line = match kind {
+                        0 | 1 => line % 400,
+                        2 => line % (1 << 20),
+                        _ => line,
+                    };
+                    (line, repeats)
+                })
+                .collect();
             for scheme in SCHEMES {
                 let outcome = check_against_reference(scheme, &writes);
                 prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
             }
+        }
+    }
+
+    #[test]
+    fn snapshot_rejects_a_block_past_the_table_bound() {
+        for scheme in SCHEMES {
+            let mut live = CounterStore::new(scheme);
+            live.increment(LineAddr::new(1));
+            let limit = live.block_limit();
+            assert_eq!(limit * scheme.coverage(), 1 << 31, "{scheme}");
+            let with_idx = |idx: u64| {
+                let text = live.save_state().to_string();
+                let text = text.replace("\"idx\":0,", &format!("\"idx\":{idx},"));
+                cosmos_common::json::parse(&text).expect("still JSON")
+            };
+            let mut restored = CounterStore::new(scheme);
+            restored.load_state(&with_idx(limit - 1)).unwrap();
+            let last = LineAddr::new((limit - 1) * scheme.coverage() + 1);
+            assert_eq!(restored.value(last), 1, "{scheme}");
+            let err = CounterStore::new(scheme)
+                .load_state(&with_idx(limit))
+                .expect_err("a block past the bound must not load");
+            assert!(
+                err.contains(&format!("block {limit}: past the last block")),
+                "{scheme}: {err}"
+            );
         }
     }
 
@@ -706,7 +866,7 @@ mod tests {
                 s.increment(LineAddr::new(line));
             }
             // The stored block itself: `block()` returns a right-sized clone.
-            let b = &s.blocks[&0];
+            let b = s.table.get(0).expect("block 0 was written");
             assert_eq!(b.nonzero_count() as u64, coverage, "{scheme}");
             assert!(
                 b.nonzero.capacity() as u64 <= coverage,
@@ -884,7 +1044,7 @@ mod tests {
             let saved = live.save_state();
             let mut restored = CounterStore::new(scheme);
             restored.load_state(&saved).unwrap();
-            assert_eq!(restored.blocks, live.blocks, "{scheme}");
+            assert_eq!(restored.table, live.table, "{scheme}");
             assert_eq!(restored.overflows(), live.overflows());
             assert_eq!(restored.morphs(), live.morphs());
             assert_eq!(restored.increments(), live.increments());

@@ -89,9 +89,21 @@ impl GraphKernel {
         budget: usize,
         seed: u64,
     ) -> Trace {
+        interleave(self.core_streams(graph, layout, cores, budget, seed), seed)
+    }
+
+    /// The per-core streams [`GraphKernel::generate`] interleaves.
+    pub(crate) fn core_streams(
+        self,
+        graph: &Graph,
+        layout: &GraphLayout,
+        cores: usize,
+        budget: usize,
+        seed: u64,
+    ) -> Vec<std::vec::IntoIter<MemAccess>> {
         assert!(cores > 0 && cores <= 256, "unreasonable core count");
         let per_core = budget / cores;
-        let streams: Vec<_> = (0..cores)
+        (0..cores)
             .map(|c| {
                 let seed =
                     cosmos_common::rng::streams::WORKLOAD_GRAPH.derive_lane_seed(seed, c as u64);
@@ -108,8 +120,7 @@ impl GraphKernel {
                 }
                 em.into_trace().into_iter()
             })
-            .collect();
-        interleave(streams, seed)
+            .collect()
     }
 }
 

@@ -210,8 +210,8 @@ impl core::fmt::Display for MlModel {
     }
 }
 
-const WEIGHT_BASE: u64 = 1 << 28;
-const ACT_BASE: u64 = 1 << 26;
+pub(crate) const WEIGHT_BASE: u64 = 1 << 28;
+pub(crate) const ACT_BASE: u64 = 1 << 26;
 
 fn model_stream(
     layers: &[Layer],

@@ -138,7 +138,7 @@ impl core::fmt::Display for SpecKind {
 }
 
 const ARC_BYTES: u64 = 64; // one arc record = one line
-const BASE: u64 = 1 << 24;
+pub(crate) const BASE: u64 = 1 << 24;
 
 /// Accesses one refill of a [`SpecStream`] aims for: whole steps are
 /// generated until at least this many are pending or the core's share is

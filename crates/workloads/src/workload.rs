@@ -5,6 +5,9 @@ use crate::ml::MlModel;
 use crate::spec::SpecKind;
 use cosmos_common::{PhysAddr, Trace};
 
+/// Where a graph workload's layout starts.
+const GRAPH_BASE: PhysAddr = PhysAddr::new(1 << 22);
+
 /// Any workload the COSMOS evaluation uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Workload {
@@ -61,12 +64,17 @@ impl Workload {
                 );
                 let layout = GraphLayout::new(
                     spec.graph_layout,
-                    PhysAddr::new(1 << 22),
+                    GRAPH_BASE,
                     graph.num_vertices() as u64,
                     graph.num_edges() as u64,
                     2,
                 );
-                kernel.generate(&graph, &layout, spec.cores, spec.accesses, spec.seed)
+                let streams =
+                    kernel.core_streams(&graph, &layout, spec.cores, spec.accesses, spec.seed);
+                // The merged trace can take the graph's memory, so trace
+                // generation peaks at the CSR build, not at interleaving.
+                drop(graph);
+                crate::interleave::interleave(streams, spec.seed)
             }
             Workload::Spec(kind) => {
                 kind.generate(spec.spec_footprint, spec.cores, spec.accesses, spec.seed)
@@ -180,6 +188,7 @@ impl TraceSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cosmos_common::LineAddr;
 
     #[test]
     fn suites_have_expected_members() {
@@ -234,5 +243,39 @@ mod tests {
         assert_eq!("mlp".parse::<Workload>(), Ok(Workload::Ml(MlModel::Mlp)));
         let err = "nope".parse::<Workload>().unwrap_err();
         assert!(err.contains("known:") && err.contains("MLP"), "{err}");
+    }
+
+    /// Every data address of every workload at paper scale lies below the
+    /// data-line bound the data caches' `u32` tag words and the counter
+    /// table rely on. The bounds come from the layouts, not from traces:
+    /// a graph's layout footprint (edges at most `vertices × degree`),
+    /// the SPEC base plus the footprint (omnetpp's message pool starts
+    /// 1 MiB past its heap), and the ML weight and activation regions.
+    #[test]
+    fn paper_scale_data_lies_below_the_data_line_bound() {
+        let spec = TraceSpec::paper_default(1, 1);
+        let bound = LineAddr::DATA_LIMIT * 64;
+        for mode in [LayoutMode::Object, LayoutMode::Csr] {
+            let edges = (spec.graph_vertices * spec.graph_degree) as u64;
+            let layout = GraphLayout::new(mode, GRAPH_BASE, spec.graph_vertices as u64, edges, 2);
+            let top = GRAPH_BASE.value() + layout.footprint();
+            assert!(top < bound, "{mode:?} graph reaches {top:#x}");
+        }
+        let top = crate::spec::BASE + spec.spec_footprint + (2 << 20);
+        assert!(top < bound, "SPEC reaches {top:#x}");
+        for model in MlModel::all() {
+            let layers = model.layers();
+            let weights: u64 = layers
+                .iter()
+                .map(|l| l.weight_bytes.div_ceil(64) * 64)
+                .sum();
+            let act = layers
+                .iter()
+                .map(|l| l.in_bytes.max(l.out_bytes))
+                .max()
+                .unwrap_or(0);
+            let top = (crate::ml::WEIGHT_BASE + weights).max(crate::ml::ACT_BASE + (1 << 24) + act);
+            assert!(top < bound, "{model} reaches {top:#x}");
+        }
     }
 }
