@@ -5,7 +5,7 @@
 //! byte arrays — so the way-lookup scan on the access hot path touches one
 //! dense cache line per set instead of striding over fat AoS entries. The
 //! two policies on the simulator's hot paths (LRU for most caches, LCR for
-//! the COSMOS CTR cache) are dispatched inline through [`PolicyImpl`],
+//! the COSMOS CTR cache) are dispatched inline through `PolicyImpl`,
 //! sharing one recency array; every other policy goes through the boxed
 //! [`ReplacementPolicy`] object exactly as before.
 

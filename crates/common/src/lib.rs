@@ -15,7 +15,7 @@
 //! - lightweight statistics counters ([`stats`]),
 //! - ready-time timing primitives ([`timing`]) shared by the DRAM bank
 //!   model and the event-driven simulator core,
-//! - a dependency-free JSON document model ([`json`]) the experiment
+//! - a dependency-free JSON document model ([`json`](mod@json)) the experiment
 //!   harnesses use to emit machine-readable results,
 //! - snapshot state ([`state`](mod@state)): the [`state!`] declaration
 //!   of what a checkpoint saves of each simulator part.

@@ -16,14 +16,14 @@
 //!   common same-file helper). Otherwise, cross-file resolution depends
 //!   on the name: a name declared by any workspace `trait` fans out to
 //!   **every** method of that name (soundly over-approximating dynamic
-//!   dispatch); a name on the [`STD_NAMES`] deny-list resolves to
+//!   dispatch); a name on the `STD_NAMES` deny-list resolves to
 //!   **nothing** (`.len()`, `.push()`, … are overwhelmingly std calls —
 //!   a workspace method shadowing one never gets cross-file edges, so
 //!   annotate it `hot` directly if it is genuinely on the hot path);
 //!   any other inherent name resolves only when **unique** workspace-wide
 //!   (two same-name inherent methods on different types produce no edge).
 //! - **Bare calls** (`f(…)`): a same-file free fn wins; otherwise a
-//!   *unique*, non-[`STD_NAMES`] workspace free fn; two same-name free
+//!   *unique*, non-`STD_NAMES` workspace free fn; two same-name free
 //!   fns in different modules produce **no** edge (no false edges, an
 //!   under-approximation). The deny-list keeps `std::mem::take(…)` from
 //!   resolving to an unrelated workspace fn named `take`.

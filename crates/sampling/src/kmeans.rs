@@ -4,7 +4,7 @@
 //! nondeterminism pinned down:
 //!
 //! - the k-means++ draws come from a seeded
-//!   [`SplitMix64`](cosmos_common::SplitMix64) stream,
+//!   [`SplitMix64`] stream,
 //! - nearest-centroid ties break toward the **lowest centroid index**,
 //! - an emptied cluster is re-seeded with the point farthest from its
 //!   assigned centroid (ties toward the lowest point index),

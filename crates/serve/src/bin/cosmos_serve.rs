@@ -38,6 +38,7 @@ usage:
                [--json OUT] [--seed S] [--snapshot-every K]
                [--stop-after N] [--check]
   cosmos_serve serve [--state DIR] [--jobs N] [--socket PATH] [--resume DIR]
+               (--jobs: worker threads, 1 to 256)
 ";
 
 fn main() -> ExitCode {
@@ -171,6 +172,7 @@ fn run_serve(args: &[String]) -> Result<(), String> {
                 if n == 0 {
                     return Err("--jobs must be positive".into());
                 }
+                // `Server::new` refuses more than `MAX_WORKERS`.
                 jobs = n as usize;
             }
             "--socket" => socket = Some(PathBuf::from(value(&mut it, "--socket")?)),

@@ -45,11 +45,16 @@ const MANIFEST_VERSION: u64 = 1;
 /// stdin is quiet.
 const POLL: Duration = Duration::from_millis(100);
 
+/// The most worker threads a server starts (`cosmos --cores` has the same
+/// bound): the pool is spawned all at once, so an unbounded count would
+/// ask the OS for that many threads.
+pub const MAX_WORKERS: usize = 256;
+
 /// Server construction options.
 pub struct ServerOpts {
     /// State directory: manifest, artifacts, snapshots.
     pub state_dir: PathBuf,
-    /// Worker threads.
+    /// Worker threads, at most [`MAX_WORKERS`] (0 means 1).
     pub workers: usize,
     /// Optional Unix socket to also accept requests on.
     pub socket: Option<PathBuf>,
@@ -134,10 +139,19 @@ impl Server {
     }
 
     /// [`Server::new`] with an explicit event sink.
+    ///
+    /// Fails, before touching the state directory, if
+    /// [`ServerOpts::workers`] exceeds [`MAX_WORKERS`].
     pub fn with_events(
         opts: ServerOpts,
         events: Box<dyn Write + Send>,
     ) -> Result<Arc<Self>, String> {
+        if opts.workers > MAX_WORKERS {
+            return Err(format!(
+                "{} workers requested; at most {MAX_WORKERS} are allowed",
+                opts.workers
+            ));
+        }
         std::fs::create_dir_all(&opts.state_dir)
             .map_err(|e| format!("create state dir {}: {e}", opts.state_dir.display()))?;
         let workers = opts.workers.max(1);

@@ -83,3 +83,37 @@ fn ckpt_refuses_an_unsavable_design_before_running() {
         );
     }
 }
+
+#[test]
+fn server_refuses_more_workers_than_the_bound_before_starting() {
+    use cosmos_serve::server::{Server, ServerOpts, MAX_WORKERS};
+    let dir = std::env::temp_dir().join(format!("cosmos_serve_workers_{}", std::process::id()));
+    let opts = |workers| ServerOpts {
+        state_dir: dir.clone(),
+        workers,
+        socket: None,
+        resume: false,
+    };
+    for workers in [MAX_WORKERS + 1, 100_000, usize::MAX] {
+        let err = Server::new(opts(workers)).err().expect("too many workers");
+        assert!(err.contains("at most 256"), "{workers}: {err}");
+        assert!(!dir.exists(), "{workers}: the state dir must not be made");
+    }
+    assert!(Server::new(opts(MAX_WORKERS)).is_ok());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn serve_rejects_a_jobs_count_past_the_bound_without_starting() {
+    let state = std::env::temp_dir().join(format!("cosmos_serve_cli_jobs_{}", std::process::id()));
+    let out = cosmos_serve(&["serve", "--jobs", "257", "--state", state.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("at most 256"), "{err}");
+    assert!(
+        !state.exists(),
+        "a refused --jobs must not start the server"
+    );
+    let usage = String::from_utf8_lossy(&cosmos_serve(&["--help"]).stdout).into_owned();
+    assert!(usage.contains("1 to 256"), "{usage}");
+}

@@ -173,7 +173,7 @@ impl ShadowState {
         }
     }
 
-    /// Violations found so far (capped at [`VIOLATION_CAP`]).
+    /// Violations found so far (capped at `VIOLATION_CAP`).
     pub fn violations(&self) -> &[Violation] {
         &self.violations
     }

@@ -39,6 +39,111 @@ pub enum GraphKind {
     Uniform,
 }
 
+/// How many edges ahead [`Graph::from_edges`]'s scatter prefetches.
+const SCATTER_PREFETCH: usize = 32;
+
+/// Hints the CPU to bring the cache line at `ptr` into its caches; a
+/// no-op off x86-64. Any address is allowed: nothing is read.
+#[inline(always)]
+fn prefetch<T>(ptr: *const T) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: `_mm_prefetch` needs SSE, which every x86-64 CPU has, and a
+    // prefetch neither faults nor changes memory, whatever the address.
+    unsafe {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch::<_MM_HINT_T0>(ptr.cast());
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = ptr;
+}
+
+/// A generator's state along its edge stream, so that the stream can be
+/// drawn in consecutive runs that together emit what one run would.
+enum EdgeStream {
+    /// Independent uniform endpoints.
+    Uniform,
+    /// [`rmat_edges`]: counter-based, its only state is the RNG.
+    Rmat,
+    /// Preferential attachment: edge `i` leaves vertex `i / avg_degree`
+    /// and picks its target from the endpoints of every earlier edge.
+    BarabasiAlbert {
+        /// Repeated-endpoint list: new edges attach proportionally to
+        /// degree.
+        endpoints: Vec<u32>,
+        /// Edges drawn so far.
+        drawn: usize,
+        /// Out-edges per vertex.
+        avg_degree: usize,
+    },
+}
+
+impl EdgeStream {
+    fn new(kind: GraphKind, num_vertices: usize, avg_degree: usize) -> Self {
+        match kind {
+            GraphKind::Uniform => Self::Uniform,
+            GraphKind::Rmat => Self::Rmat,
+            GraphKind::BarabasiAlbert => {
+                let mut endpoints = Vec::with_capacity(num_vertices * avg_degree * 2 + 1);
+                endpoints.push(0);
+                Self::BarabasiAlbert {
+                    endpoints,
+                    drawn: 0,
+                    avg_degree,
+                }
+            }
+        }
+    }
+
+    /// Appends the stream's next `count` edges to `edges`.
+    fn draw(
+        &mut self,
+        rng: &mut SplitMix64,
+        num_vertices: usize,
+        count: usize,
+        edges: &mut Vec<(u32, u32)>,
+    ) {
+        match self {
+            Self::Uniform => {
+                for _ in 0..count {
+                    let s = rng.next_index(num_vertices) as u32;
+                    let d = rng.next_index(num_vertices) as u32;
+                    edges.push((s, d));
+                }
+            }
+            Self::Rmat => rmat_edges(rng, num_vertices, count, edges),
+            Self::BarabasiAlbert {
+                endpoints,
+                drawn,
+                avg_degree,
+            } => {
+                for i in *drawn..*drawn + count {
+                    let v = (i / *avg_degree) as u32;
+                    let target = if endpoints.is_empty() || rng.chance(0.1) {
+                        rng.next_index(num_vertices) as u32
+                    } else {
+                        endpoints[rng.next_index(endpoints.len())]
+                    };
+                    edges.push((v, target));
+                    endpoints.push(v);
+                    endpoints.push(target);
+                }
+                *drawn += count;
+            }
+        }
+    }
+}
+
+/// A Fisher–Yates permutation of the vertex ids `0..num_vertices` (see
+/// [`Graph::generate`] on hub placement).
+fn shuffled_ids(rng: &mut SplitMix64, num_vertices: usize) -> Vec<u32> {
+    let mut perm: Vec<u32> = (0..num_vertices as u32).collect();
+    for i in (1..num_vertices).rev() {
+        let j = rng.next_index(i + 1);
+        perm.swap(i, j);
+    }
+    perm
+}
+
 impl Graph {
     /// Builds a graph from an edge list (duplicates kept, self-loops kept;
     /// CSR is sorted by source, edges of one source in list order).
@@ -65,7 +170,17 @@ impl Graph {
             row_ptr[v] += row_ptr[v - 1];
         }
         let mut col_idx = vec![0u32; edges.len()];
-        for &(src, dst) in edges {
+        for (i, &(src, dst)) in edges.iter().enumerate() {
+            // The scatter's writes land at random and miss the cache, so
+            // fetch the slot of the edge `SCATTER_PREFETCH` ahead now (if a
+            // nearer edge shares its row, the slot is one early; a hint).
+            if let Some(&(ahead, _)) = edges.get(i + SCATTER_PREFETCH) {
+                prefetch(
+                    col_idx
+                        .as_ptr()
+                        .wrapping_add(row_ptr[ahead as usize] as usize),
+                );
+            }
             let c = &mut row_ptr[src as usize];
             col_idx[*c as usize] = dst;
             *c += 1;
@@ -120,49 +235,64 @@ impl Graph {
                 .is_some_and(|e| e <= u32::MAX as usize),
             "{num_vertices} vertices x degree {avg_degree} overflow the u32 CSR offsets"
         );
+        // The edge stream is drawn in two halves, each counting-sorted on
+        // its own, and the sorted halves are merged row by row: the whole
+        // edge list (8 bytes an edge) never exists at once, and the build
+        // peaks at 8E + 12V bytes (E edges, V vertices), not 12E + 4V.
         let mut rng = SplitMix64::new(seed);
         let num_edges = num_vertices * avg_degree;
-        let mut edges = Vec::with_capacity(num_edges);
-        match kind {
-            GraphKind::Uniform => {
-                for _ in 0..num_edges {
-                    let s = rng.next_index(num_vertices) as u32;
-                    let d = rng.next_index(num_vertices) as u32;
-                    edges.push((s, d));
-                }
-            }
-            GraphKind::Rmat => rmat_edges(&mut rng, num_vertices, num_edges, &mut edges),
-            GraphKind::BarabasiAlbert => {
-                // Repeated-endpoint list: new edges attach proportionally to
-                // degree.
-                let mut endpoints: Vec<u32> = Vec::with_capacity(num_edges * 2);
-                endpoints.push(0);
-                for v in 0..num_vertices as u32 {
-                    for _ in 0..avg_degree {
-                        let target = if endpoints.is_empty() || rng.chance(0.1) {
-                            rng.next_index(num_vertices) as u32
-                        } else {
-                            endpoints[rng.next_index(endpoints.len())]
-                        };
-                        edges.push((v, target));
-                        endpoints.push(v);
-                        endpoints.push(target);
-                    }
-                }
-            }
-        }
+        let first = num_edges / 2;
+        let mut stream = EdgeStream::new(kind, num_vertices, avg_degree);
+        let mut buf = Vec::with_capacity(num_edges - first);
+        stream.draw(&mut rng, num_vertices, first, &mut buf);
+        let half_a = Self::from_edges(num_vertices, &buf);
+        buf.clear();
+        stream.draw(&mut rng, num_vertices, num_edges - first, &mut buf);
+        drop(stream); // Barabási–Albert's endpoint list, 8E bytes
+        let half_b = Self::from_edges(num_vertices, &buf);
+        drop(buf);
         if shuffle_ids {
-            // Fisher–Yates permutation of vertex ids (see doc comment).
-            let mut perm: Vec<u32> = (0..num_vertices as u32).collect();
-            for i in (1..num_vertices).rev() {
-                let j = rng.next_index(i + 1);
-                perm.swap(i, j);
+            let perm = shuffled_ids(&mut rng, num_vertices);
+            let mut old_id = vec![0u32; num_vertices];
+            for (u, &v) in perm.iter().enumerate() {
+                old_id[v as usize] = u as u32;
             }
-            for e in edges.iter_mut() {
-                *e = (perm[e.0 as usize], perm[e.1 as usize]);
-            }
+            Self::merge(&half_a, &half_b, |v| old_id[v], |u| perm[u as usize])
+        } else {
+            Self::merge(&half_a, &half_b, |v| v as u32, |u| u)
         }
-        Self::from_edges(num_vertices, &edges)
+    }
+
+    /// The CSR whose row `v` is `a`'s row `old_id(v)` followed by `b`'s,
+    /// every endpoint `u` renamed `new_id(u)`, where `new_id` is a
+    /// permutation of the vertex ids and `old_id` its inverse.
+    ///
+    /// If `a` and `b` are the stable CSRs of two consecutive runs of an
+    /// edge stream, this is the stable CSR of the whole renamed stream:
+    /// the edges with new source `v` are exactly those with old source
+    /// `old_id(v)`, and every edge of `a` precedes every edge of `b`.
+    fn merge(
+        a: &Graph,
+        b: &Graph,
+        old_id: impl Fn(usize) -> u32,
+        new_id: impl Fn(u32) -> u32,
+    ) -> Self {
+        let n = a.num_vertices();
+        // `col_idx` (4E bytes) first, so that it can take the place of the
+        // sampling buffer just freed (⌈E/2⌉ × 8 >= 4E bytes) when that came
+        // from the heap: `row_ptr` taken first would split that space and
+        // send `col_idx` to fresh pages, raising a repeated build's peak
+        // RSS by 4E.
+        let mut col_idx = Vec::with_capacity(a.num_edges() + b.num_edges());
+        let mut row_ptr = Vec::with_capacity(n + 1);
+        row_ptr.push(0);
+        for v in 0..n {
+            let u = old_id(v);
+            col_idx.extend(a.neighbors(u).iter().map(|&d| new_id(d)));
+            col_idx.extend(b.neighbors(u).iter().map(|&d| new_id(d)));
+            row_ptr.push(col_idx.len() as u32);
+        }
+        Self { row_ptr, col_idx }
     }
 
     /// Number of vertices.
@@ -209,6 +339,81 @@ impl Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `(row_ptr, col_idx)` of `edges` by a stable sort on source: the
+    /// oracle for the counting sort in [`Graph::from_edges`] and for the
+    /// two-half build of [`Graph::generate_with`].
+    pub(super) fn csr_by_stable_sort(
+        num_vertices: usize,
+        mut edges: Vec<(u32, u32)>,
+    ) -> (Vec<u32>, Vec<u32>) {
+        edges.sort_by_key(|&(src, _)| src);
+        let row_ptr = (0..=num_vertices)
+            .map(|v| edges.partition_point(|&(src, _)| (src as usize) < v) as u32)
+            .collect();
+        let col_idx = edges.iter().map(|&(_, dst)| dst).collect();
+        (row_ptr, col_idx)
+    }
+
+    /// The CSR of the single-list build: the whole edge stream in one draw,
+    /// then the id permutation applied edge by edge, then a stable sort.
+    fn one_list_csr(
+        kind: GraphKind,
+        n: usize,
+        deg: usize,
+        seed: u64,
+        shuffle_ids: bool,
+    ) -> (Vec<u32>, Vec<u32>) {
+        let mut rng = SplitMix64::new(seed);
+        let mut edges = Vec::new();
+        EdgeStream::new(kind, n, deg).draw(&mut rng, n, n * deg, &mut edges);
+        if shuffle_ids {
+            let perm = shuffled_ids(&mut rng, n);
+            for e in edges.iter_mut() {
+                *e = (perm[e.0 as usize], perm[e.1 as usize]);
+            }
+        }
+        csr_by_stable_sort(n, edges)
+    }
+
+    #[test]
+    fn two_half_build_matches_the_single_list_build() {
+        // (vertices, degree): E = 0, 1, 7, 8 and 9; one-vertex graphs;
+        // E = 3003, whose first half (1501 edges) is not a multiple of the
+        // RMAT kernel's 8 lanes; and a larger even E.
+        let shapes = [
+            (5, 0),
+            (1, 1),
+            (7, 1),
+            (1, 7),
+            (8, 1),
+            (4, 2),
+            (1, 8),
+            (3, 3),
+            (9, 1),
+            (1, 9),
+            (1001, 3),
+            (4096, 12),
+        ];
+        for kind in [
+            GraphKind::Rmat,
+            GraphKind::Uniform,
+            GraphKind::BarabasiAlbert,
+        ] {
+            for (n, deg) in shapes {
+                for seed in [1, u64::MAX] {
+                    for shuffle_ids in [false, true] {
+                        let g = Graph::generate_with(kind, n, deg, seed, shuffle_ids);
+                        let (row_ptr, col_idx) = one_list_csr(kind, n, deg, seed, shuffle_ids);
+                        let ctx =
+                            format!("{kind:?} n {n} deg {deg} seed {seed} shuffle {shuffle_ids}");
+                        assert_eq!(g.row_ptr(), row_ptr, "{ctx}: row_ptr");
+                        assert_eq!(g.col_idx(), col_idx, "{ctx}: col_idx");
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     #[should_panic(expected = "overflow the u32 CSR offsets")]

@@ -39,8 +39,8 @@ const LANES: usize = 8;
 
 /// Appends `num_edges` RMAT edges over `num_vertices` vertices, one
 /// `next_u64` draw per recursion level per edge, and leaves `rng` where
-/// drawing them edge by edge would leave it (the optional id shuffle
-/// draws from there).
+/// drawing them edge by edge would leave it (the second half of the
+/// edge stream and the optional id shuffle draw from there).
 ///
 /// SplitMix64 is counter-based: from state `s0`, draw `j` is
 /// `splitmix64(s0 + j·γ)`. So the level-`k` draw of edge `e` is draw
@@ -232,6 +232,7 @@ fn rmat_step(first: u64, edge_stride: u64, scale: u32, num_vertices: u64) -> [(u
 
 #[cfg(test)]
 mod tests {
+    use super::super::tests::csr_by_stable_sort;
     use super::super::{Graph, GraphKind};
     use super::*;
     use proptest::prelude::*;
@@ -266,17 +267,6 @@ mod tests {
             edges.push((s, d));
         }
         edges
-    }
-
-    /// `(row_ptr, col_idx)` of `edges` by a stable sort on source: the
-    /// oracle for the counting sort in [`Graph::from_edges`].
-    fn csr_by_stable_sort(num_vertices: usize, mut edges: Vec<(u32, u32)>) -> (Vec<u32>, Vec<u32>) {
-        edges.sort_by_key(|&(src, _)| src);
-        let row_ptr = (0..=num_vertices)
-            .map(|v| edges.partition_point(|&(src, _)| (src as usize) < v) as u32)
-            .collect();
-        let col_idx = edges.iter().map(|&(_, dst)| dst).collect();
-        (row_ptr, col_idx)
     }
 
     /// The builds this CPU supports; prints each one it skips.

@@ -71,6 +71,11 @@ stage clippy
 # sound.
 cargo clippy -q --workspace --all-targets -- -D warnings -D clippy::undocumented_unsafe_blocks
 
+# Rustdoc with warnings denied: every intra-doc link must resolve, and
+# public docs must not link to private items.
+stage doc
+RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
+
 # Static analysis (DESIGN.md §12/§17): determinism, hot-path-closure,
 # stat-integrity, and panic invariants. Deny-by-default — any
 # finding that is neither pragma-justified nor in lint.baseline fails the
