@@ -818,8 +818,12 @@ impl Cache {
                     .map(|(idx, _, _)| idx)
                     .expect("victim search ran over the candidate slots; every slot is a candidate")
             }
+            #[expect(
+                clippy::unreachable,
+                reason = "skewed construction rejects boxed policies, so this arm is dead by invariant"
+            )]
             PolicyImpl::Boxed(_) => {
-                // cosmos-lint: allow(P2,H4): skewed construction rejects boxed policies, so this arm is dead by invariant
+                // cosmos-lint: allow(H4): skewed construction rejects boxed policies, so this arm is dead by invariant
                 unreachable!("skewed caches reject boxed policies at construction")
             }
         }

@@ -1,5 +1,8 @@
 //! Per-cache statistics.
 
+// Stat counters are u64: a narrowing cast here would silently truncate one.
+#![deny(clippy::cast_possible_truncation)]
+
 use cosmos_common::stats::HitMiss;
 
 cosmos_common::counters! {

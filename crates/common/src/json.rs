@@ -95,9 +95,12 @@ impl Map {
 impl core::ops::Index<&str> for Map {
     type Output = Value;
 
+    #[expect(
+        clippy::panic,
+        reason = "std Index contract requires a panic on a missing key"
+    )]
     fn index(&self, key: &str) -> &Value {
         self.get(key)
-            // cosmos-lint: allow(P2): std Index contract requires a panic on a missing key
             .unwrap_or_else(|| panic!("no key {key:?} in JSON object"))
     }
 }

@@ -11,6 +11,9 @@
 //! field added to the declaration reaches every consumer; none can be
 //! forgotten.
 
+// Stat counters are u64: a narrowing cast here would silently truncate one.
+#![deny(clippy::cast_possible_truncation)]
+
 use crate::json::{codec, Value};
 use core::fmt;
 use core::fmt::Write as _;
@@ -191,6 +194,22 @@ pub fn visit_field<T: Counters>(
 /// late.visit(|name, _| names.push(name.to_string()));
 /// assert_eq!(names, ["served", "dropped.0", "dropped.1"]);
 /// assert_eq!(DemoStats::LEAVES, 3);
+/// ```
+///
+/// Only `u64` and arrays of counters implement [`Counters`], so a float
+/// field, whose merged value would depend on summation order, does not
+/// compile:
+///
+/// ```compile_fail
+/// use cosmos_common::counters;
+///
+/// counters! {
+///     #[derive(Clone, Debug, Default)]
+///     pub struct FloatStats {
+///         pub served: u64,
+///         pub ipc_sum: f64,
+///     }
+/// }
 /// ```
 #[macro_export]
 macro_rules! counters {
@@ -539,13 +558,16 @@ impl Log2Histogram {
         if self.count == 0 {
             return 0;
         }
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "q is clamped to [0, 1], so the ceiling lies in [0, count] and fits u64"
+        )]
         let target = (q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64;
         let mut acc = 0;
-        for (i, &b) in self.buckets.iter().enumerate() {
+        for (i, &b) in (0u32..).zip(&self.buckets) {
             acc += b;
             if acc >= target {
-                // cosmos-lint: allow(C1): bucket index, bounded by the 64-bucket histogram, not a counter
-                return i as u32;
+                return i;
             }
         }
         63

@@ -20,9 +20,17 @@
 //! which is exactly the weighted-rate reconstruction SimPoint-style
 //! samplers use.
 
+// Stat counters are u64: a narrowing cast here would silently truncate one.
+#![deny(clippy::cast_possible_truncation)]
+
 use crate::stats::SimStats;
 use cosmos_common::stats::Counters;
 
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "x is rounded, so no fraction is dropped; `as` saturates at u64::MAX, the \
+              ceiling of the counter x estimates"
+)]
 fn round(x: f64) -> u64 {
     if x <= 0.0 {
         0

@@ -1,6 +1,9 @@
 //! Simulation statistics: IPC, traffic breakdown, predictor quality, and
 //! convergence timelines.
 
+// Stat counters are u64: a narrowing cast here would silently truncate one.
+#![deny(clippy::cast_possible_truncation)]
+
 use cosmos_cache::CacheStats;
 use cosmos_common::counters;
 use cosmos_common::stats::{window_sub, HitMiss};

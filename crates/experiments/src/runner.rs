@@ -226,6 +226,11 @@ pub type Task<'a, T> = Box<dyn Fn() -> T + Send + Sync + 'a>;
 ///
 /// Propagates a panic from any task (the remaining tasks may or may not
 /// have run).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the one worker pool: results are reassembled in task order, so artifacts are \
+              byte-identical for every worker count"
+)]
 pub fn run_tasks<T: Send>(tasks: Vec<Task<'_, T>>, workers: usize) -> Vec<T> {
     let workers = workers.clamp(1, tasks.len().max(1));
     if workers == 1 {

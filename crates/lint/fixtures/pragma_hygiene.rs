@@ -5,20 +5,20 @@
 //! under test is itself a pragma comment and cannot carry a marker).
 
 //~v L1
-// cosmos-lint: allow(D1)
-use std::collections::HashMap; //~ D1
+// cosmos-lint: allow(P3)
+pub fn bare(o: Option<u64>) -> u64 { o.expect("bad") } //~ P3
 
 //~v L1
-// cosmos-lint: allow(D1): short
-pub fn short_justification() -> HashMap<u64, u64> { //~ D1
-    HashMap::new() //~ D1
+// cosmos-lint: allow(P3): short
+pub fn short_justification(o: Option<u64>) -> u64 {
+    o.expect("bad") //~ P3
 }
 
 //~v L1
-// cosmos-lint: alow(D1): typo in the keyword itself
+// cosmos-lint: alow(P3): typo in the keyword itself
 pub fn typod() {}
 
-// cosmos-lint: allow(D1): nothing on the next line uses a hash map at all
+// cosmos-lint: allow(P3): nothing on the next line calls expect at all
 pub fn stale_allow() {} //~ L2
 
 // cosmos-lint: allow(Z9): unknown rule id with a fine justification

@@ -9,5 +9,5 @@ pub fn stage_two(depth: u64, m: &std::sync::Mutex<u64>) {
 
 fn guarded(m: &std::sync::Mutex<u64>) -> u64 {
     let held = m.lock(); //~ H3
-    *held.unwrap() //~ H4 P1
+    *held.unwrap() //~ H4
 }

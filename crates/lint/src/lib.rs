@@ -1,12 +1,14 @@
 //! # cosmos-lint
 //!
-//! An in-tree static analyzer that machine-checks the invariants every
-//! COSMOS result rests on: bit-deterministic artifacts, an allocation-,
-//! lock-, and panic-free simulation hot path (including everything the
-//! hot functions transitively call), untruncated `u64` stat counters, and
-//! panic-free library crates. See [`rules::RULES`] for the catalogue and
-//! DESIGN.md §12/§17 for the rationale, pragma grammar, and the
-//! whole-workspace analysis architecture.
+//! An in-tree static analyzer for the simulator invariants clippy cannot
+//! see: an allocation-, lock- and panic-free simulation hot path,
+//! including everything the `// cosmos-lint: hot` functions transitively
+//! call across crates, plus `expect` messages that state an invariant.
+//! The token-local determinism, stat-integrity and panic rules are clippy
+//! lints configured in the workspace's `clippy.toml` and denied by
+//! `scripts/check.sh`. See [`rules::RULES`] for the catalogue and DESIGN.md
+//! §12/§17 for the rationale, pragma grammar, and the whole-workspace
+//! analysis architecture.
 //!
 //! Zero registry dependencies, zero `syn`: a ~300-line tokenizer
 //! ([`tokenizer`]) plus brace-matching extent analysis ([`scan`]) and a
@@ -16,13 +18,10 @@
 //! any other crate.
 //!
 //! Analysis is two-pass: pass 1 is per-file (token-local rules + symbol
-//! extraction) and embarrassingly parallel (`--jobs`); pass 2 builds the
-//! workspace call graph ([`graph`]) and checks the hot-path closure. The
-//! report is deterministic — byte-identical across runs
-//! and `--jobs` — because pass-1 results are reassembled in input order
-//! and wall-time is excluded from the JSON unless explicitly requested.
+//! extraction); pass 2 builds the workspace call graph ([`graph`]) and
+//! checks the hot-path closure. The report is a pure function of the
+//! sources, so the committed JSON copy is byte-identical across runs.
 
-pub mod baseline;
 pub mod graph;
 pub mod pragma;
 pub mod rules;
@@ -30,17 +29,14 @@ pub mod scan;
 pub mod symbols;
 pub mod tokenizer;
 
-use baseline::{Baseline, BaselineEntry};
 use cosmos_common::json::{json, Map, Value};
 pub use graph::RootClosure;
 use rules::{FileAnalysis, Finding, RULES};
 use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
-// cosmos-lint: allow(D2): lint wall-time is reported for humans only; it never touches findings and is null in the JSON unless --timings is passed
-use std::time::Instant;
 
-/// The outcome of the whole-workspace analysis, before baseline matching.
+/// The outcome of the whole-workspace analysis.
 #[derive(Clone, Debug, Default)]
 pub struct WorkspaceAnalysis {
     /// Final findings (pragma-suppressed, L-rules folded in), sorted by
@@ -50,46 +46,24 @@ pub struct WorkspaceAnalysis {
     pub hot_closure: Vec<RootClosure>,
 }
 
-/// Per-pass wall time in milliseconds. Human-facing only; excluded from
-/// the JSON report by default so artifacts stay byte-identical.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TimingMs {
-    /// Per-file tokenize/scan/symbol pass.
-    pub pass1: u64,
-    /// Workspace call-graph pass, suppression, and baseline.
-    pub pass2: u64,
-    /// End-to-end, including file reads.
-    pub total: u64,
-}
-
 /// The outcome of a lint run.
 #[derive(Clone, Debug, Default)]
 pub struct Report {
-    /// Findings that neither a pragma nor the baseline suppressed — these
-    /// fail the gate.
+    /// Findings that no pragma suppressed — these fail the gate.
     pub findings: Vec<Finding>,
-    /// Number of findings suppressed by the baseline.
-    pub baselined: usize,
-    /// Per-rule counts of baselined findings (every catalogue rule).
-    pub baselined_counts: BTreeMap<String, usize>,
-    /// Baseline entries that matched nothing (fixed or drifted).
-    pub stale_baseline: Vec<BaselineEntry>,
     /// Number of files analyzed.
     pub files_scanned: usize,
     /// Every hot root's transitive callee set.
     pub hot_closure: Vec<RootClosure>,
-    /// Wall time per pass; `None` keeps it out of the JSON report.
-    pub timing: Option<TimingMs>,
 }
 
 impl Report {
-    /// Whether the run passes (no live findings; stale baseline entries
-    /// warn but do not fail).
+    /// Whether the run passes (no findings).
     pub fn clean(&self) -> bool {
         self.findings.is_empty()
     }
 
-    /// Per-rule live-finding counts (every catalogue rule, zeros included).
+    /// Per-rule finding counts (every catalogue rule, zeros included).
     pub fn counts(&self) -> BTreeMap<&'static str, usize> {
         let mut c: BTreeMap<&'static str, usize> = RULES.iter().map(|r| (r.id, 0)).collect();
         for f in &self.findings {
@@ -130,34 +104,19 @@ impl Report {
                 out.push('\n');
             }
         }
-        for e in &self.stale_baseline {
-            out.push_str(&format!(
-                "warning: stale baseline entry ({} {} {:?}) matches nothing — prune it\n",
-                e.rule, e.path, e.excerpt
-            ));
-        }
         out.push_str(&format!(
             "cosmos-lint: {} file(s), {} hot root(s) ({} fn(s) on the closure), \
-             {} finding(s), {} baselined{}\n",
+             {} finding(s){}\n",
             self.files_scanned,
             self.hot_closure.len(),
             self.closure_size(),
             self.findings.len(),
-            self.baselined,
             if self.clean() { " — clean" } else { "" }
         ));
-        if let Some(t) = self.timing {
-            out.push_str(&format!(
-                "cosmos-lint: pass1 {} ms, pass2 {} ms, total {} ms\n",
-                t.pass1, t.pass2, t.total
-            ));
-        }
         out
     }
 
-    /// The machine-readable report (schema `cosmos-lint-report-v2`).
-    /// `timing_ms` is `null` unless [`Report::timing`] is set, so the
-    /// committed report stays byte-identical across runs and `--jobs`.
+    /// The machine-readable report (schema `cosmos-lint-report-v3`).
     pub fn to_json(&self) -> Value {
         let findings: Vec<Value> = self
             .findings
@@ -174,25 +133,9 @@ impl Report {
                 })
             })
             .collect();
-        let stale: Vec<Value> = self
-            .stale_baseline
-            .iter()
-            .map(|e| {
-                json!({
-                    "rule": e.rule.as_str(),
-                    "path": e.path.as_str(),
-                    "excerpt": e.excerpt.as_str(),
-                })
-            })
-            .collect();
         let mut counts = Map::new();
         for (id, n) in self.counts() {
             counts.insert(id, json!(n));
-        }
-        let mut baselined_counts = Map::new();
-        for r in RULES {
-            let n = self.baselined_counts.get(r.id).copied().unwrap_or(0);
-            baselined_counts.insert(r.id, json!(n));
         }
         let hot_closure: Vec<Value> = self
             .hot_closure
@@ -207,29 +150,17 @@ impl Report {
                 })
             })
             .collect();
-        let timing = match self.timing {
-            Some(t) => json!({
-                "pass1": t.pass1,
-                "pass2": t.pass2,
-                "total": t.total,
-            }),
-            None => Value::Null,
-        };
         let rules: Vec<Value> = RULES
             .iter()
             .map(|r| json!({"id": r.id, "name": r.name, "summary": r.summary}))
             .collect();
         json!({
-            "schema": "cosmos-lint-report-v2",
+            "schema": "cosmos-lint-report-v3",
             "files_scanned": self.files_scanned,
             "clean": self.clean(),
             "counts": counts,
-            "baselined_counts": baselined_counts,
             "findings": findings,
-            "baselined": self.baselined,
-            "stale_baseline": stale,
             "hot_closure": (Value::Array(hot_closure)),
-            "timing_ms": timing,
             "rules": rules,
         })
     }
@@ -238,16 +169,13 @@ impl Report {
 /// Runs the full two-pass analysis over in-memory sources. `files` are
 /// `(workspace-relative path, source)` pairs; order defines report order.
 pub fn analyze_workspace(files: &[(String, String)]) -> WorkspaceAnalysis {
-    let fas: Vec<FileAnalysis> = files
+    let mut fas: Vec<FileAnalysis> = files
         .iter()
         .map(|(p, s)| rules::analyze_file(p, s))
         .collect();
-    finish(fas)
-}
 
-/// Pass 2 over completed pass-1 results: call-graph closure rules, then
-/// per-file pragma suppression and the L-rules.
-fn finish(mut fas: Vec<FileAnalysis>) -> WorkspaceAnalysis {
+    // Pass 2: call-graph closure rules, then per-file pragma suppression
+    // and the L-rules.
     let g = graph::build(&fas);
     let hot_closure = graph::closures(&g, &fas);
     let pass2 = graph::check(&g, &fas);
@@ -278,42 +206,9 @@ fn finish(mut fas: Vec<FileAnalysis>) -> WorkspaceAnalysis {
     }
 }
 
-/// Pass 1 over `sources`, optionally chunked across threads. Results are
-/// reassembled in input order, so the analysis is independent of `jobs`.
-fn pass1(sources: &[(String, String)], jobs: usize) -> Vec<FileAnalysis> {
-    if jobs <= 1 || sources.len() < 2 {
-        return sources
-            .iter()
-            .map(|(p, s)| rules::analyze_file(p, s))
-            .collect();
-    }
-    let chunk = sources.len().div_ceil(jobs.min(sources.len()));
-    // cosmos-lint: allow(D3): pass 1 is a pure per-file map reassembled in input order — the report is byte-identical for every --jobs value (check.sh proves it)
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = sources
-            .chunks(chunk)
-            .map(|c| {
-                scope.spawn(move || {
-                    c.iter()
-                        .map(|(p, s)| rules::analyze_file(p, s))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| {
-                h.join()
-                    .expect("pass-1 worker panicked; per-file analysis must be total")
-            })
-            .collect()
-    })
-}
-
 /// Collects the workspace source set: `crates/*/src/**/*.rs` plus the root
 /// package's `src/**/*.rs`, sorted for deterministic reports (directory
-/// enumeration order is OS-dependent — the lint holds itself to its own
-/// D-rules).
+/// enumeration order is OS-dependent).
 pub fn workspace_files(root: &Path) -> io::Result<Vec<PathBuf>> {
     let mut files = Vec::new();
     let crates = root.join("crates");
@@ -357,7 +252,7 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
 }
 
 /// The workspace-relative forward-slash rendering of `path` used in
-/// findings and the baseline.
+/// findings.
 pub fn relative_label(root: &Path, path: &Path) -> String {
     let rel = path.strip_prefix(root).unwrap_or(path);
     let mut s = String::new();
@@ -370,51 +265,19 @@ pub fn relative_label(root: &Path, path: &Path) -> String {
     s
 }
 
-/// Lints `files` under `root`, applying `baseline`. `jobs` sets the pass-1
-/// worker count (1 = serial); the report is identical for every value.
-pub fn run(
-    root: &Path,
-    files: &[PathBuf],
-    mut baseline: Baseline,
-    jobs: usize,
-) -> io::Result<Report> {
-    // cosmos-lint: allow(D2): timing is human-facing only (see the module-level contract)
-    let t_start = Instant::now();
-    let mut sources: Vec<(String, String)> = Vec::with_capacity(files.len());
-    for path in files {
-        let src = std::fs::read_to_string(path)?;
-        sources.push((relative_label(root, path), src));
+/// Lints every workspace source under `root` ([`workspace_files`]).
+pub fn run(root: &Path) -> io::Result<Report> {
+    let mut sources: Vec<(String, String)> = Vec::new();
+    for path in workspace_files(root)? {
+        let src = std::fs::read_to_string(&path)?;
+        sources.push((relative_label(root, &path), src));
     }
-
-    // cosmos-lint: allow(D2): timing is human-facing only (see the module-level contract)
-    let t_pass1 = Instant::now();
-    let fas = pass1(&sources, jobs);
-    let pass1_ms = t_pass1.elapsed().as_millis() as u64;
-
-    // cosmos-lint: allow(D2): timing is human-facing only (see the module-level contract)
-    let t_pass2 = Instant::now();
-    let wa = finish(fas);
-
-    let mut report = Report {
+    let wa = analyze_workspace(&sources);
+    Ok(Report {
+        findings: wa.findings,
         files_scanned: sources.len(),
         hot_closure: wa.hot_closure,
-        ..Report::default()
-    };
-    for f in wa.findings {
-        if baseline.matches(&f) {
-            report.baselined += 1;
-            *report.baselined_counts.entry(f.rule.clone()).or_insert(0) += 1;
-        } else {
-            report.findings.push(f);
-        }
-    }
-    report.stale_baseline = baseline.stale().into_iter().cloned().collect();
-    report.timing = Some(TimingMs {
-        pass1: pass1_ms,
-        pass2: t_pass2.elapsed().as_millis() as u64,
-        total: t_start.elapsed().as_millis() as u64,
-    });
-    Ok(report)
+    })
 }
 
 /// Ascends from `start` to the first directory whose `Cargo.toml` declares

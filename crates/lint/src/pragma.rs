@@ -9,8 +9,8 @@
 //!   (standalone comment). The justification is **required**: an allow
 //!   without one is itself a finding (rule L1).
 //! - `// cosmos-lint: allow-file(R1): <justification>` — suppresses the
-//!   named rules for the whole file (for e.g. a timing-harness crate that
-//!   exists to call `Instant::now`).
+//!   named rules for the whole file (e.g. a checked-mode diagnostic module
+//!   that hot code calls only when checking is on).
 //!
 //! Anything else after `cosmos-lint:` is a malformed pragma (L1): silent
 //! typos must not silently disable enforcement.
@@ -24,7 +24,7 @@ pub const MIN_JUSTIFICATION: usize = 10;
 /// A resolved `allow` pragma.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Allow {
-    /// Rule ids this allow names (upper-cased, e.g. `D1`).
+    /// Rule ids this allow names (upper-cased, e.g. `H2`).
     pub rules: Vec<String>,
     /// The source line the suppression applies to (resolved: trailing
     /// pragmas apply to their own line, standalone ones to the next line
@@ -184,37 +184,39 @@ mod tests {
 
     #[test]
     fn standalone_allow_targets_next_code_line() {
-        let p = parse("// cosmos-lint: allow(D1): keyed lookups only, never iterated\nuse std::collections::HashMap;\n");
+        let p = parse(
+            "// cosmos-lint: allow(H2): warm-up only, never per access\nlet v = x.to_vec();\n",
+        );
         assert_eq!(p.allows.len(), 1);
         assert_eq!(p.allows[0].line, 2);
-        assert_eq!(p.allows[0].rules, vec!["D1"]);
+        assert_eq!(p.allows[0].rules, vec!["H2"]);
     }
 
     #[test]
     fn trailing_allow_targets_own_line() {
-        let p = parse("let t = now(); // cosmos-lint: allow(D2): bench harness timing\n");
+        let p = parse("let v = x.to_vec(); // cosmos-lint: allow(H1): warm-up only branch\n");
         assert_eq!(p.allows[0].line, 1);
     }
 
     #[test]
     fn multi_rule_allow() {
-        let p = parse("// cosmos-lint: allow(d1, p1): two rules, one justification\nx();\n");
-        assert_eq!(p.allows[0].rules, vec!["D1", "P1"]);
+        let p = parse("// cosmos-lint: allow(h2, h4): two rules, one justification\nx();\n");
+        assert_eq!(p.allows[0].rules, vec!["H2", "H4"]);
     }
 
     #[test]
     fn allow_file_is_file_scoped() {
-        let p = parse("// cosmos-lint: allow-file(D2): this crate is a wall-clock harness\n");
+        let p = parse("// cosmos-lint: allow-file(H2): checked-mode diagnostics only\n");
         assert_eq!(p.file_allows.len(), 1);
         assert!(p.allows.is_empty());
     }
 
     #[test]
     fn missing_justification_is_an_error() {
-        assert_eq!(parse("// cosmos-lint: allow(D1)\nx();\n").errors.len(), 1);
-        assert_eq!(parse("// cosmos-lint: allow(D1):\nx();\n").errors.len(), 1);
+        assert_eq!(parse("// cosmos-lint: allow(H1)\nx();\n").errors.len(), 1);
+        assert_eq!(parse("// cosmos-lint: allow(H1):\nx();\n").errors.len(), 1);
         assert_eq!(
-            parse("// cosmos-lint: allow(D1): short\nx();\n")
+            parse("// cosmos-lint: allow(H1): short\nx();\n")
                 .errors
                 .len(),
             1
@@ -223,7 +225,7 @@ mod tests {
 
     #[test]
     fn unknown_pragma_is_an_error() {
-        let p = parse("// cosmos-lint: alow(D1): typo'd keyword here\nx();\n");
+        let p = parse("// cosmos-lint: alow(H1): typo'd keyword here\nx();\n");
         assert_eq!(p.errors.len(), 1);
     }
 

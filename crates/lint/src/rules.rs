@@ -1,20 +1,16 @@
 //! The rule catalogue and the per-file (pass-1) rule engine.
 //!
-//! Four invariant families, keyed to this codebase (see DESIGN.md §12 and
-//! §17):
+//! The rules here are the ones clippy cannot express (see DESIGN.md §12
+//! and §17; determinism, stat-integrity and panic bans are clippy lints
+//! configured in the workspace's `clippy.toml`):
 //!
-//! - **D-rules** (determinism): every artifact must be byte-identical
-//!   across `--jobs`/`--check`/`--telemetry`, so nondeterministic iteration
-//!   order, wall-clock reads, and ad-hoc threading are confined.
 //! - **H-rules** (hot path): functions marked `// cosmos-lint: hot` must
 //!   stay allocation-free (H1), and so must everything they transitively
 //!   call (H2), which must also stay lock-free (H3) and panic-free (H4) —
 //!   the closure rules run in pass 2 over the workspace call graph
 //!   ([`crate::graph`]).
-//! - **C-rules** (stat integrity): `u64` counters must not be silently
-//!   truncated, and stats structs must accumulate in integers.
-//! - **P-rules** (panics): library crates return `Result` or document
-//!   invariants; they don't `unwrap()`.
+//! - **P3**: an `expect()` message must state the invariant that makes
+//!   failure impossible.
 //!
 //! Plus the meta **L-rules**: the pragma mechanism itself is linted
 //! (malformed pragmas, allows that suppress nothing).
@@ -26,7 +22,7 @@ use crate::tokenizer::{lex, Lexed, Tok, TokKind};
 /// One catalogue entry.
 #[derive(Clone, Copy, Debug)]
 pub struct Rule {
-    /// Short id used in pragmas and the baseline (`D1`, `H1`, …).
+    /// Short id used in pragmas (`H1`, `P3`, …).
     pub id: &'static str,
     /// Human-readable slug.
     pub name: &'static str,
@@ -36,24 +32,6 @@ pub struct Rule {
 
 /// The full rule catalogue.
 pub const RULES: &[Rule] = &[
-    Rule {
-        id: "D1",
-        name: "det-map-order",
-        summary: "HashMap/HashSet iteration order is nondeterministic; use BTreeMap/BTreeSet \
-                  (or justify keyed-only use) so artifacts stay byte-identical",
-    },
-    Rule {
-        id: "D2",
-        name: "det-wall-clock",
-        summary: "Instant/SystemTime outside cosmos-telemetry's phase timers: wall-clock must \
-                  never influence simulated results",
-    },
-    Rule {
-        id: "D3",
-        name: "det-threading",
-        summary: "thread::spawn/scope or mpsc outside the deterministic experiments runner \
-                  merge",
-    },
     Rule {
         id: "H1",
         name: "hot-alloc",
@@ -75,31 +53,7 @@ pub const RULES: &[Rule] = &[
     Rule {
         id: "H4",
         name: "hot-panic",
-        summary: "unwrap() or panic-family macro anywhere on the hot-path call closure \
-                  (the P-rule bin waiver does not extend to hot code)",
-    },
-    Rule {
-        id: "C1",
-        name: "stat-lossy-cast",
-        summary: "narrowing `as` cast in a stat module can silently truncate u64 counters",
-    },
-    Rule {
-        id: "C2",
-        name: "stat-float-field",
-        summary: "float field in a *Stats struct: accumulate in integers, derive floats at \
-                  emit time",
-    },
-    Rule {
-        id: "P1",
-        name: "panic-unwrap",
-        summary: "unwrap() in a library crate outside #[cfg(test)]; return Result or \
-                  expect() with an invariant message",
-    },
-    Rule {
-        id: "P2",
-        name: "panic-macro",
-        summary: "panic!/unreachable!/todo!/unimplemented! in a library crate outside \
-                  #[cfg(test)]",
+        summary: "unwrap() or panic-family macro anywhere on the hot-path call closure",
     },
     Rule {
         id: "P3",
@@ -132,7 +86,7 @@ pub const MIN_EXPECT_MESSAGE: usize = 10;
 /// One finding.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Finding {
-    /// Rule id (`D1`, …).
+    /// Rule id (`H1`, …).
     pub rule: String,
     /// Workspace-relative path with forward slashes.
     pub path: String,
@@ -140,11 +94,11 @@ pub struct Finding {
     pub line: u32,
     /// What was found, with enough context to act on.
     pub message: String,
-    /// The trimmed source line (also the baseline matching key).
+    /// The trimmed source line.
     pub excerpt: String,
     /// For closure rules (H2–H4): the witness chain of function display
     /// names from a hot root to the function containing the finding.
-    /// Empty for token-local rules. Not part of the baseline key.
+    /// Empty for token-local rules.
     pub chain: Vec<String>,
 }
 
@@ -161,31 +115,6 @@ impl Finding {
             "{}:{}: [{}] {}{}",
             self.path, self.line, self.rule, self.message, via
         )
-    }
-}
-
-/// File-role classification driving per-rule applicability.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct FileRole {
-    /// Binary targets (`src/bin/…`, `main.rs`, `build.rs`): P-rules are
-    /// waived (argv parsing and top-level error reporting legitimately
-    /// abort).
-    is_bin: bool,
-    /// Stat modules (`stats.rs`, `metrics.rs`, `estimate.rs`): C1 applies.
-    is_stat_module: bool,
-    /// `crates/telemetry/`: the one home for wall-clock phase timers.
-    d2_exempt: bool,
-    /// `crates/experiments/src/runner.rs`: the one home for threads.
-    d3_exempt: bool,
-}
-
-fn classify(path: &str) -> FileRole {
-    let file = path.rsplit('/').next().unwrap_or(path);
-    FileRole {
-        is_bin: path.contains("/bin/") || file == "main.rs" || file == "build.rs",
-        is_stat_module: matches!(file, "stats.rs" | "metrics.rs" | "estimate.rs"),
-        d2_exempt: path.starts_with("crates/telemetry/"),
-        d3_exempt: path == "crates/experiments/src/runner.rs",
     }
 }
 
@@ -300,13 +229,11 @@ impl FileAnalysis {
 
 /// Pass 1: analyzes one file's source text into a [`FileAnalysis`] —
 /// token-local findings plus the symbol table the workspace passes need.
-/// `path` is the workspace-relative path used for rule scoping and
-/// reporting.
+/// `path` is the workspace-relative path used for reporting.
 pub fn analyze_file(path: &str, src: &str) -> FileAnalysis {
     let lexed = lex(src);
     let ext = extents(&lexed);
     let symbols = file_symbols(&lexed, &ext);
-    let role = classify(path);
     let lines: Vec<String> = src.lines().map(str::to_string).collect();
     let excerpt = |line: u32| -> String {
         lines
@@ -317,7 +244,7 @@ pub fn analyze_file(path: &str, src: &str) -> FileAnalysis {
 
     let mut raw: Vec<Finding> = Vec::new();
     let push = |rule: &str, line: u32, message: String, raw: &mut Vec<Finding>| {
-        // One finding per (rule, line): `HashMap<u64, HashMap<..>>` is one
+        // One finding per (rule, line): `v.clone().clone()` is one
         // problem, not two.
         if raw
             .iter()
@@ -340,167 +267,42 @@ pub fn analyze_file(path: &str, src: &str) -> FileAnalysis {
         if t.kind != TokKind::Ident {
             continue;
         }
-        let in_test = ext.in_test(i);
-
-        // D1 — nondeterministic map/set types.
-        if !in_test && (t.text == "HashMap" || t.text == "HashSet") {
-            let ordered = if t.text == "HashMap" {
-                "BTreeMap"
-            } else {
-                "BTreeSet"
-            };
-            push(
-                "D1",
-                t.line,
-                format!(
-                    "{} has nondeterministic iteration order; use {} or sort before \
-                     iterating (allow(D1) only with a keyed-access-only justification)",
-                    t.text, ordered
-                ),
-                &mut raw,
-            );
-        }
-
-        // D2 — wall-clock reads.
-        if !in_test && !role.d2_exempt && (t.text == "Instant" || t.text == "SystemTime") {
-            push(
-                "D2",
-                t.line,
-                format!(
-                    "{} is wall-clock state; simulated results must be a pure function of \
-                     config + seed (timers belong in cosmos-telemetry)",
-                    t.text
-                ),
-                &mut raw,
-            );
-        }
-
-        // D3 — ad-hoc threading.
-        if !in_test && !role.d3_exempt {
-            let threaded = t.text == "mpsc"
-                || (t.text == "thread"
-                    && is_punct(toks, i + 1, ":")
-                    && is_punct(toks, i + 2, ":")
-                    && matches!(
-                        toks.get(i + 3).map(|t| t.text.as_str()),
-                        Some("spawn") | Some("scope")
-                    ));
-            if threaded {
-                push(
-                    "D3",
-                    t.line,
-                    "threads/channels outside the experiments runner break the serial ≡ \
-                     parallel artifact identity; route parallelism through run_grid"
-                        .to_string(),
-                    &mut raw,
-                );
-            }
+        if ext.in_test(i) {
+            continue;
         }
 
         // H1 — allocation in directly-annotated hot functions.
         if let Some(hot_fn) = ext.hot_fn(i) {
-            if !in_test {
-                if let Some(site) = alloc_site(toks, i) {
-                    push(
-                        "H1",
-                        t.line,
-                        format!(
-                            "`{site}` allocates inside hot function `{hot_fn}` (runs per \
-                             simulated access); hoist it out or reuse a scratch buffer"
-                        ),
-                        &mut raw,
-                    );
-                }
-            }
-        }
-
-        // C1 — narrowing casts in stat modules.
-        if !in_test
-            && role.is_stat_module
-            && t.text == "as"
-            && matches!(
-                toks.get(i + 1).map(|t| t.text.as_str()),
-                Some("u8")
-                    | Some("u16")
-                    | Some("u32")
-                    | Some("i8")
-                    | Some("i16")
-                    | Some("i32")
-                    | Some("f32")
-            )
-        {
-            let target = toks.get(i + 1).map(|t| t.text.clone()).unwrap_or_default();
-            push(
-                "C1",
-                t.line,
-                format!(
-                    "narrowing `as {target}` in a stat module silently truncates; use \
-                     try_from or widen the destination"
-                ),
-                &mut raw,
-            );
-        }
-
-        // C2 — float fields in *Stats structs.
-        if !in_test && (t.text == "f32" || t.text == "f64") {
-            if let Some(name) = ext.stats_struct(i) {
+            if let Some(site) = alloc_site(toks, i) {
                 push(
-                    "C2",
+                    "H1",
                     t.line,
                     format!(
-                        "float-typed state in stats struct `{name}`: accumulation order \
-                         changes results under merge; keep counters integral and derive \
-                         floats at emit time"
+                        "`{site}` allocates inside hot function `{hot_fn}` (runs per \
+                         simulated access); hoist it out or reuse a scratch buffer"
                     ),
                     &mut raw,
                 );
             }
         }
 
-        // P-rules — only in library code.
-        if !in_test && !role.is_bin {
-            if t.text == "unwrap"
-                && is_punct(toks, i.wrapping_sub(1), ".")
-                && is_punct(toks, i + 1, "(")
-            {
-                push(
-                    "P1",
-                    t.line,
-                    "unwrap() in library code; return Result or use expect() stating the \
-                     invariant that makes failure impossible"
-                        .to_string(),
-                    &mut raw,
-                );
-            }
-            if matches!(
-                t.text.as_str(),
-                "panic" | "unreachable" | "todo" | "unimplemented"
-            ) && is_punct(toks, i + 1, "!")
-            {
-                push(
-                    "P2",
-                    t.line,
-                    format!("{}! in library code; return an error instead", t.text),
-                    &mut raw,
-                );
-            }
-            if t.text == "expect"
-                && is_punct(toks, i.wrapping_sub(1), ".")
-                && is_punct(toks, i + 1, "(")
-            {
-                if let Some(msg) = toks.get(i + 2).filter(|m| m.kind == TokKind::Str) {
-                    if msg.text.len() < MIN_EXPECT_MESSAGE || !msg.text.contains(' ') {
-                        push(
-                            "P3",
-                            t.line,
-                            format!(
-                                "expect message {:?} does not state an invariant; explain \
-                                 why this cannot fail",
-                                msg.text
-                            ),
-                            &mut raw,
-                        );
-                    }
+        // P3 — expect() messages that state no invariant.
+        if t.text == "expect"
+            && is_punct(toks, i.wrapping_sub(1), ".")
+            && is_punct(toks, i + 1, "(")
+        {
+            if let Some(msg) = toks.get(i + 2).filter(|m| m.kind == TokKind::Str) {
+                if msg.text.len() < MIN_EXPECT_MESSAGE || !msg.text.contains(' ') {
+                    push(
+                        "P3",
+                        t.line,
+                        format!(
+                            "expect message {:?} does not state an invariant; explain why \
+                             this cannot fail",
+                            msg.text
+                        ),
+                        &mut raw,
+                    );
                 }
             }
         }
@@ -623,25 +425,6 @@ mod tests {
     }
 
     #[test]
-    fn d1_fires_outside_tests_only() {
-        let src = "\
-use std::collections::HashMap;
-#[cfg(test)]
-mod tests {
-    fn t() { let m = std::collections::HashMap::<u64, u64>::new(); let _ = m; }
-}
-";
-        assert_eq!(rules_of("crates/x/src/lib.rs", src), vec!["D1"]);
-    }
-
-    #[test]
-    fn p_rules_skip_bins() {
-        let src = "fn main() { run().unwrap(); panic!(\"usage\"); }";
-        assert!(rules_of("crates/x/src/bin/tool.rs", src).is_empty());
-        assert_eq!(rules_of("crates/x/src/lib.rs", src), vec!["P1", "P2"]);
-    }
-
-    #[test]
     fn h1_only_in_hot_fns() {
         let src = "\
 // cosmos-lint: hot
@@ -656,66 +439,46 @@ fn cold(&mut self) { let v = self.ways.to_vec(); drop(v); }
     }
 
     #[test]
-    fn c1_scoped_to_stat_modules() {
-        let src = "fn f(x: u64) -> u32 { x as u32 }";
-        assert_eq!(rules_of("crates/x/src/stats.rs", src), vec!["C1"]);
-        assert!(rules_of("crates/x/src/other.rs", src).is_empty());
-    }
-
-    #[test]
-    fn c2_flags_float_stats_fields() {
-        let src = "pub struct SimStats { pub ipc_sum: f64 }\npub struct Point { pub x: f64 }";
-        assert_eq!(rules_of("crates/x/src/lib.rs", src), vec!["C2"]);
-    }
-
-    #[test]
     fn p3_judges_expect_messages() {
         let good =
             "fn f(o: Option<u64>) -> u64 { o.expect(\"plan is non-empty by construction\") }";
         let bad = "fn f(o: Option<u64>) -> u64 { o.expect(\"oops\") }";
         assert!(rules_of("crates/x/src/lib.rs", good).is_empty());
         assert_eq!(rules_of("crates/x/src/lib.rs", bad), vec!["P3"]);
+        // Binaries get no waiver: a vague message is vague anywhere.
+        assert_eq!(rules_of("crates/x/src/bin/tool.rs", bad), vec!["P3"]);
     }
 
     #[test]
     fn allow_pragma_suppresses_and_is_used() {
         let src = "\
-// cosmos-lint: allow(D1): keyed lookups only; never iterated for output
-use std::collections::HashMap;
+// cosmos-lint: allow(P3): the message is the fixture's point here
+fn f(o: Option<u64>) -> u64 { o.expect(\"oops\") }
 ";
         assert!(rules_of("crates/x/src/lib.rs", src).is_empty());
     }
 
     #[test]
     fn unused_allow_is_l2() {
-        let src = "// cosmos-lint: allow(D1): nothing here actually uses a hash map\nfn f() {}\n";
+        let src = "// cosmos-lint: allow(P3): nothing here actually calls expect\nfn f() {}\n";
         assert_eq!(rules_of("crates/x/src/lib.rs", src), vec!["L2"]);
     }
 
     #[test]
     fn malformed_pragma_is_l1() {
-        let src = "// cosmos-lint: allow(D1)\nuse std::collections::HashMap;\n";
-        assert_eq!(rules_of("crates/x/src/lib.rs", src), vec!["L1", "D1"]);
+        let src = "// cosmos-lint: allow(P3)\nfn f(o: Option<u64>) -> u64 { o.expect(\"oops\") }\n";
+        assert_eq!(rules_of("crates/x/src/lib.rs", src), vec!["L1", "P3"]);
     }
 
     #[test]
     fn file_allow_covers_whole_file() {
         let src = "\
-// cosmos-lint: allow-file(D2): this crate is the self-timed bench harness
-use std::time::Instant;
-fn f() { let t = Instant::now(); drop(t); }
+// cosmos-lint: allow-file(H2): this file is a checked-mode diagnostic
+// cosmos-lint: hot
+fn access() { helper(); }
+fn helper() { let v = Vec::<u8>::new(); drop(v); }
 ";
         assert!(rules_of("crates/x/src/lib.rs", src).is_empty());
-    }
-
-    #[test]
-    fn telemetry_exempt_from_d2_runner_from_d3() {
-        let d2 = "use std::time::Instant;";
-        assert!(rules_of("crates/telemetry/src/phase.rs", d2).is_empty());
-        assert_eq!(rules_of("crates/core/src/lib.rs", d2), vec!["D2"]);
-        let d3 = "fn go() { std::thread::scope(|s| { let _ = s; }); }";
-        assert!(rules_of("crates/experiments/src/runner.rs", d3).is_empty());
-        assert_eq!(rules_of("crates/core/src/lib.rs", d3), vec!["D3"]);
     }
 
     #[test]
@@ -723,6 +486,20 @@ fn f() { let t = Instant::now(); drop(t); }
         let src = "// cosmos-lint: allow(Z9): mystery rule justification\nfn f() {}\n";
         let rules = rules_of("crates/x/src/lib.rs", src);
         assert!(rules.contains(&"L1".to_string()), "{rules:?}");
+    }
+
+    #[test]
+    fn rules_moved_to_clippy_are_unknown() {
+        // The determinism, stat and panic bans are clippy lints now; a
+        // leftover pragma naming one must be converted, not kept.
+        for id in ["D1", "D2", "D3", "C1", "C2", "P1", "P2"] {
+            assert!(rule(id).is_none(), "{id} is still catalogued");
+            let src = format!(
+                "// cosmos-lint: allow({id}): a leftover waiver from the old catalogue\nfn f() {{}}\n"
+            );
+            let rules = rules_of("crates/x/src/lib.rs", &src);
+            assert!(rules.contains(&"L1".to_string()), "{id}: {rules:?}");
+        }
     }
 
     #[test]

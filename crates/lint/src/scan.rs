@@ -1,10 +1,9 @@
 //! Extent analysis over the token stream.
 //!
 //! Rules need context the raw tokens don't carry: is this token inside
-//! `#[cfg(test)]` code (exempt from most rules), inside a function marked
-//! `// cosmos-lint: hot` (subject to the H-rules), or inside a `…Stats`
-//! struct body (subject to C2)? This module computes those extents with a
-//! brace-matching walk — no AST required.
+//! `#[cfg(test)]` code (exempt from every rule), or inside a function
+//! marked `// cosmos-lint: hot` (subject to the H-rules)? This module
+//! computes those extents with a brace-matching walk — no AST required.
 
 use crate::pragma::{parse_pragmas, Allow, PragmaError};
 use crate::tokenizer::{Lexed, Tok, TokKind};
@@ -17,8 +16,6 @@ pub struct Extents {
     /// Bodies of functions annotated `// cosmos-lint: hot`, with the
     /// function name for reporting.
     pub hot_spans: Vec<(usize, usize, String)>,
-    /// Bodies of structs whose name ends in `Stats`, with the struct name.
-    pub stats_struct_spans: Vec<(usize, usize, String)>,
     /// Line-scoped allow pragmas, resolved to the line they suppress.
     pub allows: Vec<Allow>,
     /// File-scoped allow pragmas.
@@ -36,14 +33,6 @@ impl Extents {
     /// The hot function containing `idx`, if any.
     pub fn hot_fn(&self, idx: usize) -> Option<&str> {
         self.hot_spans
-            .iter()
-            .find(|&&(a, b, _)| a <= idx && idx < b)
-            .map(|(_, _, name)| name.as_str())
-    }
-
-    /// The stats struct containing `idx`, if any.
-    pub fn stats_struct(&self, idx: usize) -> Option<&str> {
-        self.stats_struct_spans
             .iter()
             .find(|&&(a, b, _)| a <= idx && idx < b)
             .map(|(_, _, name)| name.as_str())
@@ -78,16 +67,6 @@ pub fn extents(lexed: &Lexed) -> Extents {
             }
             i = attr_end;
             continue;
-        }
-        if is_ident(toks, i, "struct") {
-            if let Some(name) = toks.get(i + 1).filter(|t| t.kind == TokKind::Ident) {
-                if name.text.ends_with("Stats") {
-                    if let Some((open, close)) = body_braces(toks, i + 2) {
-                        ext.stats_struct_spans
-                            .push((open, close, name.text.clone()));
-                    }
-                }
-            }
         }
         i += 1;
     }
@@ -464,23 +443,5 @@ where
             .position(|t| t.text == "inner")
             .expect("inner");
         assert_eq!(e.hot_fn(inner), Some("merge"));
-    }
-
-    #[test]
-    fn stats_struct_span_found() {
-        let src = "pub struct SimStats { pub hits: u64, pub ipc: f64 }\nstruct Other { x: f64 }";
-        let l = lex(src);
-        let e = extents(&l);
-        assert_eq!(e.stats_struct_spans.len(), 1);
-        let ipc = l.toks.iter().position(|t| t.text == "ipc").expect("ipc");
-        let x = l.toks.iter().rposition(|t| t.text == "x").expect("x");
-        assert_eq!(e.stats_struct(ipc), Some("SimStats"));
-        assert_eq!(e.stats_struct(x), None);
-    }
-
-    #[test]
-    fn tuple_struct_stats_has_no_body_span() {
-        let e = ext("struct WrapStats(u64);");
-        assert!(e.stats_struct_spans.is_empty());
     }
 }

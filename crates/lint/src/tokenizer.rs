@@ -444,7 +444,7 @@ mod tests {
     #[test]
     fn pragma_comments_captured() {
         let src = "\
-// cosmos-lint: allow(D1): justified here
+// cosmos-lint: allow(H1): justified here
 let x = 1; // cosmos-lint: hot
 // a normal comment mentioning cosmos-lint: inside prose? no — prefix only
 ";
@@ -452,7 +452,7 @@ let x = 1; // cosmos-lint: hot
         assert_eq!(l.pragmas.len(), 2);
         assert_eq!(l.pragmas[0].line, 1);
         assert!(!l.pragmas[0].trailing);
-        assert_eq!(l.pragmas[0].text, "allow(D1): justified here");
+        assert_eq!(l.pragmas[0].text, "allow(H1): justified here");
         assert_eq!(l.pragmas[1].line, 2);
         assert!(l.pragmas[1].trailing);
         assert_eq!(l.pragmas[1].text, "hot");

@@ -11,7 +11,6 @@
 //! with no finding fails. Fixtures live outside `src/` so the workspace
 //! walk never lints them.
 
-use cosmos_lint::baseline::Baseline;
 use cosmos_lint::rules::{analyze_source, Finding};
 use cosmos_lint::WorkspaceAnalysis;
 use std::collections::BTreeSet;
@@ -102,78 +101,13 @@ fn check_workspace(files: &[(&str, &str)]) -> WorkspaceAnalysis {
 }
 
 #[test]
-fn d1_map_order() {
-    check("d1_map_order.rs", "crates/demo/src/lib.rs");
-}
-
-#[test]
-fn d2_wall_clock() {
-    check("d2_wall_clock.rs", "crates/demo/src/lib.rs");
-}
-
-#[test]
-fn d2_exempt_in_telemetry() {
-    // The same wall-clock fixture under crates/telemetry/ only keeps its
-    // L2 finding (the now-unused allow pragma); every D2 disappears.
-    let src = fixture("d2_wall_clock.rs");
-    let findings = analyze_source("crates/telemetry/src/phase.rs", &src);
-    assert!(
-        findings.iter().all(|f| f.rule == "L2"),
-        "telemetry exemption leaked: {findings:#?}"
-    );
-}
-
-#[test]
-fn d3_threading() {
-    check("d3_threading.rs", "crates/demo/src/lib.rs");
-}
-
-#[test]
-fn d3_exempt_in_runner() {
-    let src = fixture("d3_threading.rs");
-    let findings = analyze_source("crates/experiments/src/runner.rs", &src);
-    assert!(
-        findings.iter().all(|f| f.rule == "L2"),
-        "runner exemption leaked: {findings:#?}"
-    );
-}
-
-#[test]
 fn h1_hot_alloc() {
     check("h1_hot_alloc.rs", "crates/demo/src/lib.rs");
 }
 
 #[test]
-fn c_rules_stats() {
-    check("c_rules_stats.rs", "crates/demo/src/stats.rs");
-}
-
-#[test]
-fn c1_silent_outside_stat_modules() {
-    let src = fixture("c_rules_stats.rs");
-    let findings = analyze_source("crates/demo/src/lib.rs", &src);
-    // C2 still applies (struct-name keyed); C1 and its now-unused allow's
-    // L2 are the only path-scoped differences.
-    assert!(
-        findings.iter().all(|f| f.rule == "C2" || f.rule == "L2"),
-        "C1 fired outside a stat module: {findings:#?}"
-    );
-}
-
-#[test]
-fn p_rules_panics() {
-    check("p_rules_panics.rs", "crates/demo/src/lib.rs");
-}
-
-#[test]
-fn p_rules_waived_in_bins() {
-    let src = fixture("p_rules_panics.rs");
-    let findings = analyze_source("crates/demo/src/bin/tool.rs", &src);
-    // Only the stale allow(P1) remains (nothing to suppress in a bin).
-    assert!(
-        findings.iter().all(|f| f.rule == "L2"),
-        "P rules fired in a bin: {findings:#?}"
-    );
+fn p3_vague_expect() {
+    check("p3_vague_expect.rs", "crates/demo/src/lib.rs");
 }
 
 #[test]
@@ -241,58 +175,4 @@ fn workspace_trait_dispatch_fans_out_and_self_calls_resolve() {
         .find(|f| f.chain.last().is_some_and(|c| c == "Seeded::step"))
         .expect("finding inside Seeded::step");
     assert_eq!(seeded.chain, ["drive", "Seeded::pick", "Seeded::step"]);
-}
-
-#[test]
-fn baseline_suppresses_exactly_once() {
-    // Grandfather every finding of the P fixture, then re-run: clean.
-    let src = fixture("p_rules_panics.rs");
-    let findings = analyze_source("crates/demo/src/lib.rs", &src);
-    assert!(!findings.is_empty());
-    let text = Baseline::render(&findings);
-    let mut baseline = Baseline::parse(&text).expect("rendered baseline parses");
-    let mut live = Vec::new();
-    for f in analyze_source("crates/demo/src/lib.rs", &src) {
-        if !baseline.matches(&f) {
-            live.push(f);
-        }
-    }
-    assert!(live.is_empty(), "baselined findings still live: {live:#?}");
-    assert!(baseline.stale().is_empty());
-
-    // A *new* duplicate of a baselined sin is not covered: duplicate the
-    // first finding's source line and the multiset runs out of entries.
-    let first = &analyze_source("crates/demo/src/lib.rs", &src)[0];
-    let mut doubled_src = String::new();
-    for (i, line) in src.lines().enumerate() {
-        doubled_src.push_str(line);
-        doubled_src.push('\n');
-        if (i + 1) as u32 == first.line {
-            // Re-emit the offending line inside a fresh fn so it parses.
-            doubled_src.push_str("pub fn duplicated(o: Option<u64>) -> u64 {\n");
-            doubled_src.push_str(line);
-            doubled_src.push_str("\n}\n");
-        }
-    }
-    let mut baseline2 = Baseline::parse(&text).expect("parses");
-    let live2: Vec<Finding> = analyze_source("crates/demo/src/lib.rs", &doubled_src)
-        .into_iter()
-        .filter(|f| !baseline2.matches(f))
-        .collect();
-    assert!(
-        !live2.is_empty(),
-        "a fresh duplicate of a baselined finding must stay live"
-    );
-}
-
-#[test]
-fn stale_baseline_entries_surface() {
-    let mut baseline =
-        Baseline::parse("D1\tcrates/gone/src/lib.rs\tuse std::collections::HashMap;\n")
-            .expect("parses");
-    let src = fixture("d1_map_order.rs");
-    for f in analyze_source("crates/demo/src/lib.rs", &src) {
-        baseline.matches(&f);
-    }
-    assert_eq!(baseline.stale().len(), 1);
 }

@@ -192,7 +192,7 @@ pub mod strategy {
         ($($name:ident),+) => {
             impl<$($name: Strategy),+> Strategy for ($($name,)+) {
                 type Value = ($($name::Value,)+);
-                #[allow(non_snake_case)]
+                #[allow(non_snake_case, reason = "type parameters double as binding names")]
                 fn generate(&self, rng: &mut TestRng) -> Self::Value {
                     let ($($name,)+) = self;
                     ($($name.generate(rng),)+)

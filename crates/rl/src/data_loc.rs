@@ -36,8 +36,8 @@ impl DataLocation {
         match action {
             0 => DataLocation::OnChip,
             1 => DataLocation::OffChip,
-            // cosmos-lint: allow(P2,H4): documented contract of a const fn — callers pass 0 or 1
-            _ => panic!("invalid action"),
+            #[expect(clippy::panic, reason = "documented contract: callers pass 0 or 1")]
+            _ => panic!("invalid action"), // cosmos-lint: allow(H4): documented contract of a const fn — callers pass 0 or 1
         }
     }
 }

@@ -39,8 +39,8 @@ impl Locality {
         match action {
             0 => Locality::Bad,
             1 => Locality::Good,
-            // cosmos-lint: allow(P2,H4): documented contract of a const fn — callers pass 0 or 1
-            _ => panic!("invalid action"),
+            #[expect(clippy::panic, reason = "documented contract: callers pass 0 or 1")]
+            _ => panic!("invalid action"), // cosmos-lint: allow(H4): documented contract of a const fn — callers pass 0 or 1
         }
     }
 

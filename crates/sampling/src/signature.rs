@@ -27,7 +27,10 @@
 
 use cosmos_common::hash::splitmix64;
 use cosmos_common::MemAccess;
-// cosmos-lint: allow(D1): membership-and-count only (insert/len); never iterated, order cannot reach features
+#[expect(
+    clippy::disallowed_types,
+    reason = "membership-and-count only (insert/len); never iterated, order cannot reach features"
+)]
 use std::collections::HashSet;
 
 /// Buckets in the region histogram.
@@ -64,9 +67,15 @@ const CTR_LINE_SHIFT: u32 = 6;
 /// which of its accesses are first touches.
 #[derive(Clone, Debug, Default)]
 pub struct TraceHistory {
-    // cosmos-lint: allow(D1): membership-and-count only (insert/len); never iterated, order cannot reach features
+    #[expect(
+        clippy::disallowed_types,
+        reason = "membership-and-count only (insert/len); never iterated, order cannot reach features"
+    )]
     lines: HashSet<u64>,
-    // cosmos-lint: allow(D1): membership-and-count only (insert/len); never iterated, order cannot reach features
+    #[expect(
+        clippy::disallowed_types,
+        reason = "membership-and-count only (insert/len); never iterated, order cannot reach features"
+    )]
     ctr_lines: HashSet<u64>,
 }
 

@@ -13,11 +13,14 @@
 //! re-enqueues exactly the unfinished jobs — completed jobs are never
 //! re-run.
 
-// cosmos-lint: allow-file(D3): the serve daemon is inherently threaded
-// (worker pool, stdin pump, socket listener). Artifact identity is
-// untouched: each job runs the same single-threaded pipeline as its
-// binary, only job *scheduling* is concurrent — gated byte-for-byte by
-// the serve smokes in scripts/check.sh and the server unit tests.
+// Artifact identity is untouched by the threads below: each job runs the
+// same single-threaded pipeline as its binary, only job *scheduling* is
+// concurrent — gated byte-for-byte by the serve smokes in scripts/check.sh
+// and the server unit tests.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the serve daemon is inherently threaded (worker pool, stdin pump, socket listener)"
+)]
 
 use crate::checkpoint::{
     build_trace, refuse_unsavable, run_checkpointed, CheckpointRun, CkptOutcome,

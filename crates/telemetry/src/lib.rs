@@ -35,6 +35,10 @@ use std::fmt;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
+#[expect(
+    clippy::disallowed_types,
+    reason = "wall-clock phase timers are diagnostics only; they never reach simulated state"
+)]
 use std::time::Instant;
 
 use cosmos_common::json::Value;
@@ -107,6 +111,10 @@ impl HotMetrics {
 struct Shared {
     config: TelemetryConfig,
     dir: Option<PathBuf>,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "wall-clock phase timers are diagnostics only; they never reach simulated state"
+    )]
     epoch: Instant,
     registry: Registry,
     phases: Arc<Mutex<Vec<PhaseSpan>>>,
@@ -184,6 +192,10 @@ impl Telemetry {
     }
 
     /// The general constructor: optional output directory + knobs.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "wall-clock phase timers are diagnostics only; they never reach simulated state"
+    )]
     pub fn with_config(dir: Option<PathBuf>, config: TelemetryConfig) -> io::Result<Self> {
         if let Some(dir) = &dir {
             std::fs::create_dir_all(dir)?;
@@ -274,6 +286,10 @@ impl Telemetry {
     }
 
     /// Starts a wall-clock phase span; it ends when the guard drops.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "wall-clock phase timers are diagnostics only; they never reach simulated state"
+    )]
     pub fn phase(&self, name: &'static str) -> PhaseGuard {
         let Some(sh) = &self.shared else {
             return PhaseGuard::inert();

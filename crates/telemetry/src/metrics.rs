@@ -6,6 +6,9 @@
 //! atomics, so recording on the hot path is a single relaxed RMW with no
 //! locks and no allocation.
 
+// Stat counters are u64: a narrowing cast here would silently truncate one.
+#![deny(clippy::cast_possible_truncation)]
+
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -218,7 +221,10 @@ impl Registry {
     pub fn counter(&self, name: &str) -> Counter {
         match self.get_or_insert(name, || Metric::Counter(Counter::new())) {
             Metric::Counter(c) => c,
-            // cosmos-lint: allow(P2): documented contract — a name/kind clash is a startup-time programming error
+            #[expect(
+                clippy::panic,
+                reason = "documented contract: a name/kind clash is a startup-time programming error"
+            )]
             other => panic!("metric {name:?} already registered as a {}", other.kind()),
         }
     }
@@ -230,7 +236,10 @@ impl Registry {
     pub fn gauge(&self, name: &str) -> Gauge {
         match self.get_or_insert(name, || Metric::Gauge(Gauge::new())) {
             Metric::Gauge(g) => g,
-            // cosmos-lint: allow(P2): documented contract — a name/kind clash is a startup-time programming error
+            #[expect(
+                clippy::panic,
+                reason = "documented contract: a name/kind clash is a startup-time programming error"
+            )]
             other => panic!("metric {name:?} already registered as a {}", other.kind()),
         }
     }
@@ -242,7 +251,10 @@ impl Registry {
     pub fn histogram(&self, name: &str) -> Histogram {
         match self.get_or_insert(name, || Metric::Histogram(Histogram::new())) {
             Metric::Histogram(h) => h,
-            // cosmos-lint: allow(P2): documented contract — a name/kind clash is a startup-time programming error
+            #[expect(
+                clippy::panic,
+                reason = "documented contract: a name/kind clash is a startup-time programming error"
+            )]
             other => panic!("metric {name:?} already registered as a {}", other.kind()),
         }
     }

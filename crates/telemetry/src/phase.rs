@@ -4,6 +4,12 @@
 //! that records `(name, stream, start, duration)` when dropped. Disabled
 //! telemetry returns an inert guard — no clock read, no allocation.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the telemetry crate's phase timers are its one home for wall-clock reads; \
+              spans are diagnostics and never reach simulated state"
+)]
+
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 

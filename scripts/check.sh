@@ -68,38 +68,43 @@ rm -rf "$bench_dir"
 
 stage clippy
 # Every `unsafe` block must carry a `// SAFETY:` comment saying why it is
-# sound.
-cargo clippy -q --workspace --all-targets -- -D warnings -D clippy::undocumented_unsafe_blocks
+# sound. Test targets may use hash maps, clocks and threads (reference
+# models, harness timing), so the clippy.toml bans are off for them here.
+cargo clippy -q --workspace --all-targets -- -D warnings -D clippy::undocumented_unsafe_blocks \
+    -A clippy::disallowed_types -A clippy::disallowed_methods
+# Library and binary code (DESIGN.md §12), `#[cfg(test)]` excluded:
+# - clippy.toml's disallowed types and methods: no hash-ordered
+#   collections, wall-clock reads or ad-hoc threads;
+# - no `unwrap()` and no panic-family macro;
+# - stat modules deny narrowing casts themselves
+#   (`#![deny(clippy::cast_possible_truncation)]`);
+# - every waiver is an `#[expect(.., reason = "..")]`: a misspelled lint
+#   name, an expectation nothing fulfils, or an allow without a reason
+#   fails.
+cargo clippy -q --workspace --lib --bins -- -D warnings -D clippy::undocumented_unsafe_blocks \
+    -D clippy::disallowed_types -D clippy::disallowed_methods \
+    -D clippy::unwrap_used -D clippy::panic -D clippy::unreachable -D clippy::todo \
+    -D clippy::unimplemented -D clippy::allow_attributes_without_reason \
+    -D unknown_lints -D unfulfilled_lint_expectations
 
 # Rustdoc with warnings denied: every intra-doc link must resolve, and
 # public docs must not link to private items.
 stage doc
 RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
 
-# Static analysis (DESIGN.md §12/§17): determinism, hot-path-closure,
-# stat-integrity, and panic invariants. Deny-by-default — any
-# finding that is neither pragma-justified nor in lint.baseline fails the
-# gate. The JSON report is committed so reviews can diff it.
+# Static analysis (DESIGN.md §12/§17): the hot-path closure and
+# expect-message rules clippy cannot express. Deny-by-default — any
+# finding that is not pragma-justified fails the gate. The JSON report is
+# committed so reviews can diff it, and the committed copy must match what
+# the tree produces (a stale report fails here, not in review).
 stage lint
-cargo run --release -q -p cosmos-lint -- --json results/lint.json
-
-# The lint's own determinism contract: the machine-readable report must be
-# byte-identical across --jobs values, and the committed copy must match
-# what the tree produces (stale reports fail here, not in review).
-stage lint-determinism
-lint_a="$(mktemp)"
-lint_b="$(mktemp)"
-cargo run --release -q -p cosmos-lint -- -q --jobs 1 --json "$lint_a"
-cargo run --release -q -p cosmos-lint -- -q --jobs 4 --json "$lint_b"
-cmp "$lint_a" "$lint_b" || {
-    echo "check.sh: lint report depends on --jobs" >&2
-    exit 1
-}
-cmp "$lint_a" results/lint.json || {
+lint_json="$(mktemp)"
+cargo run --release -q -p cosmos-lint -- --json "$lint_json"
+cmp "$lint_json" results/lint.json || {
     echo "check.sh: committed results/lint.json is stale — commit the regenerated report" >&2
     exit 1
 }
-rm -f "$lint_a" "$lint_b"
+rm -f "$lint_json"
 
 # Sampled-mode smoke: the validation harness end-to-end at a tiny budget
 # (exercises plan building, warmup/priming, and the weighted merge; the
