@@ -162,65 +162,94 @@ impl MorphFormat {
     }
 }
 
-/// One counter block's state, stored zero-counter-compressed.
-///
-/// As in MorphCtr's ZCC formats, a block keeps a bitmap of which of its
-/// `coverage` minors are non-zero and only those minors, in slot order: the
-/// minor of slot `s` sits at index `popcount(bitmap below s)`. Touched
-/// blocks mostly hold one or two non-zero minors, so a block costs 4 B of
-/// heap per non-zero minor rather than 4 B per covered line. The worst case
-/// is no larger than a dense array: the minor list grows by doubling from 4
-/// and every coverage is a power of two, so a block whose minors are all
-/// non-zero holds at most `coverage` of them. [`CounterBlock::minor`] reads
-/// one slot; [`CounterBlock::minors`] expands the dense array for the cold
-/// consumers (snapshots, Merkle leaf hashes, shadow priming).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CounterBlock {
-    /// The shared major counter (bumped on overflow / re-encryption).
-    pub major: u64,
-    /// Current MorphCtr format (always `Uniform` for non-Morph schemes'
-    /// reporting; unused by them).
-    pub format: MorphFormat,
-    /// Bit `s % 64` of word `s / 64` is set iff slot `s`'s minor is non-zero.
-    nonzero_map: [u64; 2],
-    /// The non-zero minors in ascending slot order.
-    nonzero: Vec<u32>,
-    /// Largest minor in the block, maintained incrementally (minors only
-    /// grow between overflow resets).
-    max_minor: u32,
-    /// Data lines covered (at most 128, so two bitmap words suffice).
-    coverage: u8,
+/// The minor word of a [`BlockRecord`]: bit 63 marks a spilled block,
+/// bits 57..63 hold the minors' width and bits 0..57 the payload, either
+/// the packed non-zero minors or a spilled block's spill index.
+const SPILLED: u64 = 1 << 63;
+/// Where the width sits in the minor word.
+const WIDTH_SHIFT: u32 = 57;
+/// The width field: six bits, since a restored Split or Monolithic minor
+/// may be any `u32` (32 bits wide).
+const WIDTH_MASK: u64 = 0x3f;
+/// Payload bits of the minor word: the packed minors of an inline block
+/// take `nonzero × width` of them.
+const PAYLOAD_BITS: u32 = 57;
+/// The payload field of the minor word.
+const PAYLOAD_MASK: u64 = (1 << PAYLOAD_BITS) - 1;
+
+/// Bits needed to write `m` (0 for 0).
+#[inline]
+const fn bit_len(m: u32) -> u32 {
+    u32::BITS - m.leading_zeros()
 }
 
-impl CounterBlock {
-    fn new(coverage: u64) -> Self {
-        debug_assert!(coverage <= 128 && coverage.is_power_of_two());
-        Self {
-            major: 0,
-            format: MorphFormat::Uniform,
-            nonzero_map: [0; 2],
-            // cosmos-lint: allow(H2): the minor list starts empty and grows by doubling only as slots first turn non-zero — at most log2(coverage) - 1 allocations over the block's life (overflow keeps the capacity), amortized over every later access to it
-            nonzero: Vec::new(),
-            max_minor: 0,
-            coverage: coverage as u8,
+/// The largest minor of `width` bits.
+#[inline]
+const fn width_max(width: u32) -> u32 {
+    match u32::MAX.checked_shr(u32::BITS - width) {
+        Some(max) => max,
+        None => 0,
+    }
+}
+
+/// The MorphCtr format of a block with `nonzero` non-zero minors whose
+/// largest minor is `width` bits wide. Every format bound is `max <= 7`
+/// or `max < 2^k`, which a minor meets exactly when the all-ones minor of
+/// its width does, so the width decides the format as the maximum would.
+#[inline]
+fn format_of(nonzero: u32, width: u32) -> Option<MorphFormat> {
+    MorphFormat::choose_summary(nonzero, width_max(width))
+}
+
+/// One materialized counter block as its page stores it: 32 bytes, no
+/// heap of its own.
+///
+/// The minors are kept zero-counter-compressed, as in MorphCtr's ZCC
+/// formats: bit `s % 64` of `nonzero_map[s / 64]` is set iff slot `s`'s
+/// minor is non-zero. The `minors` word holds `width`, the bit length of
+/// the block's largest minor, and, while `nonzero × width` fits its 57
+/// payload bits, the non-zero minors themselves, `width` bits each in
+/// ascending slot order (the minor of slot `s` is field
+/// `popcount(nonzero_map below s)`). A block whose minors outgrow the word
+/// is *spilled*: the word keeps the width and holds the index of a dense
+/// `coverage`-minor array in [`Spills`] instead. Minors only grow between
+/// overflows, so a block spills at most once per overflow, and an overflow
+/// returns it to the word.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct BlockRecord {
+    /// The shared major counter (bumped on overflow / re-encryption).
+    major: u64,
+    /// Which minors are non-zero.
+    nonzero_map: [u64; 2],
+    /// Spill flag, width and payload (see [`SPILLED`]).
+    minors: u64,
+}
+
+impl BlockRecord {
+    /// Count of non-zero minors.
+    #[inline]
+    const fn nonzero(&self) -> u32 {
+        self.nonzero_map[0].count_ones() + self.nonzero_map[1].count_ones()
+    }
+
+    /// Bit length of the largest minor.
+    #[inline]
+    const fn width(&self) -> u32 {
+        ((self.minors >> WIDTH_SHIFT) & WIDTH_MASK) as u32
+    }
+
+    /// The spill index of a spilled block.
+    #[inline]
+    const fn spill(&self) -> Option<usize> {
+        if self.minors & SPILLED != 0 {
+            Some((self.minors & PAYLOAD_MASK) as usize)
+        } else {
+            None
         }
     }
 
-    /// Rebuilds a block from its dense minors (snapshot restore).
-    fn from_dense(major: u64, minors: &[u32], format: MorphFormat) -> Self {
-        let mut block = Self::new(minors.len() as u64);
-        block.major = major;
-        block.format = format;
-        for (slot, &m) in minors.iter().enumerate().filter(|&(_, &m)| m != 0) {
-            block.nonzero_map[slot / 64] |= 1 << (slot % 64);
-            block.nonzero.push(m);
-        }
-        block.max_minor = minors.iter().copied().max().unwrap_or(0);
-        block
-    }
-
-    /// Whether `slot`'s minor is non-zero, and its index in `nonzero` (or,
-    /// if it is zero, the index it would be inserted at).
+    /// Whether `slot`'s minor is non-zero, and its rank among the
+    /// non-zero minors (or, if it is zero, the rank it would take).
     #[inline]
     fn locate(&self, slot: usize) -> (bool, usize) {
         let (word, bit) = (slot / 64, slot % 64);
@@ -234,58 +263,271 @@ impl CounterBlock {
         ((map >> bit) & 1 == 1, below as usize)
     }
 
+    /// Field `rank` of an inline block's packed minors.
+    #[inline]
+    fn packed(&self, rank: usize) -> u32 {
+        let width = self.width();
+        ((self.minors >> (rank as u32 * width)) & u64::from(width_max(width))) as u32
+    }
+
+    /// The minor word of `width` and `payload`, spill flag clear.
+    #[inline]
+    const fn word(width: u32, payload: u64) -> u64 {
+        ((width as u64) << WIDTH_SHIFT) | payload
+    }
+}
+
+/// The dense minor arrays of spilled blocks, `coverage` minors each, in
+/// one arena. An overflow zeroes its block's array and frees it for the
+/// next block that spills.
+#[derive(Clone, Debug, Default)]
+struct Spills {
+    dense: Vec<u32>,
+    /// Freed spill indices, reused before the arena grows.
+    free: Vec<usize>,
+}
+
+impl Spills {
+    /// The minors of spill `at`.
+    #[inline]
+    fn minors(&self, at: usize, coverage: usize) -> &[u32] {
+        &self.dense[at * coverage..(at + 1) * coverage]
+    }
+
+    /// Increments `slot`'s minor of `block` unless it already is `cap` (or
+    /// more, which only a restored Split or Monolithic block can hold);
+    /// returns whether it did.
+    #[inline]
+    fn bump(&mut self, block: &mut BlockRecord, slot: usize, cap: u32, coverage: usize) -> bool {
+        let (present, rank) = block.locate(slot);
+        let width = block.width();
+        if let Some(at) = block.spill() {
+            let minor = &mut self.dense[at * coverage + slot];
+            if *minor >= cap {
+                return false;
+            }
+            *minor += 1;
+            let width = width.max(bit_len(*minor));
+            block.minors = SPILLED | BlockRecord::word(width, at as u64);
+        } else {
+            let old = if present { block.packed(rank) } else { 0 };
+            if old >= cap {
+                return false;
+            }
+            let next = old + 1;
+            let grown = width.max(bit_len(next));
+            let nonzero = block.nonzero() + u32::from(!present);
+            if nonzero * grown > PAYLOAD_BITS {
+                let at = self.spill(block, coverage);
+                self.dense[at * coverage + slot] = next;
+                block.minors = SPILLED | BlockRecord::word(grown, at as u64);
+            } else {
+                let packed = widen(block.minors & PAYLOAD_MASK, block.nonzero(), width, grown);
+                let packed = if present {
+                    set_field(packed, rank, grown, next)
+                } else {
+                    insert_field(packed, rank, grown, next)
+                };
+                block.minors = BlockRecord::word(grown, packed);
+            }
+        }
+        block.nonzero_map[slot / 64] |= 1 << (slot % 64);
+        true
+    }
+
+    /// Moves an inline block's minors into a dense array and returns its
+    /// spill index; the block's word is left for the caller to set.
+    #[cold]
+    #[inline(never)]
+    fn spill(&mut self, block: &BlockRecord, coverage: usize) -> usize {
+        let at = self.take(coverage);
+        let dense = &mut self.dense[at * coverage..(at + 1) * coverage];
+        for (rank, slot) in set_bits(block.nonzero_map).enumerate() {
+            dense[slot] = block.packed(rank);
+        }
+        at
+    }
+
+    /// A zeroed spill array: a freed one, or a new one at the arena's end.
+    fn take(&mut self, coverage: usize) -> usize {
+        self.free.pop().unwrap_or_else(|| {
+            let at = self.dense.len() / coverage;
+            self.dense.resize(self.dense.len() + coverage, 0);
+            at
+        })
+    }
+
+    /// Resets every minor of `block` to zero (overflow), freeing its spill
+    /// array if it has one.
+    fn clear(&mut self, block: &mut BlockRecord, coverage: usize) {
+        if let Some(at) = block.spill() {
+            self.dense[at * coverage..(at + 1) * coverage].fill(0);
+            self.free.push(at);
+        }
+        block.nonzero_map = [0; 2];
+        block.minors = 0;
+    }
+
+    /// Sets `block`'s minors to `minors` (snapshot restore; the block has
+    /// none yet).
+    fn load(&mut self, block: &mut BlockRecord, minors: &[u32]) {
+        for (slot, _) in minors.iter().enumerate().filter(|&(_, &m)| m != 0) {
+            block.nonzero_map[slot / 64] |= 1 << (slot % 64);
+        }
+        let width = bit_len(minors.iter().copied().max().unwrap_or(0));
+        if block.nonzero() * width > PAYLOAD_BITS {
+            let at = self.take(minors.len());
+            self.dense[at * minors.len()..(at + 1) * minors.len()].copy_from_slice(minors);
+            block.minors = SPILLED | BlockRecord::word(width, at as u64);
+        } else {
+            let packed = minors
+                .iter()
+                .filter(|&&m| m != 0)
+                .enumerate()
+                .fold(0, |packed, (rank, &m)| {
+                    packed | (u64::from(m) << (rank as u32 * width))
+                });
+            block.minors = BlockRecord::word(width, packed);
+        }
+    }
+}
+
+/// The set bits of a two-word bitmap, ascending.
+fn set_bits(map: [u64; 2]) -> impl Iterator<Item = usize> {
+    (0..128).filter(move |&s| (map[s / 64] >> (s % 64)) & 1 == 1)
+}
+
+/// `count` packed fields of `from` bits each, re-packed `to` bits each.
+#[inline]
+fn widen(packed: u64, count: u32, from: u32, to: u32) -> u64 {
+    if from == to {
+        return packed;
+    }
+    let mask = u64::from(width_max(from));
+    (0..count).fold(0, |out, i| {
+        out | (((packed >> (i * from)) & mask) << (i * to))
+    })
+}
+
+/// `packed` with field `rank` (`width` bits each) set to `value`.
+#[inline]
+fn set_field(packed: u64, rank: usize, width: u32, value: u32) -> u64 {
+    let shift = rank as u32 * width;
+    (packed & !(u64::from(width_max(width)) << shift)) | (u64::from(value) << shift)
+}
+
+/// `packed` with `value` inserted as field `rank` (`width` bits each),
+/// the fields from `rank` on moving up one.
+#[inline]
+fn insert_field(packed: u64, rank: usize, width: u32, value: u32) -> u64 {
+    let shift = rank as u32 * width;
+    let below = packed & ((1 << shift) - 1);
+    below | (u64::from(value) << shift) | ((packed >> shift) << (shift + width))
+}
+
+/// One counter block, read from a [`CounterStore`].
+///
+/// The store keeps each materialized block as a 32-byte record inside
+/// its page: the major, a bitmap of the non-zero minors and one word
+/// holding those minors bit-packed at the width of the largest, or, for
+/// the few blocks whose minors outgrow that word, the index of a dense
+/// array of all `coverage` minors. A `CounterBlock` is a copy of the
+/// record plus that array, if any. [`CounterBlock::minor`] reads one
+/// slot; [`CounterBlock::minors`] expands the dense array for the cold
+/// consumers (snapshots, Merkle leaf hashes, shadow priming). The MorphCtr
+/// format is not stored: [`CounterBlock::format`] derives it from the
+/// minors.
+#[derive(Clone, Copy, Debug)]
+pub struct CounterBlock<'a> {
+    record: BlockRecord,
+    /// A spilled block's `coverage` minors; empty for an inline block.
+    dense: &'a [u32],
+    scheme: CounterScheme,
+}
+
+impl CounterBlock<'_> {
+    /// The shared major counter (bumped on overflow / re-encryption).
+    #[inline]
+    pub fn major(&self) -> u64 {
+        self.record.major
+    }
+
     /// The minor counter of `slot`.
     #[inline]
     pub fn minor(&self, slot: usize) -> u32 {
-        match self.locate(slot) {
-            (true, rank) => self.nonzero[rank],
-            (false, _) => 0,
+        match (self.dense.get(slot), self.record.locate(slot)) {
+            (Some(&m), _) => m,
+            (None, (true, rank)) => self.record.packed(rank),
+            (None, (false, _)) => 0,
         }
     }
 
     /// All `coverage` minor counters, zeros included, in slot order.
     pub fn minors(&self) -> Vec<u32> {
-        (0..usize::from(self.coverage))
+        (0..self.scheme.coverage() as usize)
             .map(|slot| self.minor(slot))
             .collect()
     }
 
-    /// Count of non-zero minors.
-    #[inline]
-    fn nonzero_count(&self) -> u32 {
-        self.nonzero.len() as u32
-    }
-
-    /// Increments `slot`'s minor unless it already is `cap`; returns
-    /// whether it did. A minor leaving zero joins the non-zero list.
-    #[inline]
-    fn bump_minor(&mut self, slot: usize, cap: u64) -> bool {
-        let next = match self.locate(slot) {
-            (true, rank) => {
-                let next = self.nonzero[rank] + 1;
-                if u64::from(next) > cap {
-                    return false;
-                }
-                self.nonzero[rank] = next;
-                next
-            }
-            (false, rank) => {
-                self.nonzero_map[slot / 64] |= 1 << (slot % 64);
-                self.nonzero.insert(rank, 1);
-                1
-            }
-        };
-        self.max_minor = self.max_minor.max(next);
-        true
-    }
-
-    /// Resets every minor to zero (overflow).
-    fn clear_minors(&mut self) {
-        self.nonzero_map = [0; 2];
-        self.nonzero.clear();
-        self.max_minor = 0;
+    /// The block's MorphCtr format: the narrowest that holds its minors
+    /// (always `Uniform` under the other schemes, which have none).
+    pub fn format(&self) -> MorphFormat {
+        match self.scheme {
+            CounterScheme::MorphCtr => format_of(self.record.nonzero(), self.record.width())
+                .unwrap_or(MorphFormat::Uniform),
+            _ => MorphFormat::Uniform,
+        }
     }
 }
+
+/// Blocks are equal when their scheme, major and every minor are.
+impl PartialEq for CounterBlock<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.scheme == other.scheme
+            && self.record.major == other.record.major
+            && self.record.nonzero_map == other.record.nonzero_map
+            && (0..self.scheme.coverage() as usize).all(|s| self.minor(s) == other.minor(s))
+    }
+}
+
+/// The data lines of one counter block, as an iterator: what an overflow
+/// re-encrypts.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct LineRange {
+    next: u64,
+    end: u64,
+}
+
+impl LineRange {
+    /// The `count` lines from `first` on.
+    pub const fn new(first: u64, count: u64) -> Self {
+        Self {
+            next: first,
+            end: first + count,
+        }
+    }
+}
+
+impl Iterator for LineRange {
+    type Item = LineAddr;
+
+    #[inline]
+    fn next(&mut self) -> Option<LineAddr> {
+        if self.next == self.end {
+            return None;
+        }
+        self.next += 1;
+        Some(LineAddr::new(self.next - 1))
+    }
+
+    #[inline]
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = (self.end - self.next) as usize;
+        (left, Some(left))
+    }
+}
+
+impl ExactSizeIterator for LineRange {}
 
 /// What happened when a counter was incremented.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -301,8 +543,8 @@ pub enum IncrementOutcome {
     /// The block overflowed: major bumped, minors reset, and every covered
     /// data line must be re-encrypted (background write traffic).
     Overflow {
-        /// Data lines requiring re-encryption.
-        reencrypt: Vec<LineAddr>,
+        /// Data lines requiring re-encryption: the block's coverage.
+        reencrypt: LineRange,
     },
 }
 
@@ -329,35 +571,43 @@ struct SavedBlock {
 /// Blocks per page of the counter table.
 const PAGE_BLOCKS: usize = 64;
 
-/// [`PAGE_BLOCKS`] consecutive blocks of the counter table, allocated
-/// when the first of them is touched.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// Records a page's array grows by when full: a page holds at most this
+/// many slots it does not use.
+const PAGE_GROWTH: usize = 8;
+
+/// The materialized blocks among [`PAGE_BLOCKS`] consecutive ones.
+#[derive(Clone, Debug)]
 struct Page {
     /// Bit `i` is set iff block `i` of the page is materialized.
     present: u64,
-    blocks: [CounterBlock; PAGE_BLOCKS],
+    /// The materialized blocks in ascending index order: block `i` is
+    /// `blocks[popcount(present below i)]`.
+    blocks: Vec<BlockRecord>,
 }
 
 impl Page {
-    /// Out of line, so a lookup of an allocated page stays small enough
-    /// to inline.
+    /// Materializes block `i` as `blocks[rank]`, zeroed.
     #[cold]
     #[inline(never)]
-    fn new(coverage: u64) -> Box<Self> {
-        // cosmos-lint: allow(H2): a page of 64 counter blocks is allocated on the first touch of any of them and kept for the store's life, so a run allocates once per page its writebacks reach, not per access
-        Box::new(Self {
-            present: 0,
-            blocks: core::array::from_fn(|_| CounterBlock::new(coverage)),
-        })
+    fn materialize(&mut self, i: usize, rank: usize) {
+        if self.blocks.len() == self.blocks.capacity() {
+            self.blocks.reserve_exact(PAGE_GROWTH);
+        }
+        self.blocks.insert(rank, BlockRecord::default());
+        self.present |= 1 << i;
     }
 }
 
-/// The counter blocks, indexed by block number: a directory of lazily
-/// allocated pages that grows to the highest page touched. Iteration is
-/// in ascending block order.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+/// The counter blocks, indexed by block number: a directory over the
+/// pages, which are allocated when one of their blocks is first touched.
+/// Iteration is in ascending block order.
+#[derive(Clone, Debug, Default)]
 struct CounterTable {
-    pages: Vec<Option<Box<Page>>>,
+    /// Page number → 1 + the page's index in `pages`, or 0 while none of
+    /// its blocks is materialized. Grows to the highest page touched.
+    directory: Vec<u32>,
+    /// The pages, in the order they were first touched.
+    pages: Vec<Page>,
 }
 
 /// The page of block `idx` and the block's place in it.
@@ -370,46 +620,69 @@ fn page_of(idx: u64) -> (usize, usize) {
 }
 
 impl CounterTable {
+    /// Page `p`, if one of its blocks is materialized.
+    #[inline]
+    fn page(&self, p: usize) -> Option<&Page> {
+        match self.directory.get(p) {
+            Some(&handle) if handle != 0 => Some(&self.pages[handle as usize - 1]),
+            _ => None,
+        }
+    }
+
     /// The materialized block `idx`, if any.
     #[inline]
-    fn get(&self, idx: u64) -> Option<&CounterBlock> {
+    fn get(&self, idx: u64) -> Option<&BlockRecord> {
         let (p, i) = page_of(idx);
-        let page = self.pages.get(p)?.as_deref()?;
-        (page.present >> i & 1 == 1).then(|| &page.blocks[i])
+        let page = self.page(p)?;
+        let rank = (page.present & ((1 << i) - 1)).count_ones() as usize;
+        (page.present >> i & 1 == 1).then(|| &page.blocks[rank])
     }
 
-    /// Block `idx`, materialized (as a block of `coverage` zero minors,
-    /// allocating its page) if it was not.
+    /// Block `idx`, materialized (as a block of zero minors, allocating its
+    /// page) if it was not.
     // cosmos-lint: hot
     #[inline]
-    fn entry(&mut self, idx: u64, coverage: u64) -> &mut CounterBlock {
+    fn entry(&mut self, idx: u64) -> &mut BlockRecord {
         let (p, i) = page_of(idx);
-        if p >= self.pages.len() {
-            self.grow(p);
+        let handle = match self.directory.get(p) {
+            Some(&handle) if handle != 0 => handle,
+            _ => self.add_page(p),
+        };
+        let page = &mut self.pages[handle as usize - 1];
+        let rank = (page.present & ((1 << i) - 1)).count_ones() as usize;
+        if page.present >> i & 1 == 0 {
+            page.materialize(i, rank);
         }
-        let page = self.pages[p].get_or_insert_with(|| Page::new(coverage));
-        page.present |= 1 << i;
-        &mut page.blocks[i]
+        &mut page.blocks[rank]
     }
 
-    /// Extends the directory to page `p`, its new pages absent: like a
-    /// page's allocation, only on the first touch of a page past the
-    /// directory's end, with the `Vec`'s amortized growth.
+    /// Allocates page `p` and returns its handle, extending the directory
+    /// to it: on the first touch of a page only.
     #[cold]
     #[inline(never)]
-    fn grow(&mut self, p: usize) {
-        self.pages.resize_with(p + 1, || None);
+    fn add_page(&mut self, p: usize) -> u32 {
+        if p >= self.directory.len() {
+            self.directory.resize(p + 1, 0);
+        }
+        self.pages.push(Page {
+            present: 0,
+            // cosmos-lint: allow(H2): a page's record array is allocated on the first touch of any of its 64 blocks and kept for the store's life, so a run allocates once per page its writebacks reach, not per access
+            blocks: Vec::with_capacity(PAGE_GROWTH),
+        });
+        let handle = self.pages.len() as u32;
+        self.directory[p] = handle;
+        handle
     }
 
     /// Every materialized block in ascending index order.
-    fn iter(&self) -> impl Iterator<Item = (u64, &CounterBlock)> + '_ {
-        let pages = self.pages.iter().enumerate();
-        pages
-            .filter_map(|(p, page)| Some((p, page.as_deref()?)))
+    fn iter(&self) -> impl Iterator<Item = (u64, &BlockRecord)> + '_ {
+        (0..self.directory.len())
+            .filter_map(|p| Some((p, self.page(p)?)))
             .flat_map(|(p, page)| {
-                (0..PAGE_BLOCKS)
-                    .filter(move |&i| page.present >> i & 1 == 1)
-                    .map(move |i| ((p * PAGE_BLOCKS + i) as u64, &page.blocks[i]))
+                let present = [page.present, 0];
+                set_bits(present)
+                    .zip(&page.blocks)
+                    .map(move |(i, block)| ((p * PAGE_BLOCKS + i) as u64, block))
             })
     }
 }
@@ -425,6 +698,7 @@ impl CounterTable {
 pub struct CounterStore {
     scheme: CounterScheme,
     table: CounterTable,
+    spills: Spills,
     /// Total overflow (re-encryption) events so far.
     overflows: u64,
     /// Total morph events so far (MorphCtr only).
@@ -447,6 +721,7 @@ impl CounterStore {
         Self {
             scheme,
             table: CounterTable::default(),
+            spills: Spills::default(),
             overflows: 0,
             morphs: 0,
             increments: 0,
@@ -479,13 +754,39 @@ impl CounterStore {
         LineAddr::DATA_LIMIT.div_ceil(self.scheme.coverage())
     }
 
+    /// The largest minor of the scheme (an increment past it overflows).
+    const fn minor_cap(&self) -> u32 {
+        match self.scheme {
+            CounterScheme::Monolithic => (1 << 20) - 1,
+            CounterScheme::Split => (1 << 7) - 1,
+            CounterScheme::MorphCtr => MorphFormat::Zcc {
+                max_nonzero: 8,
+                width: 20,
+            }
+            .max_minor() as u32,
+        }
+    }
+
+    /// The view of a stored block.
+    fn view<'a>(&'a self, record: &BlockRecord) -> CounterBlock<'a> {
+        let coverage = self.scheme.coverage() as usize;
+        CounterBlock {
+            record: *record,
+            dense: match record.spill() {
+                Some(at) => self.spills.minors(at, coverage),
+                None => &[],
+            },
+            scheme: self.scheme,
+        }
+    }
+
     /// The effective counter value of `line` (what goes into the OTP seed):
     /// `major << 20 | minor`. Minors are capped below 2^20 by every scheme.
     pub fn value(&self, line: LineAddr) -> u64 {
         let block_idx = self.scheme.block_of(line);
         let slot = self.scheme.slot_of(line);
         match self.table.get(block_idx) {
-            Some(b) => (b.major << 20) | b.minor(slot) as u64,
+            Some(b) => (b.major << 20) | self.view(b).minor(slot) as u64,
             None => 0,
         }
     }
@@ -493,17 +794,14 @@ impl CounterStore {
     /// Iterates over every materialized block in ascending index order
     /// (untouched blocks are implicit zeros and not yielded). Used to prime
     /// shadow models from a restored store.
-    pub fn materialized_blocks(&self) -> impl Iterator<Item = (u64, &CounterBlock)> + '_ {
-        self.table.iter()
+    pub fn materialized_blocks(&self) -> impl Iterator<Item = (u64, CounterBlock<'_>)> + '_ {
+        self.table.iter().map(|(idx, b)| (idx, self.view(b)))
     }
 
     /// Reads the whole block covering `line` (zeros if untouched).
-    pub fn block(&self, line: LineAddr) -> CounterBlock {
+    pub fn block(&self, line: LineAddr) -> CounterBlock<'_> {
         let block_idx = self.scheme.block_of(line);
-        self.table
-            .get(block_idx)
-            .cloned()
-            .unwrap_or_else(|| CounterBlock::new(self.scheme.coverage()))
+        self.view(self.table.get(block_idx).unwrap_or(&BlockRecord::default()))
     }
 
     /// Increments the counter of `line` (a memory write), handling morphing
@@ -512,7 +810,7 @@ impl CounterStore {
     pub fn increment(&mut self, line: LineAddr) -> IncrementOutcome {
         self.increments += 1;
         let scheme = self.scheme;
-        let coverage = scheme.coverage();
+        let coverage = scheme.coverage() as usize;
         let block_idx = scheme.block_of(line);
         debug_assert!(
             block_idx < self.block_limit(),
@@ -520,52 +818,43 @@ impl CounterStore {
             line.index()
         );
         let slot = scheme.slot_of(line);
-        let block = self.table.entry(block_idx, coverage);
-
-        let minor_cap: u64 = match scheme {
-            CounterScheme::Monolithic => (1 << 20) - 1,
-            CounterScheme::Split => (1 << 7) - 1,
-            CounterScheme::MorphCtr => MorphFormat::Zcc {
-                max_nonzero: 8,
-                width: 20,
+        let cap = self.minor_cap();
+        let block = self.table.entry(block_idx);
+        let before = (block.nonzero(), block.width());
+        if !self.spills.bump(block, slot, cap, coverage) {
+            return self.overflow(block_idx);
+        }
+        if scheme != CounterScheme::MorphCtr {
+            return IncrementOutcome::Ok;
+        }
+        let after = (block.nonzero(), block.width());
+        if after == before {
+            return IncrementOutcome::Ok;
+        }
+        match format_of(after.0, after.1) {
+            Some(f) if Some(f) == format_of(before.0, before.1) => IncrementOutcome::Ok,
+            Some(f) => {
+                self.morphs += 1;
+                IncrementOutcome::Morphed { to: f }
             }
-            .max_minor(),
-        };
-
-        if block.bump_minor(slot, minor_cap) {
-            if scheme == CounterScheme::MorphCtr {
-                match MorphFormat::choose_summary(block.nonzero_count(), block.max_minor) {
-                    Some(f) if f == block.format => IncrementOutcome::Ok,
-                    Some(f) => {
-                        block.format = f;
-                        self.morphs += 1;
-                        IncrementOutcome::Morphed { to: f }
-                    }
-                    None => self.overflow(block_idx),
-                }
-            } else {
-                IncrementOutcome::Ok
-            }
-        } else {
-            self.overflow(block_idx)
+            None => self.overflow(block_idx),
         }
     }
 
     /// Every materialized block in ascending index order, minors dense.
     fn saved_blocks(&self) -> Vec<SavedBlock> {
-        self.table
-            .iter()
+        self.materialized_blocks()
             .map(|(idx, b)| SavedBlock {
                 idx,
-                major: b.major,
+                major: b.major(),
                 minors: b.minors(),
             })
             .collect()
     }
 
-    /// Rebuilds the blocks from their saved minors, deriving each format
-    /// (only MorphCtr maintains one) and rejecting minors no format fits,
-    /// blocks past [`Self::block_limit`] and blocks saved twice.
+    /// Rebuilds the blocks from their saved minors, rejecting minors no
+    /// MorphCtr format fits (under MorphCtr), blocks past
+    /// [`Self::block_limit`] and blocks saved twice.
     fn restore_blocks(&mut self, v: &Value) -> LoadResult {
         let coverage = self.scheme.coverage();
         let minors = vec![0; coverage as usize];
@@ -575,6 +864,7 @@ impl CounterStore {
         };
         let limit = self.block_limit();
         self.table = CounterTable::default();
+        self.spills = Spills::default();
         for SavedBlock { idx, major, minors } in state::seq(v, &proto)? {
             if idx >= limit {
                 return Err(format!(
@@ -582,16 +872,15 @@ impl CounterStore {
                     limit - 1
                 ));
             }
-            let format = match self.scheme {
-                CounterScheme::MorphCtr => MorphFormat::choose(&minors),
-                _ => Some(MorphFormat::Uniform),
-            };
-            let format =
-                format.ok_or_else(|| format!("block {idx}: minors fit no MorphCtr format"))?;
+            if self.scheme == CounterScheme::MorphCtr && MorphFormat::choose(&minors).is_none() {
+                return Err(format!("block {idx}: minors fit no MorphCtr format"));
+            }
             if self.table.get(idx).is_some() {
                 return Err(format!("block {idx}: duplicated in snapshot"));
             }
-            *self.table.entry(idx, coverage) = CounterBlock::from_dense(major, &minors, format);
+            let block = self.table.entry(idx);
+            block.major = major;
+            self.spills.load(block, &minors);
         }
         Ok(())
     }
@@ -599,14 +888,11 @@ impl CounterStore {
     fn overflow(&mut self, block_idx: u64) -> IncrementOutcome {
         self.overflows += 1;
         let coverage = self.scheme.coverage();
-        let block = self.table.entry(block_idx, coverage);
+        let block = self.table.entry(block_idx);
         block.major += 1;
-        block.clear_minors();
-        block.format = MorphFormat::Uniform;
-        let first = block_idx * coverage;
+        self.spills.clear(block, coverage as usize);
         IncrementOutcome::Overflow {
-            // cosmos-lint: allow(H2): minor-counter overflow is the rare re-encryption path (counted in ctr_overflows), not the per-access path
-            reencrypt: (first..first + coverage).map(LineAddr::new).collect(),
+            reencrypt: LineRange::new(block_idx * coverage, coverage),
         }
     }
 }
@@ -620,7 +906,7 @@ mod tests {
     /// all `coverage` minors in a `Vec<u32>`. The oracle the compressed
     /// [`CounterStore`] must match increment for increment.
     mod reference {
-        use super::super::{CounterScheme, IncrementOutcome, MorphFormat};
+        use super::super::{CounterScheme, IncrementOutcome, LineRange, MorphFormat};
         use cosmos_common::LineAddr;
         use std::collections::BTreeMap;
 
@@ -714,9 +1000,8 @@ mod tests {
                 block.format = MorphFormat::Uniform;
                 block.nonzero = 0;
                 block.max_minor = 0;
-                let first = block_idx * coverage;
                 IncrementOutcome::Overflow {
-                    reencrypt: (first..first + coverage).map(LineAddr::new).collect(),
+                    reencrypt: LineRange::new(block_idx * coverage, coverage),
                 }
             }
 
@@ -755,8 +1040,29 @@ mod tests {
         CounterScheme::MorphCtr,
     ];
 
+    /// `store` saved and restored into a fresh store, which must save the
+    /// same bytes and hold the same blocks.
+    fn round_trip(store: &CounterStore) -> Result<CounterStore, String> {
+        let scheme = store.scheme();
+        let saved = store.save_state();
+        let mut restored = CounterStore::new(scheme);
+        restored.load_state(&saved)?;
+        if restored.save_state().to_string() != saved.to_string() {
+            return Err(format!("{scheme}: restored store saves other bytes"));
+        }
+        if !restored
+            .materialized_blocks()
+            .eq(store.materialized_blocks())
+        {
+            return Err(format!("{scheme}: restored store holds other blocks"));
+        }
+        Ok(restored)
+    }
+
     /// Runs `writes` (line, repeats) on both stores, comparing every
-    /// outcome and value, then the event counts and snapshots.
+    /// outcome and value, then the event counts and snapshots. Half-way
+    /// through, the store is replaced by its snapshot round trip, so the
+    /// second half runs on restored blocks.
     fn check_against_reference(
         scheme: CounterScheme,
         writes: &[(u64, usize)],
@@ -764,6 +1070,9 @@ mod tests {
         let mut store = CounterStore::new(scheme);
         let mut dense = reference::DenseStore::new(scheme);
         for (i, &(line, repeats)) in writes.iter().enumerate() {
+            if i == writes.len() / 2 {
+                store = round_trip(&store)?;
+            }
             let line = LineAddr::new(line);
             for _ in 0..repeats {
                 let (got, want) = (store.increment(line), dense.increment(line));
@@ -792,29 +1101,34 @@ mod tests {
         if store.save_state().to_string() != dense.save_state().to_string() {
             return Err(format!("{scheme}: snapshot differs from reference"));
         }
-        Ok(())
+        round_trip(&store).map(drop)
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Half the writes land in 400 lines (morphs and overflows), a
-        /// quarter spread over 2^20 lines (many table pages) and a quarter
+        /// A third of the writes land in 400 lines (morphs and overflows),
+        /// a sixth spread over 2^20 lines (many table pages) and a sixth
         /// over 2^26 lines (far-apart blocks; the table's directory grows
         /// to the highest page, which `golden_counters.rs` takes to the
-        /// last block).
+        /// last block). The last third crowd many slots of one block so
+        /// its minors outgrow the inline word: a sixth touch 136 lines a
+        /// few times each (more non-zero minors than the word holds, then
+        /// a MorphCtr overflow of the spilled block) and a sixth repeat
+        /// 16 lines (minors widening past the word, eight Monolithic ones
+        /// in a block, Split overflows of spilled blocks). The snapshot
+        /// round trips half-way and at the end restore spilled blocks.
         fn compressed_store_matches_dense_reference(
-            writes in prop::collection::vec((0u8..4, 0u64..1 << 26, 1usize..140), 1..160),
+            writes in prop::collection::vec((0u8..6, 0u64..1 << 26, 1usize..140), 1..160),
         ) {
             let writes: Vec<(u64, usize)> = writes
                 .iter()
-                .map(|&(kind, line, repeats)| {
-                    let line = match kind {
-                        0 | 1 => line % 400,
-                        2 => line % (1 << 20),
-                        _ => line,
-                    };
-                    (line, repeats)
+                .map(|&(kind, line, repeats)| match kind {
+                    0 | 1 => (line % 400, repeats),
+                    2 => (line % (1 << 20), repeats),
+                    3 => (line, repeats),
+                    4 => (line % 136, 1 + repeats % 4),
+                    _ => (line % 16, repeats),
                 })
                 .collect();
             for scheme in SCHEMES {
@@ -855,6 +1169,12 @@ mod tests {
         // 2^20 writes to one line overflow its capped minor into the major.
         check_against_reference(CounterScheme::Monolithic, &[(3, 1 << 20), (5, 2), (3, 4)])
             .unwrap();
+        // Eight minors of 8 bits outgrow the inline word, so the block is
+        // spilled when it is saved half-way and when line 3's minor
+        // overflows; the block then spills again into the freed array.
+        let spread = (0..8).map(|line| (line, 200));
+        let writes: Vec<_> = spread.clone().chain([(3, 1 << 20)]).chain(spread).collect();
+        check_against_reference(CounterScheme::Monolithic, &writes).unwrap();
     }
 
     #[test]
@@ -865,13 +1185,14 @@ mod tests {
             for line in 0..coverage {
                 s.increment(LineAddr::new(line));
             }
-            // The stored block itself: `block()` returns a right-sized clone.
             let b = s.table.get(0).expect("block 0 was written");
-            assert_eq!(b.nonzero_count() as u64, coverage, "{scheme}");
+            assert_eq!(u64::from(b.nonzero()), coverage, "{scheme}");
+            // Eight 1-bit minors fit the word; 64 and 128 spill.
+            assert_eq!(b.spill().is_some(), coverage > 8, "{scheme}");
             assert!(
-                b.nonzero.capacity() as u64 <= coverage,
-                "{scheme}: {} minor slots for coverage {coverage}",
-                b.nonzero.capacity()
+                s.spills.dense.capacity() as u64 <= coverage,
+                "{scheme}: {} spilled minors for coverage {coverage}",
+                s.spills.dense.capacity()
             );
         }
     }
@@ -923,7 +1244,7 @@ mod tests {
             s.increment(line);
         }
         let b = s.block(line);
-        assert_eq!(b.major, 1);
+        assert_eq!(b.major(), 1);
         assert!(b.minors().iter().all(|&m| m == 0));
         // Value still monotonically above the pre-overflow value.
         assert!(s.value(line) >= (1 << 20));
@@ -1021,8 +1342,8 @@ mod tests {
             let minors = b.minors();
             let nz = minors.iter().filter(|&&m| m != 0).count() as u32;
             let max = minors.iter().copied().max().unwrap_or(0);
-            assert_eq!((b.nonzero_count(), b.max_minor), (nz, max));
-            assert_eq!(Some(b.format), MorphFormat::choose(&minors));
+            assert_eq!((b.record.nonzero(), b.record.width()), (nz, bit_len(max)));
+            assert_eq!(Some(b.format()), MorphFormat::choose(&minors));
         }
     }
 
@@ -1044,7 +1365,12 @@ mod tests {
             let saved = live.save_state();
             let mut restored = CounterStore::new(scheme);
             restored.load_state(&saved).unwrap();
-            assert_eq!(restored.table, live.table, "{scheme}");
+            assert!(
+                restored
+                    .materialized_blocks()
+                    .eq(live.materialized_blocks()),
+                "{scheme}"
+            );
             assert_eq!(restored.overflows(), live.overflows());
             assert_eq!(restored.morphs(), live.morphs());
             assert_eq!(restored.increments(), live.increments());

@@ -98,8 +98,8 @@ impl SecureMemory {
     pub fn new(data_bytes: u64, scheme: CounterScheme, key: [u8; 16]) -> Self {
         let layout = MetadataLayout::new(data_bytes, scheme);
         // Untouched leaves must hash like a fresh (all-zero) counter block.
-        let fresh = CounterStore::new(scheme).block(LineAddr::new(0));
-        let default_leaf = Self::hash_block(&fresh);
+        let fresh = CounterStore::new(scheme);
+        let default_leaf = Self::hash_block(fresh.block(LineAddr::new(0)));
         let tree = MerkleTree::with_default_leaf(
             layout.ctr_blocks(),
             MetadataLayout::DEFAULT_ARITY,
@@ -140,17 +140,18 @@ impl SecureMemory {
         // block overflows; capture the old counter values lazily.
         let scheme = self.counters.scheme();
         let block_before = self.counters.block(line);
+        let (major_before, minors_before) = (block_before.major(), block_before.minors());
         let outcome = self.counters.increment(line);
         if let IncrementOutcome::Overflow { ref reencrypt } = outcome {
             // Every covered line was encrypted under the old (major, minor);
             // re-encrypt under the new values.
-            for &l in reencrypt {
+            for l in reencrypt.clone() {
                 if l == line {
                     continue; // about to be rewritten below anyway
                 }
                 if let Some(ct) = self.ciphertext.get(&l.index()).copied() {
                     let slot = scheme.slot_of(l);
-                    let old_value = (block_before.major << 20) | block_before.minor(slot) as u64;
+                    let old_value = (major_before << 20) | minors_before[slot] as u64;
                     let pad_old = otp::generate(&self.aes, l.base(), old_value);
                     let pt = otp::xor(&ct, &pad_old);
                     let new_value = self.counters.value(l);
@@ -243,13 +244,13 @@ impl SecureMemory {
     }
 
     fn leaf_hash(&self, line: LineAddr) -> Hash {
-        Self::hash_block(&self.counters.block(line))
+        Self::hash_block(self.counters.block(line))
     }
 
-    fn hash_block(block: &crate::counters::CounterBlock) -> Hash {
+    fn hash_block(block: crate::counters::CounterBlock<'_>) -> Hash {
         let minors = block.minors();
         let mut bytes = Vec::with_capacity(8 + minors.len() * 4);
-        bytes.extend_from_slice(&block.major.to_le_bytes());
+        bytes.extend_from_slice(&block.major().to_le_bytes());
         for m in &minors {
             bytes.extend_from_slice(&m.to_le_bytes());
         }

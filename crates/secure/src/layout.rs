@@ -43,13 +43,21 @@ pub struct MetadataLayout {
     data_lines: u64,
     ctr_blocks: u64,
     mt_levels: u32,
-    mt_arity: u64,
+    /// log2 of the tree arity: a node index is a leaf index shifted right
+    /// by this once per level.
+    mt_arity_log2: u32,
 }
 
 impl MetadataLayout {
     /// Default Merkle-tree arity (8-ary: eight 64-bit child hashes per 64 B
     /// node).
     pub const DEFAULT_ARITY: u64 = 8;
+
+    /// log2 of [`Self::DEFAULT_ARITY`], which must be a power of two.
+    const DEFAULT_ARITY_LOG2: u32 = {
+        assert!(Self::DEFAULT_ARITY.is_power_of_two());
+        Self::DEFAULT_ARITY.trailing_zeros()
+    };
 
     /// Creates a layout for `data_bytes` of protected memory.
     ///
@@ -72,7 +80,7 @@ impl MetadataLayout {
             data_lines,
             ctr_blocks,
             mt_levels: levels,
-            mt_arity: Self::DEFAULT_ARITY,
+            mt_arity_log2: Self::DEFAULT_ARITY_LOG2,
         }
     }
 
@@ -99,7 +107,7 @@ impl MetadataLayout {
 
     /// Tree arity.
     pub fn mt_arity(&self) -> u64 {
-        self.mt_arity
+        1 << self.mt_arity_log2
     }
 
     /// The counter-block line covering a data line.
@@ -122,7 +130,10 @@ impl MetadataLayout {
             return None;
         }
         let leaf_index = ctr_line.index().checked_sub(CTR_BASE)?;
-        let node_index = leaf_index / self.mt_arity.pow(level);
+        // leaf / arity^level, as a shift (0 once the shift passes 63).
+        let node_index = leaf_index
+            .checked_shr(self.mt_arity_log2 * level)
+            .unwrap_or(0);
         Some(LineAddr::new(
             MT_BASE + level as u64 * MT_LEVEL_STRIDE + node_index,
         ))
@@ -136,8 +147,9 @@ impl MetadataLayout {
 
     /// Allocation-free leaf-to-root walk of the DRAM-resident MT nodes for
     /// a counter line (excludes the on-chip root). Yields exactly the lines
-    /// of [`MetadataLayout::mt_path`], dividing the node index by the arity
-    /// one level at a time instead of recomputing `arity^level`.
+    /// of [`MetadataLayout::mt_path`], shifting the node index right by
+    /// log2 of the arity one level at a time instead of recomputing
+    /// `arity^level`.
     #[inline]
     pub fn mt_path_iter(&self, ctr_line: LineAddr) -> MtPathIter {
         let leaf_index = ctr_line.index().wrapping_sub(CTR_BASE);
@@ -154,7 +166,7 @@ impl MetadataLayout {
             } else {
                 0
             },
-            arity: self.mt_arity,
+            arity_log2: self.mt_arity_log2,
             level: 0,
         }
     }
@@ -193,7 +205,7 @@ impl MetadataLayout {
 pub struct MtPathIter {
     node_index: u64,
     levels: u32,
-    arity: u64,
+    arity_log2: u32,
     level: u32,
 }
 
@@ -209,8 +221,9 @@ impl Iterator for MtPathIter {
         }
         self.level = next_level;
         // node(level) = leaf / arity^level; integer division composes, so
-        // dividing the running index once per level is exact.
-        self.node_index /= self.arity;
+        // dividing the running index by the (power-of-two) arity once per
+        // level, as a shift, is exact.
+        self.node_index >>= self.arity_log2;
         Some(LineAddr::new(
             MT_BASE + self.level as u64 * MT_LEVEL_STRIDE + self.node_index,
         ))

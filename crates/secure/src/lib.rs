@@ -45,7 +45,7 @@ pub mod engine;
 pub mod layout;
 pub mod merkle;
 
-pub use counters::{CounterScheme, CounterStore, IncrementOutcome};
+pub use counters::{CounterBlock, CounterScheme, CounterStore, IncrementOutcome, LineRange};
 pub use engine::{SecureMemory, SecurityError};
 pub use layout::MetadataLayout;
 pub use merkle::MerkleTree;

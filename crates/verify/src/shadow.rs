@@ -366,8 +366,8 @@ impl DenseCounterStore {
         self.touched.clear();
         let coverage = self.scheme.coverage();
         for (idx, block) in real.materialized_blocks() {
-            if block.major != 0 {
-                self.majors.insert(idx, block.major);
+            if block.major() != 0 {
+                self.majors.insert(idx, block.major());
             }
             let first = idx * coverage;
             for (slot, minor) in block.minors().into_iter().enumerate() {

@@ -9,6 +9,12 @@
 set -eu
 cd "$(dirname "$0")/.."
 
+# Every stage's temporary files and directories live under one per-run
+# root, removed on any exit, so a failing stage leaves nothing behind.
+tmp_root="$(mktemp -d)"
+trap 'rm -rf "$tmp_root"' EXIT
+tmp() { mktemp -p "$tmp_root" "$@"; }
+
 STAGE_COUNT=0
 stage() {
     STAGE_COUNT=$((STAGE_COUNT + 1))
@@ -39,7 +45,7 @@ cargo test -q --workspace
 # shared hosts, so this stage does not gate on them.
 stage perfbench
 cargo test -q --offline --manifest-path perfbench/Cargo.toml
-bench_dir="$(mktemp -d)"
+bench_dir="$(tmp -d)"
 bench() { # <workload> <trace 0|1> <output>: must exit 0 with no failed check
     python3 perfbench/run.py --workload "$1" --seed 1 --seconds 1 --trace "$2" >"$3" &&
         tail -n 1 "$3" | grep -q '"failed": 0,' || {
@@ -64,7 +70,6 @@ for w in graph_sweep secure_mcf; do
         awk '{ printf "%.2f", $NF / 1e6 }')"
     bench_rates="$bench_rates${bench_rates:+, }$w $rate M/s"
 done
-rm -rf "$bench_dir"
 
 stage clippy
 # Every `unsafe` block must carry a `// SAFETY:` comment saying why it is
@@ -98,13 +103,12 @@ RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
 # committed so reviews can diff it, and the committed copy must match what
 # the tree produces (a stale report fails here, not in review).
 stage lint
-lint_json="$(mktemp)"
+lint_json="$(tmp)"
 cargo run --release -q -p cosmos-lint -- --json "$lint_json"
 cmp "$lint_json" results/lint.json || {
     echo "check.sh: committed results/lint.json is stale — commit the regenerated report" >&2
     exit 1
 }
-rm -f "$lint_json"
 
 # Sampled-mode smoke: the validation harness end-to-end at a tiny budget
 # (exercises plan building, warmup/priming, and the weighted merge; the
@@ -112,41 +116,38 @@ rm -f "$lint_json"
 # --json redirects the result document so the committed default-budget
 # results/sampling_validation.json is left alone.
 stage sampling-smoke
-smoke_json="$(mktemp)"
+smoke_json="$(tmp)"
 figure sampling_validation --accesses 120000 --jobs 2 --json "$smoke_json" >/dev/null
-rm -f "$smoke_json"
 
 # Checked-mode smoke: the oracles must observe without perturbing — the
 # same grid with and without --check has to emit byte-identical artifacts.
 stage check-identity
-plain_json="$(mktemp)"
-checked_json="$(mktemp)"
+plain_json="$(tmp)"
+checked_json="$(tmp)"
 figure fig02 --accesses 20000 --jobs 2 --json "$plain_json" >/dev/null
 figure fig02 --accesses 20000 --jobs 2 --check --json "$checked_json" >/dev/null
 cmp "$plain_json" "$checked_json" || {
     echo "check.sh: --check perturbed the fig02 artifact" >&2
     exit 1
 }
-rm -f "$checked_json"
 # Same identity on the full design grid (fig10): the event-driven stepping
 # core must produce byte-identical artifacts whether or not the shadow
 # models are watching every access.
-f10_plain="$(mktemp)"
-f10_checked="$(mktemp)"
+f10_plain="$(tmp)"
+f10_checked="$(tmp)"
 figure fig10 --accesses 20000 --jobs 2 --json "$f10_plain" >/dev/null
 figure fig10 --accesses 20000 --jobs 2 --check --json "$f10_checked" >/dev/null
 cmp "$f10_plain" "$f10_checked" || {
     echo "check.sh: --check perturbed the fig10 artifact" >&2
     exit 1
 }
-rm -f "$f10_plain" "$f10_checked"
 # Sampled fig10 must not depend on the worker count: every representative
 # window goes through the leaf-walk estimator, and the weighted merge has
 # to produce the same bytes (artifact and printed table) at any --jobs.
-f10s_a="$(mktemp)"
-f10s_b="$(mktemp)"
-f10s_out_a="$(mktemp)"
-f10s_out_b="$(mktemp)"
+f10s_a="$(tmp)"
+f10s_b="$(tmp)"
+f10s_out_a="$(tmp)"
+f10s_out_b="$(tmp)"
 figure fig10 --sample --accesses 200000 --jobs 1 --json "$f10s_a" >"$f10s_out_a"
 figure fig10 --sample --accesses 200000 --jobs 2 --json "$f10s_b" >"$f10s_out_b"
 cmp "$f10s_a" "$f10s_b" || {
@@ -157,7 +158,6 @@ cmp "$f10s_out_a" "$f10s_out_b" || {
     echo "check.sh: sampled fig10 report depends on --jobs" >&2
     exit 1
 }
-rm -f "$f10s_a" "$f10s_b" "$f10s_out_a" "$f10s_out_b"
 
 # Every registered figure, serial vs. parallel under the oracles and
 # telemetry: the --jobs 1 and --jobs 2 --check --telemetry runs must print
@@ -165,7 +165,7 @@ rm -f "$f10s_a" "$f10s_b" "$f10s_out_a" "$f10s_out_b"
 # since per-job counters are keyed by label), and the checked run's stderr
 # must carry no oracle finding (every finding line starts `verify[`).
 stage figure-modes
-modes_dir="$(mktemp -d)"
+modes_dir="$(tmp -d)"
 names="$(figure --list)"
 for name in $names; do
     figure "$name" --accesses 20000 --jobs 1 \
@@ -189,7 +189,6 @@ for name in $names; do
         exit 1
     }
 done
-rm -rf "$modes_dir"
 
 # Telemetry identity smoke: --telemetry must also observe without
 # perturbing — same grid, same seed, byte-identical result artifact —
@@ -197,9 +196,9 @@ rm -rf "$modes_dir"
 # expected structure: one `<job label>/<stat leaf>` counter per job, with
 # the same counter lines whatever the worker count.
 stage telemetry-identity
-tele_json="$(mktemp)"
-tele_dir="$(mktemp -d)"
-tele_serial="$(mktemp -d)"
+tele_json="$(tmp)"
+tele_dir="$(tmp -d)"
+tele_serial="$(tmp -d)"
 figure fig02 --accesses 20000 --jobs 1 --telemetry "$tele_serial" --json "$tele_json" >/dev/null
 figure fig02 --accesses 20000 --jobs 2 --telemetry "$tele_dir" --json "$tele_json" >/dev/null
 cmp "$plain_json" "$tele_json" || {
@@ -238,7 +237,6 @@ grep -q '"windows"' "$tele_dir/fig02.heatmap.json" || {
     echo "check.sh: fig02.heatmap.json has no occupancy windows" >&2
     exit 1
 }
-rm -rf "$plain_json" "$tele_json" "$tele_dir" "$tele_serial"
 
 # Differential fuzzing at a fixed seed: a bounded pass over random
 # configurations x synthetic traces through the shadow models and the
@@ -255,7 +253,7 @@ cargo run --release -q -p cosmos-verify --bin verify_fuzz -- \
 # shadows are primed from the snapshot). Covers a fig02-style scheme
 # config (MorphCtr) and the fig10 full design (COSMOS).
 stage snapshot-restore
-ckpt_dir="$(mktemp -d)"
+ckpt_dir="$(tmp -d)"
 for design in MorphCtr COSMOS; do
     cargo run --release -q -p cosmos-serve --bin cosmos_serve -- ckpt \
         --design "$design" --workload bfs --accesses 200000 \
@@ -273,14 +271,13 @@ for design in MorphCtr COSMOS; do
         exit 1
     }
 done
-rm -rf "$ckpt_dir"
 
 # Serve-mode smoke: three figure jobs through the NDJSON protocol must
 # produce artifacts byte-identical to the same figures run through
 # cosmos_figure (both share the figure registry, so any drift here means
 # the registry wiring broke).
 stage serve
-serve_dir="$(mktemp -d)"
+serve_dir="$(tmp -d)"
 printf '%s\n' \
     '{"op":"submit","job":{"type":"figure","figure":"fig02","accesses":20000}}' \
     '{"op":"submit","job":{"type":"figure","figure":"fig10","accesses":20000}}' \
@@ -288,19 +285,17 @@ printf '%s\n' \
     | cargo run --release -q -p cosmos-serve --bin cosmos_serve -- serve \
         --state "$serve_dir" --jobs 2 >/dev/null
 while read -r id name; do
-    ref="$(mktemp)"
+    ref="$(tmp)"
     figure "$name" --accesses 20000 --jobs 1 --json "$ref" >/dev/null
     cmp "$serve_dir/job-$id.json" "$ref" || {
         echo "check.sh: serve artifact job-$id.json diverges from cosmos_figure $name" >&2
         exit 1
     }
-    rm -f "$ref"
 done <<'JOBS'
 1 fig02
 2 fig10
 3 fig11
 JOBS
-rm -rf "$serve_dir"
 
 # Kill-and-resume smoke: shut the server down with sim jobs still in
 # flight (single worker, immediate shutdown), then --resume must finish
@@ -308,7 +303,7 @@ rm -rf "$serve_dir"
 # the cosmos-serve unit tests), preempted ones continue from their
 # snapshot — and the artifacts must match a fresh uninterrupted run.
 stage serve-resume
-resume_dir="$(mktemp -d)"
+resume_dir="$(tmp -d)"
 printf '%s\n' \
     '{"op":"submit","job":{"type":"sim","design":"NP","workload":"bfs","accesses":40000,"snapshot_every":5000}}' \
     '{"op":"submit","job":{"type":"sim","design":"COSMOS","workload":"pr","accesses":40000,"snapshot_every":5000}}' \
@@ -323,7 +318,7 @@ cargo run --release -q -p cosmos-serve --bin cosmos_serve -- serve \
     exit 1
 }
 while read -r id design workload; do
-    ref_dir="$(mktemp -d)"
+    ref_dir="$(tmp -d)"
     cargo run --release -q -p cosmos-serve --bin cosmos_serve -- ckpt \
         --design "$design" --workload "$workload" --accesses 40000 \
         --snapshot "$ref_dir/ref.snap.json" --json "$ref_dir/ref.json"
@@ -331,12 +326,10 @@ while read -r id design workload; do
         echo "check.sh: resumed job-$id.json diverges from a fresh $workload/$design run" >&2
         exit 1
     }
-    rm -rf "$ref_dir"
 done <<'JOBS'
 1 NP bfs
 2 COSMOS pr
 JOBS
-rm -rf "$resume_dir"
 
 # Attribution smoke (DESIGN.md §15): the explain_ctr report and artifact
 # must be deterministic — byte-identical across repeat runs and across
@@ -345,11 +338,11 @@ rm -rf "$resume_dir"
 # grep-able "conservation ... (ok)" line per stream and says VIOLATED on
 # any mismatch).
 stage explain-determinism
-exp_a="$(mktemp)"
-exp_b="$(mktemp)"
-exp_c="$(mktemp)"
-exp_rep_a="$(mktemp)"
-exp_rep_b="$(mktemp)"
+exp_a="$(tmp)"
+exp_b="$(tmp)"
+exp_c="$(tmp)"
+exp_rep_a="$(tmp)"
+exp_rep_b="$(tmp)"
 figure explain_ctr --accesses 20000 --jobs 1 --json "$exp_a" >"$exp_rep_a"
 figure explain_ctr --accesses 20000 --jobs 1 --json "$exp_b" >/dev/null
 figure explain_ctr --accesses 20000 --jobs 4 --json "$exp_c" >"$exp_rep_b"
@@ -373,7 +366,6 @@ if grep -q 'VIOLATED' "$exp_rep_a"; then
     echo "check.sh: explain_ctr conservation law violated" >&2
     exit 1
 fi
-rm -f "$exp_a" "$exp_b" "$exp_c" "$exp_rep_a" "$exp_rep_b"
 
 # Occupancy-channel smoke (DESIGN.md §16): the channel_occupancy figure
 # must be byte-identical across --jobs and under --check (which runs the
@@ -381,9 +373,9 @@ rm -f "$exp_a" "$exp_b" "$exp_c" "$exp_rep_a" "$exp_rep_b"
 # skewed-associative index variants included), and a serve-mode job must
 # reproduce cosmos_figure's artifact exactly through the shared registry.
 stage occupancy-channel
-chan_a="$(mktemp)"
-chan_b="$(mktemp)"
-chan_c="$(mktemp)"
+chan_a="$(tmp)"
+chan_b="$(tmp)"
+chan_c="$(tmp)"
 figure channel_occupancy --accesses 30000 --jobs 1 --json "$chan_a" >/dev/null
 figure channel_occupancy --accesses 30000 --jobs 4 --json "$chan_b" >/dev/null
 figure channel_occupancy --accesses 30000 --jobs 2 --check --json "$chan_c" >/dev/null
@@ -395,7 +387,7 @@ cmp "$chan_a" "$chan_c" || {
     echo "check.sh: --check perturbed the channel_occupancy artifact" >&2
     exit 1
 }
-chan_serve="$(mktemp -d)"
+chan_serve="$(tmp -d)"
 printf '%s\n' \
     '{"op":"submit","job":{"type":"figure","figure":"channel_occupancy","accesses":30000}}' \
     | cargo run --release -q -p cosmos-serve --bin cosmos_serve -- serve \
@@ -404,15 +396,13 @@ cmp "$chan_serve/job-1.json" "$chan_a" || {
     echo "check.sh: serve channel_occupancy artifact diverges from cosmos_figure" >&2
     exit 1
 }
-rm -f "$chan_a" "$chan_b" "$chan_c"
-rm -rf "$chan_serve"
 
 # The committed artifacts must be what the tree produces: every figure
 # run_experiments.sh runs (all but sampling_validation, whose paper-scale
 # default takes ~15 min) at its default budget, report and JSON compared
 # byte for byte against results/<name>.{txt,json}. About 5 min on 2 vCPUs.
 stage results-fresh
-fresh_dir="$(mktemp -d)"
+fresh_dir="$(tmp -d)"
 fresh_start=$SECONDS
 names="$(figure --list | grep -vx sampling_validation)"
 for name in $names; do
@@ -426,7 +416,6 @@ for name in $names; do
         exit 1
     }
 done
-rm -rf "$fresh_dir"
 echo "check.sh: results-fresh took $((SECONDS - fresh_start)) s"
 
 echo "check.sh: all green ($STAGE_COUNT stages; perfbench accesses_per_sec, not gated: $bench_rates)"
