@@ -19,6 +19,8 @@
 //!   harnesses use to emit machine-readable results,
 //! - snapshot state ([`state`](mod@state)): the [`state!`] declaration
 //!   of what a checkpoint saves of each simulator part.
+//! - the one argument parser of the workspace's binaries ([`cli`]): a
+//!   declared flag table, typed and bounded values, and generated help.
 //!
 //! # Examples
 //!
@@ -31,6 +33,7 @@
 //! ```
 
 pub mod addr;
+pub mod cli;
 pub mod cycle;
 pub mod hash;
 pub mod json;

@@ -11,43 +11,33 @@
 //! document cannot be written, 2 on a missing or unknown figure name or a
 //! bad option.
 
+use cosmos_common::cli;
 use cosmos_experiments::figures::{by_name, known_names, FIGURES};
-use cosmos_experiments::{emit_json, Args};
+use cosmos_experiments::{emit_json, Args, FLAGS};
 use std::process::exit;
 
 const USAGE: &str = "usage: cosmos_figure <name> [OPTIONS]
        cosmos_figure --list";
 
 fn main() {
+    let help = format!(
+        "{USAGE}\n\nfigures: {}\n\n{}",
+        known_names(),
+        cli::options(FLAGS)
+    );
     let mut argv = std::env::args().skip(1);
-    let name = argv.next().unwrap_or_default();
-    match name.as_str() {
-        "--list" => {
-            for fig in FIGURES {
-                println!("{}", fig.name);
-            }
-            return;
+    // `--list` is the one leading word that names no figure.
+    let figure = cli::lead(&mut argv, "figure", |name| match name {
+        "--list" => Some(None),
+        name => by_name(name).map(Some),
+    });
+    let Some(fig) = cli::finish(figure, &help) else {
+        for fig in FIGURES {
+            println!("{}", fig.name);
         }
-        "--help" | "-h" => {
-            println!(
-                "{USAGE}\n\nfigures: {}\n\n{}",
-                known_names(),
-                cosmos_experiments::USAGE
-            );
-            return;
-        }
-        _ => {}
-    }
-    let Some(fig) = by_name(&name) else {
-        let problem = if name.is_empty() {
-            "missing figure name".to_string()
-        } else {
-            format!("unknown figure {name:?}")
-        };
-        eprintln!("error: {problem}\n\n{USAGE}\n\nfigures: {}", known_names());
-        exit(2);
+        return;
     };
-    let args = Args::parse(argv, fig.default_accesses, USAGE);
+    let args = cli::finish(Args::try_parse(argv, fig.default_accesses), &help);
     let out = (fig.run)(&args);
     print!("{}", out.report);
     if let Err(err) = emit_json(&args, fig.name, &out.json) {

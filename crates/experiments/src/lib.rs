@@ -4,8 +4,9 @@
 //! §3 for the index), run through one binary: `cosmos_figure <name>`.
 //! Entries share:
 //!
-//! - [`Args`]: a tiny CLI (`--accesses N`, `--large`, `--seed N`,
-//!   `--json PATH`, `--jobs N`, `--sample`, `--check`, `--telemetry DIR`),
+//! - [`Args`]: the typed result of the shared flags ([`FLAGS`]: `--accesses
+//!   N`, `--large`, `--seed N`, `--json PATH`, `--jobs N`, `--sample`,
+//!   `--check`, `--telemetry DIR`),
 //! - [`GraphSet`]: generates the synthetic graph **once** and produces
 //!   per-kernel traces from it (graph generation dominates setup time),
 //! - [`run_grid`] / [`design_grid`]: run a job grid under those flags,
@@ -17,6 +18,7 @@ pub mod explain;
 pub mod figures;
 pub mod runner;
 
+use cosmos_common::cli::{self, Flag};
 use cosmos_common::json::Value;
 use cosmos_common::{PhysAddr, Trace};
 use cosmos_core::{Design, SimStats};
@@ -26,26 +28,17 @@ use cosmos_workloads::graph::{Graph, GraphKernel, GraphLayout};
 use cosmos_workloads::{TraceSpec, Workload};
 use std::path::{Path, PathBuf};
 
-/// Flag reference printed by `--help` and on argument errors.
-pub const USAGE: &str = "options:
-  --accesses N   access budget per trace (positive; figure-specific default)
-  --seed N       trace/predictor seed (default 42)
-  --large        paper-scale run: 4x the access budget
-  --sample       representative-interval sampling instead of full traces
-                 (phase clustering + warmup; see DESIGN.md \"Sampling\")
-  --check        run the cosmos-verify oracles in lockstep: shadow
-                 reference models + conservation-law invariants. Results
-                 are byte-identical; violations print to stderr
-  --jobs N       worker threads for grid sweeps (default: COSMOS_JOBS or
-                 the machine's available parallelism)
-  --json PATH    write the JSON result document to PATH instead of
-                 the default results/<name>.json
-  --telemetry DIR
-                 record run telemetry (metrics, flight-recorder events,
-                 phase timers) and export a Chrome trace, a per-set CTR
-                 cache heatmap, and a metrics dump into DIR. Purely
-                 observational: results are byte-identical either way
-  --help         print this help and exit";
+/// The flags every figure takes.
+pub const FLAGS: &[Flag] = &[
+    Flag::positive("--accesses N", "access budget per trace [per figure]"),
+    Flag::number("--seed N", "trace/predictor seed [42]"),
+    Flag::switch("--large", "paper scale: 4x the access budget"),
+    Flag::switch("--sample", "simulate representative intervals only"),
+    Flag::switch("--check", "run the cosmos-verify oracles in lockstep"),
+    Flag::positive("--jobs N", "grid worker threads [COSMOS_JOBS or all]").env("COSMOS_JOBS"),
+    Flag::text("--json PATH", "result document [results/<name>.json]"),
+    Flag::text("--telemetry DIR", "export run telemetry into DIR"),
+];
 
 /// Command-line arguments shared by every figure.
 #[derive(Clone, Debug, PartialEq)]
@@ -72,90 +65,46 @@ pub struct Args {
 }
 
 impl Args {
-    /// Parses `argv` (program name already stripped), with a
-    /// figure-specific default budget.
+    /// Parses `argv` (program name already stripped) against [`FLAGS`],
+    /// with a figure-specific default budget. `Ok(None)` means `--help`
+    /// was requested.
     ///
-    /// Prints `usage` and [`USAGE`] and exits on `--help` (status 0) or on
-    /// an unknown or malformed argument (status 2).
-    pub fn parse(
-        argv: impl IntoIterator<Item = String>,
-        default_accesses: usize,
-        usage: &str,
-    ) -> Args {
-        match Self::try_parse(argv, default_accesses) {
-            Ok(Some(args)) => args,
-            Ok(None) => {
-                println!("{usage}\n\n{USAGE}");
-                std::process::exit(0);
-            }
-            Err(err) => {
-                eprintln!("error: {err}\n\n{usage}\n\n{USAGE}");
-                std::process::exit(2);
-            }
-        }
-    }
-
-    /// The testable parse core. `Ok(None)` means `--help` was requested.
+    /// # Errors
+    ///
+    /// A bad argument, a bad `COSMOS_JOBS`, or a `--telemetry` directory
+    /// that cannot be made.
     pub fn try_parse(
         argv: impl IntoIterator<Item = String>,
         default_accesses: usize,
     ) -> Result<Option<Args>, String> {
-        let mut args = Args {
-            accesses: default_accesses,
-            seed: 42,
-            large: false,
-            sample: false,
-            check: false,
-            json: None,
-            jobs: default_jobs(),
-            telemetry: Telemetry::disabled(),
-        };
-        let mut it = argv.into_iter();
-        while let Some(a) = it.next() {
-            let mut number = |flag: &str| -> Result<u64, String> {
-                let v = it.next().ok_or_else(|| format!("{flag} needs a number"))?;
-                v.parse()
-                    .map_err(|_| format!("{flag} needs a number, got {v:?}"))
-            };
-            match a.as_str() {
-                "--help" | "-h" => return Ok(None),
-                "--accesses" => {
-                    let n = number("--accesses")?;
-                    if n == 0 {
-                        return Err("--accesses must be positive".into());
-                    }
-                    args.accesses = n as usize;
-                }
-                "--seed" => args.seed = number("--seed")?,
-                "--large" => args.large = true,
-                "--sample" => args.sample = true,
-                "--check" => args.check = true,
-                "--json" => {
-                    let path = it.next().ok_or("--json needs a path")?;
-                    args.json = Some(PathBuf::from(path));
-                }
-                "--jobs" => {
-                    let n = number("--jobs")?;
-                    if n == 0 {
-                        return Err("--jobs must be positive".into());
-                    }
-                    args.jobs = n as usize;
-                }
-                "--telemetry" => {
-                    let dir = it.next().ok_or("--telemetry needs a directory")?;
-                    args.telemetry =
-                        Telemetry::to_dir(&dir).map_err(|e| format!("--telemetry {dir}: {e}"))?;
-                }
-                other => return Err(format!("unknown argument: {other}")),
+        cli::parse(FLAGS, argv, |p| {
+            let large = p.on("--large");
+            let mut accesses = p.get("--accesses")?.unwrap_or(default_accesses);
+            if large {
+                accesses = accesses
+                    .checked_mul(4)
+                    .ok_or("--large: 4x the access budget overflows")?;
             }
-        }
-        if args.large {
-            args.accesses = args
-                .accesses
-                .checked_mul(4)
-                .ok_or("--large: 4x the access budget overflows")?;
-        }
-        Ok(Some(args))
+            let telemetry = match p.get::<String>("--telemetry")? {
+                Some(dir) => {
+                    Telemetry::to_dir(&dir).map_err(|e| format!("--telemetry {dir}: {e}"))?
+                }
+                None => Telemetry::disabled(),
+            };
+            Ok(Args {
+                accesses,
+                seed: p.get("--seed")?.unwrap_or(42),
+                large,
+                sample: p.on("--sample"),
+                check: p.on("--check"),
+                json: p.get("--json")?,
+                jobs: match p.get("--jobs")? {
+                    Some(jobs) => jobs,
+                    None => std::thread::available_parallelism().map_or(1, |n| n.get()),
+                },
+                telemetry,
+            })
+        })
     }
 
     /// The trace spec for this run.
@@ -225,22 +174,6 @@ pub fn design_grid<const N: usize>(
     let mut stats = run_grid(jobs, args).into_iter().map(|r| r.stats);
     let mut row = || std::array::from_fn(|_| stats.next().expect("one outcome per job"));
     workloads.iter().map(|&w| (w, row())).collect()
-}
-
-/// The default worker count: `COSMOS_JOBS` when set and positive, otherwise
-/// the machine's available parallelism.
-pub fn default_jobs() -> usize {
-    if let Some(n) = std::env::var("COSMOS_JOBS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-    {
-        if n >= 1 {
-            return n;
-        }
-    }
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
 }
 
 /// A generated graph shared across kernels (graph generation is the
@@ -464,7 +397,8 @@ mod tests {
             let err = parse(bad).unwrap_err();
             assert!(!err.is_empty(), "{bad:?}");
         }
-        // Every flag the parser knows is documented in the usage text.
+        // Every flag the parser knows is documented in the help text.
+        let help = cli::options(FLAGS);
         for flag in [
             "--accesses",
             "--seed",
@@ -476,13 +410,22 @@ mod tests {
             "--telemetry",
             "--help",
         ] {
-            assert!(USAGE.contains(flag), "{flag} missing from USAGE");
+            assert!(help.contains(flag), "{flag} missing from the help");
         }
     }
 
     #[test]
     fn args_telemetry_flag_enables_telemetry() {
-        let dir = std::env::temp_dir().join("cosmos-args-telemetry-test");
+        /// Removes the directory when the test ends, pass or fail.
+        struct Removed(PathBuf);
+        impl Drop for Removed {
+            fn drop(&mut self) {
+                let _ = std::fs::remove_dir_all(&self.0);
+            }
+        }
+        let name = format!("cosmos-args-telemetry-{}", std::process::id());
+        let removed = Removed(std::env::temp_dir().join(name));
+        let dir = &removed.0;
         let args = parse(&["--telemetry", dir.to_str().unwrap()])
             .unwrap()
             .unwrap();

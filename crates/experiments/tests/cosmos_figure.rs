@@ -75,3 +75,32 @@ fn unwritable_result_document_exits_1_naming_the_path() {
         stderr(&out)
     );
 }
+
+#[test]
+fn a_bad_cosmos_jobs_exits_2_naming_it_unless_jobs_is_given() {
+    let run = |jobs: &str, args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_cosmos_figure"))
+            .args(args)
+            .env("COSMOS_JOBS", jobs)
+            .output()
+            .expect("cosmos_figure runs")
+    };
+    for (jobs, message) in [
+        ("0", "COSMOS_JOBS must be positive"),
+        ("four", "COSMOS_JOBS needs a number, got \"four\""),
+        ("", "COSMOS_JOBS needs a number, got \"\""),
+    ] {
+        let out = run(jobs, &["table1", "--json", "/dev/null"]);
+        assert_eq!(out.status.code(), Some(2), "COSMOS_JOBS={jobs:?}");
+        assert!(stderr(&out).contains(message), "{}", stderr(&out));
+        assert!(
+            stdout(&out).is_empty(),
+            "COSMOS_JOBS={jobs:?} ran the figure"
+        );
+    }
+    // `--jobs` takes precedence, so the variable is not read.
+    let out = run("four", &["table1", "--jobs", "1", "--json", "/dev/null"]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let out = run("2", &["table1", "--json", "/dev/null"]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+}

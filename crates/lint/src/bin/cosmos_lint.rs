@@ -4,6 +4,7 @@
 //! `scripts/check.sh` runs this and compares its JSON report with the
 //! committed `results/lint.json`.
 
+use cosmos_common::cli::{self, Flag};
 use cosmos_lint::{find_workspace_root, rules, run};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -16,63 +17,31 @@ stat-integrity and panic rules are clippy lints (clippy.toml).
 USAGE:
     cosmos-lint [OPTIONS]
 
-OPTIONS:
-    --root <DIR>        Workspace root (default: ascend from cwd to the
-                        first [workspace] Cargo.toml)
-    --json <FILE>       Also write the machine-readable report to <FILE>
-    --list-rules        Print the rule catalogue and exit
-    -q, --quiet         Suppress the report on success
-    -h, --help          This help
-
 The scan always covers every crate source: the call-graph pass needs the
 whole workspace to see each hot function's callees.
-Exit code: 0 clean, 1 findings, 2 usage/IO error.";
+Exit code: 0 clean, 1 findings, 2 usage/IO error.
+";
 
-struct Args {
-    root: Option<PathBuf>,
-    json: Option<PathBuf>,
-    list_rules: bool,
-    quiet: bool,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        root: None,
-        json: None,
-        list_rules: false,
-        quiet: false,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--root" => args.root = Some(PathBuf::from(take(&mut it, "--root")?)),
-            "--json" => args.json = Some(PathBuf::from(take(&mut it, "--json")?)),
-            "--list-rules" => args.list_rules = true,
-            "-q" | "--quiet" => args.quiet = true,
-            "-h" | "--help" => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown argument {other:?}")),
-        }
-    }
-    Ok(args)
-}
-
-fn take(it: &mut impl Iterator<Item = String>, flag: &str) -> Result<String, String> {
-    it.next().ok_or_else(|| format!("{flag} requires a value"))
-}
+const FLAGS: &[Flag] = &[
+    Flag::text("--root DIR", "workspace root [found from the cwd]"),
+    Flag::text("--json FILE", "also write the JSON report to FILE"),
+    Flag::switch("--list-rules", "print the rule catalogue and exit"),
+    Flag::switch("-q, --quiet", "suppress the report on success"),
+];
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("cosmos-lint: {e}\n\n{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
+    let parsed = cli::parse(FLAGS, std::env::args().skip(1), |p| {
+        Ok((
+            p.get::<PathBuf>("--root")?,
+            p.get::<PathBuf>("--json")?,
+            p.on("--list-rules"),
+            p.on("--quiet"),
+        ))
+    });
+    let (root, json, list_rules, quiet) =
+        cli::finish(parsed, &format!("{USAGE}\n{}", cli::options(FLAGS)));
 
-    if args.list_rules {
+    if list_rules {
         for r in rules::RULES {
             println!("{:<4} {:<20} {}", r.id, r.name, r.summary);
         }
@@ -86,7 +55,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let root = match args.root.or_else(|| find_workspace_root(&cwd)) {
+    let root = match root.or_else(|| find_workspace_root(&cwd)) {
         Some(r) => r,
         None => {
             eprintln!(
@@ -105,7 +74,7 @@ fn main() -> ExitCode {
         }
     };
 
-    if let Some(json_path) = &args.json {
+    if let Some(json_path) = &json {
         if let Some(parent) = json_path.parent() {
             let _ = std::fs::create_dir_all(parent);
         }
@@ -115,7 +84,7 @@ fn main() -> ExitCode {
         }
     }
 
-    if !report.clean() || !args.quiet {
+    if !report.clean() || !quiet {
         print!("{}", report.render());
     }
     if report.clean() {

@@ -13,8 +13,10 @@
 //! - **Method calls** (`recv.f(…)`): the receiver's type is unknown
 //!   without inference, so: if any method named `f` is defined in the
 //!   *same file*, edges go to those only (covers `self.f()` and the
-//!   common same-file helper). Otherwise, cross-file resolution depends
-//!   on the name: a name declared by any workspace `trait` fans out to
+//!   common same-file helper), except that a `STD_NAMES` name takes this
+//!   shortcut only on a bare `self` receiver (`self.items.get(i)` is a
+//!   std call, not the file's own `get`). Otherwise, as across files,
+//!   resolution depends on the name: a name declared by any workspace `trait` fans out to
 //!   **every** method of that name (soundly over-approximating dynamic
 //!   dispatch); a name on the `STD_NAMES` deny-list resolves to
 //!   **nothing** (`.len()`, `.push()`, … are overwhelmingly std calls —
@@ -241,12 +243,15 @@ pub(crate) fn build(fas: &[FileAnalysis]) -> Graph {
         for call in &caller.calls {
             let name = call.name.as_str();
             match &call.kind {
-                CallKind::Method => {
+                CallKind::Method | CallKind::SelfMethod => {
                     if let Some(cands) = methods_by_name.get(name) {
+                        // A std name resolves in its own file only on `self`:
+                        // `self.items.get(i)` is almost surely a std call.
+                        let on_self = call.kind == CallKind::SelfMethod;
                         let same_file: Vec<usize> = cands
                             .iter()
                             .copied()
-                            .filter(|&g| nodes[g].0 == fi)
+                            .filter(|&g| nodes[g].0 == fi && (on_self || !is_std_name(name)))
                             .collect();
                         if !same_file.is_empty() {
                             out.extend(same_file);

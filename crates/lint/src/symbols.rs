@@ -26,8 +26,10 @@ use crate::tokenizer::{Lexed, Tok, TokKind};
 pub enum CallKind {
     /// `name(…)` — a free-function (or locally `use`d) call.
     Bare,
-    /// `recv.name(…)` — a method call through any receiver.
+    /// `recv.name(…)` — a method call through any receiver but `self`.
     Method,
+    /// `self.name(…)` — a method call on the caller's own receiver.
+    SelfMethod,
     /// `Qual::name(…)` — a path call; the qualifier is the last path
     /// segment before `::` (a type, `Self`, or a module name).
     Path(String),
@@ -194,16 +196,19 @@ fn call_at(toks: &[Tok], i: usize) -> Option<Call> {
     if is_ident(toks, i.wrapping_sub(1), "fn") {
         return None;
     }
-    let kind = if is_punct(toks, i.wrapping_sub(1), ".") {
-        CallKind::Method
-    } else if is_punct(toks, i.wrapping_sub(1), ":") && is_punct(toks, i.wrapping_sub(2), ":") {
-        match path_qualifier(toks, i.wrapping_sub(3)) {
-            Some(q) => CallKind::Path(q),
-            None => CallKind::Bare,
-        }
-    } else {
-        CallKind::Bare
-    };
+    let kind =
+        if is_punct(toks, i.wrapping_sub(1), ".") && is_ident(toks, i.wrapping_sub(2), "self") {
+            CallKind::SelfMethod
+        } else if is_punct(toks, i.wrapping_sub(1), ".") {
+            CallKind::Method
+        } else if is_punct(toks, i.wrapping_sub(1), ":") && is_punct(toks, i.wrapping_sub(2), ":") {
+            match path_qualifier(toks, i.wrapping_sub(3)) {
+                Some(q) => CallKind::Path(q),
+                None => CallKind::Bare,
+            }
+        } else {
+            CallKind::Bare
+        };
     Some(Call {
         name: t.text.clone(),
         kind,
@@ -337,7 +342,7 @@ fn helper() {}
         let access = &s.fns[0];
         assert_eq!(access.calls.len(), 2);
         assert_eq!(access.calls[0].name, "touch");
-        assert_eq!(access.calls[0].kind, CallKind::Method);
+        assert_eq!(access.calls[0].kind, CallKind::SelfMethod);
         assert_eq!(access.calls[1].name, "helper");
         assert_eq!(access.calls[1].kind, CallKind::Bare);
     }

@@ -176,3 +176,16 @@ fn workspace_trait_dispatch_fans_out_and_self_calls_resolve() {
         .expect("finding inside Seeded::step");
     assert_eq!(seeded.chain, ["drive", "Seeded::pick", "Seeded::step"]);
 }
+
+#[test]
+fn a_std_name_on_a_field_is_not_a_same_file_call() {
+    let wa = check_workspace(&[("ws_std_name_receiver.rs", "crates/demo/src/table.rs")]);
+    let reachable = |root: &str| {
+        let closure = wa.hot_closure.iter().find(|c| c.root == root);
+        closure.expect("a hot root").reachable.clone()
+    };
+    assert!(reachable("Table::entry").is_empty());
+    assert_eq!(reachable("Table::lookup"), ["Table::get"]);
+    let h2 = wa.findings.iter().find(|f| f.rule == "H2").expect("H2");
+    assert_eq!(h2.chain, ["Table::lookup", "Table::get"]);
+}

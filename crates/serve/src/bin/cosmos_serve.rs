@@ -24,36 +24,50 @@
 //! checkpointing in-flight sim jobs. `--resume DIR` picks up a killed
 //! server's state directory without re-running completed jobs.
 
+use cosmos_common::cli::{self, Flag, Parsed};
 use cosmos_serve::checkpoint::{
     build_trace, refuse_unsavable, run_checkpointed, CheckpointRun, CkptOutcome,
 };
-use cosmos_serve::server::{sim_result_doc, Server, ServerOpts};
+use cosmos_serve::server::{sim_result_doc, Server, ServerOpts, MAX_WORKERS};
 use cosmos_serve::{interrupt, snapshot};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-const USAGE: &str = "\
-usage:
-  cosmos_serve ckpt --design D --workload W --accesses N --snapshot PATH
-               [--json OUT] [--seed S] [--snapshot-every K]
-               [--stop-after N] [--check]
-  cosmos_serve serve [--state DIR] [--jobs N] [--socket PATH] [--resume DIR]
-               (--jobs: worker threads, 1 to 256)
-";
+const CKPT: &[Flag] = &[
+    Flag::text("--design D", "design to run (required)"),
+    Flag::text("--workload W", "workload to run (required)"),
+    Flag::positive("--accesses N", "trace length (required)"),
+    Flag::text("--snapshot PATH", "snapshot to resume (required)"),
+    Flag::text("--json OUT", "write the result document to OUT"),
+    Flag::number("--seed S", "trace seed [42]"),
+    Flag::number("--snapshot-every K", "snapshot period [0: never]"),
+    Flag::number("--stop-after N", "snapshot and stop after N accesses"),
+    Flag::switch("--check", "run under the cosmos-verify oracles"),
+];
+
+const SERVE: &[Flag] = &[
+    Flag::text("--state DIR", "state directory [serve-state]"),
+    Flag::range("--jobs N", 1, MAX_WORKERS as u64, "worker threads"),
+    Flag::text("--socket PATH", "also serve on this Unix socket"),
+    Flag::text("--resume DIR", "resume a killed server's state"),
+];
+
+type Run = fn(Parsed) -> Result<(), String>;
 
 fn main() -> ExitCode {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    // `--help` asks for the usage, with or without a subcommand.
-    if argv.iter().any(|a| a == "--help" || a == "-h") {
-        print!("{USAGE}");
-        return ExitCode::SUCCESS;
-    }
-    let result = match argv.first().map(String::as_str) {
-        Some("ckpt") => run_ckpt(&argv[1..]),
-        Some("serve") => run_serve(&argv[1..]),
-        _ => Err(format!("expected a subcommand\n{USAGE}")),
-    };
-    match result {
+    let help = format!(
+        "usage: cosmos_serve ckpt [OPTIONS]\n\n{}\nusage: cosmos_serve serve [OPTIONS]\n\n{}",
+        cli::options(CKPT),
+        cli::options(SERVE)
+    );
+    let mut argv = std::env::args().skip(1);
+    let subcommand = cli::lead(&mut argv, "subcommand", |word| match word {
+        "ckpt" => Some((CKPT, run_ckpt as Run)),
+        "serve" => Some((SERVE, run_serve as Run)),
+        _ => None,
+    });
+    let (flags, run) = cli::finish(subcommand, &help);
+    match run(cli::finish(cli::parse(flags, argv, Ok), &help)) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
@@ -62,52 +76,17 @@ fn main() -> ExitCode {
     }
 }
 
-/// Pulls the value after a flag.
-fn value(it: &mut std::slice::Iter<'_, String>, flag: &str) -> Result<String, String> {
-    it.next()
-        .cloned()
-        .ok_or_else(|| format!("{flag} needs a value"))
-}
-
-fn number(it: &mut std::slice::Iter<'_, String>, flag: &str) -> Result<u64, String> {
-    let v = value(it, flag)?;
-    v.parse()
-        .map_err(|_| format!("{flag} needs a number, got {v:?}"))
-}
-
-fn run_ckpt(args: &[String]) -> Result<(), String> {
-    let mut design = None;
-    let mut workload = None;
-    let mut accesses = None;
-    let mut seed: u64 = 42;
-    let mut snapshot_path = None;
-    let mut json_out: Option<PathBuf> = None;
-    let mut snapshot_every: usize = 0;
-    let mut stop_after: Option<u64> = None;
-    let mut check = false;
-
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--design" => design = Some(value(&mut it, "--design")?.parse()?),
-            "--workload" => workload = Some(value(&mut it, "--workload")?.parse()?),
-            "--accesses" => match number(&mut it, "--accesses")? {
-                0 => return Err("--accesses must be positive".into()),
-                n => accesses = Some(n as usize),
-            },
-            "--seed" => seed = number(&mut it, "--seed")?,
-            "--snapshot" => snapshot_path = Some(PathBuf::from(value(&mut it, "--snapshot")?)),
-            "--json" => json_out = Some(PathBuf::from(value(&mut it, "--json")?)),
-            "--snapshot-every" => snapshot_every = number(&mut it, "--snapshot-every")? as usize,
-            "--stop-after" => stop_after = Some(number(&mut it, "--stop-after")?),
-            "--check" => check = true,
-            other => return Err(format!("unknown argument {other:?}\n{USAGE}")),
-        }
-    }
-    let design = design.ok_or("--design is required")?;
-    let workload = workload.ok_or("--workload is required")?;
-    let accesses = accesses.ok_or("--accesses is required")?;
-    let snapshot_path = snapshot_path.ok_or("--snapshot is required")?;
+fn run_ckpt(p: Parsed) -> Result<(), String> {
+    let design: cosmos_core::Design = p.get("--design")?.ok_or("--design is required")?;
+    let workload: cosmos_workloads::Workload =
+        p.get("--workload")?.ok_or("--workload is required")?;
+    let accesses = p.get("--accesses")?.ok_or("--accesses is required")?;
+    let snapshot_path: PathBuf = p.get("--snapshot")?.ok_or("--snapshot is required")?;
+    let json_out: Option<PathBuf> = p.get("--json")?;
+    let seed = p.get("--seed")?.unwrap_or(42);
+    let snapshot_every = p.get("--snapshot-every")?.unwrap_or(0);
+    let stop_after = p.get("--stop-after")?;
+    let check = p.on("--check");
 
     let config = cosmos_core::SimConfig::paper_default(design);
     refuse_unsavable(&config, accesses, snapshot_every, stop_after)?;
@@ -157,39 +136,16 @@ fn run_ckpt(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn run_serve(args: &[String]) -> Result<(), String> {
-    let mut state_dir = PathBuf::from("serve-state");
-    let mut jobs: usize = std::thread::available_parallelism().map_or(2, |n| n.get());
-    let mut socket = None;
-    let mut resume = false;
-
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--state" => state_dir = PathBuf::from(value(&mut it, "--state")?),
-            "--jobs" => {
-                let n = number(&mut it, "--jobs")?;
-                if n == 0 {
-                    return Err("--jobs must be positive".into());
-                }
-                // `Server::new` refuses more than `MAX_WORKERS`.
-                jobs = n as usize;
-            }
-            "--socket" => socket = Some(PathBuf::from(value(&mut it, "--socket")?)),
-            "--resume" => {
-                state_dir = PathBuf::from(value(&mut it, "--resume")?);
-                resume = true;
-            }
-            other => return Err(format!("unknown argument {other:?}\n{USAGE}")),
-        }
-    }
-
+fn run_serve(p: Parsed) -> Result<(), String> {
+    let state_dir = p.last(&["--state", "--resume"]).unwrap_or("serve-state");
+    let jobs = p.get("--jobs")?;
     interrupt::install();
     let server = Server::new(ServerOpts {
-        state_dir,
-        workers: jobs,
-        socket,
-        resume,
+        state_dir: PathBuf::from(state_dir),
+        workers: jobs
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(2, |n| n.get())),
+        socket: p.get("--socket")?,
+        resume: p.on("--resume"),
     })?;
     server.run()
 }

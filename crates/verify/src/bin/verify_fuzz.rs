@@ -5,70 +5,35 @@
 //! shrunk to a minimal repro trace and written to
 //! `results/verify_fuzz_<seed>.json`; the process then exits non-zero.
 
+use cosmos_common::cli::{self, Flag};
 use cosmos_verify::fuzz::{failure_json, run_case, FuzzCase};
 
 const USAGE: &str = "\
 verify_fuzz — differential fuzzing of the COSMOS simulator
 
-USAGE: verify_fuzz [--seed N] [--cases N] [--accesses N]
+USAGE: verify_fuzz [OPTIONS]
+";
 
-  --seed N      base seed; case i uses seed N + i (default: 1)
-  --cases N     number of random cases to run (default: 24)
-  --accesses N  max synthetic-trace length per case (default: 6000)
-  --help        print this help and exit";
-
-struct Options {
-    seed: u64,
-    cases: u64,
-    accesses: usize,
-}
-
-fn parse(mut argv: impl Iterator<Item = String>) -> Result<Option<Options>, String> {
-    let mut opts = Options {
-        seed: 1,
-        cases: 24,
-        accesses: 6_000,
-    };
-    while let Some(arg) = argv.next() {
-        let mut number = |flag: &str| -> Result<u64, String> {
-            let v = argv.next().ok_or_else(|| format!("{flag} needs a value"))?;
-            v.parse()
-                .map_err(|_| format!("{flag} needs a number, got {v:?}"))
-        };
-        match arg.as_str() {
-            "--seed" => opts.seed = number("--seed")?,
-            "--cases" => opts.cases = number("--cases")?,
-            "--accesses" => opts.accesses = number("--accesses")? as usize,
-            "--help" | "-h" => return Ok(None),
-            other => return Err(format!("unknown flag {other}")),
-        }
-    }
-    if opts.cases == 0 {
-        return Err("--cases must be positive".to_string());
-    }
-    if opts.accesses < 16 {
-        return Err("--accesses must be at least 16".to_string());
-    }
-    Ok(Some(opts))
-}
+const FLAGS: &[Flag] = &[
+    Flag::number("--seed N", "base seed; case i uses N + i [1]"),
+    Flag::positive("--cases N", "number of random cases [24]"),
+    Flag::range("--accesses N", 16, u64::MAX, "max trace length [6000]"),
+];
 
 fn main() {
-    let opts = match parse(std::env::args().skip(1)) {
-        Ok(Some(opts)) => opts,
-        Ok(None) => {
-            println!("{USAGE}");
-            return;
-        }
-        Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
-            std::process::exit(2);
-        }
-    };
+    let parsed = cli::parse(FLAGS, std::env::args().skip(1), |p| {
+        Ok((
+            p.get("--seed")?.unwrap_or(1u64),
+            p.get("--cases")?.unwrap_or(24u64),
+            p.get("--accesses")?.unwrap_or(6_000usize),
+        ))
+    });
+    let (seed, cases, accesses) = cli::finish(parsed, &format!("{USAGE}\n{}", cli::options(FLAGS)));
 
     let mut failures = 0u64;
-    for i in 0..opts.cases {
-        let seed = opts.seed.wrapping_add(i);
-        let case = FuzzCase::generate(seed, opts.accesses);
+    for i in 0..cases {
+        let seed = seed.wrapping_add(i);
+        let case = FuzzCase::generate(seed, accesses);
         println!(
             "case {i:>3}  seed {seed:<8} {:<10} {:?}/{:?} cores={} accesses={} lines={} wf={:.2}",
             case.design.name(),
@@ -102,8 +67,8 @@ fn main() {
     }
 
     if failures > 0 {
-        eprintln!("{failures}/{} cases failed", opts.cases);
+        eprintln!("{failures}/{} cases failed", cases);
         std::process::exit(1);
     }
-    println!("all {} cases clean", opts.cases);
+    println!("all {} cases clean", cases);
 }

@@ -32,8 +32,17 @@ cargo fmt --all -- --check
 stage build
 cargo build --release
 
+# The tests run with an empty TMPDIR of their own, which they must leave
+# empty: a test that leaves a file or directory behind fails the stage.
 stage test
-cargo test -q --workspace
+test_tmp="$(tmp -d)"
+TMPDIR="$test_tmp" cargo test -q --workspace
+leftovers="$(ls -A "$test_tmp")"
+[ -z "$leftovers" ] || {
+    echo "check.sh: the test run left files in its TMPDIR:" >&2
+    echo "$leftovers" >&2
+    exit 1
+}
 
 # The benchmark of record (perfbench/README.md), a package outside the
 # workspace that the stages above never build. Its self-tests drive the

@@ -6,94 +6,50 @@
 //! cosmos --list
 //! ```
 
+use cosmos::common::cli::{self, Flag};
 use cosmos::core::{smat::smat, Design, SimConfig, Simulator};
 use cosmos::workloads::{graph::GraphKernel, TraceSpec, Workload};
-use std::process::exit;
 
 const USAGE: &str = "\
 cosmos — COSMOS secure-memory simulator (MICRO 2025 reproduction)
 
-USAGE:
-    cosmos [--workload NAME] [--design NAME|all] [--accesses N] [--seed N]
-           [--cores N] [--paper-ctr-sizes] [--list]
-
-OPTIONS:
-    --workload NAME     dfs|bfs|gc|pr|tc|cc|sp|dc|mcf|canneal|omnetpp|
-                        mlp|alexnet|resnet|vgg|bert|transformer|dlrm  [dfs]
-    --design NAME       np|morphctr|emcc|rmcc|cosmos-dp|cosmos-cp|cosmos|all  [all]
-    --accesses N        trace length                                  [1000000]
-    --seed N            deterministic seed                            [42]
-    --cores N           cores/threads                                 [4]
-    --paper-ctr-sizes   shrink COSMOS variants' CTR cache to 128 KB (paper §5)
-    --list              list workloads and designs, then exit
+usage: cosmos [OPTIONS]
 ";
 
-/// Prints `msg` and the usage text, then exits 2.
-fn usage_error(msg: &str) -> ! {
-    eprintln!("{msg}\n\n{USAGE}");
-    exit(2);
-}
-
-/// Parses `flag`'s value as a number, or exits 2 naming the flag.
-fn number<T: std::str::FromStr>(flag: &str, v: &str) -> T {
-    v.parse()
-        .unwrap_or_else(|_| usage_error(&format!("{flag} needs a number, got {v:?}")))
-}
-
-/// [`number`], which must also be positive.
-fn positive(flag: &str, v: &str) -> usize {
-    match number(flag, v) {
-        0 => usage_error(&format!("{flag} must be positive")),
-        n => n,
-    }
-}
+const FLAGS: &[Flag] = &[
+    Flag::text("--workload NAME", "a workload of --list [dfs]"),
+    Flag::text("--design NAME", "a design of --list, or all [all]"),
+    Flag::positive("--accesses N", "trace length [1000000]"),
+    Flag::number("--seed N", "deterministic seed [42]"),
+    Flag::range("--cores N", 1, 256, "cores/threads [4]"),
+    Flag::switch("--paper-ctr-sizes", "shrink COSMOS CTR caches to 128 KB"),
+    Flag::stop("--list", "list workloads and designs, then exit"),
+];
 
 fn main() {
-    let mut workload = Workload::Graph(GraphKernel::Dfs);
-    let mut designs = Design::ALL.to_vec();
-    let mut accesses = 1_000_000usize;
-    let mut seed = 42u64;
-    let mut cores = 4usize;
-    let mut paper_sizes = false;
-
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .unwrap_or_else(|| usage_error(&format!("{flag} needs a value")))
+    let help = format!("{USAGE}\n{}", cli::options(FLAGS));
+    let parsed = cli::parse(FLAGS, std::env::args().skip(1), |p| {
+        let designs = match p.get::<String>("--design")?.filter(|d| d != "all") {
+            Some(name) => vec![name.parse()?],
+            None => Design::ALL.to_vec(),
         };
-        match arg.as_str() {
-            "--workload" => {
-                let name = value("--workload");
-                workload = name.parse().unwrap_or_else(|e: String| usage_error(&e));
-            }
-            "--design" => {
-                let name = value("--design");
-                if name != "all" {
-                    designs = vec![name.parse().unwrap_or_else(|e: String| usage_error(&e))];
-                }
-            }
-            "--accesses" => accesses = positive("--accesses", &value("--accesses")),
-            "--seed" => seed = number("--seed", &value("--seed")),
-            "--cores" => {
-                cores = positive("--cores", &value("--cores"));
-                if cores > 256 {
-                    usage_error("--cores must be at most 256");
-                }
-            }
-            "--paper-ctr-sizes" => paper_sizes = true,
-            "--list" => {
-                println!("workloads: dfs bfs gc pr tc cc sp dc mcf canneal omnetpp");
-                println!("           mlp alexnet resnet vgg bert transformer dlrm");
-                println!("designs:   np morphctr emcc rmcc cosmos-dp cosmos-cp cosmos all");
-                return;
-            }
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return;
-            }
-            other => usage_error(&format!("unknown argument `{other}`")),
-        }
+        Ok((
+            p.get("--workload")?
+                .unwrap_or(Workload::Graph(GraphKernel::Dfs)),
+            designs,
+            p.get("--accesses")?.unwrap_or(1_000_000usize),
+            p.get("--seed")?.unwrap_or(42u64),
+            p.get("--cores")?.unwrap_or(4usize),
+            p.on("--paper-ctr-sizes"),
+            p.on("--list"),
+        ))
+    });
+    let (workload, designs, accesses, seed, cores, paper_sizes, list) = cli::finish(parsed, &help);
+    if list {
+        println!("workloads: dfs bfs gc pr tc cc sp dc mcf canneal omnetpp");
+        println!("           mlp alexnet resnet vgg bert transformer dlrm");
+        println!("designs:   np morphctr emcc rmcc cosmos-dp cosmos-cp cosmos all");
+        return;
     }
 
     let spec = TraceSpec::paper_default(accesses, seed).with_cores(cores);
