@@ -264,7 +264,6 @@ impl Cache {
     ///
     /// `hint` attaches/refreshes an RL locality annotation (LCR policy); it
     /// is stored on fill and refreshed on hit when provided.
-    // cosmos-lint: hot
     pub fn access(
         &mut self,
         line: LineAddr,
@@ -300,7 +299,6 @@ impl Cache {
     /// Hit-path bookkeeping shared by the uniform and skewed lookup paths:
     /// flag/score updates, demand-hit statistics, and the recency touch.
     /// Returns whether this was the first demand use of a prefetched line.
-    // cosmos-lint: hot
     #[inline]
     fn hit_at(&mut self, idx: usize, write: bool, hint: Option<LocalityHint>) -> bool {
         let f = self.flags[idx];
@@ -469,7 +467,6 @@ impl Cache {
         })
     }
 
-    // cosmos-lint: hot
     fn fill_internal(
         &mut self,
         set: usize,
@@ -521,7 +518,6 @@ impl Cache {
     /// builds the [`Eviction`] record off the cache-owned stamps and
     /// updates eviction/writeback/prefetch statistics. Does not clear the
     /// slot — the caller overwrites it with the incoming line.
-    // cosmos-lint: hot
     fn evict_bookkeeping(&mut self, idx: usize, lru_deviated: bool) -> Eviction {
         let ev = Eviction {
             line: LineAddr::new(self.tags[idx]),
@@ -543,7 +539,6 @@ impl Cache {
 
     /// Writes the incoming line's tag, flags, hint score, and recency
     /// stamps into slot `idx` — the common tail of every fill path.
-    // cosmos-lint: hot
     #[inline]
     fn install_at(
         &mut self,
@@ -576,7 +571,6 @@ impl Cache {
 
     /// The least-recently-touched way of the set at `base`: the first
     /// minimum of the cache-owned stamps, matching `Iterator::min_by_key`.
-    // cosmos-lint: hot
     #[inline]
     fn lru_way(&self, base: usize, ways: usize) -> usize {
         let touches = &self.last_touch[base..base + ways];
@@ -593,7 +587,6 @@ impl Cache {
     /// [`Lru::choose_victim`] / [`Lcr::choose_victim`] decision-for-decision
     /// (first-minimum tie-breaks and all) straight off the SoA arrays;
     /// boxed policies get the same `WayView` scratch slice as before.
-    // cosmos-lint: hot
     fn choose_victim(&mut self, set: usize, base: usize, ways: usize) -> usize {
         match &mut self.policy {
             PolicyImpl::Lru => self.lru_way(base, ways),
@@ -677,7 +670,6 @@ impl Cache {
     }
 
     /// Looks a line up across its per-way candidate slots.
-    // cosmos-lint: hot
     #[inline]
     fn find_slot_skewed(&self, line_index: u64, tag: u64) -> Option<usize> {
         for w in 0..self.config.ways() {
@@ -690,7 +682,6 @@ impl Cache {
     }
 
     /// Demand access under skewed indexing.
-    // cosmos-lint: hot
     fn access_skewed(
         &mut self,
         line: LineAddr,
@@ -718,7 +709,6 @@ impl Cache {
     /// Fill under skewed indexing: prefer an invalid candidate slot (first
     /// way wins, mirroring the uniform fill's invalid-way preference),
     /// otherwise evict the policy's pick among the candidate slots.
-    // cosmos-lint: hot
     fn fill_skewed(
         &mut self,
         line: LineAddr,
@@ -764,7 +754,6 @@ impl Cache {
     /// decisions as [`Cache::choose_victim`], ranged over per-way slots
     /// instead of a contiguous set. Boxed policies are rejected at
     /// construction for skewed caches, so only the inline arms exist.
-    // cosmos-lint: hot
     fn choose_victim_skewed(&self, line_index: u64) -> usize {
         let ways = self.config.ways();
         match &self.policy {
@@ -823,7 +812,6 @@ impl Cache {
                 reason = "skewed construction rejects boxed policies, so this arm is dead by invariant"
             )]
             PolicyImpl::Boxed(_) => {
-                // cosmos-lint: allow(H4): skewed construction rejects boxed policies, so this arm is dead by invariant
                 unreachable!("skewed caches reject boxed policies at construction")
             }
         }

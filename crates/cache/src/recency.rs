@@ -314,7 +314,6 @@ impl<W: Word> RecencyStore<W> {
     ///
     /// Always inlined: the data hierarchy calls it five ways per access,
     /// and a caller that passes no hint drops the hint arm.
-    // cosmos-lint: hot
     #[inline(always)]
     pub fn access(
         &mut self,
@@ -499,7 +498,6 @@ impl RecencyCache {
 
     /// A demand access through [`RecencyStore::access`], counted in the
     /// statistics.
-    // cosmos-lint: hot
     #[inline]
     pub fn access(
         &mut self,

@@ -63,7 +63,6 @@ impl ServiceQueue {
 
     /// Serves a request issued at `now` taking `service` cycles; the queue
     /// becomes busy until the returned completion time.
-    // cosmos-lint: hot
     #[inline]
     pub fn serve(&mut self, now: Cycle, service: u64) -> Served {
         let start = now.max(self.busy_until);

@@ -59,7 +59,6 @@ impl Level {
 
     /// A demand access: counts a hit or a miss, then touches `line`.
     /// Returns whether it hit and the dirty line it evicted, if any.
-    // cosmos-lint: hot
     #[inline(always)]
     fn access(&mut self, line: LineAddr, write: bool) -> (bool, Option<LineAddr>) {
         let (hit, victim) = self.touch(line, write);
@@ -70,7 +69,6 @@ impl Level {
     /// Moves `line` to the front of its set, ORing `dirty` into its word,
     /// or inserts it there if it is not resident. Returns whether it was
     /// resident and the dirty line pushed off the tail, if any.
-    // cosmos-lint: hot
     #[inline(always)]
     fn touch(&mut self, line: LineAddr, dirty: bool) -> (bool, Option<LineAddr>) {
         let r = self.tags.access(line, dirty, None);
@@ -106,7 +104,6 @@ impl CacheHierarchy {
     /// # Panics
     ///
     /// Panics if `core` is out of range.
-    // cosmos-lint: hot
     pub fn access(
         &mut self,
         core: usize,
@@ -146,7 +143,6 @@ impl CacheHierarchy {
         }
     }
 
-    // cosmos-lint: hot
     #[inline(always)]
     fn spill_to_llc(&mut self, line: LineAddr, writebacks: &mut Vec<LineAddr>) {
         let (_, victim) = self.llc.touch(line, true);

@@ -75,7 +75,6 @@ impl CtrCache {
         }
     }
 
-    // cosmos-lint: hot
     #[inline]
     fn access(&mut self, line: LineAddr, write: bool, hint: Option<LocalityHint>) -> AccessResult {
         match self {
@@ -308,7 +307,6 @@ impl SecurePath {
 
     /// Reads the CTR covering `data_line` on the critical path, starting at
     /// `start`. Returns when the OTP is ready.
-    // cosmos-lint: hot
     pub fn ctr_read(
         &mut self,
         data_line: LineAddr,
@@ -333,7 +331,6 @@ impl SecurePath {
         self.ctr_read_inner(data_line, start, dram, traffic, true)
     }
 
-    // cosmos-lint: hot
     fn ctr_read_inner(
         &mut self,
         data_line: LineAddr,
@@ -380,7 +377,6 @@ impl SecurePath {
     /// Handles the secure side of a data writeback (off the critical path):
     /// counter increment (+ re-encryption on overflow), CTR cache
     /// read-modify-write, tree path update, MAC write traffic.
-    // cosmos-lint: hot
     pub fn ctr_write(
         &mut self,
         data_line: LineAddr,
@@ -454,7 +450,6 @@ impl SecurePath {
     /// cache, fetching missed nodes from DRAM in parallel; returns when the
     /// slowest fetched node arrives. Stops at the first cached
     /// (already-verified) ancestor.
-    // cosmos-lint: hot
     fn mt_walk(
         &mut self,
         ctr_line: LineAddr,

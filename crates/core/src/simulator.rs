@@ -133,7 +133,6 @@ impl Simulator {
     /// Processes a single access: issue (skipping the instruction gap in
     /// one step), resolve the completion time through the component chain,
     /// retire.
-    // cosmos-lint: hot
     pub fn step(&mut self, access: &MemAccess) {
         let core = access.core as usize % self.config.cores;
         let line = access.addr.line();

@@ -58,7 +58,6 @@ impl CoreTimeline {
 
     /// When `core` issues its next access after `inst_gap` non-memory
     /// instructions (1 cycle each): the idle gap is skipped in one step.
-    // cosmos-lint: hot
     #[inline]
     pub fn issue(&self, core: usize, inst_gap: u64) -> Cycle {
         self.ready[core] + inst_gap
@@ -68,7 +67,6 @@ impl CoreTimeline {
     ///
     /// Ready cycles are monotone per core — a completion can never move a
     /// core's clock backwards (debug-asserted).
-    // cosmos-lint: hot
     #[inline]
     pub fn retire(&mut self, core: usize, done: Cycle) {
         debug_assert!(

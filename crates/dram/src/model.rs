@@ -98,7 +98,6 @@ impl LineMap {
     /// Interleaving: consecutive lines rotate across channels, then banks,
     /// so streaming accesses exploit bank-level parallelism; rows are the
     /// higher-order bits.
-    // cosmos-lint: hot
     #[inline]
     fn map(&self, line: LineAddr) -> (usize, u64) {
         if self.fixed {
@@ -165,7 +164,6 @@ impl Dram {
     }
 
     /// Serves a line request issued at `now`; returns its completion time.
-    // cosmos-lint: hot
     pub fn access(&mut self, line: LineAddr, now: Cycle, write: bool) -> Cycle {
         let (bank_idx, row) = self.map.map(line);
         let t = self.config.timings;

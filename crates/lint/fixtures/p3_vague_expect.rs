@@ -14,11 +14,6 @@ pub fn invariant_stated(o: Option<u64>) -> u64 {
     o.expect("capacity > 0 is asserted in the constructor")
 }
 
-pub fn justified(o: Option<u64>) -> u64 {
-    // cosmos-lint: allow(P3): prototype-only helper slated for removal
-    o.expect("bad") // suppressed — no marker
-}
-
 #[cfg(test)]
 mod tests {
     #[test]

@@ -16,7 +16,7 @@ fn help_exits_0_with_the_usage() {
         assert_eq!(out.status.code(), Some(0), "{flag}");
         let usage = String::from_utf8_lossy(&out.stdout);
         assert!(usage.contains("cosmos-lint [OPTIONS]"), "{flag}: {usage}");
-        for option in ["--root DIR", "--json FILE", "--list-rules", "-q, --quiet"] {
+        for option in ["--root DIR", "-q, --quiet"] {
             assert!(usage.contains(option), "{flag}: {option} missing: {usage}");
         }
         assert!(!String::from_utf8_lossy(&out.stderr).contains("panicked"));
@@ -28,8 +28,8 @@ fn bad_arguments_exit_2_naming_the_flag() {
     for (args, message) in [
         (&["--frobnicate"][..], "unknown argument: --frobnicate"),
         (&["--root"], "--root needs a value"),
-        (&["--json"], "--json needs a value"),
-        (&["-q", "--json"], "--json needs a value"),
+        (&["--json", "report.json"], "unknown argument: --json"),
+        (&["-q", "--list-rules"], "unknown argument: --list-rules"),
     ] {
         let out = cosmos_lint(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");

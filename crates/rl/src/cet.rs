@@ -294,7 +294,6 @@ impl Cet {
     /// the touch (Algorithm 1's hit check), and the evicted entry. The
     /// neighbours are probed only when `addr` was absent; an evicted
     /// neighbour counts, as it was present before.
-    // cosmos-lint: hot
     pub fn touch(&mut self, addr: u64, action: Locality) -> (bool, Option<CetEvicted>) {
         let mut b = self.bucket(addr);
         loop {

@@ -37,7 +37,7 @@ impl DataLocation {
             0 => DataLocation::OnChip,
             1 => DataLocation::OffChip,
             #[expect(clippy::panic, reason = "documented contract: callers pass 0 or 1")]
-            _ => panic!("invalid action"), // cosmos-lint: allow(H4): documented contract of a const fn — callers pass 0 or 1
+            _ => panic!("invalid action"),
         }
     }
 }
@@ -160,7 +160,6 @@ impl DataLocationPredictor {
     ///
     /// RNG discipline matches [`DataLocationPredictor::predict`] exactly:
     /// the ε-coin is always drawn, the uniform action only when exploring.
-    // cosmos-lint: hot
     pub fn predict_with_state(&mut self, addr: PhysAddr) -> (DataLocation, usize) {
         let s = self.state_of(addr);
         let loc = if self.rng.chance(self.params.epsilon as f64) {
@@ -186,7 +185,6 @@ impl DataLocationPredictor {
 
     /// [`DataLocationPredictor::learn`] with the state already hashed
     /// (from [`DataLocationPredictor::predict_with_state`]).
-    // cosmos-lint: hot
     pub fn learn_at(&mut self, s: usize, predicted: DataLocation, actual: DataLocation) {
         let r = match (actual, predicted) {
             (DataLocation::OnChip, DataLocation::OnChip) => {

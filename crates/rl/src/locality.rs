@@ -40,7 +40,7 @@ impl Locality {
             0 => Locality::Bad,
             1 => Locality::Good,
             #[expect(clippy::panic, reason = "documented contract: callers pass 0 or 1")]
-            _ => panic!("invalid action"), // cosmos-lint: allow(H4): documented contract of a const fn — callers pass 0 or 1
+            _ => panic!("invalid action"),
         }
     }
 
@@ -235,7 +235,6 @@ impl CtrLocalityPredictor {
     /// [`Cet::touch`] answers the neighbourhood check and inserts the
     /// access; the bootstrap head is read before it, and after it the
     /// head is this access's own `(state, action)`.
-    // cosmos-lint: hot
     pub fn classify(&mut self, ctr_line: LineAddr) -> LocalityDecision {
         let id = self.stats.predictions;
         self.stats.predictions += 1;

@@ -47,7 +47,6 @@ impl QTable {
     /// # Panics
     ///
     /// Panics if `state` is out of range.
-    // cosmos-lint: hot
     #[inline]
     pub fn pair(&self, state: usize) -> [f32; 2] {
         [self.q[2 * state], self.q[2 * state + 1]]
@@ -81,7 +80,6 @@ impl QTable {
     /// TD update: `Q ← Q + α (target − Q)`. Returns the updated value, so
     /// hot callers that need the post-update Q (e.g. for the locality
     /// score) don't re-index the table.
-    // cosmos-lint: hot
     #[inline]
     pub fn update_toward(&mut self, state: usize, action: usize, target: f32, alpha: f32) -> f32 {
         let q = &mut self.q[2 * state + action];

@@ -57,7 +57,6 @@ impl QuantizedQTable {
     }
 
     /// Both raw fixed-point action values of `state` in one load.
-    // cosmos-lint: hot
     #[inline]
     pub fn pair(&self, state: usize) -> [i8; 2] {
         [self.q[2 * state], self.q[2 * state + 1]]
@@ -84,7 +83,6 @@ impl QuantizedQTable {
     }
 
     /// Shift-based TD update toward `target` (saturating fixed-point).
-    // cosmos-lint: hot
     #[inline]
     pub fn update(&mut self, state: usize, action: usize, target: f32) {
         assert!(action < 2, "action {action} out of range");

@@ -640,7 +640,6 @@ impl CounterTable {
 
     /// Block `idx`, materialized (as a block of zero minors, allocating its
     /// page) if it was not.
-    // cosmos-lint: hot
     #[inline]
     fn entry(&mut self, idx: u64) -> &mut BlockRecord {
         let (p, i) = page_of(idx);
@@ -666,7 +665,6 @@ impl CounterTable {
         }
         self.pages.push(Page {
             present: 0,
-            // cosmos-lint: allow(H2): a page's record array is allocated on the first touch of any of its 64 blocks and kept for the store's life, so a run allocates once per page its writebacks reach, not per access
             blocks: Vec::with_capacity(PAGE_GROWTH),
         });
         let handle = self.pages.len() as u32;
@@ -748,6 +746,14 @@ impl CounterStore {
         self.increments
     }
 
+    /// The pages and the spill arrays the store holds. Once the store is
+    /// in use, only these make new allocations: one per page, and one for
+    /// the spill arena's first array (later arrays grow it in place).
+    pub fn pages_and_spills(&self) -> (usize, usize) {
+        let coverage = self.scheme.coverage() as usize;
+        (self.table.pages.len(), self.spills.dense.len() / coverage)
+    }
+
     /// Blocks the store can hold: those of the data lines below
     /// [`LineAddr::DATA_LIMIT`].
     fn block_limit(&self) -> u64 {
@@ -806,7 +812,6 @@ impl CounterStore {
 
     /// Increments the counter of `line` (a memory write), handling morphing
     /// and overflow per the scheme.
-    // cosmos-lint: hot
     pub fn increment(&mut self, line: LineAddr) -> IncrementOutcome {
         self.increments += 1;
         let scheme = self.scheme;

@@ -214,7 +214,6 @@ impl Iterator for MtPathIter {
 
     #[inline]
     fn next(&mut self) -> Option<LineAddr> {
-        // cosmos-lint: hot
         let next_level = self.level + 1;
         if next_level >= self.levels {
             return None;

@@ -3,6 +3,11 @@
 //! order they were submitted.
 
 use std::collections::VecDeque;
+#[expect(
+    clippy::disallowed_types,
+    reason = "the serve layer's worker threads share its job table, queue and event sink; \
+              each simulation runs on one worker and takes no lock"
+)]
 use std::sync::{Condvar, Mutex};
 
 /// Queued items plus the closed flag, guarded by one mutex.
@@ -12,11 +17,21 @@ struct Inner<T> {
 }
 
 /// A multi-producer multi-consumer FIFO queue.
+#[expect(
+    clippy::disallowed_types,
+    reason = "the serve layer's worker threads share its job table, queue and event sink; \
+              each simulation runs on one worker and takes no lock"
+)]
 pub struct WorkQueue<T> {
     inner: Mutex<Inner<T>>,
     available: Condvar,
 }
 
+#[expect(
+    clippy::disallowed_types,
+    reason = "the serve layer's worker threads share its job table, queue and event sink; \
+              each simulation runs on one worker and takes no lock"
+)]
 impl<T> Default for WorkQueue<T> {
     fn default() -> Self {
         Self {

@@ -38,7 +38,13 @@ use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
+#[expect(
+    clippy::disallowed_types,
+    reason = "the serve layer's worker threads share its job table, queue and event sink; \
+              each simulation runs on one worker and takes no lock"
+)]
+use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
 /// Manifest format version.
@@ -115,6 +121,11 @@ struct JobRecord {
 
 /// The server. Shared across the request loop, the workers, and the
 /// socket handlers via `Arc`.
+#[expect(
+    clippy::disallowed_types,
+    reason = "the serve layer's worker threads share its job table, queue and event sink; \
+              each simulation runs on one worker and takes no lock"
+)]
 pub struct Server {
     state_dir: PathBuf,
     workers: usize,
@@ -145,6 +156,11 @@ impl Server {
     ///
     /// Fails, before touching the state directory, if
     /// [`ServerOpts::workers`] exceeds [`MAX_WORKERS`].
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the serve layer's worker threads share its job table, queue and event sink; \
+                  each simulation runs on one worker and takes no lock"
+    )]
     pub fn with_events(
         opts: ServerOpts,
         events: Box<dyn Write + Send>,

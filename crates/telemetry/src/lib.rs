@@ -21,10 +21,6 @@
 //! reads, no locks, no allocation, no output. Simulation results must be
 //! byte-identical with telemetry on or off; hooks observe, never steer.
 
-// cosmos-lint: allow-file(H3): every hook returns before touching a mutex unless a
-// recorder/heatmap is attached; instrumented runs are diagnostics, and the
-// benchmark measures the un-instrumented configuration.
-
 pub mod export;
 pub mod heatmap;
 pub mod metrics;
@@ -34,7 +30,13 @@ pub mod recorder;
 use std::fmt;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
+#[expect(
+    clippy::disallowed_types,
+    reason = "telemetry locks are taken only through an enabled handle: instrumented runs are \
+              diagnostics, and the benchmark measures telemetry off"
+)]
+use std::sync::Mutex;
 #[expect(
     clippy::disallowed_types,
     reason = "wall-clock phase timers are diagnostics only; they never reach simulated state"
@@ -81,6 +83,11 @@ impl Default for TelemetryConfig {
     }
 }
 
+#[expect(
+    clippy::disallowed_types,
+    reason = "telemetry locks are taken only through an enabled handle: instrumented runs are \
+              diagnostics, and the benchmark measures telemetry off"
+)]
 struct StreamEntry {
     label: String,
     heatmap: Option<Arc<Mutex<CtrHeatmap>>>,
@@ -108,13 +115,14 @@ impl HotMetrics {
     }
 }
 
+#[expect(
+    clippy::disallowed_types,
+    reason = "telemetry locks and wall-clock phase timers are diagnostics only: they never \
+              reach simulated state, and the benchmark measures telemetry off"
+)]
 struct Shared {
     config: TelemetryConfig,
     dir: Option<PathBuf>,
-    #[expect(
-        clippy::disallowed_types,
-        reason = "wall-clock phase timers are diagnostics only; they never reach simulated state"
-    )]
     epoch: Instant,
     registry: Registry,
     phases: Arc<Mutex<Vec<PhaseSpan>>>,
@@ -130,6 +138,11 @@ struct Shared {
 /// ("streams") so concurrent jobs tag their phases, events, and heatmaps
 /// distinctly while aggregating into the same registry.
 #[derive(Clone, Default)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "telemetry locks are taken only through an enabled handle: instrumented runs are \
+              diagnostics, and the benchmark measures telemetry off"
+)]
 pub struct Telemetry {
     shared: Option<Arc<Shared>>,
     stream: u16,
@@ -194,7 +207,8 @@ impl Telemetry {
     /// The general constructor: optional output directory + knobs.
     #[expect(
         clippy::disallowed_types,
-        reason = "wall-clock phase timers are diagnostics only; they never reach simulated state"
+        reason = "telemetry locks and wall-clock phase timers are diagnostics only: they never \
+                  reach simulated state, and the benchmark measures telemetry off"
     )]
     pub fn with_config(dir: Option<PathBuf>, config: TelemetryConfig) -> io::Result<Self> {
         if let Some(dir) = &dir {
@@ -259,6 +273,11 @@ impl Telemetry {
     ///
     /// If `label` was already issued on this pipeline: per-job counters
     /// are keyed by label, so a repeat would silently sum two jobs.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "telemetry locks are taken only through an enabled handle: instrumented runs are \
+                  diagnostics, and the benchmark measures telemetry off"
+    )]
     pub fn scope(&self, label: &str) -> Telemetry {
         let Some(sh) = &self.shared else {
             return Telemetry::disabled();
@@ -338,6 +357,11 @@ impl Telemetry {
     /// the geometry is degenerate (`sets == 0` — e.g. a design with no
     /// CTR cache), so callers never trip the heatmap's positive-set
     /// invariant.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "telemetry locks are taken only through an enabled handle: instrumented runs are \
+                  diagnostics, and the benchmark measures telemetry off"
+    )]
     pub fn ctr_heatmap_init(&mut self, sets: usize) {
         let Some(sh) = &self.shared else { return };
         if sets == 0 {
@@ -361,6 +385,11 @@ impl Telemetry {
     /// disabled or on degenerate geometry, like
     /// [`Telemetry::ctr_heatmap_init`] — single-tenant runs that never
     /// call this keep their artifact shape exactly.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "telemetry locks are taken only through an enabled handle: instrumented runs are \
+                  diagnostics, and the benchmark measures telemetry off"
+    )]
     pub fn ctr_tenant_heatmaps_init(&mut self, sets: usize, tenants: usize) {
         let Some(sh) = &self.shared else { return };
         if sets == 0 || tenants == 0 {

@@ -11,7 +11,13 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
+#[expect(
+    clippy::disallowed_types,
+    reason = "telemetry locks are taken only through an enabled handle: instrumented runs are \
+              diagnostics, and the benchmark measures telemetry off"
+)]
+use std::sync::Mutex;
 
 /// A monotonically increasing `u64` metric.
 #[derive(Clone, Debug, Default)]
@@ -195,6 +201,11 @@ pub enum MetricSnapshot {
 /// The by-name metric registry. Lookup takes a lock; the returned handles
 /// do not.
 #[derive(Debug, Default)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "telemetry locks are taken only through an enabled handle: instrumented runs are \
+              diagnostics, and the benchmark measures telemetry off"
+)]
 pub struct Registry {
     metrics: Mutex<BTreeMap<String, Metric>>,
 }

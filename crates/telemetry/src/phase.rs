@@ -4,13 +4,17 @@
 //! that records `(name, stream, start, duration)` when dropped. Disabled
 //! telemetry returns an inert guard — no clock read, no allocation.
 
-#![expect(
+use std::sync::Arc;
+#[expect(
+    clippy::disallowed_types,
+    reason = "phase spans are diagnostics: their lock and wall clock never reach simulated state"
+)]
+use std::sync::Mutex;
+#[expect(
     clippy::disallowed_types,
     reason = "the telemetry crate's phase timers are its one home for wall-clock reads; \
               spans are diagnostics and never reach simulated state"
 )]
-
-use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// One completed wall-clock span.
@@ -26,6 +30,10 @@ pub struct PhaseSpan {
     pub dur_us: u64,
 }
 
+#[expect(
+    clippy::disallowed_types,
+    reason = "phase spans are diagnostics: their lock and wall clock never reach simulated state"
+)]
 pub(crate) struct PhaseGuardInner {
     pub sink: Arc<Mutex<Vec<PhaseSpan>>>,
     pub name: &'static str,

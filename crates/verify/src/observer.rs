@@ -6,10 +6,6 @@
 //! are constructed inside their worker threads), so an `Rc<RefCell<_>>` is
 //! the whole synchronization story.
 
-// cosmos-lint: allow-file(H2): the lockstep observer runs only in checked
-// diagnostic runs, never in measured throughput configurations; per-event
-// violation batches are the price of lockstep verification.
-
 use crate::invariants::Violation;
 use crate::shadow::{DenseCounterStore, ShadowCache, ShadowMode};
 use cosmos_cache::{CacheConfig, PolicyKind, Victim};

@@ -8,10 +8,6 @@
 //! real structures (via [`crate::observer`]) turns any divergence between
 //! "obviously right" and "fast" into a reported [`Violation`].
 
-// cosmos-lint: allow-file(H2): the shadow models run only in checked diagnostic
-// runs, never in measured throughput configurations; per-event buffers and
-// violation messages are the price of lockstep verification.
-
 use crate::invariants::Violation;
 use cosmos_cache::{IndexKind, Victim};
 use cosmos_common::hash::splitmix64;

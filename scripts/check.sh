@@ -82,13 +82,17 @@ done
 
 stage clippy
 # Every `unsafe` block must carry a `// SAFETY:` comment saying why it is
-# sound. Test targets may use hash maps, clocks and threads (reference
-# models, harness timing), so the clippy.toml bans are off for them here.
+# sound. Test targets may use hash maps, clocks, locks and threads
+# (reference models, harness timing), so the clippy.toml bans are off for
+# them here.
 cargo clippy -q --workspace --all-targets -- -D warnings -D clippy::undocumented_unsafe_blocks \
     -A clippy::disallowed_types -A clippy::disallowed_methods
 # Library and binary code (DESIGN.md §12), `#[cfg(test)]` excluded:
 # - clippy.toml's disallowed types and methods: no hash-ordered
-#   collections, wall-clock reads or ad-hoc threads;
+#   collections, wall-clock reads, ad-hoc threads, or lock types
+#   (`std::sync::{Mutex, RwLock, Condvar, Barrier}`: the per-access path
+#   takes no lock; telemetry and serve carry one `#[expect]` per lock
+#   site);
 # - no `unwrap()` and no panic-family macro;
 # - stat modules deny narrowing casts themselves
 #   (`#![deny(clippy::cast_possible_truncation)]`);
@@ -106,18 +110,13 @@ cargo clippy -q --workspace --lib --bins -- -D warnings -D clippy::undocumented_
 stage doc
 RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
 
-# Static analysis (DESIGN.md §12/§17): the hot-path closure and
-# expect-message rules clippy cannot express. Deny-by-default — any
-# finding that is not pragma-justified fails the gate. The JSON report is
-# committed so reviews can diff it, and the committed copy must match what
-# the tree produces (a stale report fails here, not in review).
+# Static analysis (DESIGN.md §12/§17): the expect-message rule clippy
+# cannot express, and no leftover pragma comment of the retired hot-path
+# rules. Deny-by-default: any finding fails the gate. The hot path's
+# allocations are gated by crates/core/tests/hot_alloc.rs in the test
+# stage, and its locks by the clippy stage's lock-type ban.
 stage lint
-lint_json="$(tmp)"
-cargo run --release -q -p cosmos-lint -- --json "$lint_json"
-cmp "$lint_json" results/lint.json || {
-    echo "check.sh: committed results/lint.json is stale — commit the regenerated report" >&2
-    exit 1
-}
+cargo run --release -q -p cosmos-lint -- -q
 
 # Sampled-mode smoke: the validation harness end-to-end at a tiny budget
 # (exercises plan building, warmup/priming, and the weighted merge; the
