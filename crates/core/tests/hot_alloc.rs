@@ -4,11 +4,12 @@
 //! no checker attached), steps the first half of a 400k-access trace, and
 //! then counts the allocations (`alloc` and `alloc_zeroed`) made while it
 //! steps the second half. Only the counter store may allocate there, and
-//! only for what it adds in that half, as read from the store: a page of
-//! counter blocks per allocation, and the spill arena when its first
-//! array arrives (later arrays grow it in place). NP makes none. With
-//! telemetry on, the CTR heatmap may also allocate three per-set arrays
-//! for each window it closes. Reallocations are reported, not gated.
+//! only the heap blocks it adds in that half, as read from the store: a
+//! page of counter blocks each, and each of its lists (page directory,
+//! page list, spill arena, spill free list) when it first holds an entry.
+//! NP makes none. With telemetry on, the CTR heatmap may also allocate
+//! three per-set arrays for each window it closes. Reallocations are
+//! reported, not gated.
 //!
 //! Counting is per thread: only allocations made by the thread that
 //! steps the simulator are counted, so the tests may run in parallel and
@@ -16,7 +17,7 @@
 //!
 //! At the seed these bounds are tight: every secure design adds 492
 //! pages on mcf and makes 492 allocations, none on bfs, and 9 on ResNet
-//! (8 pages and the spill arena's first array).
+//! (8 pages and the spill arena).
 
 use cosmos_cache::{PolicyKind, PrefetcherKind};
 use cosmos_common::Trace;
@@ -130,10 +131,9 @@ fn config(design: Design) -> SimConfig {
     }
 }
 
-/// The counter store's pages and spill arrays, if the design has one.
-fn store(sim: &Simulator) -> (usize, usize) {
-    sim.secure()
-        .map_or((0, 0), |sp| sp.counters().pages_and_spills())
+/// The counter store's heap blocks (none without a store).
+fn store_blocks(sim: &Simulator) -> usize {
+    sim.secure().map_or(0, |sp| sp.counters().heap_blocks())
 }
 
 /// CTR heatmap windows closed so far (none without telemetry). Windows
@@ -166,7 +166,7 @@ fn check(label: &str, config: SimConfig, workload: Workload) -> Option<String> {
     for access in first {
         sim.step(access);
     }
-    let (pages, spills) = store(&sim);
+    let blocks = store_blocks(&sim);
     let windows = heatmap_windows(&telemetry);
 
     let (allocs, reallocs) = counted(|| {
@@ -175,21 +175,18 @@ fn check(label: &str, config: SimConfig, workload: Workload) -> Option<String> {
         }
     });
 
-    let (pages_after, spills_after) = store(&sim);
-    let new_pages = pages_after - pages;
-    let first_spill = usize::from(spills == 0 && spills_after > 0);
+    let new_blocks = store_blocks(&sim) - blocks;
     let new_windows = (heatmap_windows(&telemetry) - windows) as usize;
-    let bound = new_pages + first_spill + 3 * new_windows;
+    let bound = new_blocks + 3 * new_windows;
     let case = format!("{label} on {}", workload.name());
     println!(
-        "{case}: {allocs} allocations, {reallocs} reallocations; {new_pages} new pages, {} new \
-         spill arrays, {new_windows} heatmap windows closed",
-        spills_after - spills,
+        "{case}: {allocs} allocations, {reallocs} reallocations; {new_blocks} new store blocks, \
+         {new_windows} heatmap windows closed"
     );
     (allocs > bound).then(|| {
         format!(
-            "{case}: {allocs} allocations over the second half; bound {new_pages} new pages + \
-             {first_spill} first spill array + 3 x {new_windows} heatmap windows = {bound}"
+            "{case}: {allocs} allocations over the second half; bound {new_blocks} new store \
+             blocks + 3 x {new_windows} heatmap windows = {bound}"
         )
     })
 }

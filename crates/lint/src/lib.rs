@@ -103,11 +103,8 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
 /// findings.
 fn relative_label(root: &Path, path: &Path) -> String {
     let rel = path.strip_prefix(root).unwrap_or(path);
-    let parts: Vec<_> = rel
-        .components()
-        .map(|c| c.as_os_str().to_string_lossy())
-        .collect();
-    parts.join("/")
+    rel.to_string_lossy()
+        .replace(std::path::MAIN_SEPARATOR, "/")
 }
 
 /// Lints every workspace source under `root`: each crate's `src/` and the
@@ -128,15 +125,9 @@ pub fn run(root: &Path) -> io::Result<Report> {
 /// Ascends from `start` to the first directory whose `Cargo.toml` declares
 /// a `[workspace]` — so the lint can be run from any subdirectory.
 pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
-    let mut dir = Some(start.to_path_buf());
-    while let Some(d) = dir {
-        let manifest = d.join("Cargo.toml");
-        if let Ok(text) = std::fs::read_to_string(&manifest) {
-            if text.contains("[workspace]") {
-                return Some(d);
-            }
-        }
-        dir = d.parent().map(Path::to_path_buf);
-    }
-    None
+    let declares = |d: &Path| std::fs::read_to_string(d.join("Cargo.toml"));
+    start
+        .ancestors()
+        .find(|d| declares(d).is_ok_and(|t| t.contains("[workspace]")))
+        .map(Path::to_path_buf)
 }

@@ -13,13 +13,12 @@
 /// What kind of lexeme a token is.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TokKind {
-    /// An identifier or keyword (`fn`, `HashMap`).
+    /// An identifier, keyword or number (`fn`, `HashMap`, `10`; a number
+    /// lexes as its integer part, so `1.5` is `1` `.` `5`).
     Ident,
     /// A single punctuation character (`{`, `:`, `.`, …). Multi-character
     /// operators appear as consecutive tokens on the same line.
     Punct,
-    /// A numeric literal (integer part only; `1.5` lexes as `1` `.` `5`).
-    Num,
     /// A string, byte-string, or raw-string literal. The token text is the
     /// literal's raw content (needed to judge `expect` messages); it is
     /// never matched as an identifier.
@@ -112,8 +111,7 @@ impl Lexer {
                     self.raw_string();
                 }
                 '\'' => self.char_or_lifetime(),
-                c if Self::is_ident_start(Some(c)) => self.word(TokKind::Ident),
-                c if c.is_ascii_digit() => self.word(TokKind::Num),
+                c if Self::is_ident_continue(Some(c)) => self.word(),
                 c => {
                     self.push(TokKind::Punct, c.to_string());
                     self.pos += 1;
@@ -315,13 +313,13 @@ impl Lexer {
     }
 
     /// An identifier, or a number's integer part (`1.5` is `1` `.` `5`).
-    fn word(&mut self, kind: TokKind) {
+    fn word(&mut self) {
         let start = self.pos;
         while Self::is_ident_continue(self.peek(0)) {
             self.pos += 1;
         }
         let text: String = self.chars[start..self.pos].iter().collect();
-        self.push(kind, text);
+        self.push(TokKind::Ident, text);
     }
 }
 
@@ -329,13 +327,13 @@ impl Lexer {
 mod tests {
     use super::*;
 
+    fn of_kind(src: &str, kind: TokKind) -> Vec<String> {
+        let toks = lex(src).toks.into_iter();
+        toks.filter(|t| t.kind == kind).map(|t| t.text).collect()
+    }
+
     fn idents(src: &str) -> Vec<String> {
-        lex(src)
-            .toks
-            .into_iter()
-            .filter(|t| t.kind == TokKind::Ident)
-            .map(|t| t.text)
-            .collect()
+        of_kind(src, TokKind::Ident)
     }
 
     #[test]
@@ -362,7 +360,7 @@ mod tests {
         let src = "let s = r##\"quote \" and hash# \"# still inside\"##; let after = 1;";
         let ids = idents(src);
         // The `r##` prefix and the body are swallowed whole.
-        assert_eq!(ids, vec!["let", "s", "let", "after"]);
+        assert_eq!(ids, vec!["let", "s", "let", "after", "1"]);
         let l = lex(src);
         assert!(l.toks.iter().any(|t| t.kind == TokKind::Str));
         let ids = idents("let a = b\"bytes HashMap\"; let c = br#\"raw HashMap\"#;");
@@ -384,21 +382,28 @@ mod tests {
 
     #[test]
     fn lifetimes_vs_char_literals() {
-        let l = lex("fn f<'a>(x: &'a str) { let c = 'x'; let n = '\\n'; let s = 'static_ish; }");
-        let lifetimes: Vec<_> = l
-            .toks
-            .iter()
-            .filter(|t| t.kind == TokKind::Lifetime)
-            .map(|t| t.text.clone())
-            .collect();
-        assert_eq!(lifetimes, vec!["a", "a", "static_ish"]);
-        assert_eq!(l.toks.iter().filter(|t| t.kind == TokKind::Char).count(), 2);
+        let src = "fn f<'a>(x: &'a str) { let c = 'x'; let n = '\\n'; let s = 'static_ish; }";
+        assert_eq!(of_kind(src, TokKind::Lifetime), ["a", "a", "static_ish"]);
+        assert_eq!(of_kind(src, TokKind::Char).len(), 2);
+    }
+
+    #[test]
+    fn numbers_and_generics() {
+        // A number is a word (`1.5` is `1` `.` `5`); each `>` of nested
+        // generics is its own punct.
+        let ids = idents("let a = 1.5; for i in 0..10 {}");
+        assert_eq!(ids, ["let", "a", "1", "5", "for", "i", "in", "0", "10"]);
+        let puncts = of_kind(
+            "let m: Map<u64, Vec<Vec<u8>>> = Map::new();",
+            TokKind::Punct,
+        );
+        assert_eq!(puncts.concat(), ":<,<<>>>=::();");
     }
 
     #[test]
     fn nested_block_comments() {
         let ids = idents("/* outer /* inner HashMap */ still comment */ let x = 1;");
-        assert_eq!(ids, vec!["let", "x"]);
+        assert_eq!(ids, vec!["let", "x", "1"]);
     }
 
     #[test]

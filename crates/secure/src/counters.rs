@@ -746,12 +746,18 @@ impl CounterStore {
         self.increments
     }
 
-    /// The pages and the spill arrays the store holds. Once the store is
-    /// in use, only these make new allocations: one per page, and one for
-    /// the spill arena's first array (later arrays grow it in place).
-    pub fn pages_and_spills(&self) -> (usize, usize) {
-        let coverage = self.scheme.coverage() as usize;
-        (self.table.pages.len(), self.spills.dense.len() / coverage)
+    /// The heap blocks the store holds: one per page, and one for each of
+    /// its page directory, page list, spill arena and spill free list once
+    /// that first holds an entry. Each is one allocation when it appears;
+    /// the store makes no other (a growing list reallocates its block).
+    pub fn heap_blocks(&self) -> usize {
+        let lists = [
+            self.table.directory.capacity(),
+            self.table.pages.capacity(),
+            self.spills.dense.capacity(),
+            self.spills.free.capacity(),
+        ];
+        self.table.pages.len() + lists.iter().filter(|&&c| c > 0).count()
     }
 
     /// Blocks the store can hold: those of the data lines below

@@ -8,8 +8,10 @@
 //! the few blocks whose minors outgrow the word. The writes here are
 //! spread like `secure_mcf`'s: about 40 blocks in each of 512 pages, one
 //! to four small non-zero minors a block, and one block in 64 crowded
-//! with 24 minors of 4 (which spill). This binary holds one test, so no
-//! other test allocates while it runs.
+//! with 24 minors of 4 (which spill). The store's own count of its heap
+//! blocks is checked against the allocations, through the first overflow
+//! of a spilled block. This binary holds one test, so no other test
+//! allocates while it runs.
 
 use cosmos_common::{LineAddr, SplitMix64};
 use cosmos_secure::{CounterScheme, CounterStore};
@@ -93,6 +95,7 @@ fn morphctr_blocks_take_no_heap_of_their_own() {
     let mut rng = SplitMix64::new(20_261_016);
     let mut writes = Vec::new();
     let (mut blocks, mut spilled) = (0usize, 0usize);
+    let mut crowded = None;
     for page in 0..PAGES {
         // Every third page, so the directory spans 1,536 pages.
         let first = page * 3 * PAGE_BLOCKS;
@@ -103,6 +106,7 @@ fn morphctr_blocks_take_no_heap_of_their_own() {
             blocks += 1;
             let (minors, repeats) = if blocks % 64 == 0 {
                 spilled += 1;
+                crowded = Some(LineAddr::new(block * coverage));
                 (24, 4)
             } else {
                 (1 + rng.next_index(4), 1 + rng.next_index(2))
@@ -146,4 +150,16 @@ fn morphctr_blocks_take_no_heap_of_their_own() {
          {RECORD} B a block + {PAGE_OVERHEAD} B a page + {SPILL} B a spill = {live_bound}"
     );
     println!("{live} bytes in {allocations} allocations for {blocks} blocks");
+
+    // The store counts the heap blocks it made, and still does when the
+    // first overflow of a spilled block gives the free list its entry.
+    assert_eq!(store.heap_blocks(), allocations);
+    let line = crowded.expect("one block in 64 is crowded, and there are thousands");
+    let allocations_before = ALLOCATIONS.load(Ordering::SeqCst);
+    while store.overflows() == 0 {
+        store.increment(line);
+    }
+    let allocations = ALLOCATIONS.load(Ordering::SeqCst) - allocations_before;
+    assert_eq!(allocations, 1, "the free list's first entry");
+    assert_eq!(store.heap_blocks(), pages + 2 + 1 + 1);
 }
