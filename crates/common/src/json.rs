@@ -169,14 +169,6 @@ impl Value {
         }
     }
 
-    /// The value as `bool`.
-    pub fn as_bool(&self) -> Option<bool> {
-        match *self {
-            Value::Bool(b) => Some(b),
-            _ => None,
-        }
-    }
-
     /// The value as `&str`.
     pub fn as_str(&self) -> Option<&str> {
         match self {

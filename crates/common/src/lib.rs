@@ -46,4 +46,4 @@ pub mod trace;
 pub use addr::{LineAddr, PageAddr, PhysAddr, LINE_SHIFT, LINE_SIZE, PAGE_SHIFT, PAGE_SIZE};
 pub use cycle::Cycle;
 pub use rng::SplitMix64;
-pub use trace::{AccessKind, MemAccess, Trace, TraceSource};
+pub use trace::{AccessKind, MemAccess, Trace};

@@ -8,7 +8,6 @@
 //! convenience.)
 
 use crate::hash::splitmix64;
-use crate::json::Value;
 
 /// A splitmix64 pseudo-random number generator.
 ///
@@ -130,13 +129,13 @@ impl Default for SplitMix64 {
 /// bits, for per-core generators).
 ///
 /// Every stream the workspace draws from is declared as a constant in
-/// [`streams`], so (1) two components can never silently share a stream,
-/// and (2) a snapshot can enumerate streams *by name* — the
-/// [`RngRegistry`] records `(name, state)` pairs, and restore looks the
-/// state up under the same name instead of re-deriving from the seed.
+/// [`streams`], so two components can never silently share a stream.
+/// Derivation only seeds a generator: a snapshot saves each live
+/// generator's state as a field of the component that owns it, and
+/// restore reads that state back rather than re-deriving it from the seed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StreamTag {
-    /// Stable identifier, used as the registry key.
+    /// Stable identifier of the stream.
     pub name: &'static str,
     /// XOR salt applied to the base seed.
     pub salt: u64,
@@ -172,7 +171,7 @@ impl StreamTag {
     }
 }
 
-/// Every named random stream in the workspace. Salts predate the registry
+/// Every named random stream in the workspace. Salts predate these constants
 /// (they were inline `seed ^ 0x…` expressions); the constants here pin
 /// them so artifacts stay byte-identical.
 pub mod streams {
@@ -206,10 +205,8 @@ pub mod streams {
     /// DRRIP set-dueling policy (fixed historical seed, no base).
     pub const DRRIP: StreamTag = tag("cache.drrip", 0xD_EE1);
 
-    /// STREAM-triad synthetic workload, per core (input side: regenerated
+    /// SPEC-like synthetic workload, per core (input side: regenerated
     /// from the config on resume, never snapshotted).
-    pub const WORKLOAD_STREAMING: StreamTag = lane_tag("workload.streaming", 0x57EA, 40);
-    /// SPEC-like synthetic workload, per core (input side).
     pub const WORKLOAD_SPEC: StreamTag = lane_tag("workload.spec", 0x57EC, 40);
     /// ML kernel synthetic workload, per core (input side).
     pub const WORKLOAD_ML: StreamTag = lane_tag("workload.ml", 0x3117, 36);
@@ -227,78 +224,6 @@ pub mod streams {
     pub const FUZZ_CONFIG: StreamTag = tag("fuzz.config", 0xF0_22);
     /// Fuzzer trace synthesis stream (harness side).
     pub const FUZZ_TRACE: StreamTag = tag("fuzz.trace", 0x7_2ACE);
-}
-
-/// The serializable registry of RNG stream states in one snapshot.
-///
-/// Each simulator-side component contributes its generators under their
-/// [`StreamTag`] names at snapshot time; on restore the component takes
-/// its state back out by name. A name-keyed (rather than positional)
-/// format keeps snapshots robust against components being added or
-/// reordered, and makes a missing stream a *loud* failure.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct RngRegistry {
-    entries: Vec<(String, u64)>,
-}
-
-impl RngRegistry {
-    /// An empty registry.
-    pub const fn new() -> Self {
-        Self {
-            entries: Vec::new(),
-        }
-    }
-
-    /// Records `rng`'s state under `name`, replacing any previous entry.
-    pub fn record(&mut self, name: &str, rng: &SplitMix64) {
-        match self.entries.iter_mut().find(|(n, _)| n == name) {
-            Some((_, s)) => *s = rng.state(),
-            None => self.entries.push((name.to_string(), rng.state())),
-        }
-    }
-
-    /// Reconstructs the generator recorded under `name`.
-    pub fn restore(&self, name: &str) -> Result<SplitMix64, String> {
-        self.entries
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, s)| SplitMix64::new(*s))
-            .ok_or_else(|| format!("snapshot has no RNG stream named {name:?}"))
-    }
-
-    /// Number of recorded streams.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether no streams are recorded.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Serializes as `{name: state, …}` in insertion order.
-    pub fn to_json(&self) -> Value {
-        let mut map = crate::json::Map::new();
-        for (name, state) in &self.entries {
-            map.insert(name.clone(), Value::UInt(*state));
-        }
-        Value::Object(map)
-    }
-
-    /// Rebuilds a registry from [`RngRegistry::to_json`] output.
-    pub fn from_json(v: &Value) -> Result<Self, String> {
-        let map = v
-            .as_object()
-            .ok_or_else(|| "RNG registry must be a JSON object".to_string())?;
-        let mut reg = RngRegistry::new();
-        for (name, state) in map.iter() {
-            let state = state
-                .as_u64()
-                .ok_or_else(|| format!("RNG stream {name:?} state must be a u64"))?;
-            reg.entries.push((name.to_string(), state));
-        }
-        Ok(reg)
-    }
 }
 
 #[cfg(test)]
@@ -403,8 +328,8 @@ mod tests {
         assert_eq!(streams::DATA_PREDICTOR.derive_seed(7), 7 ^ 0xDA7A);
         assert_eq!(streams::CTR_PREDICTOR.derive_seed(7), 7 ^ 0xC7_12);
         assert_eq!(
-            streams::WORKLOAD_STREAMING.derive_lane_seed(9, 3),
-            9 ^ (3u64 << 40) ^ 0x57EA
+            streams::WORKLOAD_SPEC.derive_lane_seed(9, 3),
+            9 ^ (3u64 << 40) ^ 0x57EC
         );
         assert_eq!(
             streams::WORKLOAD_GRAPH.derive_lane_seed(9, 2),
@@ -414,38 +339,6 @@ mod tests {
             streams::DATA_PREDICTOR.derive(7),
             SplitMix64::new(7 ^ 0xDA7A)
         );
-    }
-
-    #[test]
-    fn registry_round_trips_through_json() {
-        let mut reg = RngRegistry::new();
-        let mut a = streams::DATA_PREDICTOR.derive(1);
-        a.next_u64();
-        reg.record(streams::DATA_PREDICTOR.name, &a);
-        reg.record(streams::CTR_PREDICTOR.name, &SplitMix64::new(u64::MAX));
-        let json = reg.to_json();
-        let back = RngRegistry::from_json(&json).unwrap();
-        assert_eq!(back, reg);
-        let mut restored = back.restore(streams::DATA_PREDICTOR.name).unwrap();
-        assert_eq!(restored.next_u64(), a.next_u64());
-        assert!(back.restore("rl.unknown").is_err());
-    }
-
-    #[test]
-    fn registry_record_replaces_in_place() {
-        let mut reg = RngRegistry::new();
-        reg.record("s", &SplitMix64::new(1));
-        reg.record("s", &SplitMix64::new(2));
-        assert_eq!(reg.len(), 1);
-        assert_eq!(reg.restore("s").unwrap(), SplitMix64::new(2));
-    }
-
-    #[test]
-    fn registry_rejects_malformed_json() {
-        use crate::json::json;
-        assert!(RngRegistry::from_json(&json!([1])).is_err());
-        assert!(RngRegistry::from_json(&json!({"s": "x"})).is_err());
-        assert!(RngRegistry::from_json(&json!({"s": -1})).is_err());
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Lightweight statistics primitives used by caches, predictors, and the
-//! simulator: hit/miss counters, running means, and fixed-bucket histograms.
+//! simulator: hit/miss counters, ratios, and checked measurement windows.
 //!
 //! Every counter struct the simulator reports is declared once, through
 //! [`counters!`](crate::counters!). The declaration's field list
@@ -423,157 +423,6 @@ pub fn ratio(num: u64, den: u64) -> f64 {
     }
 }
 
-/// An online mean/min/max accumulator over `f64` samples.
-///
-/// # Examples
-///
-/// ```
-/// use cosmos_common::stats::Running;
-/// let mut r = Running::new();
-/// for x in [1.0, 2.0, 3.0] { r.push(x); }
-/// assert_eq!(r.mean(), 2.0);
-/// assert_eq!(r.max(), 3.0);
-/// ```
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct Running {
-    count: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Running {
-    /// Creates an empty accumulator.
-    pub const fn new() -> Self {
-        Self {
-            count: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Adds a sample.
-    #[inline]
-    pub fn push(&mut self, x: f64) {
-        self.count += 1;
-        self.sum += x;
-        if x < self.min {
-            self.min = x;
-        }
-        if x > self.max {
-            self.max = x;
-        }
-    }
-
-    /// Number of samples.
-    pub const fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of samples.
-    pub const fn sum(&self) -> f64 {
-        self.sum
-    }
-
-    /// Mean of samples; `0.0` when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    /// Smallest sample; `+inf` when empty.
-    pub const fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Largest sample; `-inf` when empty.
-    pub const fn max(&self) -> f64 {
-        self.max
-    }
-}
-
-/// A histogram over power-of-two buckets of `u64` values (bucket `i` holds
-/// values in `[2^i, 2^(i+1))`; bucket 0 holds 0 and 1).
-///
-/// Useful for reuse-distance and latency distributions.
-///
-/// # Examples
-///
-/// ```
-/// use cosmos_common::stats::Log2Histogram;
-/// let mut h = Log2Histogram::new();
-/// h.push(5);
-/// assert_eq!(h.count(), 1);
-/// ```
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Log2Histogram {
-    buckets: [u64; 64],
-    count: u64,
-}
-
-impl Default for Log2Histogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Log2Histogram {
-    /// Creates an empty histogram.
-    pub const fn new() -> Self {
-        Self {
-            buckets: [0; 64],
-            count: 0,
-        }
-    }
-
-    /// Adds a value.
-    #[inline]
-    pub fn push(&mut self, v: u64) {
-        let b = if v <= 1 {
-            0
-        } else {
-            63 - v.leading_zeros() as usize
-        };
-        self.buckets[b] += 1;
-        self.count += 1;
-    }
-
-    /// Total samples.
-    pub const fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Bucket counts (bucket `i` ≈ values around `2^i`).
-    pub fn buckets(&self) -> &[u64; 64] {
-        &self.buckets
-    }
-
-    /// The value `2^p` such that at least `q` (in `[0,1]`) of samples fall at
-    /// or below bucket `p`. Returns 0 for an empty histogram.
-    pub fn quantile_bucket(&self, q: f64) -> u32 {
-        if self.count == 0 {
-            return 0;
-        }
-        #[expect(
-            clippy::cast_possible_truncation,
-            reason = "q is clamped to [0, 1], so the ceiling lies in [0, count] and fits u64"
-        )]
-        let target = (q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64;
-        let mut acc = 0;
-        for (i, &b) in (0u32..).zip(&self.buckets) {
-            acc += b;
-            if acc >= target {
-                return i;
-            }
-        }
-        63
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -620,42 +469,6 @@ mod tests {
     #[should_panic(expected = "stat-window baseline exceeds the current counter")]
     fn window_sub_rejects_backwards_counter_in_all_profiles() {
         let _ = window_sub(3, 4);
-    }
-
-    #[test]
-    fn running_tracks_extremes() {
-        let mut r = Running::new();
-        for x in [4.0, -1.0, 10.0] {
-            r.push(x);
-        }
-        assert_eq!(r.min(), -1.0);
-        assert_eq!(r.max(), 10.0);
-        assert!((r.mean() - 13.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn histogram_buckets() {
-        let mut h = Log2Histogram::new();
-        h.push(0);
-        h.push(1);
-        h.push(2);
-        h.push(3);
-        h.push(1024);
-        assert_eq!(h.buckets()[0], 2);
-        assert_eq!(h.buckets()[1], 2);
-        assert_eq!(h.buckets()[10], 1);
-        assert_eq!(h.count(), 5);
-    }
-
-    #[test]
-    fn histogram_quantile() {
-        let mut h = Log2Histogram::new();
-        for _ in 0..99 {
-            h.push(1);
-        }
-        h.push(1 << 20);
-        assert_eq!(h.quantile_bucket(0.5), 0);
-        assert_eq!(h.quantile_bucket(1.0), 20);
     }
 
     #[test]

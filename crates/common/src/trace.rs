@@ -184,49 +184,6 @@ impl<'a> IntoIterator for &'a Trace {
     }
 }
 
-/// A source of memory accesses that the simulator can drain lazily.
-///
-/// Implemented by the in-memory [`Trace`] as well as by streaming workload
-/// generators that synthesize accesses on the fly (avoiding materializing
-/// hundreds of millions of records).
-pub trait TraceSource {
-    /// Produces the next access, or `None` when the workload is finished.
-    fn next_access(&mut self) -> Option<MemAccess>;
-
-    /// A size hint: expected total accesses, if known.
-    fn expected_len(&self) -> Option<usize> {
-        None
-    }
-}
-
-/// Draining adapter over an owned [`Trace`].
-#[derive(Clone, Debug)]
-pub struct TraceIter {
-    trace: std::vec::IntoIter<MemAccess>,
-    len: usize,
-}
-
-impl TraceIter {
-    /// Creates a draining source from a trace.
-    pub fn new(trace: Trace) -> Self {
-        let len = trace.len();
-        Self {
-            trace: trace.into_iter(),
-            len,
-        }
-    }
-}
-
-impl TraceSource for TraceIter {
-    fn next_access(&mut self) -> Option<MemAccess> {
-        self.trace.next()
-    }
-
-    fn expected_len(&self) -> Option<usize> {
-        Some(self.len)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -277,18 +234,5 @@ mod tests {
         let t = sample();
         let t2: Trace = t.iter().copied().collect();
         assert_eq!(t, t2);
-    }
-
-    #[test]
-    fn trace_iter_drains_in_order() {
-        let t = sample();
-        let expected: Vec<_> = t.iter().copied().collect();
-        let mut src = TraceIter::new(t);
-        assert_eq!(src.expected_len(), Some(3));
-        let mut got = Vec::new();
-        while let Some(a) = src.next_access() {
-            got.push(a);
-        }
-        assert_eq!(got, expected);
     }
 }

@@ -121,15 +121,6 @@ impl Simulator {
         self.finalize()
     }
 
-    /// Runs a streaming [`cosmos_common::TraceSource`] to exhaustion —
-    /// useful for workloads too large to materialize.
-    pub fn run_source(mut self, source: &mut dyn cosmos_common::TraceSource) -> SimStats {
-        while let Some(access) = source.next_access() {
-            self.step(&access);
-        }
-        self.finalize()
-    }
-
     /// Processes a single access: issue (skipping the instruction gap in
     /// one step), resolve the completion time through the component chain,
     /// retire.

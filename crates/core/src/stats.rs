@@ -215,11 +215,6 @@ impl SimStats {
         }
     }
 
-    /// Total DRAM traffic in bytes.
-    pub fn traffic_bytes(&self) -> u64 {
-        self.traffic.total() * 64
-    }
-
     /// The timeline of the window since `baseline`: only points sampled
     /// after the baseline, each rebased onto the window origin with its
     /// `dp_accuracy` recomputed over the window (predictions resolved

@@ -200,11 +200,6 @@ impl Dram {
             .dram_access(served.queued, outcome == RowBufferOutcome::Hit, write);
         served.done
     }
-
-    /// Latency (not completion time) of a request issued at `now`.
-    pub fn access_latency(&mut self, line: LineAddr, now: Cycle, write: bool) -> Cycle {
-        self.access(line, now, write) - now
-    }
 }
 
 #[cfg(test)]

@@ -85,6 +85,10 @@ impl Args {
                     .checked_mul(4)
                     .ok_or("--large: 4x the access budget overflows")?;
             }
+            // A table takes no budget: its default 0 is the one not checked.
+            if accesses > 0 {
+                TraceSpec::paper_default(accesses, 0).check_budget()?;
+            }
             let telemetry = match p.get::<String>("--telemetry")? {
                 Some(dir) => {
                     Telemetry::to_dir(&dir).map_err(|e| format!("--telemetry {dir}: {e}"))?

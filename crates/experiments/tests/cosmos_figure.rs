@@ -66,6 +66,29 @@ fn flags_after_the_name_reach_the_figure() {
 }
 
 #[test]
+fn an_unservable_budget_exits_2_naming_the_bound() {
+    for (budget, bound) in [
+        (&["--accesses", "3"][..], "below the core count 4"),
+        (
+            &["--accesses", "18446744073709551615"],
+            "exceeds 576460752303423487",
+        ),
+        (
+            &["--accesses", "144115188075855872", "--large"],
+            "exceeds 576460752303423487",
+        ),
+    ] {
+        // The unwritable document keeps a run that passed the parse from
+        // writing a result.
+        let args = [&["table1", "--json", "/dev/null/table1.json"][..], budget].concat();
+        let out = cosmos_figure(&args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let err = stderr(&out);
+        assert!(err.contains(bound), "{args:?}: {err}");
+    }
+}
+
+#[test]
 fn unwritable_result_document_exits_1_naming_the_path() {
     let out = cosmos_figure(&["table1", "--json", "/dev/null/table1.json"]);
     assert_eq!(out.status.code(), Some(1));

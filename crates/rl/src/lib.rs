@@ -16,9 +16,8 @@
 //!   predictions drive the LCR-CTR cache's replacement (Algorithm 2).
 //!
 //! Both agents are ε-greedy with the Table-1 hyperparameters as defaults
-//! ([`params::RlParams`], [`params::RewardTable`]), and both store Q-values
-//! in a dense [`QTable`] that can report hardware-style 8-bit quantized
-//! scores.
+//! ([`params::RlParams`], [`params::RewardTable`]), and both store `f32`
+//! Q-values in a dense [`QTable`].
 //!
 //! # Examples
 //!
@@ -38,10 +37,8 @@ pub mod data_loc;
 pub mod locality;
 pub mod params;
 pub mod qtable;
-pub mod quantized;
 
 pub use cet::Cet;
 pub use data_loc::{DataLocation, DataLocationPredictor, DataLocationStats};
 pub use locality::{CtrLocalityPredictor, CtrLocalityStats, Locality, LocalityDecision};
 pub use qtable::QTable;
-pub use quantized::QuantizedQTable;

@@ -123,11 +123,6 @@ impl CtrLocalityStats {
     pub fn good_fraction(&self) -> f64 {
         cosmos_common::stats::ratio(self.predicted_good, self.predictions)
     }
-
-    /// Agreement rate between predictions and CET ground truth.
-    pub fn agreement_rate(&self) -> f64 {
-        cosmos_common::stats::ratio(self.agreements, self.predictions)
-    }
 }
 
 /// The CTR locality agent: Q-table + CET, implementing Algorithm 1 in a

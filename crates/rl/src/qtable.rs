@@ -2,9 +2,10 @@
 
 /// A `num_states × 2` table of Q-values.
 ///
-/// Values are learned as `f32`; [`QTable::quantized`] reports the
-/// hardware-style 8-bit score (the paper stores two 8-bit Q-values per
-/// entry, 16 bits/entry — Table 2).
+/// Values are learned as `f32`. The paper's hardware stores two 8-bit
+/// Q-values per entry (16 bits/entry, Table 2); the 8-bit score the LCR
+/// cache keeps is derived from the `f32` value in
+/// [`crate::CtrLocalityPredictor::classify`].
 ///
 /// Storage is one flat `Vec<f32>` with the two actions of a state adjacent
 /// (`q[2s]`, `q[2s+1]`): each access touches exactly one 8-byte entry pair,
@@ -87,13 +88,6 @@ impl QTable {
         *q
     }
 
-    /// The 8-bit quantized magnitude of `(state, action)`'s Q-value, as the
-    /// hardware would store next to the cache line: |Q| clamped to [0, 255].
-    #[inline]
-    pub fn quantized(&self, state: usize, action: usize) -> u8 {
-        self.q(state, action).abs().clamp(0.0, 255.0) as u8
-    }
-
     /// Resets all values to zero.
     pub fn reset(&mut self) {
         self.q.iter_mut().for_each(|e| *e = 0.0);
@@ -140,15 +134,6 @@ mod tests {
         q.update_toward(2, 1, 8.0, 0.5);
         assert_eq!(q.pair(2), [q.q(2, 0), q.q(2, 1)]);
         assert_eq!(q.pair(0), [0.0, 0.0]);
-    }
-
-    #[test]
-    fn quantized_clamps() {
-        let mut q = QTable::new(2);
-        q.update_toward(0, 0, 1000.0, 1.0);
-        assert_eq!(q.quantized(0, 0), 255);
-        q.update_toward(0, 1, -12.5, 1.0);
-        assert_eq!(q.quantized(0, 1), 12);
     }
 
     #[test]

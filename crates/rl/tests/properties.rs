@@ -2,7 +2,6 @@
 
 use cosmos_common::{LineAddr, PhysAddr};
 use cosmos_rl::params::RlParams;
-use cosmos_rl::quantized::QuantizedQTable;
 use cosmos_rl::{Cet, CtrLocalityPredictor, DataLocation, DataLocationPredictor, Locality, QTable};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, HashMap};
@@ -192,37 +191,6 @@ proptest! {
             prop_assert_eq!(flat.best_action(s), ref_best);
             for (a, &rq) in row.iter().enumerate() {
                 prop_assert_eq!(flat.q(s, a), rq);
-                prop_assert_eq!(flat.quantized(s, a), rq.abs().clamp(0.0, 255.0) as u8);
-            }
-        }
-    }
-
-    /// The flattened `Vec<i8>` quantized table reproduces the nested
-    /// shift-update (including the minimum-step and saturation rules).
-    #[test]
-    fn flat_quantized_qtable_matches_nested_reference(
-        ops in prop::collection::vec((0usize..16, 0usize..2, -80f32..80f32), 1..400),
-        shift in 0u32..7,
-    ) {
-        let mut flat = QuantizedQTable::new(16, shift);
-        let mut nested = [[0i8; 2]; 16];
-        for &(s, a, target) in &ops {
-            flat.update(s, a, target);
-            let t_fixed = (target * 4.0).clamp(i16::MIN as f32, i16::MAX as f32) as i16;
-            let cur = nested[s][a] as i16;
-            let mut delta = (t_fixed - cur) >> shift;
-            if delta == 0 && t_fixed != cur {
-                delta = (t_fixed - cur).signum();
-            }
-            nested[s][a] = (cur + delta).clamp(i8::MIN as i16, i8::MAX as i16) as i8;
-        }
-        for (s, row) in nested.iter().enumerate() {
-            prop_assert_eq!(flat.pair(s), *row);
-            let ref_best = usize::from(row[1] > row[0]);
-            prop_assert_eq!(flat.best_action(s), ref_best);
-            for (a, &rq) in row.iter().enumerate() {
-                prop_assert_eq!(flat.q(s, a), rq as f32 / 4.0);
-                prop_assert_eq!(flat.score(s, a), rq.unsigned_abs());
             }
         }
     }

@@ -41,11 +41,6 @@ pub struct Representative {
 }
 
 impl Representative {
-    /// The warmup range `[warmup_start, interval.start)`.
-    pub fn warmup_range(&self) -> core::ops::Range<usize> {
-        self.warmup_start..self.warmup_start + self.warmup_len
-    }
-
     /// The factor the measured window is scaled by when merging:
     /// represented accesses over measured accesses.
     pub fn scale(&self) -> f64 {

@@ -105,11 +105,6 @@ impl MetadataLayout {
         self.mt_levels
     }
 
-    /// Tree arity.
-    pub fn mt_arity(&self) -> u64 {
-        1 << self.mt_arity_log2
-    }
-
     /// The counter-block line covering a data line.
     #[inline]
     pub fn ctr_line_of(&self, data_line: LineAddr) -> LineAddr {

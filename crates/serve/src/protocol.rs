@@ -18,7 +18,7 @@
 use cosmos_common::json::{codec, json, Value};
 use cosmos_core::Design;
 use cosmos_experiments::figures;
-use cosmos_workloads::Workload;
+use cosmos_workloads::{TraceSpec, Workload};
 
 /// What one job runs.
 #[derive(Clone, Debug, PartialEq)]
@@ -58,14 +58,16 @@ fn opt_u64(v: &Value, key: &str, default: u64) -> Result<u64, String> {
     }
 }
 
-/// A submitted access budget, which must be positive (as `cosmos_figure
-/// --accesses` requires): a zero budget would run empty traces and report
-/// NaN rates.
-fn positive(accesses: usize) -> Result<usize, String> {
-    match accesses {
-        0 => Err("accesses must be positive".into()),
-        n => Ok(n),
+/// A submitted access budget, which must be positive and one the
+/// generators can serve at the paper's core count, as `cosmos_figure
+/// --accesses` requires: a smaller budget would run empty traces and
+/// report NaN rates, a larger one would fail to allocate its trace.
+fn budget(accesses: usize) -> Result<usize, String> {
+    if accesses == 0 {
+        return Err("accesses must be positive".into());
     }
+    TraceSpec::paper_default(accesses, DEFAULT_SEED).check_budget()?;
+    Ok(accesses)
 }
 
 impl JobSpec {
@@ -87,7 +89,7 @@ impl JobSpec {
                 // there is no error, and their manifest rows round-trip.
                 let accesses = match opt_u64(v, "accesses", fig.default_accesses as u64)? {
                     0 if fig.default_accesses == 0 => 0,
-                    n => positive(n as usize)?,
+                    n => budget(n as usize)?,
                 };
                 Ok(JobSpec::Figure {
                     figure: fig.name,
@@ -98,7 +100,7 @@ impl JobSpec {
             "sim" => Ok(JobSpec::Sim {
                 design: codec::str_field(v, "design")?.parse()?,
                 workload: codec::str_field(v, "workload")?.parse()?,
-                accesses: positive(codec::usize_field(v, "accesses")?)?,
+                accesses: budget(codec::usize_field(v, "accesses")?)?,
                 seed: opt_u64(v, "seed", DEFAULT_SEED)?,
                 snapshot_every: opt_u64(v, "snapshot_every", 0)? as usize,
             }),
@@ -274,13 +276,22 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.contains("unknown design"), "{err}");
-        // A zero budget, as `cosmos_figure --accesses 0` is.
-        for job in [
-            r#"{"type":"figure","figure":"fig02","accesses":0}"#,
-            r#"{"type":"sim","design":"COSMOS","workload":"bfs","accesses":0}"#,
+        // A zero budget, as `cosmos_figure --accesses 0` is, and budgets
+        // the generators cannot serve at the paper's 4 cores.
+        for (accesses, message) in [
+            (0, "accesses must be positive"),
+            (3, "below the core count 4"),
+            (u64::MAX, "exceeds 576460752303423487"),
         ] {
-            let err = parse_request(&format!(r#"{{"op":"submit","job":{job}}}"#)).unwrap_err();
-            assert!(err.contains("accesses must be positive"), "{err}");
+            for job in [
+                format!(r#"{{"type":"figure","figure":"fig02","accesses":{accesses}}}"#),
+                format!(
+                    r#"{{"type":"sim","design":"COSMOS","workload":"bfs","accesses":{accesses}}}"#
+                ),
+            ] {
+                let err = parse_request(&format!(r#"{{"op":"submit","job":{job}}}"#)).unwrap_err();
+                assert!(err.contains(message), "{job}: {err}");
+            }
         }
         assert!(parse_request("not json")
             .unwrap_err()

@@ -49,7 +49,6 @@ pub mod graph;
 mod interleave;
 pub mod ml;
 pub mod spec;
-pub mod streaming;
 pub mod tenant;
 pub mod workload;
 

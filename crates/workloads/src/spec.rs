@@ -62,75 +62,6 @@ impl SpecKind {
     }
 }
 
-impl SpecKind {
-    /// Generates one *operation's* worth of accesses for the streaming
-    /// source ([`crate::streaming::StreamingSpec`]): an mcf arc visit, a
-    /// canneal swap attempt, or an omnetpp heap operation. Statistically
-    /// equivalent to the batched generators (the long-lived chase/heap
-    /// state is re-randomized per burst).
-    pub fn generate_burst(
-        self,
-        footprint_bytes: u64,
-        core: u8,
-        rng: &mut SplitMix64,
-    ) -> Vec<MemAccess> {
-        let mut out = Vec::with_capacity(8);
-        match self {
-            SpecKind::Mcf => {
-                let arcs = (footprint_bytes / ARC_BYTES).max(1);
-                let rec = BASE + rng.next_below(arcs) * ARC_BYTES;
-                out.push(MemAccess::read(core, PhysAddr::new(rec), 3));
-                out.push(MemAccess::read(core, PhysAddr::new(rec + 16), 2));
-                if rng.chance(0.12) {
-                    out.push(MemAccess::write(core, PhysAddr::new(rec + 32), 2));
-                }
-            }
-            SpecKind::Canneal => {
-                let elements = (footprint_bytes / 32).max(4);
-                let pa = BASE + rng.next_below(elements) * 32;
-                let pb = BASE + rng.next_below(elements) * 32;
-                out.push(MemAccess::read(core, PhysAddr::new(pa), 4));
-                out.push(MemAccess::read(core, PhysAddr::new(pb), 3));
-                for _ in 0..2 {
-                    let n = rng.next_below(elements);
-                    out.push(MemAccess::read(core, PhysAddr::new(BASE + n * 32), 2));
-                }
-                if rng.chance(0.4) {
-                    out.push(MemAccess::write(core, PhysAddr::new(pa), 2));
-                    out.push(MemAccess::write(core, PhysAddr::new(pb), 2));
-                }
-            }
-            SpecKind::Omnetpp => {
-                let heap_slots = (footprint_bytes / 2 / 32).max(16);
-                let pool_slots = (footprint_bytes / 2 / 128).max(16);
-                let pool_base = BASE + heap_slots * 32 + (1 << 20);
-                // One sift path from a random heap position toward the root.
-                let mut i = rng.next_below(heap_slots);
-                out.push(MemAccess::read(core, PhysAddr::new(BASE + i * 32), 3));
-                while i > 0 {
-                    let parent = (i - 1) / 2;
-                    out.push(MemAccess::read(core, PhysAddr::new(BASE + parent * 32), 2));
-                    if rng.chance(0.5) {
-                        break;
-                    }
-                    out.push(MemAccess::write(core, PhysAddr::new(BASE + parent * 32), 2));
-                    i = parent;
-                }
-                let m = rng.next_below(pool_slots);
-                out.push(MemAccess::read(core, PhysAddr::new(pool_base + m * 128), 4));
-                if rng.chance(0.5) {
-                    out.push(MemAccess::write(
-                        core,
-                        PhysAddr::new(pool_base + m * 128 + 64),
-                        2,
-                    ));
-                }
-            }
-        }
-        out
-    }
-}
-
 impl core::fmt::Display for SpecKind {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.write_str(self.name())

@@ -75,13 +75,6 @@ impl OccupancyProbe {
         self
     }
 
-    /// Returns a copy issuing from a different core.
-    #[must_use]
-    pub const fn with_core(mut self, core: u8) -> Self {
-        self.core = core;
-        self
-    }
-
     /// Generates the probe trace: `sweeps × lines` reads.
     pub fn generate(&self) -> Trace {
         let mut out = Trace::with_capacity(self.lines * self.sweeps);

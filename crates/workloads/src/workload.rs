@@ -3,7 +3,7 @@
 use crate::graph::{Graph, GraphKernel, GraphKind, GraphLayout, LayoutMode};
 use crate::ml::MlModel;
 use crate::spec::SpecKind;
-use cosmos_common::{PhysAddr, Trace};
+use cosmos_common::{MemAccess, PhysAddr, Trace};
 
 /// Where a graph workload's layout starts.
 const GRAPH_BASE: PhysAddr = PhysAddr::new(1 << 22);
@@ -182,6 +182,33 @@ impl TraceSpec {
     pub fn with_cores(mut self, cores: usize) -> Self {
         self.cores = cores;
         self
+    }
+
+    /// Checks that the generators can serve this budget: each core gets
+    /// `accesses / cores` accesses, so a budget below `cores` builds an
+    /// empty trace, and the trace's records must fit the `isize::MAX`
+    /// bytes one allocation can hold.
+    ///
+    /// # Errors
+    ///
+    /// The budget is below `cores` or above that size bound; the message
+    /// names the bound.
+    pub fn check_budget(&self) -> Result<(), String> {
+        let record = size_of::<MemAccess>();
+        let most = isize::MAX.unsigned_abs() / record;
+        if self.accesses < self.cores {
+            Err(format!(
+                "access budget {} is below the core count {}: each core needs at least one access",
+                self.accesses, self.cores
+            ))
+        } else if self.accesses > most {
+            Err(format!(
+                "access budget {} exceeds {most}, the most {record}-byte accesses one trace can hold",
+                self.accesses
+            ))
+        } else {
+            Ok(())
+        }
     }
 }
 

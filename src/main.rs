@@ -33,18 +33,22 @@ fn main() {
             Some(name) => vec![name.parse()?],
             None => Design::ALL.to_vec(),
         };
+        let spec = TraceSpec::paper_default(
+            p.get("--accesses")?.unwrap_or(1_000_000),
+            p.get("--seed")?.unwrap_or(42),
+        )
+        .with_cores(p.get("--cores")?.unwrap_or(4));
+        spec.check_budget()?;
         Ok((
             p.get("--workload")?
                 .unwrap_or(Workload::Graph(GraphKernel::Dfs)),
             designs,
-            p.get("--accesses")?.unwrap_or(1_000_000usize),
-            p.get("--seed")?.unwrap_or(42u64),
-            p.get("--cores")?.unwrap_or(4usize),
+            spec,
             p.on("--paper-ctr-sizes"),
             p.on("--list"),
         ))
     });
-    let (workload, designs, accesses, seed, cores, paper_sizes, list) = cli::finish(parsed, &help);
+    let (workload, designs, spec, paper_sizes, list) = cli::finish(parsed, &help);
     if list {
         println!("workloads: dfs bfs gc pr tc cc sp dc mcf canneal omnetpp");
         println!("           mlp alexnet resnet vgg bert transformer dlrm");
@@ -52,10 +56,11 @@ fn main() {
         return;
     }
 
-    let spec = TraceSpec::paper_default(accesses, seed).with_cores(cores);
     eprintln!(
-        "generating {} trace ({accesses} accesses, {cores} cores)...",
-        workload.name()
+        "generating {} trace ({} accesses, {} cores)...",
+        workload.name(),
+        spec.accesses,
+        spec.cores
     );
     let trace = workload.generate(&spec);
 
@@ -66,8 +71,8 @@ fn main() {
     let mut np_ipc: Option<f64> = None;
     for &design in &designs {
         let mut config = SimConfig::paper_default(design);
-        config.cores = cores;
-        config.seed = seed;
+        config.cores = spec.cores;
+        config.seed = spec.seed;
         if paper_sizes {
             config = config.with_paper_ctr_sizes();
         }

@@ -29,6 +29,30 @@ fn bad_numbers_exit_2_with_a_message() {
 }
 
 #[test]
+fn an_unservable_budget_exits_2_naming_the_bound() {
+    for (args, bound) in [
+        (
+            &["--workload", "mcf", "--accesses", "3"][..],
+            "below the core count 4",
+        ),
+        (
+            &["--accesses", "7", "--cores", "8"],
+            "below the core count 8",
+        ),
+        (
+            &["--accesses", "18446744073709551615"],
+            "exceeds 576460752303423487",
+        ),
+    ] {
+        let out = cosmos(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(bound), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+    }
+}
+
+#[test]
 fn a_small_valid_run_prints_its_table() {
     let out = cosmos(&[
         "--workload",

@@ -1,6 +1,7 @@
 //! Cross-crate integration tests: the full simulator over real workload
 //! traces, across every design.
 
+use cosmos::common::Trace;
 use cosmos::core::{Design, SimConfig, Simulator};
 use cosmos::workloads::{graph::GraphKernel, spec::SpecKind, TraceSpec, Workload};
 
@@ -145,26 +146,28 @@ fn traffic_breakdown_is_consistent() {
 }
 
 #[test]
-fn streaming_source_matches_materialized_distribution() {
-    use cosmos::workloads::streaming::{Repeat, StreamingSpec};
-    // Run the simulator off a lazy source; results must be sane and
-    // deterministic.
-    let mut src = StreamingSpec::new(SpecKind::Mcf, 16 << 20, 4, 20_000, 9);
-    let stats = Simulator::new(SimConfig::paper_default(Design::Cosmos)).run_source(&mut src);
+fn an_mcf_trace_misses_the_ctr_cache() {
+    let mut spec = TraceSpec::small_test(9).with_accesses(20_000);
+    spec.spec_footprint = 16 << 20;
+    let trace = Workload::Spec(SpecKind::Mcf).generate(&spec);
+    let stats = Simulator::new(SimConfig::paper_default(Design::Cosmos)).run(&trace);
     assert_eq!(stats.accesses, 20_000);
     assert!(
         stats.ctr_miss_rate() > 0.1,
-        "mcf stream should miss the CTR cache"
+        "mcf should miss the CTR cache ({})",
+        stats.ctr_miss_rate()
     );
+}
 
-    // Repeat source: loop a tiny trace far beyond its length.
+#[test]
+fn a_looped_trace_becomes_cache_resident() {
     let spec = small_spec(10).with_accesses(500);
     let base = Workload::Graph(GraphKernel::Dfs).generate(&spec);
-    let mut looped = Repeat::new(base, 5_000);
-    let stats = Simulator::new(SimConfig::paper_default(Design::MorphCtr)).run_source(&mut looped);
+    let looped: Trace = base.iter().copied().cycle().take(5_000).collect();
+    let stats = Simulator::new(SimConfig::paper_default(Design::MorphCtr)).run(&looped);
     assert_eq!(stats.accesses, 5_000);
-    // A looped trace becomes cache-resident: after the first pass the LLC
-    // absorbs everything, so the CTR path sees only the cold start.
+    // After the first pass the LLC absorbs everything, so the CTR path
+    // sees only the cold start.
     assert!(
         stats.ctr_cache.demand.total() < 2_000,
         "CTR stream should collapse once the loop is resident ({} accesses)",
