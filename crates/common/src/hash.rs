@@ -1,9 +1,13 @@
-//! Address hashing for RL state construction (paper §4.1.1).
+//! Address hashing for RL state construction (paper §4.1.1), and the
+//! FNV-1a digest.
 //!
 //! The COSMOS predictors hash bits 6–47 of the physical address (the
 //! line-granular page-and-offset region) through a splitmix64 variant with
 //! prime multipliers to form a compact, uniformly distributed state index
 //! into a Q-table with a power-of-two number of states.
+//!
+//! [`Fnv1a`] digests byte streams: snapshot config fingerprints and the
+//! golden tests' pinned digests.
 
 use crate::addr::PhysAddr;
 
@@ -66,6 +70,53 @@ pub fn hash_key(key: u64, num_states: usize) -> usize {
         "num_states must be a power of two, got {num_states}"
     );
     (splitmix64(key) as usize) & (num_states - 1)
+}
+
+/// 64-bit FNV-1a, fed incrementally.
+///
+/// # Examples
+///
+/// ```
+/// use cosmos_common::hash::Fnv1a;
+/// let mut h = Fnv1a::new();
+/// h.write(b"a");
+/// assert_eq!(h.finish(), 0xaf63_dc4c_8601_ec8c);
+/// ```
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Fnv1a(u64);
+
+impl Fnv1a {
+    /// The digest of no bytes (the FNV offset basis).
+    pub const fn new() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
+    }
+
+    /// Feeds `bytes`.
+    #[inline]
+    pub fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// The digest of everything fed so far.
+    pub const fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+/// The 64-bit FNV-1a digest of `bytes`.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = Fnv1a::new();
+    h.write(bytes);
+    h.finish()
 }
 
 #[cfg(test)]

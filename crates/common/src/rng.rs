@@ -123,8 +123,8 @@ impl Default for SplitMix64 {
     }
 }
 
-/// A named seed-derivation rule: one logical random stream of the
-/// workspace, identified by a stable name and derived from a base seed by
+/// A seed-derivation rule: one logical random stream of the workspace,
+/// named by its constant in [`streams`] and derived from a base seed by
 /// `seed ^ salt` (optionally xor-ing a lane index shifted into the high
 /// bits, for per-core generators).
 ///
@@ -135,8 +135,6 @@ impl Default for SplitMix64 {
 /// restore reads that state back rather than re-deriving it from the seed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StreamTag {
-    /// Stable identifier of the stream.
-    pub name: &'static str,
     /// XOR salt applied to the base seed.
     pub salt: u64,
     /// Left shift applied to the lane index in [`StreamTag::derive_lane`].
@@ -177,53 +175,45 @@ impl StreamTag {
 pub mod streams {
     use super::StreamTag;
 
-    const fn tag(name: &'static str, salt: u64) -> StreamTag {
-        StreamTag {
-            name,
-            salt,
-            lane_shift: 0,
-        }
+    const fn tag(salt: u64) -> StreamTag {
+        lane_tag(salt, 0)
     }
 
-    const fn lane_tag(name: &'static str, salt: u64, lane_shift: u32) -> StreamTag {
-        StreamTag {
-            name,
-            salt,
-            lane_shift,
-        }
+    const fn lane_tag(salt: u64, lane_shift: u32) -> StreamTag {
+        StreamTag { salt, lane_shift }
     }
 
     /// ε-greedy exploration of the data-location predictor (simulator
     /// state: captured by snapshots).
-    pub const DATA_PREDICTOR: StreamTag = tag("rl.data_predictor", 0xDA7A);
+    pub const DATA_PREDICTOR: StreamTag = tag(0xDA7A);
     /// ε-greedy exploration of the CTR-locality predictor (simulator
     /// state: captured by snapshots).
-    pub const CTR_PREDICTOR: StreamTag = tag("rl.ctr_predictor", 0xC7_12);
+    pub const CTR_PREDICTOR: StreamTag = tag(0xC7_12);
     /// Random-replacement cache policy (simulator state; boxed policies
     /// are gated out of snapshots — see `cosmos_cache`).
-    pub const REPLACEMENT_RANDOM: StreamTag = tag("cache.replacement_random", 0);
+    pub const REPLACEMENT_RANDOM: StreamTag = tag(0);
     /// DRRIP set-dueling policy (fixed historical seed, no base).
-    pub const DRRIP: StreamTag = tag("cache.drrip", 0xD_EE1);
+    pub const DRRIP: StreamTag = tag(0xD_EE1);
 
     /// SPEC-like synthetic workload, per core (input side: regenerated
     /// from the config on resume, never snapshotted).
-    pub const WORKLOAD_SPEC: StreamTag = lane_tag("workload.spec", 0x57EC, 40);
+    pub const WORKLOAD_SPEC: StreamTag = lane_tag(0x57EC, 40);
     /// ML kernel synthetic workload, per core (input side).
-    pub const WORKLOAD_ML: StreamTag = lane_tag("workload.ml", 0x3117, 36);
+    pub const WORKLOAD_ML: StreamTag = lane_tag(0x3117, 36);
     /// Graph-kernel trace emitter, per core (input side).
-    pub const WORKLOAD_GRAPH: StreamTag = lane_tag("workload.graph", 0, 32);
+    pub const WORKLOAD_GRAPH: StreamTag = lane_tag(0, 32);
     /// Multi-workload trace interleaver (input side).
-    pub const WORKLOAD_INTERLEAVE: StreamTag = tag("workload.interleave", 0x1A7E_1EAF);
+    pub const WORKLOAD_INTERLEAVE: StreamTag = tag(0x1A7E_1EAF);
     /// Multi-tenant trace composition (`cosmos_workloads::tenant`,
     /// input side).
-    pub const WORKLOAD_TENANT_MIX: StreamTag = tag("workload.tenant_mix", 0x7E4A_0717);
+    pub const WORKLOAD_TENANT_MIX: StreamTag = tag(0x7E4A_0717);
     /// Keyed CTR-cache index permutation (config side: the derived seed
     /// *is* the key; no live generator state).
-    pub const CTR_INDEX_KEY: StreamTag = tag("cache.ctr_index_key", 0x1D_E35E);
+    pub const CTR_INDEX_KEY: StreamTag = tag(0x1D_E35E);
     /// Fuzzer config mutation stream (harness side).
-    pub const FUZZ_CONFIG: StreamTag = tag("fuzz.config", 0xF0_22);
+    pub const FUZZ_CONFIG: StreamTag = tag(0xF0_22);
     /// Fuzzer trace synthesis stream (harness side).
-    pub const FUZZ_TRACE: StreamTag = tag("fuzz.trace", 0x7_2ACE);
+    pub const FUZZ_TRACE: StreamTag = tag(0x7_2ACE);
 }
 
 #[cfg(test)]

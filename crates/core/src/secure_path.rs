@@ -29,7 +29,7 @@ use cosmos_dram::Dram;
 use cosmos_rl::{CtrLocalityPredictor, Locality};
 use cosmos_secure::{CounterScheme, CounterStore, IncrementOutcome, MetadataLayout};
 use cosmos_telemetry::recorder::{AccessInfo, EvictInfo, RlDecisionInfo};
-use cosmos_telemetry::Telemetry;
+use cosmos_telemetry::Probe;
 
 /// Result of a CTR read on the critical path.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -176,7 +176,7 @@ pub struct SecurePath {
     observer: Option<Box<dyn SecureObserver>>,
     // Observability: per-set CTR heatmap + sampled events (see
     // cosmos-telemetry). Like the observer, strictly pure-output.
-    telemetry: Telemetry,
+    probe: Probe,
     // The RL decision made for the most recent CTR-cache access (None for
     // designs without a predictor). classify() runs immediately before
     // each demand access, so when that access evicts a line this is the
@@ -191,8 +191,9 @@ pub struct SecurePath {
     tenant_ctr: [TenantCtrStats; MAX_TENANTS],
 }
 
-// The metadata layout and latencies are functions of the config, and
-// observers and telemetry are reattached by the caller: none is saved.
+// The metadata layout and latencies are functions of the config, the
+// observer is reattached by the caller, and the telemetry probe belongs to
+// the running job: none is saved.
 cosmos_common::state! {
     SecurePath as "secure path" -> Result {
         ctr_cache, mt_cache, counters, locality,
@@ -201,8 +202,14 @@ cosmos_common::state! {
 }
 
 impl SecurePath {
-    /// Builds the secure path for `config`.
+    /// Builds the secure path for `config`, with a telemetry probe of its
+    /// own.
     pub fn new(config: &SimConfig) -> Self {
+        Self::with_probe(config, config.telemetry.probe())
+    }
+
+    /// Builds the secure path for `config`, recording through `probe`.
+    pub(crate) fn with_probe(config: &SimConfig, probe: Probe) -> Self {
         let locality = config.design.has_locality_predictor().then(|| {
             CtrLocalityPredictor::with_rewards(
                 config.ctr_rl,
@@ -218,17 +225,16 @@ impl SecurePath {
             PolicyKind::Lru,
             false,
         );
-        let mut telemetry = config.telemetry.clone();
-        telemetry.ctr_heatmap_init(ctr_cache.config().num_sets());
+        probe.ctr_heatmap_init(ctr_cache.config().num_sets());
         if config.tenants > 1 {
-            telemetry.ctr_tenant_heatmaps_init(
+            probe.ctr_tenant_heatmaps_init(
                 ctr_cache.config().num_sets(),
                 config.tenants.min(MAX_TENANTS),
             );
         }
         let mut locality = locality;
         if let Some(p) = &mut locality {
-            p.set_telemetry(telemetry.clone());
+            p.set_probe(probe.clone());
         }
         Self {
             ctr_cache,
@@ -244,7 +250,7 @@ impl SecurePath {
             mac_write_counter: 0,
             overflows: 0,
             observer: None,
-            telemetry,
+            probe,
             last_decision: None,
             tenant: 0,
             tenant_ctr: [TenantCtrStats::default(); MAX_TENANTS],
@@ -478,7 +484,7 @@ impl SecurePath {
             traffic.mt_reads += 1;
             done = done.max(dram.access(node, start, false));
         }
-        self.telemetry.merkle_walk(depth, fetched);
+        self.probe.merkle_walk(depth, fetched);
         done
     }
 
@@ -499,12 +505,12 @@ impl SecurePath {
         spec_kill: bool,
         res: &AccessResult,
     ) {
-        if !self.telemetry.is_enabled() {
+        if !self.probe.is_enabled() {
             return;
         }
         let set = self.ctr_cache.config().set_of(ctr_line.index()) as u32;
         let at = self.ctr_cache.access_clock();
-        self.telemetry.ctr_access(
+        self.probe.ctr_access(
             AccessInfo {
                 set,
                 line: ctr_line.index(),
@@ -517,7 +523,7 @@ impl SecurePath {
             !res.hit && res.evicted.is_none(),
         );
         if let Some(ev) = res.evicted {
-            self.telemetry.ctr_evict(EvictInfo {
+            self.probe.ctr_evict(EvictInfo {
                 set,
                 victim_line: ev.line.index(),
                 dirty: ev.dirty,
@@ -582,8 +588,8 @@ impl SecurePath {
                 // report them so miss attribution sees every eviction.
                 // No demand access pairs with this `at`, and no RL
                 // decision ranked the victim (rl: None).
-                if self.telemetry.is_enabled() {
-                    self.telemetry.ctr_evict(EvictInfo {
+                if self.probe.is_enabled() {
+                    self.probe.ctr_evict(EvictInfo {
                         set: cache.config().set_of(cand.index()) as u32,
                         victim_line: ev.line.index(),
                         dirty: ev.dirty,

@@ -10,6 +10,7 @@ use cosmos_common::stats::Counters;
 use cosmos_common::{Cycle, LineAddr, MemAccess, Trace};
 use cosmos_dram::Dram;
 use cosmos_rl::{DataLocation, DataLocationPredictor};
+use cosmos_telemetry::Probe;
 
 /// The COSMOS simulator.
 ///
@@ -25,6 +26,9 @@ pub struct Simulator {
     data_pred: Option<DataLocationPredictor>,
     dram: Dram,
     timeline: CoreTimeline,
+    // This job's telemetry, shared with the components above; it reaches
+    // the pipeline when the simulator drops.
+    probe: Probe,
     // Reusable writeback buffer (capacity persists across accesses so the
     // hot path never allocates).
     wb_scratch: Vec<LineAddr>,
@@ -57,24 +61,29 @@ impl Simulator {
     /// Panics if `config` is invalid.
     pub fn new(config: SimConfig) -> Self {
         config.validate();
-        let secure = config.design.is_secure().then(|| SecurePath::new(&config));
+        let probe = config.telemetry.probe();
+        let secure = config
+            .design
+            .is_secure()
+            .then(|| SecurePath::with_probe(&config, probe.clone()));
         let data_pred = config.design.has_data_predictor().then(|| {
             let mut dp = DataLocationPredictor::with_rewards(
                 config.data_rl,
                 config.rewards.data,
                 cosmos_common::rng::streams::DATA_PREDICTOR.derive_seed(config.seed),
             );
-            dp.set_telemetry(config.telemetry.clone());
+            dp.set_probe(probe.clone());
             dp
         });
         let mut dram = Dram::new(config.dram);
-        dram.set_telemetry(config.telemetry.clone());
+        dram.set_probe(probe.clone());
         Self {
             hierarchy: CacheHierarchy::new(&config),
             secure,
             data_pred,
             dram,
             timeline: CoreTimeline::new(config.cores),
+            probe,
             wb_scratch: Vec::new(),
             stats: SimStats::default(),
             baseline: None,
@@ -146,7 +155,7 @@ impl Simulator {
         }
 
         // Timeline sampling is off (interval 0) for every figure run except
-        // fig13; skip the call entirely on the common path.
+        // fig08; skip the call entirely on the common path.
         if self.config.sample_interval != 0 {
             self.maybe_sample();
         }
@@ -276,7 +285,7 @@ impl Simulator {
                     self.stats.traffic.data_reads += 1;
                     sp.mac_read(&mut self.stats.traffic);
                     self.stats.early_offchip_reads += 1;
-                    self.config.telemetry.spec_issue();
+                    self.probe.spec_issue();
                     data_done.max(ctr.otp_ready) + self.config.auth_latency
                 }
                 (DataLocation::OffChip, DataLocation::OnChip) => {
@@ -293,7 +302,7 @@ impl Simulator {
                         &mut self.stats.traffic,
                     );
                     self.stats.traffic.killed_speculative += 1;
-                    self.config.telemetry.spec_kill();
+                    self.probe.spec_kill();
                     issue + self.on_chip_latency(hit)
                 }
                 (DataLocation::OnChip, DataLocation::OnChip) => issue + self.on_chip_latency(hit),
@@ -697,27 +706,16 @@ mod tests {
         );
     }
 
-    fn metric(
-        tele: &cosmos_telemetry::Telemetry,
-        name: &str,
-    ) -> cosmos_telemetry::metrics::MetricSnapshot {
-        let snap = tele.registry().expect("telemetry enabled").snapshot();
-        match snap.into_iter().find(|(n, _)| n == name) {
-            Some((_, m)) => m,
-            None => panic!("no metric {name:?}"),
-        }
-    }
-
     fn histogram_count_sum(tele: &cosmos_telemetry::Telemetry, name: &str) -> (u64, u64) {
-        match metric(tele, name) {
-            cosmos_telemetry::metrics::MetricSnapshot::Histogram { count, sum, .. } => (count, sum),
+        match tele.metric(name) {
+            Some(cosmos_telemetry::metrics::Metric::Histogram(h)) => (h.count(), h.sum()),
             other => panic!("{name:?} is not a histogram: {other:?}"),
         }
     }
 
     #[test]
     fn telemetry_hooks_observe_without_changing_results() {
-        use cosmos_telemetry::metrics::MetricSnapshot;
+        use cosmos_telemetry::metrics::Metric;
         use cosmos_telemetry::recorder::Event;
 
         let t = random_trace(8_000, 500_000, 0.25, 9);
@@ -741,8 +739,8 @@ mod tests {
         assert!(walks > 0, "Merkle walks recorded");
         assert_eq!(histogram_count_sum(&tele, "secure.merkle.fetched").0, walks);
         assert_eq!(
-            metric(&tele, "sim.dram.queue_clamped"),
-            MetricSnapshot::Counter(0)
+            tele.metric("sim.dram.queue_clamped"),
+            Some(Metric::Counter(0))
         );
 
         // Flight recorder: rare-stratum events are all kept, so the

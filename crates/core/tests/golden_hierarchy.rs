@@ -7,6 +7,7 @@
 //! moves one hit level, one writeback or one stat (and so every
 //! downstream `SimStats` and committed artifact) fails here.
 
+use cosmos_common::hash::Fnv1a;
 use cosmos_common::stats::HitMiss;
 use cosmos_common::Trace;
 use cosmos_core::hierarchy::{CacheHierarchy, DataHit};
@@ -26,25 +27,9 @@ const GOLDEN: [(&str, u64, u64, u64); 4] = [
     ("dfs", 20_261_016, 0xc173_db49_96d3_fd0d, 0x5f0f_d0e2_0bfd_a1cc),
 ];
 
-/// 64-bit FNV-1a, fed incrementally.
-struct Fnv1a(u64);
-
-impl Fnv1a {
-    fn new() -> Self {
-        Self(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn write_hm(&mut self, hm: HitMiss) {
-        self.write(&hm.hits().to_le_bytes());
-        self.write(&hm.misses().to_le_bytes());
-    }
+fn write_hm(digest: &mut Fnv1a, hm: HitMiss) {
+    digest.write(&hm.hits().to_le_bytes());
+    digest.write(&hm.misses().to_le_bytes());
 }
 
 fn trace(workload: &str, seed: u64) -> Trace {
@@ -100,10 +85,10 @@ fn hierarchy_digest(config: &SimConfig, trace: &Trace) -> (u64, usize) {
         }
         total_wb += wb.len();
     }
-    digest.write_hm(h.l1_stats());
-    digest.write_hm(h.l2_stats());
-    digest.write_hm(h.llc_stats());
-    (digest.0, total_wb)
+    write_hm(&mut digest, h.l1_stats());
+    write_hm(&mut digest, h.l2_stats());
+    write_hm(&mut digest, h.llc_stats());
+    (digest.finish(), total_wb)
 }
 
 #[test]

@@ -11,6 +11,7 @@
 //! moves one hit, one victim or one dirty bit fails here.
 
 use cosmos_cache::Victim;
+use cosmos_common::hash::Fnv1a;
 use cosmos_common::stats::Counters;
 use cosmos_common::{LineAddr, Trace};
 use cosmos_core::{Design, SecureObserver, SimConfig, Simulator};
@@ -57,7 +58,7 @@ const GOLDEN_LARGE_BFS: [(Design, u64); 6] = [
 /// The running digest, plus how many lines (and how many dirty lines)
 /// each cache evicted.
 struct Digest {
-    hash: u64,
+    hash: Fnv1a,
     ctr_victims: u64,
     dirty_ctr_victims: u64,
     dirty_mt_victims: u64,
@@ -65,10 +66,7 @@ struct Digest {
 
 impl Digest {
     fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.hash ^= u64::from(b);
-            self.hash = self.hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        self.hash.write(bytes);
     }
 
     /// One cache event: a kind byte, the line, write and hit, then the
@@ -152,7 +150,7 @@ fn small_config(design: Design) -> SimConfig {
 /// victim counts.
 fn secure_digest(config: SimConfig, trace: &Trace) -> (u64, u64, u64, u64) {
     let digest = Rc::new(RefCell::new(Digest {
-        hash: 0xcbf2_9ce4_8422_2325,
+        hash: Fnv1a::new(),
         ctr_victims: 0,
         dirty_ctr_victims: 0,
         dirty_mt_victims: 0,
@@ -168,7 +166,7 @@ fn secure_digest(config: SimConfig, trace: &Trace) -> (u64, u64, u64, u64) {
         d.write(stats.to_json().to_string().as_bytes());
     }
     (
-        d.hash,
+        d.hash.finish(),
         d.ctr_victims,
         d.dirty_ctr_victims,
         d.dirty_mt_victims,

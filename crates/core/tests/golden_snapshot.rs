@@ -9,6 +9,7 @@
 //! encoding fails here. Digests, not bytes, are committed: even at this
 //! small geometry a snapshot holds tens of thousands of array elements.
 
+use cosmos_common::hash::fnv1a;
 use cosmos_common::json::Value;
 use cosmos_common::{MemAccess, PhysAddr, SplitMix64, Trace};
 use cosmos_core::{Design, SimConfig, Simulator};
@@ -29,13 +30,6 @@ const GOLDEN: [(Design, u64); 6] = [
 /// Scalar leaves (arrays contributing their element 0) of a COSMOS
 /// snapshot's state; each is mutated twice by the rejection probe.
 const COSMOS_LEAVES: usize = 130;
-
-/// 64-bit FNV-1a.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
 
 /// Small caches, a 1 GiB protected region, 1024-state Q-tables and a
 /// 64-entry CET, so the run below fills the CET many times over.

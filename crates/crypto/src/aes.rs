@@ -4,7 +4,8 @@
 //! ShiftRows, MixColumns over GF(2^8), and the 10-round key schedule. This
 //! is the functional model of the memory controller's AES pipeline; its
 //! *performance* in the simulator is the paper's 40-cycle constant, not this
-//! software speed.
+//! software speed. AES-CTR memory encryption only ever runs the forward
+//! cipher (decryption XORs the same one-time pad), so there is no inverse.
 
 /// AES S-box.
 const SBOX: [u8; 256] = [
@@ -26,36 +27,13 @@ const SBOX: [u8; 256] = [
     0x8c, 0xa1, 0x89, 0x0d, 0xbf, 0xe6, 0x42, 0x68, 0x41, 0x99, 0x2d, 0x0f, 0xb0, 0x54, 0xbb, 0x16,
 ];
 
-/// Inverse AES S-box (computed at startup from [`SBOX`]).
-fn inv_sbox() -> [u8; 256] {
-    let mut inv = [0u8; 256];
-    for (i, &s) in SBOX.iter().enumerate() {
-        inv[s as usize] = i as u8;
-    }
-    inv
-}
-
 /// Multiplication by `x` in GF(2^8) with the AES polynomial.
 #[inline]
 fn xtime(a: u8) -> u8 {
     (a << 1) ^ (((a >> 7) & 1) * 0x1b)
 }
 
-/// General multiplication in GF(2^8).
-#[inline]
-fn gmul(mut a: u8, mut b: u8) -> u8 {
-    let mut p = 0u8;
-    for _ in 0..8 {
-        if b & 1 != 0 {
-            p ^= a;
-        }
-        a = xtime(a);
-        b >>= 1;
-    }
-    p
-}
-
-/// An expanded AES-128 key, ready to encrypt or decrypt 16-byte blocks.
+/// An expanded AES-128 key, ready to encrypt 16-byte blocks.
 ///
 /// # Examples
 ///
@@ -63,8 +41,7 @@ fn gmul(mut a: u8, mut b: u8) -> u8 {
 /// use cosmos_crypto::Aes128;
 /// let aes = Aes128::new(&[0u8; 16]);
 /// let block = [1u8; 16];
-/// let ct = aes.encrypt_block(&block);
-/// assert_eq!(aes.decrypt_block(&ct), block);
+/// assert_ne!(aes.encrypt_block(&block), block);
 /// ```
 #[derive(Clone)]
 pub struct Aes128 {
@@ -124,23 +101,6 @@ impl Aes128 {
         add_round_key(&mut s, &self.round_keys[10]);
         s
     }
-
-    /// Decrypts one 16-byte block.
-    pub fn decrypt_block(&self, block: &[u8; 16]) -> [u8; 16] {
-        let inv = inv_sbox();
-        let mut s = *block;
-        add_round_key(&mut s, &self.round_keys[10]);
-        for round in (1..10).rev() {
-            inv_shift_rows(&mut s);
-            inv_sub_bytes(&mut s, &inv);
-            add_round_key(&mut s, &self.round_keys[round]);
-            inv_mix_columns(&mut s);
-        }
-        inv_shift_rows(&mut s);
-        inv_sub_bytes(&mut s, &inv);
-        add_round_key(&mut s, &self.round_keys[0]);
-        s
-    }
 }
 
 // State layout: s[4*c + r] = byte at row r, column c (column-major, as in
@@ -161,29 +121,12 @@ fn sub_bytes(s: &mut [u8; 16]) {
 }
 
 #[inline]
-fn inv_sub_bytes(s: &mut [u8; 16], inv: &[u8; 256]) {
-    for b in s.iter_mut() {
-        *b = inv[*b as usize];
-    }
-}
-
-#[inline]
 fn shift_rows(s: &mut [u8; 16]) {
     // Row r (bytes s[r], s[r+4], s[r+8], s[r+12]) rotates left by r.
     for r in 1..4 {
         let row = [s[r], s[r + 4], s[r + 8], s[r + 12]];
         for c in 0..4 {
             s[r + 4 * c] = row[(c + r) % 4];
-        }
-    }
-}
-
-#[inline]
-fn inv_shift_rows(s: &mut [u8; 16]) {
-    for r in 1..4 {
-        let row = [s[r], s[r + 4], s[r + 8], s[r + 12]];
-        for c in 0..4 {
-            s[r + 4 * c] = row[(c + 4 - r) % 4];
         }
     }
 }
@@ -196,17 +139,6 @@ fn mix_columns(s: &mut [u8; 16]) {
         s[4 * c + 1] = col[0] ^ xtime(col[1]) ^ (xtime(col[2]) ^ col[2]) ^ col[3];
         s[4 * c + 2] = col[0] ^ col[1] ^ xtime(col[2]) ^ (xtime(col[3]) ^ col[3]);
         s[4 * c + 3] = (xtime(col[0]) ^ col[0]) ^ col[1] ^ col[2] ^ xtime(col[3]);
-    }
-}
-
-#[inline]
-fn inv_mix_columns(s: &mut [u8; 16]) {
-    for c in 0..4 {
-        let col = [s[4 * c], s[4 * c + 1], s[4 * c + 2], s[4 * c + 3]];
-        s[4 * c] = gmul(col[0], 14) ^ gmul(col[1], 11) ^ gmul(col[2], 13) ^ gmul(col[3], 9);
-        s[4 * c + 1] = gmul(col[0], 9) ^ gmul(col[1], 14) ^ gmul(col[2], 11) ^ gmul(col[3], 13);
-        s[4 * c + 2] = gmul(col[0], 13) ^ gmul(col[1], 9) ^ gmul(col[2], 14) ^ gmul(col[3], 11);
-        s[4 * c + 3] = gmul(col[0], 11) ^ gmul(col[1], 13) ^ gmul(col[2], 9) ^ gmul(col[3], 14);
     }
 }
 
@@ -240,25 +172,6 @@ mod tests {
         let expect = hex16("69c4e0d86a7b0430d8cdb78070b4c55a");
         let aes = Aes128::new(&key);
         assert_eq!(aes.encrypt_block(&pt), expect);
-        assert_eq!(aes.decrypt_block(&expect), pt);
-    }
-
-    #[test]
-    fn roundtrip_random_blocks() {
-        use cosmos_common::SplitMix64;
-        let mut rng = SplitMix64::new(11);
-        let mut key = [0u8; 16];
-        for b in key.iter_mut() {
-            *b = rng.next_u32() as u8;
-        }
-        let aes = Aes128::new(&key);
-        for _ in 0..64 {
-            let mut block = [0u8; 16];
-            for b in block.iter_mut() {
-                *b = rng.next_u32() as u8;
-            }
-            assert_eq!(aes.decrypt_block(&aes.encrypt_block(&block)), block);
-        }
     }
 
     #[test]
@@ -275,15 +188,5 @@ mod tests {
         let s = format!("{a:?}");
         assert!(s.contains("Aes128"));
         assert!(!s.contains('9'));
-    }
-
-    #[test]
-    fn gf_mul_identities() {
-        for a in 0..=255u8 {
-            assert_eq!(gmul(a, 1), a);
-            assert_eq!(gmul(a, 2), xtime(a));
-        }
-        // 0x53 * 0xCA = 0x01 (known inverse pair).
-        assert_eq!(gmul(0x53, 0xCA), 0x01);
     }
 }

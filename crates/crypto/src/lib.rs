@@ -4,7 +4,8 @@
 //! tree) needs three primitives, all implemented here from scratch with no
 //! external dependencies:
 //!
-//! - [`aes::Aes128`] — FIPS-197 AES-128 block cipher (encrypt + decrypt),
+//! - [`aes::Aes128`] — FIPS-197 AES-128 block cipher (the forward cipher
+//!   AES-CTR needs),
 //! - [`sha256::Sha256`] — FIPS-180-4 SHA-256,
 //! - [`otp`] — the one-time pad `AES_Enc(PA ‖ CTR)` used by AES-CTR memory
 //!   encryption (`Ciphertext = Plaintext ⊕ OTP`), and
@@ -37,8 +38,6 @@ pub mod aes;
 pub mod mac;
 pub mod otp;
 pub mod sha256;
-pub mod xts;
 
 pub use aes::Aes128;
 pub use sha256::Sha256;
-pub use xts::Xts;

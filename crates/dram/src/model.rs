@@ -3,7 +3,7 @@
 use crate::config::DramConfig;
 use cosmos_common::timing::ServiceQueue;
 use cosmos_common::{Cycle, LineAddr, LINE_SIZE};
-use cosmos_telemetry::Telemetry;
+use cosmos_telemetry::Probe;
 
 /// How a request interacted with its bank's row buffer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -122,7 +122,7 @@ pub struct Dram {
     /// Per bank, the queue of requests it serves.
     queues: Vec<ServiceQueue>,
     stats: DramStats,
-    telemetry: Telemetry,
+    probe: Probe,
 }
 
 // The line map is derived from the config and not saved.
@@ -142,15 +142,15 @@ impl Dram {
             open_rows: vec![0; config.total_banks()],
             queues: vec![ServiceQueue::new(); config.total_banks()],
             stats: DramStats::default(),
-            telemetry: Telemetry::disabled(),
+            probe: Probe::default(),
         }
     }
 
-    /// Attaches a telemetry handle; every access then feeds the
+    /// Attaches a telemetry probe; every access then feeds the
     /// `dram.queue_delay_cycles` histogram and (sampled) `dram_access`
     /// events. Observation only — timing and stats are unaffected.
-    pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.telemetry = telemetry;
+    pub fn set_probe(&mut self, probe: Probe) {
+        self.probe = probe;
     }
 
     /// The configuration.
@@ -196,7 +196,7 @@ impl Dram {
         } else {
             self.stats.reads += 1;
         }
-        self.telemetry
+        self.probe
             .dram_access(served.queued, outcome == RowBufferOutcome::Hit, write);
         served.done
     }

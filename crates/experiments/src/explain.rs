@@ -33,16 +33,14 @@ pub const DEFAULT_ACCESSES: usize = 150_000;
 /// The two designs whose fig11 delta the report explains.
 const DESIGNS: [Design; 2] = [Design::MorphCtr, Design::CosmosCp];
 
-/// Telemetry tuning for attribution runs: keep *every* eviction (the
-/// causal chain must be complete), sample dense events at 1:16, and give
+/// Telemetry tuning for attribution runs: sample dense events at 1:16
+/// (every eviction is kept, so the causal chain is complete), and give
 /// each stream a ring deep enough that kernels at the default budget
 /// don't wrap.
 fn telemetry_config() -> TelemetryConfig {
     TelemetryConfig {
         sample_every: 16,
-        rare_sample_every: 1,
         recorder_capacity: 1 << 17,
-        ..TelemetryConfig::default()
     }
 }
 

@@ -3,7 +3,7 @@
 
 use super::{FigureOutput, Table};
 use crate::runner::Job;
-use crate::{design_grid, f3, pct, run_grid, Args, GraphSet};
+use crate::{design_grid, f3, pct, run_grid, Args};
 use cosmos_cache::{PolicyKind, PrefetcherKind};
 use cosmos_common::json::{json, Map, Value};
 use cosmos_core::{overhead::storage_overhead, smat::smat, Design, SimConfig, SimStats};
@@ -647,17 +647,16 @@ pub(super) fn fig15(args: &Args) -> FigureOutput {
     ];
     const DESIGNS: [Design; 3] = [Design::Np, Design::MorphCtr, Design::Cosmos];
 
-    // Per core-count trace sets (the 8-core spec spreads accesses over
-    // more cores, so the traces differ, not just the config).
+    // One graph, traced per core count (the 8-core trace spreads accesses
+    // over more cores, so the traces differ, not just the config).
+    let set = args.graph_set();
     let mut traces = Vec::new();
     for cores in [4usize, 8] {
-        let mut spec = args.spec().with_cores(cores);
-        spec.seed = args.seed;
-        let set = GraphSet::with_telemetry(spec, args.telemetry.clone());
         for kernel in KERNELS {
-            traces.push((cores, kernel, set.trace(kernel)));
+            traces.push((cores, kernel, set.trace_with_cores(kernel, cores)));
         }
     }
+    drop(set);
 
     let mut jobs = Vec::new();
     for (cores, kernel, trace) in &traces {

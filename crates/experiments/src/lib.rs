@@ -224,11 +224,18 @@ impl GraphSet {
 
     /// Generates one kernel's trace at the spec's budget.
     pub fn trace(&self, kernel: GraphKernel) -> Trace {
+        self.trace_with_cores(kernel, self.spec.cores)
+    }
+
+    /// [`GraphSet::trace`] spread over `cores` cores instead of the
+    /// spec's: graph generation never reads the core count, so one graph
+    /// serves every core count.
+    pub fn trace_with_cores(&self, kernel: GraphKernel, cores: usize) -> Trace {
         let _p = self.telemetry.phase("trace_gen");
         kernel.generate(
             &self.graph,
             &self.layout,
-            self.spec.cores,
+            cores,
             self.spec.accesses,
             self.spec.seed,
         )

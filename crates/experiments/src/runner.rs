@@ -163,9 +163,7 @@ impl<'a> Job<'a> {
         }
         // Event counts reach telemetry once, from the statistics the
         // artifact reports (in sampled mode, the reconstructed estimate).
-        if let Some(reg) = self.telemetry.registry() {
-            stats.visit(|leaf, v| reg.counter(&format!("{}/{leaf}", self.label)).add(v));
-        }
+        self.telemetry.publish_counters(|add| stats.visit(add));
         JobResult {
             label: self.label.clone(),
             design: self.design,

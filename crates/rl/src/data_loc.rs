@@ -4,7 +4,7 @@ use crate::params::{DataRewards, RlParams};
 use crate::qtable::QTable;
 use cosmos_common::hash::hash_address;
 use cosmos_common::{PhysAddr, SplitMix64};
-use cosmos_telemetry::Telemetry;
+use cosmos_telemetry::Probe;
 
 /// Where a piece of data actually resides (or is predicted to reside)
 /// after an L1 miss.
@@ -97,7 +97,7 @@ pub struct DataLocationPredictor {
     rewards: DataRewards,
     rng: SplitMix64,
     stats: DataLocationStats,
-    telemetry: Telemetry,
+    probe: Probe,
 }
 
 // Parameters and rewards come from the config and are not saved.
@@ -128,15 +128,15 @@ impl DataLocationPredictor {
             rewards,
             rng: SplitMix64::new(seed),
             stats: DataLocationStats::default(),
-            telemetry: Telemetry::disabled(),
+            probe: Probe::default(),
         }
     }
 
-    /// Attaches a telemetry handle; each resolved prediction then feeds
+    /// Attaches a telemetry probe; each resolved prediction then feeds
     /// sampled `rl_data_action` flight-recorder events.
     /// Observation only — predictions and training are unaffected.
-    pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.telemetry = telemetry;
+    pub fn set_probe(&mut self, probe: Probe) {
+        self.probe = probe;
     }
 
     /// Accumulated prediction statistics.
@@ -204,7 +204,7 @@ impl DataLocationPredictor {
                 self.rewards.r_mi
             }
         };
-        self.telemetry
+        self.probe
             .rl_data_action(predicted == DataLocation::OffChip, predicted == actual);
         let target = r + self.params.gamma * self.qtable.max_q(s);
         self.qtable

@@ -6,7 +6,7 @@ use crate::qtable::QTable;
 use cosmos_common::json::Value;
 use cosmos_common::state::{LoadResult, State};
 use cosmos_common::{LineAddr, SplitMix64};
-use cosmos_telemetry::Telemetry;
+use cosmos_telemetry::Probe;
 
 /// A CTR locality classification.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -145,7 +145,7 @@ pub struct CtrLocalityPredictor {
     rewards: CtrRewards,
     rng: SplitMix64,
     stats: CtrLocalityStats,
-    telemetry: Telemetry,
+    probe: Probe,
 }
 
 // Parameters and rewards come from the config and are not saved. The CET
@@ -185,15 +185,15 @@ impl CtrLocalityPredictor {
             rewards,
             rng: SplitMix64::new(seed),
             stats: CtrLocalityStats::default(),
-            telemetry: Telemetry::disabled(),
+            probe: Probe::default(),
         }
     }
 
-    /// Attaches a telemetry handle; each `classify` then reports its
+    /// Attaches a telemetry probe; each `classify` then reports its
     /// action and reward as sampled `rl_ctr_action` flight-recorder
     /// events. Observation only — decisions and training are unaffected.
-    pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.telemetry = telemetry;
+    pub fn set_probe(&mut self, probe: Probe) {
+        self.probe = probe;
     }
 
     /// Accumulated statistics.
@@ -270,7 +270,7 @@ impl CtrLocalityPredictor {
             }
         };
 
-        self.telemetry
+        self.probe
             .rl_ctr_action(id, action.is_good(), r, q_good, q_bad);
 
         // Bootstrap on CET.head (lines 16-17).

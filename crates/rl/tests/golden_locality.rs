@@ -10,6 +10,7 @@
 //! or the predictor that moves one decision, one Q-value, one eviction
 //! or the snapshot form fails here.
 
+use cosmos_common::hash::Fnv1a;
 use cosmos_common::stats::Counters;
 use cosmos_common::{LineAddr, SplitMix64};
 use cosmos_rl::params::RlParams;
@@ -22,22 +23,11 @@ const CTR_BASE: u64 = 1 << 34;
 /// `(radius, digest)`.
 const GOLDEN: [(u64, u64); 2] = [(0, 0x02df_2751_42d9_9907), (2, 0x15cc_e388_0d00_4c5b)];
 
-struct Fnv1a(u64);
-
-impl Fnv1a {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn decision(&mut self, d: &LocalityDecision) {
-        self.write(&[u8::from(d.locality.is_good()), d.score]);
-        self.write(&d.id.to_le_bytes());
-        for q in [d.q_good, d.q_bad, d.reward] {
-            self.write(&q.to_bits().to_le_bytes());
-        }
+fn write_decision(h: &mut Fnv1a, d: &LocalityDecision) {
+    h.write(&[u8::from(d.locality.is_good()), d.score]);
+    h.write(&d.id.to_le_bytes());
+    for q in [d.q_good, d.q_bad, d.reward] {
+        h.write(&q.to_bits().to_le_bytes());
     }
 }
 
@@ -64,9 +54,9 @@ fn stream() -> impl Iterator<Item = LineAddr> {
 /// run overflowed the CET many times and saw both CET outcomes.
 fn digest(radius: u64) -> u64 {
     let mut p = CtrLocalityPredictor::new(RlParams::ctr_defaults(), CET_ENTRIES, radius, 3);
-    let mut h = Fnv1a(0xcbf2_9ce4_8422_2325);
+    let mut h = Fnv1a::new();
     for line in stream() {
-        h.decision(&p.classify(line));
+        write_decision(&mut h, &p.classify(line));
     }
     let stats = *p.stats();
     assert!(
@@ -80,7 +70,7 @@ fn digest(radius: u64) -> u64 {
     stats.visit(|_, v| h.write(&v.to_le_bytes()));
     h.write(&(p.cet().len() as u64).to_le_bytes());
     h.write(p.save_state().to_string().as_bytes());
-    h.0
+    h.finish()
 }
 
 #[test]

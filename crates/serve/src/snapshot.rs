@@ -10,6 +10,7 @@
 //! mid-checkpoint can never leave a truncated snapshot where a good one
 //! used to be.
 
+use cosmos_common::hash::fnv1a;
 use cosmos_common::json::{codec, json, Value};
 use cosmos_core::{SimConfig, Simulator};
 use std::io;
@@ -24,16 +25,6 @@ use std::path::Path;
 /// cache on the recency store, the same way: MRU-ordered words (with the
 /// LCR hint in their high bits) plus the cache statistics.
 pub const SNAPSHOT_VERSION: u64 = 3;
-
-/// 64-bit FNV-1a over `bytes`.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
 
 /// Fingerprints the result-relevant configuration: the plain-data fields
 /// via [`SimConfig::to_json`] plus the typed sub-configurations that

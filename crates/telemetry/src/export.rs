@@ -5,10 +5,12 @@
 //! serialized through that module — no ad-hoc string formatting — so
 //! escaping and number rendering are handled in exactly one place.
 
+use std::collections::BTreeMap;
+
 use cosmos_common::json::{json, Value};
 
 use crate::heatmap::CtrHeatmap;
-use crate::metrics::{bucket_floor, MetricSnapshot};
+use crate::metrics::{bucket_floor, Metric};
 use crate::phase::PhaseSpan;
 use crate::recorder::{Event, TimedEvent};
 
@@ -85,10 +87,10 @@ fn event_args(ev: &Event) -> Value {
 /// via `M`-phase metadata. Runner phases become `X` (complete) spans on
 /// their stream's track; sampled simulation events become `i` (instant)
 /// marks. Every object carries the full `{name, ph, ts, pid, tid}` set.
-pub fn chrome_trace(
+pub fn chrome_trace<'a>(
     phases: &[PhaseSpan],
-    events: &[TimedEvent],
-    stream_labels: &[String],
+    events: impl IntoIterator<Item = &'a TimedEvent>,
+    stream_labels: &[&str],
 ) -> Value {
     let mut out: Vec<Value> = Vec::new();
     out.push(json!({
@@ -99,7 +101,7 @@ pub fn chrome_trace(
         out.push(json!({
             "name": "thread_name", "ph": "M", "ts": 0u64, "pid": 0u64,
             "tid": tid as u64,
-            "args": { "name": label.as_str() },
+            "args": { "name": *label },
         }));
     }
     for p in phases {
@@ -122,25 +124,23 @@ pub fn chrome_trace(
 /// Builds the per-set CTR-cache heatmap document: one entry per stream
 /// that ran a secure design, each with per-window access/miss/occupancy
 /// vectors indexed by cache set.
-pub fn heatmap_json(streams: &[(String, Option<CtrHeatmap>)]) -> Value {
+pub fn heatmap_json<'a>(streams: impl IntoIterator<Item = (&'a str, &'a CtrHeatmap)>) -> Value {
     let entries: Vec<Value> = streams
-        .iter()
-        .filter_map(|(label, map)| map.as_ref().map(|m| (label, m)))
+        .into_iter()
         .map(|(label, m)| {
             let windows: Vec<Value> = m
                 .windows()
-                .iter()
                 .map(|w| {
                     json!({
                         "end_access": w.end_access,
-                        "accesses": uints(&w.accesses),
-                        "misses": uints(&w.misses),
-                        "occupancy": uints(&w.occupancy),
+                        "accesses": uints(w.accesses),
+                        "misses": uints(w.misses),
+                        "occupancy": uints(w.occupancy),
                     })
                 })
                 .collect();
             json!({
-                "stream": label.as_str(),
+                "stream": label,
                 "sets": m.sets() as u64,
                 "window_len": m.window_len(),
                 "total_ctr_accesses": m.total_accesses(),
@@ -167,38 +167,30 @@ pub fn aggregate_phases(phases: &[PhaseSpan]) -> Vec<(&'static str, u64, u64)> {
     agg
 }
 
-/// Renders the plain-text metrics dump: every registered metric, phase
+/// Renders the plain-text metrics dump: every metric in name order, phase
 /// timing totals, and the flight recorder's drop accounting.
 pub fn metrics_text(
-    metrics: &[(String, MetricSnapshot)],
+    metrics: &BTreeMap<String, Metric>,
     phases: &[PhaseSpan],
     recorder: RecorderStats,
 ) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
     out.push_str("# cosmos-telemetry metrics dump\n");
-    for (name, snap) in metrics {
-        match snap {
-            MetricSnapshot::Counter(v) => {
+    for (name, metric) in metrics {
+        match metric {
+            Metric::Counter(v) => {
                 let _ = writeln!(out, "counter {name} {v}");
             }
-            MetricSnapshot::Gauge(v) => {
-                let _ = writeln!(out, "gauge {name} {v}");
-            }
-            MetricSnapshot::Histogram {
-                count,
-                sum,
-                buckets,
-            } => {
-                let mean = if *count == 0 {
-                    0.0
-                } else {
-                    *sum as f64 / *count as f64
-                };
+            Metric::Histogram(h) => {
                 let _ = write!(
                     out,
-                    "histogram {name} count {count} sum {sum} mean {mean:.3}"
+                    "histogram {name} count {} sum {} mean {:.3}",
+                    h.count(),
+                    h.sum(),
+                    h.mean()
                 );
+                let buckets = h.buckets();
                 for (i, n) in buckets.iter().enumerate() {
                     if *n > 0 {
                         let _ = write!(out, " ge{}:{n}", bucket_floor(i));
@@ -302,8 +294,7 @@ mod tests {
                 }),
             },
         ];
-        let labels = vec!["main".to_string(), "fig02/np/graph500".to_string()];
-        let doc = chrome_trace(&phases, &events, &labels);
+        let doc = chrome_trace(&phases, &events, &["main", "fig02/np/graph500"]);
         assert!(is_valid_chrome_trace(&doc));
         // 1 process_name + 2 thread_name + 2 phases + 3 events.
         assert_eq!(doc.as_array().unwrap().len(), 8);
@@ -323,8 +314,7 @@ mod tests {
     fn chrome_trace_escapes_hostile_labels() {
         // Stream labels come from job labels; exporters must not let a
         // quote, backslash, or newline corrupt the JSON document.
-        let labels = vec!["evil \"label\"\\with\nnewline\ttab".to_string()];
-        let doc = chrome_trace(&[], &[], &labels);
+        let doc = chrome_trace(&[], &[], &["evil \"label\"\\with\nnewline\ttab"]);
         assert!(is_valid_chrome_trace(&doc));
         let text = doc.to_string();
         assert!(text.contains(r#"evil \"label\"\\with\nnewline\ttab"#));
@@ -351,13 +341,9 @@ mod tests {
         m.record(0, false, true);
         m.record(1, true, false);
         m.finish();
-        let doc = heatmap_json(&[
-            ("cosmos/bfs".to_string(), Some(m)),
-            ("np/bfs".to_string(), None),
-        ]);
+        let doc = heatmap_json([("cosmos/bfs", &m)]);
         assert_eq!(doc.get("kind").and_then(Value::as_str), Some("ctr_heatmap"));
         let streams = doc.get("streams").and_then(Value::as_array).unwrap();
-        // Streams without a heatmap (insecure designs) are omitted.
         assert_eq!(streams.len(), 1);
         let s = &streams[0];
         assert_eq!(s.get("sets").and_then(Value::as_u64), Some(2));
@@ -374,23 +360,16 @@ mod tests {
 
     #[test]
     fn metrics_text_sections() {
-        let metrics = vec![
-            ("cache.ctr.hits".to_string(), MetricSnapshot::Counter(10)),
-            ("dram.queue.depth".to_string(), MetricSnapshot::Gauge(-2)),
+        let mut delay = crate::metrics::Histogram::default();
+        delay.record(2);
+        delay.record(4);
+        let metrics = BTreeMap::from([
+            ("cache.ctr.hits".to_string(), Metric::Counter(10)),
             (
                 "dram.queue_delay_cycles".to_string(),
-                MetricSnapshot::Histogram {
-                    count: 2,
-                    sum: 6,
-                    buckets: {
-                        let mut b = vec![0u64; 65];
-                        b[2] = 1;
-                        b[3] = 1;
-                        b
-                    },
-                },
+                Metric::Histogram(Box::new(delay)),
             ),
-        ];
+        ]);
         let phases = vec![span("sim", 0, 0, 100), span("sim", 1, 0, 50)];
         let text = metrics_text(
             &metrics,
@@ -403,7 +382,6 @@ mod tests {
             },
         );
         assert!(text.contains("counter cache.ctr.hits 10"));
-        assert!(text.contains("gauge dram.queue.depth -2"));
         assert!(text.contains("histogram dram.queue_delay_cycles count 2 sum 6 mean 3.000"));
         assert!(text.contains("ge2:1"));
         assert!(text.contains("ge4:1"));

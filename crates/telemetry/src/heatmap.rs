@@ -5,18 +5,29 @@
 //! accesses. Memory is bounded: when the window list would exceed its cap,
 //! adjacent windows are merged pairwise and the window length doubles, so
 //! an arbitrarily long run degrades resolution instead of growing.
+//!
+//! Closed windows live in one flat buffer per metric (window-major, one
+//! `sets`-long row per window), and merging adds pairs in place, so
+//! closing a window allocates nothing once the buffers have grown to
+//! their cap.
 
-/// Per-set activity for one time window.
-#[derive(Clone, Debug, PartialEq)]
-pub struct HeatmapWindow {
+/// CTR accesses per heatmap window, before any merge.
+pub const WINDOW_LEN: u64 = 8192;
+
+/// Windows a heatmap keeps before pair-merging halves its resolution.
+pub const MAX_WINDOWS: usize = 256;
+
+/// Per-set activity for one closed time window.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct HeatmapWindow<'a> {
     /// Cumulative CTR-access count when this window closed.
     pub end_access: u64,
     /// Demand accesses per set during the window.
-    pub accesses: Vec<u32>,
+    pub accesses: &'a [u32],
     /// Misses per set during the window.
-    pub misses: Vec<u32>,
+    pub misses: &'a [u32],
     /// Valid lines per set when the window closed.
-    pub occupancy: Vec<u32>,
+    pub occupancy: &'a [u32],
 }
 
 /// Windowed per-set CTR-cache activity with bounded memory.
@@ -30,7 +41,12 @@ pub struct CtrHeatmap {
     cur_accesses: Vec<u32>,
     cur_misses: Vec<u32>,
     occupancy: Vec<u32>,
-    windows: Vec<HeatmapWindow>,
+    // Closed windows: one end stamp each, and one `sets`-long row each in
+    // the three flat per-metric buffers.
+    ends: Vec<u64>,
+    accesses: Vec<u32>,
+    misses: Vec<u32>,
+    occupancies: Vec<u32>,
 }
 
 impl CtrHeatmap {
@@ -49,7 +65,10 @@ impl CtrHeatmap {
             cur_accesses: vec![0; sets],
             cur_misses: vec![0; sets],
             occupancy: vec![0; sets],
-            windows: Vec::new(),
+            ends: Vec::new(),
+            accesses: Vec::new(),
+            misses: Vec::new(),
+            occupancies: Vec::new(),
         }
     }
 
@@ -69,8 +88,24 @@ impl CtrHeatmap {
     }
 
     /// Closed windows so far, oldest first.
-    pub fn windows(&self) -> &[HeatmapWindow] {
-        &self.windows
+    pub fn windows(&self) -> impl ExactSizeIterator<Item = HeatmapWindow<'_>> {
+        let s = self.sets;
+        self.ends
+            .iter()
+            .zip(self.accesses.chunks_exact(s))
+            .zip(
+                self.misses
+                    .chunks_exact(s)
+                    .zip(self.occupancies.chunks_exact(s)),
+            )
+            .map(
+                |((&end_access, accesses), (misses, occupancy))| HeatmapWindow {
+                    end_access,
+                    accesses,
+                    misses,
+                    occupancy,
+                },
+            )
     }
 
     /// Records one demand CTR access. `grew` flags a miss that filled a
@@ -99,43 +134,41 @@ impl CtrHeatmap {
     }
 
     fn close_window(&mut self) {
-        self.windows.push(HeatmapWindow {
-            end_access: self.total_accesses,
-            accesses: std::mem::replace(&mut self.cur_accesses, vec![0; self.sets]),
-            misses: std::mem::replace(&mut self.cur_misses, vec![0; self.sets]),
-            occupancy: self.occupancy.clone(),
-        });
+        self.ends.push(self.total_accesses);
+        self.accesses.extend_from_slice(&self.cur_accesses);
+        self.misses.extend_from_slice(&self.cur_misses);
+        self.occupancies.extend_from_slice(&self.occupancy);
+        self.cur_accesses.fill(0);
+        self.cur_misses.fill(0);
         self.in_window = 0;
-        if self.windows.len() > self.max_windows {
+        if self.ends.len() > self.max_windows {
             self.merge_pairs();
         }
     }
 
-    /// Merges adjacent window pairs: counts add, the later window's
-    /// end-of-window occupancy wins. Halves the list, doubles resolution.
+    /// Merges adjacent window pairs in place: counts add, the later
+    /// window's end stamp and end-of-window occupancy win, and an odd
+    /// trailing window moves down unchanged. Halves the list, doubles the
+    /// window length.
     fn merge_pairs(&mut self) {
-        let merged: Vec<HeatmapWindow> = self
-            .windows
-            .chunks(2)
-            .map(|pair| {
-                if pair.len() == 1 {
-                    return pair[0].clone();
+        let n = self.ends.len();
+        let s = self.sets;
+        for i in 0..n.div_ceil(2) {
+            let (a, b) = (2 * i, (2 * i + 1).min(n - 1));
+            self.ends[i] = self.ends[b];
+            self.occupancies.copy_within(b * s..(b + 1) * s, i * s);
+            for buf in [&mut self.accesses, &mut self.misses] {
+                for k in 0..s {
+                    let pair = if a == b { 0 } else { buf[b * s + k] };
+                    buf[i * s + k] = buf[a * s + k] + pair;
                 }
-                let (a, b) = (&pair[0], &pair[1]);
-                HeatmapWindow {
-                    end_access: b.end_access,
-                    accesses: a
-                        .accesses
-                        .iter()
-                        .zip(&b.accesses)
-                        .map(|(x, y)| x + y)
-                        .collect(),
-                    misses: a.misses.iter().zip(&b.misses).map(|(x, y)| x + y).collect(),
-                    occupancy: b.occupancy.clone(),
-                }
-            })
-            .collect();
-        self.windows = merged;
+            }
+        }
+        let kept = n.div_ceil(2);
+        self.ends.truncate(kept);
+        for buf in [&mut self.accesses, &mut self.misses, &mut self.occupancies] {
+            buf.truncate(kept * s);
+        }
         self.window_len *= 2;
     }
 }
@@ -144,20 +177,25 @@ impl CtrHeatmap {
 mod tests {
     use super::*;
 
+    fn total(h: &CtrHeatmap) -> u64 {
+        h.windows()
+            .flat_map(|w| w.accesses)
+            .map(|&n| u64::from(n))
+            .sum()
+    }
+
     #[test]
     fn windows_close_at_window_len() {
         let mut h = CtrHeatmap::new(4, 3, 8);
         for i in 0..7 {
             h.record(i % 4, i % 2 == 0, false);
         }
-        assert_eq!(h.windows().len(), 2);
-        assert_eq!(h.windows()[0].end_access, 3);
-        assert_eq!(h.windows()[1].end_access, 6);
+        let ends: Vec<u64> = h.windows().map(|w| w.end_access).collect();
+        assert_eq!(ends, [3, 6]);
         h.finish();
-        assert_eq!(h.windows().len(), 3);
-        assert_eq!(h.windows()[2].end_access, 7);
-        let total: u32 = h.windows().iter().flat_map(|w| &w.accesses).sum();
-        assert_eq!(total as u64, h.total_accesses());
+        let ends: Vec<u64> = h.windows().map(|w| w.end_access).collect();
+        assert_eq!(ends, [3, 6, 7]);
+        assert_eq!(total(&h), h.total_accesses());
     }
 
     #[test]
@@ -167,8 +205,8 @@ mod tests {
         h.record(0, false, true);
         h.record(1, true, false);
         h.record(0, false, false); // miss with eviction: occupancy unchanged
-        assert_eq!(h.windows()[0].occupancy, vec![2, 0]);
-        assert_eq!(h.windows()[1].occupancy, vec![2, 0]);
+        let occ: Vec<&[u32]> = h.windows().map(|w| w.occupancy).collect();
+        assert_eq!(occ, [[2, 0], [2, 0]]);
     }
 
     #[test]
@@ -183,19 +221,19 @@ mod tests {
         h.record(1, false, false); // window 2: set1 = 2 accesses, 2 misses
         h.record(0, false, true);
         h.record(1, true, false); // window 3 closes → 3 > 2 → merge
-        assert_eq!(h.windows().len(), 2);
+        let w: Vec<HeatmapWindow<'_>> = h.windows().collect();
+        assert_eq!(w.len(), 2);
         assert_eq!(h.window_len(), 4);
         // Pair (w1, w2) merged; w3 is the odd tail, kept as-is.
-        assert_eq!(h.windows()[0].end_access, 4);
-        assert_eq!(h.windows()[0].accesses, vec![2, 2]);
-        assert_eq!(h.windows()[0].misses, vec![1, 2]);
-        assert_eq!(h.windows()[1].end_access, 6);
-        assert_eq!(h.windows()[1].accesses, vec![1, 1]);
-        assert_eq!(h.windows()[1].misses, vec![1, 0]);
-        assert_eq!(h.windows()[1].occupancy, vec![1, 0]);
+        assert_eq!(w[0].end_access, 4);
+        assert_eq!(w[0].accesses, [2, 2]);
+        assert_eq!(w[0].misses, [1, 2]);
+        assert_eq!(w[1].end_access, 6);
+        assert_eq!(w[1].accesses, [1, 1]);
+        assert_eq!(w[1].misses, [1, 0]);
+        assert_eq!(w[1].occupancy, [1, 0]);
         // Conservation across the merge.
-        let total: u32 = h.windows().iter().flat_map(|w| &w.accesses).sum();
-        assert_eq!(total as u64, h.total_accesses());
+        assert_eq!(total(&h), h.total_accesses());
     }
 
     #[test]
@@ -208,10 +246,9 @@ mod tests {
         assert!(h.windows().len() <= 5, "got {}", h.windows().len());
         assert!(h.window_len() > 1);
         // No accesses lost to merging.
-        let total: u32 = h.windows().iter().flat_map(|w| &w.accesses).sum();
-        assert_eq!(total as u64, h.total_accesses());
+        assert_eq!(total(&h), h.total_accesses());
         // Windows stay ordered and end at the final access count.
-        let ends: Vec<u64> = h.windows().iter().map(|w| w.end_access).collect();
+        let ends: Vec<u64> = h.windows().map(|w| w.end_access).collect();
         assert!(ends.windows(2).all(|p| p[0] < p[1]));
         assert_eq!(*ends.last().unwrap(), 64);
     }

@@ -1,45 +1,57 @@
 //! Observability for the COSMOS simulator.
 //!
-//! Everything hangs off a cheap, cloneable [`Telemetry`] handle that is
-//! threaded through `SimConfig` into every instrumented component:
+//! Telemetry has two halves:
 //!
-//! - a by-name **metrics registry** ([`metrics`]) of atomic counters,
-//!   gauges, and log2-bucket histograms. The hooks feed only what the
-//!   simulation's own statistics cannot show (histograms and the DRAM
-//!   queue-clamp counter); event counts are published once per job from
-//!   its final statistics, as `<job label>/<stat leaf>` counters;
-//! - a bounded ring-buffer **flight recorder** ([`recorder`]) of typed
-//!   simulation events, sampled at a configurable rate;
-//! - per-set CTR-cache **heatmaps** ([`heatmap`]) with bounded memory;
-//! - RAII **phase timers** ([`phase`]) for the experiment pipeline;
-//! - **exporters** ([`export`]): Chrome trace-event JSON, heatmap JSON,
-//!   and a plain-text metrics dump, all serialized via
-//!   `cosmos_common::json`.
+//! - the **pipeline** — a cheap, cloneable [`Telemetry`] handle threaded
+//!   through `SimConfig` and the experiment runner. It holds what a whole
+//!   run shares: the output directory, the epoch, wall-clock **phase
+//!   timers** ([`phase`]) and the **stream table**, one entry per grid job
+//!   ([`Telemetry::scope`]);
+//! - the **probe** — one [`Probe`] per simulation ([`Telemetry::probe`]),
+//!   shared by that simulation's components on the one thread that runs
+//!   them. It owns the job's flight recorder ([`recorder`]) of sampled
+//!   typed events, its per-set CTR-cache **heatmaps** ([`heatmap`]) and
+//!   its Merkle-walk and DRAM-queue histograms ([`metrics`]) as plain
+//!   fields, so a hook takes no lock and touches no atomic. The probe
+//!   hands all of it to the stream table once, when the simulation drops
+//!   it. Event counts reach the table once per job too, from the job's
+//!   final statistics, as `<job label>/<stat leaf>` counters
+//!   ([`Telemetry::publish_counters`]).
+//!
+//! The **exporters** ([`export`]) then read plain data: Chrome trace-event
+//! JSON, heatmap JSON and a plain-text metrics dump, all serialized via
+//! `cosmos_common::json`.
 //!
 //! A disabled handle (the default — [`Telemetry::disabled`]) carries a
-//! `None` and every hook returns after that single branch: no clock
-//! reads, no locks, no allocation, no output. Simulation results must be
-//! byte-identical with telemetry on or off; hooks observe, never steer.
+//! `None`, and so does every probe made from it: each hook returns after
+//! that single branch — no clock reads, no allocation, no output.
+//! Simulation results must be byte-identical with telemetry on or off;
+//! hooks observe, never steer.
 
 pub mod export;
 pub mod heatmap;
 pub mod metrics;
 pub mod phase;
+mod probe;
 pub mod recorder;
 
+pub use probe::Probe;
+
+use std::collections::BTreeMap;
 use std::fmt;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 #[expect(
     clippy::disallowed_types,
-    reason = "telemetry locks are taken only through an enabled handle: instrumented runs are \
-              diagnostics, and the benchmark measures telemetry off"
+    reason = "the pipeline's two locks guard phase spans and the stream table; no per-access \
+              hook takes either"
 )]
 use std::sync::Mutex;
+use std::sync::{Arc, MutexGuard};
 #[expect(
     clippy::disallowed_types,
-    reason = "wall-clock phase timers are diagnostics only; they never reach simulated state"
+    reason = "wall-clock phase timers and event stamps are diagnostics only; they never reach \
+              simulated state"
 )]
 use std::time::Instant;
 
@@ -47,112 +59,118 @@ use cosmos_common::json::Value;
 
 use export::RecorderStats;
 use heatmap::CtrHeatmap;
-use metrics::{Counter, Histogram, Registry};
+use metrics::Metric;
 use phase::{PhaseGuard, PhaseGuardInner, PhaseSpan};
-use recorder::{AccessInfo, Event, EvictInfo, StreamRecorder, TimedEvent};
+use recorder::{StreamRecorder, TimedEvent};
 
 /// Tuning knobs for an enabled telemetry pipeline.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TelemetryConfig {
     /// Record every Nth *dense* candidate event (accesses, DRAM, Merkle
-    /// walks, RL actions) into the flight recorder.
+    /// walks, RL actions) into the flight recorder. *Rare* events (CTR
+    /// evictions, speculation issue/kill) are orders of magnitude less
+    /// frequent; sampling them at the dense rate would all but erase them,
+    /// so every one is kept.
     pub sample_every: u64,
-    /// Record every Nth *rare* candidate event (CTR evictions,
-    /// speculation issue/kill). Rare events are orders of magnitude less
-    /// frequent than dense ones; sampling them at the dense rate would
-    /// all but erase them, so they get their own stratum (default: keep
-    /// every one).
-    pub rare_sample_every: u64,
     /// Per-stream flight-recorder capacity in events.
     pub recorder_capacity: usize,
-    /// CTR accesses per heatmap window.
-    pub heatmap_window: u64,
-    /// Heatmap windows kept before pair-merging halves resolution.
-    pub heatmap_max_windows: usize,
 }
 
 impl Default for TelemetryConfig {
     fn default() -> Self {
         Self {
             sample_every: 64,
-            rare_sample_every: 1,
             recorder_capacity: 1 << 16,
-            heatmap_window: 8192,
-            heatmap_max_windows: 256,
         }
     }
 }
 
-#[expect(
-    clippy::disallowed_types,
-    reason = "telemetry locks are taken only through an enabled handle: instrumented runs are \
-              diagnostics, and the benchmark measures telemetry off"
-)]
+/// The metrics the built-in hooks feed, listed (as zeros) in every dump
+/// even for runs that never reach them: distributions, and the one event
+/// the simulation statistics cannot see.
+const MERKLE_DEPTH: &str = "secure.merkle.depth";
+const MERKLE_FETCHED: &str = "secure.merkle.fetched";
+const DRAM_QUEUE_DELAY: &str = "dram.queue_delay_cycles";
+const DRAM_QUEUE_CLAMPED: &str = "sim.dram.queue_clamped";
+
+/// One grid job's published telemetry. Empty until the job's probe drops.
 struct StreamEntry {
     label: String,
-    heatmap: Option<Arc<Mutex<CtrHeatmap>>>,
-    recorder: Arc<Mutex<StreamRecorder>>,
+    recorder: Option<StreamRecorder>,
+    heatmap: Option<CtrHeatmap>,
 }
 
-/// The metrics the built-in hooks feed: distributions and the one event
-/// the simulation statistics cannot see. Resolved once at construction,
-/// so the dump lists them (as zeros) even for runs that never reach them.
-struct HotMetrics {
-    merkle_depth: Histogram,
-    merkle_fetched: Histogram,
-    dram_queue_delay: Histogram,
-    dram_queue_clamped: Counter,
+/// Every stream, and every metric by name.
+struct Table {
+    streams: Vec<StreamEntry>,
+    metrics: BTreeMap<String, Metric>,
 }
 
-impl HotMetrics {
-    fn resolve(reg: &Registry) -> Self {
-        Self {
-            merkle_depth: reg.histogram("secure.merkle.depth"),
-            merkle_fetched: reg.histogram("secure.merkle.fetched"),
-            dram_queue_delay: reg.histogram("dram.queue_delay_cycles"),
-            dram_queue_clamped: reg.counter("sim.dram.queue_clamped"),
+impl Table {
+    /// Adds `metric` into the one named `name`.
+    fn add(&mut self, name: &str, metric: Metric) {
+        match self.metrics.get_mut(name) {
+            Some(m) => m.merge(&metric),
+            None => {
+                self.metrics.insert(name.to_string(), metric);
+            }
         }
+    }
+
+    /// Appends a stream labelled `label`; returns its id.
+    fn push(&mut self, label: String) -> u16 {
+        assert!(
+            self.streams.len() <= usize::from(u16::MAX),
+            "too many streams"
+        );
+        self.streams.push(StreamEntry {
+            label,
+            recorder: None,
+            heatmap: None,
+        });
+        (self.streams.len() - 1) as u16
     }
 }
 
 #[expect(
     clippy::disallowed_types,
-    reason = "telemetry locks and wall-clock phase timers are diagnostics only: they never \
-              reach simulated state, and the benchmark measures telemetry off"
+    reason = "the pipeline's two locks guard phase spans and the stream table, and its epoch is \
+              a wall-clock diagnostic: none is reached per access"
 )]
 struct Shared {
     config: TelemetryConfig,
     dir: Option<PathBuf>,
     epoch: Instant,
-    registry: Registry,
     phases: Arc<Mutex<Vec<PhaseSpan>>>,
-    streams: Mutex<Vec<StreamEntry>>,
-    hot: HotMetrics,
+    table: Mutex<Table>,
 }
 
-/// The telemetry handle threaded through `SimConfig` and the runner.
+impl Shared {
+    fn table(&self) -> MutexGuard<'_, Table> {
+        self.table.lock().expect("telemetry mutex poisoned")
+    }
+
+    fn phases(&self) -> Vec<PhaseSpan> {
+        self.phases
+            .lock()
+            .expect("telemetry mutex poisoned")
+            .clone()
+    }
+}
+
+/// The telemetry pipeline handle threaded through `SimConfig` and the
+/// runner.
 ///
-/// Cloning is cheap (two `Option<Arc>`s and a stream id). A handle is
-/// either *disabled* — every hook is one branch and a return — or backed
-/// by shared state. [`Telemetry::scope`] derives per-grid-job handles
-/// ("streams") so concurrent jobs tag their phases, events, and heatmaps
-/// distinctly while aggregating into the same registry.
+/// Cloning is cheap (an `Option<Arc>` and a stream id). A handle is
+/// either *disabled* — everything it does is one branch and a return — or
+/// backed by shared state. [`Telemetry::scope`] derives per-grid-job
+/// handles ("streams") so concurrent jobs tag their phases, events and
+/// heatmaps distinctly, and [`Telemetry::probe`] makes the per-simulation
+/// [`Probe`] the components record through.
 #[derive(Clone, Default)]
-#[expect(
-    clippy::disallowed_types,
-    reason = "telemetry locks are taken only through an enabled handle: instrumented runs are \
-              diagnostics, and the benchmark measures telemetry off"
-)]
 pub struct Telemetry {
     shared: Option<Arc<Shared>>,
     stream: u16,
-    heatmap: Option<Arc<Mutex<CtrHeatmap>>>,
-    // Per-tenant occupancy heatmap lanes (empty unless a multi-tenant
-    // harness opted in via `ctr_tenant_heatmaps_init`). Each lane is also
-    // registered as a heatmap-only stream so the standard heatmap export
-    // carries it with a `<label>/tenant<i>` label.
-    tenant_heatmaps: Vec<Arc<Mutex<CtrHeatmap>>>,
-    recorder: Option<Arc<Mutex<StreamRecorder>>>,
 }
 
 impl fmt::Debug for Telemetry {
@@ -194,21 +212,16 @@ impl Telemetry {
 
     /// An enabled pipeline with no output directory — hooks and exporters
     /// run, artifacts are only available in memory. Used by tests and the
-    /// identity smoke.
+    /// serve layer's phase summaries.
     pub fn in_memory() -> Self {
         Self::with_config(None, TelemetryConfig::default()).expect("no I/O to fail")
-    }
-
-    /// [`Telemetry::in_memory`] with explicit tuning knobs.
-    pub fn in_memory_with(config: TelemetryConfig) -> Self {
-        Self::with_config(None, config).expect("no I/O to fail")
     }
 
     /// The general constructor: optional output directory + knobs.
     #[expect(
         clippy::disallowed_types,
-        reason = "telemetry locks and wall-clock phase timers are diagnostics only: they never \
-                  reach simulated state, and the benchmark measures telemetry off"
+        reason = "builds the pipeline's two locks and reads its wall-clock epoch; neither is \
+                  reached per access"
     )]
     pub fn with_config(dir: Option<PathBuf>, config: TelemetryConfig) -> io::Result<Self> {
         if let Some(dir) = &dir {
@@ -223,27 +236,24 @@ impl Telemetry {
                 })?;
             let _ = std::fs::remove_file(&probe);
         }
-        let registry = Registry::new();
-        let hot = HotMetrics::resolve(&registry);
-        let recorder = Arc::new(Mutex::new(StreamRecorder::new(config.recorder_capacity)));
+        let mut table = Table {
+            streams: Vec::new(),
+            metrics: BTreeMap::new(),
+        };
+        table.push("main".to_string());
+        for name in [MERKLE_DEPTH, MERKLE_FETCHED, DRAM_QUEUE_DELAY] {
+            table.add(name, Metric::Histogram(Box::default()));
+        }
+        table.add(DRAM_QUEUE_CLAMPED, Metric::Counter(0));
         Ok(Self {
             shared: Some(Arc::new(Shared {
                 config,
                 dir,
                 epoch: Instant::now(),
-                registry,
                 phases: Arc::new(Mutex::new(Vec::new())),
-                streams: Mutex::new(vec![StreamEntry {
-                    label: "main".to_string(),
-                    heatmap: None,
-                    recorder: Arc::clone(&recorder),
-                }]),
-                hot,
+                table: Mutex::new(table),
             })),
             stream: 0,
-            heatmap: None,
-            tenant_heatmaps: Vec::new(),
-            recorder: Some(recorder),
         })
     }
 
@@ -258,14 +268,8 @@ impl Telemetry {
         self.shared.as_ref().and_then(|s| s.dir.as_deref())
     }
 
-    /// The metrics registry, for components that register their own
-    /// names. `None` when disabled.
-    pub fn registry(&self) -> Option<&Registry> {
-        self.shared.as_ref().map(|s| &s.registry)
-    }
-
-    /// A handle for one grid job (a "stream"): phases, events, and
-    /// heatmaps recorded through it are tagged with a fresh stream id
+    /// A handle for one grid job (a "stream"): its phases, and the events
+    /// and heatmaps of its probes, are tagged with a fresh stream id
     /// labelled `label`. Metrics still aggregate globally. On a disabled
     /// handle this is free and returns another disabled handle.
     ///
@@ -273,34 +277,19 @@ impl Telemetry {
     ///
     /// If `label` was already issued on this pipeline: per-job counters
     /// are keyed by label, so a repeat would silently sum two jobs.
-    #[expect(
-        clippy::disallowed_types,
-        reason = "telemetry locks are taken only through an enabled handle: instrumented runs are \
-                  diagnostics, and the benchmark measures telemetry off"
-    )]
     pub fn scope(&self, label: &str) -> Telemetry {
         let Some(sh) = &self.shared else {
             return Telemetry::disabled();
         };
-        let mut streams = sh.streams.lock().expect("telemetry mutex poisoned");
-        assert!(streams.len() <= usize::from(u16::MAX), "too many streams");
+        let mut table = sh.table();
         assert!(
-            streams.iter().all(|s| s.label != label),
+            table.streams.iter().all(|s| s.label != label),
             "telemetry stream label {label:?} issued twice"
         );
-        let id = streams.len() as u16;
-        let recorder = Arc::new(Mutex::new(StreamRecorder::new(sh.config.recorder_capacity)));
-        streams.push(StreamEntry {
-            label: label.to_string(),
-            heatmap: None,
-            recorder: Arc::clone(&recorder),
-        });
+        let stream = table.push(label.to_string());
         Telemetry {
             shared: Some(Arc::clone(sh)),
-            stream: id,
-            heatmap: None,
-            tenant_heatmaps: Vec::new(),
-            recorder: Some(recorder),
+            stream,
         }
     }
 
@@ -324,223 +313,42 @@ impl Telemetry {
         }
     }
 
-    /// Applies the per-stratum sampling rate and, for survivors, stamps
-    /// and records the event in this stream's ring. `make` runs only for
-    /// sampled-in events. `rare` picks the stratum — callers pass it
-    /// statically per hook so sampled-out dense events stay one branch, a
-    /// lock of an uncontended per-stream mutex, and two counter bumps.
-    #[inline]
-    fn record_event(&self, rare: bool, make: impl FnOnce() -> Event) {
+    /// Publishes one job's event counts to this stream, once, as
+    /// `<stream label>/<leaf>` counters: `visit` is handed a sink and
+    /// calls it with every `(leaf, value)`. No-op when disabled.
+    pub fn publish_counters(&self, visit: impl FnOnce(&mut dyn FnMut(&str, u64))) {
         let Some(sh) = &self.shared else { return };
-        let Some(rec) = &self.recorder else { return };
-        let every = if rare {
-            sh.config.rare_sample_every
-        } else {
-            sh.config.sample_every
-        };
-        let mut rec = rec.lock().expect("telemetry mutex poisoned");
-        if let Some(seq) = rec.admit(rare, every) {
-            let ev = TimedEvent {
-                seq,
-                ts_us: sh.epoch.elapsed().as_micros() as u64,
-                stream: self.stream,
-                event: make(),
-            };
-            rec.push(ev);
-        }
-    }
-
-    // ---- component hooks -------------------------------------------------
-
-    /// Sizes this stream's per-set CTR heatmap. Called by the secure path
-    /// once it knows its CTR-cache geometry; no-op when disabled or when
-    /// the geometry is degenerate (`sets == 0` — e.g. a design with no
-    /// CTR cache), so callers never trip the heatmap's positive-set
-    /// invariant.
-    #[expect(
-        clippy::disallowed_types,
-        reason = "telemetry locks are taken only through an enabled handle: instrumented runs are \
-                  diagnostics, and the benchmark measures telemetry off"
-    )]
-    pub fn ctr_heatmap_init(&mut self, sets: usize) {
-        let Some(sh) = &self.shared else { return };
-        if sets == 0 {
-            return;
-        }
-        let map = Arc::new(Mutex::new(CtrHeatmap::new(
-            sets,
-            sh.config.heatmap_window,
-            sh.config.heatmap_max_windows,
-        )));
-        sh.streams.lock().expect("telemetry mutex poisoned")[usize::from(self.stream)].heatmap =
-            Some(Arc::clone(&map));
-        self.heatmap = Some(map);
-    }
-
-    /// Adds per-tenant CTR occupancy heatmap lanes on top of the combined
-    /// heatmap: each of the `tenants` lanes becomes a heatmap-only stream
-    /// labelled `<label>/tenant<i>`, so the standard heatmap export
-    /// carries one document per tenant. Accesses route to the lane named
-    /// by their `AccessInfo::tenant` (folded mod `tenants`). No-op when
-    /// disabled or on degenerate geometry, like
-    /// [`Telemetry::ctr_heatmap_init`] — single-tenant runs that never
-    /// call this keep their artifact shape exactly.
-    #[expect(
-        clippy::disallowed_types,
-        reason = "telemetry locks are taken only through an enabled handle: instrumented runs are \
-                  diagnostics, and the benchmark measures telemetry off"
-    )]
-    pub fn ctr_tenant_heatmaps_init(&mut self, sets: usize, tenants: usize) {
-        let Some(sh) = &self.shared else { return };
-        if sets == 0 || tenants == 0 {
-            return;
-        }
-        let mut maps = Vec::with_capacity(tenants);
-        let mut streams = sh.streams.lock().expect("telemetry mutex poisoned");
-        let base = streams[usize::from(self.stream)].label.clone();
-        for i in 0..tenants {
-            assert!(streams.len() <= usize::from(u16::MAX), "too many streams");
-            let map = Arc::new(Mutex::new(CtrHeatmap::new(
-                sets,
-                sh.config.heatmap_window,
-                sh.config.heatmap_max_windows,
-            )));
-            streams.push(StreamEntry {
-                label: format!("{base}/tenant{i}"),
-                heatmap: Some(Arc::clone(&map)),
-                // Heatmap-only lane: no events are ever recorded here.
-                recorder: Arc::new(Mutex::new(StreamRecorder::new(1))),
-            });
-            maps.push(map);
-        }
-        drop(streams);
-        self.tenant_heatmaps = maps;
-    }
-
-    /// One demand CTR-cache access. `grew` flags a miss that filled a
-    /// previously invalid way (per-set occupancy +1); it feeds the
-    /// heatmap only, the rest of `info` feeds the flight recorder.
-    #[inline]
-    pub fn ctr_access(&self, info: AccessInfo, grew: bool) {
-        if self.shared.is_none() {
-            return;
-        }
-        if let Some(h) = &self.heatmap {
-            h.lock()
-                .expect("telemetry mutex poisoned")
-                .record(info.set as usize, info.hit, grew);
-        }
-        if !self.tenant_heatmaps.is_empty() {
-            let lane = usize::from(info.tenant) % self.tenant_heatmaps.len();
-            self.tenant_heatmaps[lane]
-                .lock()
-                .expect("telemetry mutex poisoned")
-                .record(info.set as usize, info.hit, grew);
-        }
-        self.record_event(false, || Event::CtrAccess(info));
-    }
-
-    /// One CTR-cache eviction: the full victim provenance — tag,
-    /// fill/touch stamps, policy deviation, RL decision — rides in the
-    /// rare-stratum event for the explain pass.
-    #[inline]
-    pub fn ctr_evict(&self, info: EvictInfo) {
-        if self.shared.is_none() {
-            return;
-        }
-        self.record_event(true, || Event::CtrEvict(info));
-    }
-
-    /// One CTR-locality RL decision: its id, chosen action, reward, and
-    /// the Q-pair the choice was made from.
-    #[inline]
-    pub fn rl_ctr_action(&self, id: u64, good: bool, reward: f32, q_good: f32, q_bad: f32) {
-        self.record_event(false, || Event::RlCtrAction {
-            id,
-            good,
-            reward,
-            q_good,
-            q_bad,
-        });
-    }
-
-    /// One resolved data-location RL prediction.
-    #[inline]
-    pub fn rl_data_action(&self, offchip: bool, correct: bool) {
-        self.record_event(false, || Event::RlDataAction { offchip, correct });
-    }
-
-    /// A speculative early DRAM read was issued.
-    #[inline]
-    pub fn spec_issue(&self) {
-        self.record_event(true, || Event::SpecIssue);
-    }
-
-    /// A speculative read was killed (data turned out on-chip).
-    #[inline]
-    pub fn spec_kill(&self) {
-        self.record_event(true, || Event::SpecKill);
-    }
-
-    /// One Merkle-tree authentication walk: `depth` levels visited,
-    /// `fetched` of them missed on-chip caches.
-    #[inline]
-    pub fn merkle_walk(&self, depth: u32, fetched: u32) {
-        let Some(sh) = &self.shared else { return };
-        sh.hot.merkle_depth.record(u64::from(depth));
-        sh.hot.merkle_fetched.record(u64::from(fetched));
-        self.record_event(false, || Event::MerkleWalk {
-            depth: depth.min(255) as u8,
-            fetched: fetched.min(255) as u8,
-        });
-    }
-
-    /// One DRAM access: how long it queued and how the row buffer fared.
-    /// A queue delay beyond `u32::MAX` cycles still clamps in the recorded
-    /// event (the wire format is 32-bit) but is never silent: each clamp
-    /// bumps the `sim.dram.queue_clamped` counter, which the metrics dump
-    /// always lists, and the histogram keeps the unclamped value.
-    #[inline]
-    pub fn dram_access(&self, queued_cycles: u64, row_hit: bool, write: bool) {
-        let Some(sh) = &self.shared else { return };
-        sh.hot.dram_queue_delay.record(queued_cycles);
-        if queued_cycles > u64::from(u32::MAX) {
-            sh.hot.dram_queue_clamped.inc();
-        }
-        self.record_event(false, || Event::DramAccess {
-            queued_cycles: queued_cycles.min(u64::from(u32::MAX)) as u32,
-            row_hit,
-            write,
-        });
+        let mut table = sh.table();
+        let label = table.streams[usize::from(self.stream)].label.clone();
+        visit(&mut |leaf, v| table.add(&format!("{label}/{leaf}"), Metric::Counter(v)));
     }
 
     // ---- export ----------------------------------------------------------
 
-    /// The Chrome trace-event document for everything recorded so far.
+    /// The metric named `name`, summed over every job published so far.
+    /// `None` when disabled or never published.
+    pub fn metric(&self, name: &str) -> Option<Metric> {
+        self.shared.as_ref()?.table().metrics.get(name).cloned()
+    }
+
+    /// The Chrome trace-event document for everything published so far.
     /// `Value::Null` when disabled.
     pub fn chrome_trace_value(&self) -> Value {
         let Some(sh) = &self.shared else {
             return Value::Null;
         };
-        let phases = sh.phases.lock().expect("telemetry mutex poisoned").clone();
-        let streams = sh.streams.lock().expect("telemetry mutex poisoned");
-        let mut events: Vec<TimedEvent> = Vec::new();
-        let mut labels: Vec<String> = Vec::new();
-        for s in streams.iter() {
-            labels.push(s.label.clone());
-            events.extend(
-                s.recorder
-                    .lock()
-                    .expect("telemetry mutex poisoned")
-                    .iter_oldest_first()
-                    .copied(),
-            );
-        }
-        drop(streams);
-        export::chrome_trace(&phases, &events, &labels)
+        let phases = sh.phases();
+        let table = sh.table();
+        let labels: Vec<&str> = table.streams.iter().map(|s| s.label.as_str()).collect();
+        let events = table
+            .streams
+            .iter()
+            .filter_map(|s| s.recorder.as_ref())
+            .flat_map(StreamRecorder::iter_oldest_first);
+        export::chrome_trace(&phases, events, &labels)
     }
 
-    /// Every stream's retained flight-recorder contents: `(label, events
+    /// Every stream's published flight-recorder contents: `(label, events
     /// oldest-first, drop accounting)`, in stream-creation order. This is
     /// the input to analysis passes (e.g. `cosmos-explain`): within one
     /// stream, events are ordered by their deterministic `seq` stamp, so
@@ -550,22 +358,20 @@ impl Telemetry {
         let Some(sh) = &self.shared else {
             return Vec::new();
         };
-        let streams = sh.streams.lock().expect("telemetry mutex poisoned");
-        streams
+        sh.table()
+            .streams
             .iter()
             .map(|s| {
-                let rec = s.recorder.lock().expect("telemetry mutex poisoned");
-                let stats = RecorderStats {
-                    recorded: rec.recorded(),
-                    overwritten: rec.overwritten(),
-                    candidates: rec.candidates(),
+                let mut stats = RecorderStats {
                     sample_every: sh.config.sample_every,
+                    ..RecorderStats::default()
                 };
-                (
-                    s.label.clone(),
-                    rec.iter_oldest_first().copied().collect(),
-                    stats,
-                )
+                let mut events = Vec::new();
+                if let Some(rec) = &s.recorder {
+                    rec.add_stats(&mut stats);
+                    events.extend(rec.iter_oldest_first().copied());
+                }
+                (s.label.clone(), events, stats)
             })
             .collect()
     }
@@ -575,21 +381,13 @@ impl Telemetry {
         let Some(sh) = &self.shared else {
             return Value::Null;
         };
-        let streams: Vec<(String, Option<CtrHeatmap>)> = sh
-            .streams
-            .lock()
-            .expect("telemetry mutex poisoned")
-            .iter()
-            .map(|s| {
-                let map = s.heatmap.as_ref().map(|m| {
-                    let mut snap = m.lock().expect("telemetry mutex poisoned").clone();
-                    snap.finish();
-                    snap
-                });
-                (s.label.clone(), map)
-            })
-            .collect();
-        export::heatmap_json(&streams)
+        let table = sh.table();
+        export::heatmap_json(
+            table
+                .streams
+                .iter()
+                .filter_map(|s| Some((s.label.as_str(), s.heatmap.as_ref()?))),
+        )
     }
 
     /// Aggregated phase timers so far: `(name, calls, total_us)`,
@@ -599,8 +397,7 @@ impl Telemetry {
         let Some(sh) = &self.shared else {
             return Vec::new();
         };
-        let phases = sh.phases.lock().expect("telemetry mutex poisoned").clone();
-        export::aggregate_phases(&phases)
+        export::aggregate_phases(&sh.phases())
     }
 
     /// The plain-text metrics dump (empty when disabled). Recorder drop
@@ -609,19 +406,16 @@ impl Telemetry {
         let Some(sh) = &self.shared else {
             return String::new();
         };
-        let metrics = sh.registry.snapshot();
-        let phases = sh.phases.lock().expect("telemetry mutex poisoned").clone();
+        let phases = sh.phases();
+        let table = sh.table();
         let mut stats = RecorderStats {
             sample_every: sh.config.sample_every,
             ..RecorderStats::default()
         };
-        for s in sh.streams.lock().expect("telemetry mutex poisoned").iter() {
-            let rec = s.recorder.lock().expect("telemetry mutex poisoned");
-            stats.recorded += rec.recorded();
-            stats.overwritten += rec.overwritten();
-            stats.candidates += rec.candidates();
+        for rec in table.streams.iter().filter_map(|s| s.recorder.as_ref()) {
+            rec.add_stats(&mut stats);
         }
-        export::metrics_text(&metrics, &phases, stats)
+        export::metrics_text(&table.metrics, &phases, stats)
     }
 
     /// Writes `<name>.trace.json`, `<name>.heatmap.json`, and
@@ -646,6 +440,7 @@ impl Telemetry {
 mod tests {
     use super::*;
     use export::is_valid_chrome_trace;
+    use recorder::{AccessInfo, Event, EvictInfo};
 
     fn acc(set: u32, hit: bool, write: bool) -> AccessInfo {
         AccessInfo {
@@ -672,20 +467,42 @@ mod tests {
         }
     }
 
+    fn in_memory_with(sample_every: u64, recorder_capacity: usize) -> Telemetry {
+        Telemetry::with_config(
+            None,
+            TelemetryConfig {
+                sample_every,
+                recorder_capacity,
+            },
+        )
+        .unwrap()
+    }
+
+    fn histogram(t: &Telemetry, name: &str) -> metrics::Histogram {
+        match t.metric(name) {
+            Some(Metric::Histogram(h)) => *h,
+            other => panic!("{name:?} is not a histogram: {other:?}"),
+        }
+    }
+
     #[test]
     fn disabled_handle_is_inert_and_cheap() {
-        let mut t = Telemetry::disabled();
+        let t = Telemetry::disabled();
         assert!(!t.is_enabled());
-        t.ctr_heatmap_init(64);
-        t.ctr_access(acc(1, true, false), false);
-        t.rl_ctr_action(0, true, 1.0, 0.5, -0.5);
-        t.rl_data_action(false, true);
-        t.spec_issue();
-        t.spec_kill();
-        t.merkle_walk(3, 1);
-        t.dram_access(12, true, false);
+        let p = t.probe();
+        assert!(!p.is_enabled());
+        p.ctr_heatmap_init(64);
+        p.ctr_access(acc(1, true, false), false);
+        p.rl_ctr_action(0, true, 1.0, 0.5, -0.5);
+        p.rl_data_action(false, true);
+        p.spec_issue();
+        p.spec_kill();
+        p.merkle_walk(3, 1);
+        p.dram_access(12, true, false);
+        drop(p);
         let _g = t.phase("sim");
-        assert!(t.registry().is_none());
+        t.publish_counters(|add| add("x", 1));
+        assert!(t.metric(MERKLE_DEPTH).is_none());
         assert_eq!(t.chrome_trace_value(), Value::Null);
         assert_eq!(t.heatmap_value(), Value::Null);
         assert_eq!(t.metrics_text(), "");
@@ -695,35 +512,35 @@ mod tests {
     }
 
     #[test]
-    fn hooks_feed_registry_recorder_and_heatmap() {
-        let root = Telemetry::in_memory_with(TelemetryConfig {
-            sample_every: 1,
-            recorder_capacity: 128,
-            heatmap_window: 2,
-            heatmap_max_windows: 8,
-            ..TelemetryConfig::default()
-        });
-        let mut job = root.scope("fig/np/bfs");
-        job.ctr_heatmap_init(4);
-        job.ctr_access(acc(0, false, false), true);
-        job.ctr_access(acc(0, true, true), false);
-        job.ctr_evict(evi(0, true));
-        job.rl_ctr_action(0, true, 2.0, 1.0, -1.0);
-        job.rl_ctr_action(1, false, -1.0, 0.25, 0.75);
-        job.rl_data_action(true, true);
-        job.spec_issue();
-        job.spec_kill();
-        job.merkle_walk(5, 2);
-        job.dram_access(100, false, true);
+    fn probe_publishes_histograms_recorder_and_heatmap_on_drop() {
+        let root = in_memory_with(1, 128);
+        let job = root.scope("fig/np/bfs");
+        let p = job.probe();
+        p.ctr_heatmap_init(4);
+        p.ctr_access(acc(0, false, false), true);
+        p.ctr_access(acc(0, true, true), false);
+        p.ctr_evict(evi(0, true));
+        p.rl_ctr_action(0, true, 2.0, 1.0, -1.0);
+        p.rl_ctr_action(1, false, -1.0, 0.25, 0.75);
+        p.rl_data_action(true, true);
+        p.spec_issue();
+        p.spec_kill();
+        p.merkle_walk(5, 2);
+        p.dram_access(100, false, true);
         {
             let _p = job.phase("sim");
         }
+        // Nothing reaches the pipeline while a clone of the probe lives.
+        let clone = p.clone();
+        drop(p);
+        assert_eq!(histogram(&root, MERKLE_DEPTH).count(), 0);
+        assert!(root.recorder_streams()[1].1.is_empty());
+        drop(clone);
 
-        let reg = root.registry().unwrap();
-        assert_eq!(reg.histogram("secure.merkle.depth").sum(), 5);
-        assert_eq!(reg.histogram("secure.merkle.fetched").sum(), 2);
-        assert_eq!(reg.histogram("dram.queue_delay_cycles").count(), 1);
-        assert_eq!(reg.histogram("dram.queue_delay_cycles").sum(), 100);
+        assert_eq!(histogram(&root, MERKLE_DEPTH).sum(), 5);
+        assert_eq!(histogram(&root, MERKLE_FETCHED).sum(), 2);
+        let delay = histogram(&root, DRAM_QUEUE_DELAY);
+        assert_eq!((delay.count(), delay.sum()), (1, 100));
 
         // Every hook call was sampled in (`sample_every: 1`).
         let streams = root.recorder_streams();
@@ -755,6 +572,9 @@ mod tests {
         let streams = heat.get("streams").and_then(Value::as_array).unwrap();
         assert_eq!(streams.len(), 1);
         assert_eq!(streams[0].get("sets").and_then(Value::as_u64), Some(4));
+        // Publishing closed the partial window.
+        let windows = streams[0].get("windows").and_then(Value::as_array).unwrap();
+        assert_eq!(windows.len(), 1);
 
         let dump = root.metrics_text();
         assert!(dump.contains("counter sim.dram.queue_clamped 0"));
@@ -764,21 +584,13 @@ mod tests {
 
     #[test]
     fn sampling_thins_the_recorder() {
-        let t = Telemetry::in_memory_with(TelemetryConfig {
-            sample_every: 10,
-            recorder_capacity: 1024,
-            ..TelemetryConfig::default()
-        });
+        let t = in_memory_with(10, 1024);
+        let p = t.probe();
         for _ in 0..100 {
-            t.dram_access(5, true, false);
+            p.dram_access(5, true, false);
         }
-        assert_eq!(
-            t.registry()
-                .unwrap()
-                .histogram("dram.queue_delay_cycles")
-                .count(),
-            100
-        );
+        drop(p);
+        assert_eq!(histogram(&t, DRAM_QUEUE_DELAY).count(), 100);
         let text = t.metrics_text();
         assert!(
             text.contains("recorder candidates 100 sampled 10 overwritten 0 sample_every 10"),
@@ -788,19 +600,16 @@ mod tests {
 
     #[test]
     fn rare_events_survive_aggressive_dense_sampling() {
-        let t = Telemetry::in_memory_with(TelemetryConfig {
-            sample_every: 64,
-            rare_sample_every: 1,
-            recorder_capacity: 1024,
-            ..TelemetryConfig::default()
-        });
+        let t = in_memory_with(64, 1024);
+        let p = t.probe();
         // 64 dense candidates → 1 sampled; 10 rare candidates → all 10.
         for _ in 0..64 {
-            t.dram_access(5, true, false);
+            p.dram_access(5, true, false);
         }
         for i in 0..10 {
-            t.ctr_evict(evi(i, false));
+            p.ctr_evict(evi(i, false));
         }
+        drop(p);
         let streams = t.recorder_streams();
         assert_eq!(streams.len(), 1);
         let (label, events, stats) = &streams[0];
@@ -818,16 +627,13 @@ mod tests {
 
     #[test]
     fn streams_record_independently_and_deterministically() {
-        let root = Telemetry::in_memory_with(TelemetryConfig {
-            sample_every: 1,
-            recorder_capacity: 64,
-            ..TelemetryConfig::default()
-        });
-        let a = root.scope("a");
-        let b = root.scope("b");
+        let root = in_memory_with(1, 64);
+        let a = root.scope("a").probe();
+        let b = root.scope("b").probe();
         a.dram_access(1, false, false);
         b.dram_access(2, false, false);
         a.dram_access(3, false, false);
+        drop((a, b));
         let streams = root.recorder_streams();
         assert_eq!(streams.len(), 3);
         assert_eq!(streams[1].0, "a");
@@ -840,13 +646,21 @@ mod tests {
     }
 
     #[test]
+    fn a_later_probe_continues_the_streams_recorder() {
+        let root = in_memory_with(1, 64);
+        let job = root.scope("job");
+        job.probe().spec_issue();
+        job.probe().spec_kill();
+        let streams = root.recorder_streams();
+        let seqs: Vec<u64> = streams[1].1.iter().map(|e| e.seq).collect();
+        assert_eq!(seqs, [0, 1]);
+        assert_eq!(streams[1].2.candidates, 2);
+    }
+
+    #[test]
     fn tenant_heatmap_lanes_split_by_tenant() {
-        let root = Telemetry::in_memory_with(TelemetryConfig {
-            heatmap_window: 2,
-            heatmap_max_windows: 8,
-            ..TelemetryConfig::default()
-        });
-        let mut job = root.scope("chan");
+        let root = Telemetry::in_memory();
+        let job = root.scope("chan").probe();
         job.ctr_heatmap_init(4);
         job.ctr_tenant_heatmaps_init(4, 2);
         for i in 0..6u32 {
@@ -858,32 +672,44 @@ mod tests {
         let mut a = acc(0, true, false);
         a.tenant = 5;
         job.ctr_access(a, false);
+        drop(job);
 
         let heat = root.heatmap_value();
         let streams = heat.get("streams").and_then(Value::as_array).unwrap();
-        let labels: Vec<&str> = streams
+        let totals: Vec<(&str, u64)> = streams
             .iter()
-            .filter_map(|s| s.get("stream").and_then(Value::as_str))
+            .map(|s| {
+                let label = s.get("stream").and_then(Value::as_str).unwrap();
+                let total = s.get("total_ctr_accesses").and_then(Value::as_u64).unwrap();
+                (label, total)
+            })
             .collect();
-        assert!(labels.contains(&"chan"), "combined map kept: {labels:?}");
-        assert!(labels.contains(&"chan/tenant0"), "{labels:?}");
-        assert!(labels.contains(&"chan/tenant1"), "{labels:?}");
+        assert_eq!(
+            totals,
+            [("chan", 7), ("chan/tenant0", 3), ("chan/tenant1", 4)]
+        );
+        // Lanes are heatmap-only streams: they record no events.
+        let lanes = root.recorder_streams();
+        assert!(lanes[2].1.is_empty() && lanes[3].1.is_empty());
         // A run that never opts in gets no tenant lanes.
         let plain = Telemetry::in_memory();
-        let mut p = plain.scope("solo");
+        let p = plain.scope("solo").probe();
         p.ctr_heatmap_init(4);
         p.ctr_access(acc(0, true, false), false);
+        drop(p);
         let labels2 = plain.heatmap_value().to_string();
         assert!(!labels2.contains("tenant"), "{labels2}");
     }
 
     #[test]
     fn zero_set_heatmap_init_is_skipped() {
-        let mut t = Telemetry::in_memory();
-        t.ctr_heatmap_init(0);
+        let t = Telemetry::in_memory();
+        let p = t.probe();
+        p.ctr_heatmap_init(0);
         // No heatmap was created: the access records nothing and the
         // heatmap document lists no streams.
-        t.ctr_access(acc(0, false, false), true);
+        p.ctr_access(acc(0, false, false), true);
+        drop(p);
         let heat = t.heatmap_value();
         let streams = heat.get("streams").and_then(Value::as_array).unwrap();
         assert!(streams.is_empty());
@@ -891,18 +717,16 @@ mod tests {
 
     #[test]
     fn dram_queue_clamp_is_counted_not_silent() {
-        let t = Telemetry::in_memory_with(TelemetryConfig {
-            sample_every: 1,
-            ..TelemetryConfig::default()
-        });
-        t.dram_access(7, true, false);
-        t.dram_access(u64::from(u32::MAX) + 5, false, true);
-        let reg = t.registry().unwrap();
-        assert_eq!(reg.counter("sim.dram.queue_clamped").get(), 1);
+        let t = in_memory_with(1, 1 << 16);
+        let p = t.probe();
+        p.dram_access(7, true, false);
+        p.dram_access(u64::from(u32::MAX) + 5, false, true);
+        drop(p);
+        assert_eq!(t.metric(DRAM_QUEUE_CLAMPED), Some(Metric::Counter(1)));
         // The histogram keeps the unclamped value; the event clamps to the
         // 32-bit wire format.
         assert_eq!(
-            reg.histogram("dram.queue_delay_cycles").sum(),
+            histogram(&t, DRAM_QUEUE_DELAY).sum(),
             7 + u64::from(u32::MAX) + 5
         );
         let streams = t.recorder_streams();
@@ -922,9 +746,8 @@ mod tests {
     #[test]
     fn unclamped_dram_access_leaves_counter_zero() {
         let t = Telemetry::in_memory();
-        t.dram_access(u64::from(u32::MAX), true, false);
-        let reg = t.registry().unwrap();
-        assert_eq!(reg.counter("sim.dram.queue_clamped").get(), 0);
+        t.probe().dram_access(u64::from(u32::MAX), true, false);
+        assert_eq!(t.metric(DRAM_QUEUE_CLAMPED), Some(Metric::Counter(0)));
         assert!(t
             .metrics_text()
             .contains("counter sim.dram.queue_clamped 0"));
@@ -936,16 +759,23 @@ mod tests {
         let a = root.scope("a");
         let b = root.scope("b");
         assert_ne!(a, b);
-        a.dram_access(3, true, false);
-        b.dram_access(4, true, false);
-        let delay = root
-            .registry()
-            .unwrap()
-            .histogram("dram.queue_delay_cycles");
+        a.probe().dram_access(3, true, false);
+        b.probe().dram_access(4, true, false);
+        let delay = histogram(&root, DRAM_QUEUE_DELAY);
         assert_eq!((delay.count(), delay.sum()), (2, 7));
         let text = root.chrome_trace_value().to_string();
         assert!(text.contains("\"name\":\"a\""));
         assert!(text.contains("\"name\":\"b\""));
+    }
+
+    #[test]
+    fn job_counters_are_labelled_by_stream() {
+        let root = Telemetry::in_memory();
+        root.scope("BFS/COSMOS")
+            .publish_counters(|add| ["hits", "misses"].iter().for_each(|leaf| add(leaf, 2)));
+        assert_eq!(root.metric("BFS/COSMOS/hits"), Some(Metric::Counter(2)));
+        let text = root.metrics_text();
+        assert!(text.contains("counter BFS/COSMOS/misses 2\n"), "{text}");
     }
 
     #[test]
@@ -961,7 +791,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("cosmos-tele-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let t = Telemetry::to_dir(&dir).unwrap();
-        t.spec_issue();
+        t.probe().spec_issue();
         {
             let _p = t.phase("emit");
         }

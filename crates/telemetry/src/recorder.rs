@@ -1,11 +1,13 @@
 //! The flight recorder: per-stream bounded ring buffers of typed
 //! simulation events.
 //!
-//! Components hand events to [`crate::Telemetry`], which applies the
-//! configured per-stratum sampling rate and stamps whatever survives with
-//! a deterministic per-stream sequence number; the recorder itself just
+//! Components hand events to their job's [`crate::Probe`], which applies
+//! the dense sampling rate and stamps whatever survives with a
+//! deterministic per-stream sequence number; the recorder itself just
 //! stores the newest `capacity` events, counting what it had to overwrite
 //! so exporters can report drop rates honestly.
+
+use crate::export::RecorderStats;
 
 /// The RL decision active when a CTR-cache line was chosen for eviction:
 /// the CTR-locality agent's classification of the line being *filled*,
@@ -44,7 +46,7 @@ pub struct AccessInfo {
     /// Tenant the access is attributed to (0 for single-tenant runs),
     /// already folded into the simulator's tenant-bucket range. Routes
     /// the access to its per-tenant occupancy heatmap when those are
-    /// enabled (see `Telemetry::ctr_tenant_heatmaps_init`).
+    /// enabled (see `Probe::ctr_tenant_heatmaps_init`).
     pub tenant: u8,
 }
 
@@ -140,8 +142,8 @@ impl Event {
     ///
     /// Evictions and speculation outcomes happen orders of magnitude less
     /// often than accesses; under one global 1-in-N rate they all but
-    /// vanish from the ring. Rare events sample under their own
-    /// (typically 1-in-1) rate so an explain pass sees every eviction.
+    /// vanish from the ring. Rare events are all kept, so an explain pass
+    /// sees every eviction.
     pub fn is_rare(&self) -> bool {
         matches!(
             self,
@@ -239,17 +241,16 @@ impl FlightRecorder {
 /// the deterministic candidate counters that drive two-stratum sampling.
 ///
 /// Dense events (accesses, DRAM, walks, RL actions) thin at the
-/// configured `sample_every`; rare events (evictions, speculation) thin
-/// at their own `rare_sample_every` so they survive aggressive dense
-/// sampling. Both strata share one per-stream candidate sequence, so the
-/// `seq` stamps of recorded events totally order them causally — with no
-/// dependence on wall clock or on which worker thread ran the stream.
+/// configured `sample_every`; rare events (evictions, speculation) are
+/// all kept, so they survive aggressive dense sampling. Both strata share
+/// one per-stream candidate sequence, so the `seq` stamps of recorded
+/// events totally order them causally — with no dependence on wall clock
+/// or on which worker thread ran the stream.
 #[derive(Debug)]
 pub struct StreamRecorder {
     ring: FlightRecorder,
     seq: u64,
     dense_seen: u64,
-    rare_seen: u64,
 }
 
 impl StreamRecorder {
@@ -259,25 +260,22 @@ impl StreamRecorder {
             ring: FlightRecorder::new(capacity),
             seq: 0,
             dense_seen: 0,
-            rare_seen: 0,
         }
     }
 
     /// Counts one candidate event in the given stratum and decides whether
-    /// it samples in. Returns the candidate's `seq` stamp when it does.
-    /// The first candidate of each stratum always samples in.
-    pub fn admit(&mut self, rare: bool, every: u64) -> Option<u64> {
+    /// it samples in: every rare one does, and every `dense_every`th dense
+    /// one, starting with the first. Returns the candidate's `seq` stamp
+    /// when it does.
+    pub fn admit(&mut self, rare: bool, dense_every: u64) -> Option<u64> {
         let seq = self.seq;
         self.seq += 1;
-        let seen = if rare {
-            &mut self.rare_seen
-        } else {
-            &mut self.dense_seen
-        };
-        let nth = *seen;
-        *seen += 1;
-        if nth % every.max(1) != 0 {
-            return None;
+        if !rare {
+            let nth = self.dense_seen;
+            self.dense_seen += 1;
+            if !nth.is_multiple_of(dense_every.max(1)) {
+                return None;
+            }
         }
         Some(seq)
     }
@@ -305,6 +303,14 @@ impl StreamRecorder {
     /// Retained events, oldest first (ascending `seq`).
     pub fn iter_oldest_first(&self) -> impl Iterator<Item = &TimedEvent> {
         self.ring.iter_oldest_first()
+    }
+
+    /// Adds this stream's candidate, sampled and overwritten counts to
+    /// `stats`.
+    pub fn add_stats(&self, stats: &mut RecorderStats) {
+        stats.candidates += self.candidates();
+        stats.recorded += self.recorded();
+        stats.overwritten += self.overwritten();
     }
 }
 
@@ -371,10 +377,10 @@ mod tests {
     fn strata_sample_independently_but_share_one_seq() {
         let mut r = StreamRecorder::new(64);
         let mut admitted = Vec::new();
-        // Alternate dense (1-in-4) and rare (1-in-1) candidates.
+        // Alternate dense (1-in-4) and rare (always kept) candidates.
         for i in 0..8u64 {
             let rare = i % 2 == 1;
-            if let Some(seq) = r.admit(rare, if rare { 1 } else { 4 }) {
+            if let Some(seq) = r.admit(rare, 4) {
                 admitted.push((seq, rare));
             }
         }

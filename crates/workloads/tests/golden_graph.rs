@@ -8,9 +8,10 @@
 
 mod digest;
 
+use cosmos_common::hash::Fnv1a;
 use cosmos_common::PhysAddr;
 use cosmos_workloads::graph::{Graph, GraphKernel, GraphKind, GraphLayout, LayoutMode};
-use digest::{trace_digest, Fnv1a};
+use digest::trace_digest;
 
 const VERTICES: usize = 1 << 16;
 const DEGREE: usize = 12;
@@ -43,7 +44,7 @@ fn csr_digest(g: &Graph) -> u64 {
     for &x in g.row_ptr().iter().chain(g.col_idx()) {
         h.write(&x.to_le_bytes());
     }
-    h.0
+    h.finish()
 }
 
 /// Digest of every field of every access of a 4-core DFS trace over `g`,
