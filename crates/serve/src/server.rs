@@ -494,6 +494,9 @@ impl Server {
     ) -> Result<Exec, String> {
         let fig = figures::by_name(figure).ok_or_else(|| format!("unknown figure {figure:?}"))?;
         let artifact = self.state_dir.join(Self::artifact_name(id));
+        // The serve-held handle only times the job; the figure's own
+        // simulations get a disabled one, so they build no probe and pay
+        // no per-access hook for telemetry nobody exports.
         let telemetry = Telemetry::in_memory();
         // `jobs: 1` — the server's worker pool is the unit of
         // parallelism; each figure runs its grid serially. Results are
@@ -507,7 +510,7 @@ impl Server {
             check: false,
             json: Some(artifact),
             jobs: 1,
-            telemetry: telemetry.clone(),
+            telemetry: Telemetry::disabled(),
         };
         let out = {
             let _run = telemetry.phase("figure");
@@ -805,7 +808,20 @@ mod tests {
 
         let log = events.text();
         assert!(log.contains(r#""event":"start""#), "{log}");
-        assert!(log.contains(r#""event":"done""#), "{log}");
+        // The figure's simulations run without telemetry: the `done`
+        // event's phases are the serve-level `figure` span alone.
+        let done = log
+            .lines()
+            .map(|l| cosmos_common::json::parse(l).unwrap())
+            .find(|e| e.get("event").and_then(Value::as_str) == Some("done"))
+            .unwrap_or_else(|| panic!("no done event: {log}"));
+        let phases: Vec<_> = done["phases"]
+            .as_array()
+            .unwrap()
+            .iter()
+            .map(|p| (p["name"].as_str(), p["calls"].as_u64()))
+            .collect();
+        assert_eq!(phases, [(Some("figure"), Some(1))], "{log}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -3,9 +3,12 @@
 //!
 //! Everything JSON-shaped is built as a [`cosmos_common::json::Value`] and
 //! serialized through that module — no ad-hoc string formatting — so
-//! escaping and number rendering are handled in exactly one place.
+//! escaping and number rendering are handled in exactly one place. The
+//! Chrome trace, the largest export, is written one event object at a
+//! time.
 
 use std::collections::BTreeMap;
+use std::io::{self, Write};
 
 use cosmos_common::json::{json, Value};
 
@@ -80,45 +83,54 @@ fn event_args(ev: &Event) -> Value {
     }
 }
 
-/// Builds a Chrome trace-event document (the JSON-array flavour that
-/// `chrome://tracing` and Perfetto load directly).
+/// Writes a Chrome trace-event document (the JSON-array flavour that
+/// `chrome://tracing` and Perfetto load directly) to `out`, one event
+/// object at a time: the bytes equal the compact serialization of the
+/// whole array, but no more than one event is ever built.
 ///
 /// Layout: pid 0 is the whole run; each telemetry stream is a tid, named
 /// via `M`-phase metadata. Runner phases become `X` (complete) spans on
 /// their stream's track; sampled simulation events become `i` (instant)
 /// marks. Every object carries the full `{name, ph, ts, pid, tid}` set.
-pub fn chrome_trace<'a>(
+pub fn write_chrome_trace<'a>(
+    out: &mut impl Write,
     phases: &[PhaseSpan],
     events: impl IntoIterator<Item = &'a TimedEvent>,
     stream_labels: &[&str],
-) -> Value {
-    let mut out: Vec<Value> = Vec::new();
-    out.push(json!({
+) -> io::Result<()> {
+    let process = json!({
         "name": "process_name", "ph": "M", "ts": 0u64, "pid": 0u64, "tid": 0u64,
         "args": { "name": "cosmos-sim" },
-    }));
-    for (tid, label) in stream_labels.iter().enumerate() {
-        out.push(json!({
+    });
+    let threads = stream_labels.iter().enumerate().map(|(tid, label)| {
+        json!({
             "name": "thread_name", "ph": "M", "ts": 0u64, "pid": 0u64,
             "tid": tid as u64,
             "args": { "name": *label },
-        }));
-    }
-    for p in phases {
-        out.push(json!({
+        })
+    });
+    let spans = phases.iter().map(|p| {
+        json!({
             "name": p.name, "ph": "X", "cat": "phase",
             "ts": p.start_us, "dur": p.dur_us,
             "pid": 0u64, "tid": u64::from(p.stream),
-        }));
-    }
-    for e in events {
-        out.push(json!({
+        })
+    });
+    let marks = events.into_iter().map(|e| {
+        json!({
             "name": e.event.name(), "ph": "i", "cat": "sim", "s": "t",
             "ts": e.ts_us, "pid": 0u64, "tid": u64::from(e.stream),
             "args": event_args(&e.event),
-        }));
+        })
+    });
+    let objects = std::iter::once(process)
+        .chain(threads)
+        .chain(spans)
+        .chain(marks);
+    for (i, object) in objects.enumerate() {
+        write!(out, "{}{object}", if i == 0 { '[' } else { ',' })?;
     }
-    Value::Array(out)
+    out.write_all(b"]")
 }
 
 /// Builds the per-set CTR-cache heatmap document: one entry per stream
@@ -234,6 +246,21 @@ pub fn is_valid_chrome_trace(v: &Value) -> bool {
 mod tests {
     use super::*;
 
+    /// The trace [`write_chrome_trace`] writes, as text.
+    fn chrome_trace_text<'a>(
+        phases: &[PhaseSpan],
+        events: impl IntoIterator<Item = &'a TimedEvent>,
+        stream_labels: &[&str],
+    ) -> String {
+        let mut out = Vec::new();
+        write_chrome_trace(&mut out, phases, events, stream_labels).unwrap();
+        String::from_utf8(out).unwrap()
+    }
+
+    fn parse(text: &str) -> Value {
+        cosmos_common::json::parse(text).unwrap()
+    }
+
     fn span(name: &'static str, stream: u16, start: u64, dur: u64) -> PhaseSpan {
         PhaseSpan {
             name,
@@ -294,12 +321,13 @@ mod tests {
                 }),
             },
         ];
-        let doc = chrome_trace(&phases, &events, &["main", "fig02/np/graph500"]);
+        let text = chrome_trace_text(&phases, &events, &["main", "fig02/np/graph500"]);
+        let doc = parse(&text);
         assert!(is_valid_chrome_trace(&doc));
         // 1 process_name + 2 thread_name + 2 phases + 3 events.
         assert_eq!(doc.as_array().unwrap().len(), 8);
-        let text = doc.to_string();
-        assert!(text.starts_with('[') && text.ends_with(']'));
+        // The streamed bytes are the compact serialization of the array.
+        assert_eq!(text, doc.to_string());
         assert!(text.contains("\"ph\":\"X\""));
         assert!(text.contains("\"ph\":\"i\""));
         assert!(text.contains("\"dur\":1000"));
@@ -314,9 +342,8 @@ mod tests {
     fn chrome_trace_escapes_hostile_labels() {
         // Stream labels come from job labels; exporters must not let a
         // quote, backslash, or newline corrupt the JSON document.
-        let doc = chrome_trace(&[], &[], &["evil \"label\"\\with\nnewline\ttab"]);
-        assert!(is_valid_chrome_trace(&doc));
-        let text = doc.to_string();
+        let text = chrome_trace_text(&[], &[], &["evil \"label\"\\with\nnewline\ttab"]);
+        assert!(is_valid_chrome_trace(&parse(&text)));
         assert!(text.contains(r#"evil \"label\"\\with\nnewline\ttab"#));
         // The raw control characters must not appear unescaped.
         assert!(!text.contains('\n'));
@@ -327,10 +354,10 @@ mod tests {
 
     #[test]
     fn empty_trace_is_still_valid() {
-        let doc = chrome_trace(&[], &[], &[]);
-        assert!(is_valid_chrome_trace(&doc));
+        let text = chrome_trace_text(&[], &[], &[]);
+        assert!(is_valid_chrome_trace(&parse(&text)));
         assert_eq!(
-            doc.to_string(),
+            text,
             r#"[{"name":"process_name","ph":"M","ts":0,"pid":0,"tid":0,"args":{"name":"cosmos-sim"}}]"#
         );
     }

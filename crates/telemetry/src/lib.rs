@@ -331,11 +331,12 @@ impl Telemetry {
         self.shared.as_ref()?.table().metrics.get(name).cloned()
     }
 
-    /// The Chrome trace-event document for everything published so far.
-    /// `Value::Null` when disabled.
-    pub fn chrome_trace_value(&self) -> Value {
+    /// Writes the Chrome trace-event document for everything published so
+    /// far to `out`, one event at a time ([`export::write_chrome_trace`]).
+    /// Writes nothing when disabled.
+    pub fn write_chrome_trace(&self, out: &mut impl io::Write) -> io::Result<()> {
         let Some(sh) = &self.shared else {
-            return Value::Null;
+            return Ok(());
         };
         let phases = sh.phases();
         let table = sh.table();
@@ -345,7 +346,7 @@ impl Telemetry {
             .iter()
             .filter_map(|s| s.recorder.as_ref())
             .flat_map(StreamRecorder::iter_oldest_first);
-        export::chrome_trace(&phases, events, &labels)
+        export::write_chrome_trace(out, &phases, events, &labels)
     }
 
     /// Every stream's published flight-recorder contents: `(label, events
@@ -425,9 +426,11 @@ impl Telemetry {
         let Some(dir) = self.dir().map(Path::to_path_buf) else {
             return Ok(());
         };
-        let mut trace = self.chrome_trace_value().to_string();
-        trace.push('\n');
-        std::fs::write(dir.join(format!("{name}.trace.json")), trace)?;
+        let file = std::fs::File::create(dir.join(format!("{name}.trace.json")))?;
+        let mut trace = io::BufWriter::new(file);
+        self.write_chrome_trace(&mut trace)?;
+        trace.write_all(b"\n")?;
+        trace.flush()?;
         let mut heat = self.heatmap_value().pretty();
         heat.push('\n');
         std::fs::write(dir.join(format!("{name}.heatmap.json")), heat)?;
@@ -478,6 +481,13 @@ mod tests {
         .unwrap()
     }
 
+    /// The trace [`Telemetry::write_chrome_trace`] writes, parsed back.
+    fn chrome_trace(t: &Telemetry) -> Value {
+        let mut out = Vec::new();
+        t.write_chrome_trace(&mut out).unwrap();
+        cosmos_common::json::parse(std::str::from_utf8(&out).unwrap()).unwrap()
+    }
+
     fn histogram(t: &Telemetry, name: &str) -> metrics::Histogram {
         match t.metric(name) {
             Some(Metric::Histogram(h)) => *h,
@@ -503,7 +513,9 @@ mod tests {
         let _g = t.phase("sim");
         t.publish_counters(|add| add("x", 1));
         assert!(t.metric(MERKLE_DEPTH).is_none());
-        assert_eq!(t.chrome_trace_value(), Value::Null);
+        let mut trace = Vec::new();
+        t.write_chrome_trace(&mut trace).unwrap();
+        assert!(trace.is_empty());
         assert_eq!(t.heatmap_value(), Value::Null);
         assert_eq!(t.metrics_text(), "");
         assert!(t.recorder_streams().is_empty());
@@ -561,7 +573,7 @@ mod tests {
             ]
         );
 
-        let trace = root.chrome_trace_value();
+        let trace = chrome_trace(&root);
         assert!(is_valid_chrome_trace(&trace));
         let text = trace.to_string();
         assert!(text.contains("fig/np/bfs"));
@@ -763,7 +775,7 @@ mod tests {
         b.probe().dram_access(4, true, false);
         let delay = histogram(&root, DRAM_QUEUE_DELAY);
         assert_eq!((delay.count(), delay.sum()), (2, 7));
-        let text = root.chrome_trace_value().to_string();
+        let text = chrome_trace(&root).to_string();
         assert!(text.contains("\"name\":\"a\""));
         assert!(text.contains("\"name\":\"b\""));
     }
@@ -802,6 +814,33 @@ mod tests {
             assert!(!data.is_empty(), "{p:?} empty");
         }
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn exported_trace_parses_back_with_every_event() {
+        let dir = std::env::temp_dir().join(format!("cosmos-tele-trace-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = TelemetryConfig {
+            sample_every: 1,
+            recorder_capacity: 64,
+        };
+        let t = Telemetry::with_config(Some(dir.clone()), config).unwrap();
+        let job = t.scope("fig/np/bfs");
+        {
+            let _p = job.phase("sim");
+            let p = job.probe();
+            p.ctr_access(acc(2, false, true), false);
+            p.ctr_evict(evi(2, true));
+            p.dram_access(7, true, false);
+        }
+        t.export("small").unwrap();
+        let text = std::fs::read_to_string(dir.join("small.trace.json")).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        let trace = cosmos_common::json::parse(&text).unwrap();
+        assert!(is_valid_chrome_trace(&trace));
+        // 1 process_name + 2 thread_name (main, the job) + 1 phase + 3 events.
+        assert_eq!(trace.as_array().unwrap().len(), 7);
+        assert_eq!(text, format!("{trace}\n"));
     }
 
     #[test]

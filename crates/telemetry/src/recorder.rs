@@ -137,19 +137,6 @@ impl Event {
             Event::DramAccess { .. } => "dram_access",
         }
     }
-
-    /// Whether the event belongs to the *rare* sampling stratum.
-    ///
-    /// Evictions and speculation outcomes happen orders of magnitude less
-    /// often than accesses; under one global 1-in-N rate they all but
-    /// vanish from the ring. Rare events are all kept, so an explain pass
-    /// sees every eviction.
-    pub fn is_rare(&self) -> bool {
-        matches!(
-            self,
-            Event::CtrEvict { .. } | Event::SpecIssue | Event::SpecKill
-        )
-    }
 }
 
 /// An [`Event`] stamped with when and where it happened.
@@ -202,21 +189,6 @@ impl FlightRecorder {
             self.head = (self.head + 1) % self.capacity;
             self.overwritten += 1;
         }
-    }
-
-    /// Events currently retained.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing has been retained yet.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Maximum retained events.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Total events ever pushed (retained + overwritten).
@@ -333,7 +305,6 @@ mod tests {
         for t in 0..3 {
             r.push(ev(t));
         }
-        assert_eq!(r.len(), 3);
         assert_eq!(r.recorded(), 3);
         assert_eq!(r.overwritten(), 0);
         let ts: Vec<u64> = r.iter_oldest_first().map(|e| e.ts_us).collect();
@@ -346,8 +317,6 @@ mod tests {
         for t in 0..10 {
             r.push(ev(t));
         }
-        assert_eq!(r.len(), 4);
-        assert_eq!(r.capacity(), 4);
         assert_eq!(r.recorded(), 10);
         assert_eq!(r.overwritten(), 6);
         // The newest 4 events survive, oldest-first iteration order.
@@ -392,27 +361,5 @@ mod tests {
             vec![(0, false), (1, true), (3, true), (5, true), (7, true)]
         );
         assert_eq!(r.candidates(), 8);
-    }
-
-    #[test]
-    fn rare_events_are_classified() {
-        assert!(Event::SpecIssue.is_rare());
-        assert!(Event::SpecKill.is_rare());
-        assert!(Event::CtrEvict(EvictInfo {
-            set: 0,
-            victim_line: 0,
-            dirty: false,
-            fill_at: 0,
-            last_touch_at: 0,
-            at: 0,
-            lru_deviated: false,
-            rl: None,
-        })
-        .is_rare());
-        assert!(!Event::RlDataAction {
-            offchip: false,
-            correct: true
-        }
-        .is_rare());
     }
 }

@@ -1,6 +1,6 @@
 #!/bin/bash
 # Full local gate: formatting, release build, all workspace tests, clippy
-# with warnings denied, static analysis, and the end-to-end identity and
+# with warnings denied, rustdoc, and the end-to-end identity and
 # determinism smokes — what CI runs, in one command.
 #
 # Every block announces itself through `stage <name>`, so a failure log
@@ -34,6 +34,9 @@ cargo build --release
 
 # The tests run with an empty TMPDIR of their own, which they must leave
 # empty: a test that leaves a file or directory behind fails the stage.
+# They include the source rules clippy cannot express (tests/source_rules.rs,
+# DESIGN.md §12/§17): expect messages that state an invariant, and no
+# leftover pragma comment of the retired hot-path rules.
 stage test
 test_tmp="$(tmp -d)"
 TMPDIR="$test_tmp" cargo test -q --workspace
@@ -110,14 +113,6 @@ cargo clippy -q --workspace --lib --bins -- -D warnings -D clippy::undocumented_
 # public docs must not link to private items.
 stage doc
 RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
-
-# Static analysis (DESIGN.md §12/§17): the expect-message rule clippy
-# cannot express, and no leftover pragma comment of the retired hot-path
-# rules. Deny-by-default: any finding fails the gate. The hot path's
-# allocations are gated by crates/core/tests/hot_alloc.rs in the test
-# stage, and its locks by the clippy stage's lock-type ban.
-stage lint
-cargo run --release -q -p cosmos-lint -- -q
 
 # Sampled-mode smoke: the validation harness end-to-end at a tiny budget
 # (exercises plan building, warmup/priming, and the weighted merge; the
@@ -220,6 +215,12 @@ for f in fig02.trace.json fig02.heatmap.json fig02.metrics.txt; do
         exit 1
     }
 done
+# The trace is written one event at a time; it must still be one JSON
+# document.
+python3 -c 'import json,sys; json.load(open(sys.argv[1]))' "$tele_dir/fig02.trace.json" || {
+    echo "check.sh: fig02.trace.json is not valid JSON" >&2
+    exit 1
+}
 grep -q '"ph":"M"' "$tele_dir/fig02.trace.json" || {
     echo "check.sh: fig02.trace.json has no Chrome trace metadata events" >&2
     exit 1

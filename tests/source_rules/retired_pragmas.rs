@@ -23,3 +23,6 @@ pub fn first(v: &[u64]) -> u64 {
 
 // A comment that only mentions cosmos-lint: in prose is not a pragma.
 pub fn prose() {}
+
+/* cosmos-lint: hot — a block comment is not a pragma */
+pub const TEXT: &str = "// cosmos-lint: hot";
